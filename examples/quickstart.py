@@ -24,7 +24,7 @@ from repro.compiler import (
     Store,
     Strategy,
     compile_loop,
-    loop_class,
+    region_class,
     scalar_reference,
 )
 from repro.emu import run_program
@@ -46,7 +46,7 @@ def build_loop() -> Loop:
 
 def main() -> None:
     loop = build_loop()
-    print(f"loop dependence class: {loop_class(loop).name}")
+    print(f"loop dependence class: {region_class(loop).name}")
     print("(UNKNOWN: the compiler cannot prove a[x[i]] never aliases a[i])\n")
 
     x_vals = periodic_conflict_indices(N, 4)

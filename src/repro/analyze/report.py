@@ -27,7 +27,7 @@ from repro.analyze.dependence import (
 from repro.analyze.facts import AnalysisFacts, gather_facts
 from repro.analyze.regions import Region, RegionPlan, plan_from_conflicts
 from repro.common.config import TABLE_I
-from repro.compiler.analysis import loop_class
+from repro.compiler.analysis import region_class
 from repro.compiler.ir import Loop
 from repro.workloads.base import LoopSpec, Workload
 
@@ -202,13 +202,15 @@ def analyse_spec(
     n = spec.n if n_override is None else min(n_override, spec.n)
     arrays = spec.arrays(seed)
     facts = gather_facts(loop, arrays)
-    banerjee = loop_class(loop, vl).name
+    banerjee = region_class(loop, None, vl).name
 
     if loop.reductions():
         # mirrors the SRV dispatch: reductions never enter a region
         from repro.compiler.analysis import DepClass
 
-        clean = loop_class(loop, vl) in (DepClass.NONE, DepClass.PROVABLE_SAFE)
+        clean = region_class(loop, None, vl) in (
+            DepClass.NONE, DepClass.PROVABLE_SAFE,
+        )
         mode = "no-region-vector" if clean else "scalar"
         return LoopAnalysis(
             workload=workload, loop=loop.name, seed=seed, n=n, vl=vl,

@@ -34,12 +34,7 @@ Commands:
   (:mod:`repro.sample`): fingerprint the dynamic stream, cluster the
   intervals, time only representative segments, and project
   whole-program cycles with per-cluster error bars (optionally checked
-  against the exact run with ``--exact`` / ``--max-error``);
-* ``serve`` — run the fault-tolerant sweep service (:mod:`repro.serve`):
-  an HTTP/JSON job server with a supervised worker pool, retry/backoff,
-  circuit breakers, and a crash-safe write-ahead job journal;
-* ``submit <kind> [key=value ...]`` — submit one job to a running
-  ``serve`` instance and (by default) wait for its terminal state.
+  against the exact run with ``--exact`` / ``--max-error``).
 """
 
 from __future__ import annotations
@@ -247,81 +242,6 @@ def _cmd_attrib(args: argparse.Namespace) -> int:
             print()
     print(attribution_table(rows, total_row=args.suite).format_table())
     return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve import JobJournal, ServeConfig, SweepService
-    from repro.serve.http import server_port, start_http_server
-
-    config = ServeConfig(
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        client_quota=args.quota,
-        job_timeout_s=args.timeout,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        allow_chaos=args.allow_chaos,
-    )
-    journal = JobJournal(args.journal) if args.journal else None
-
-    async def _serve() -> None:
-        service = SweepService(config, journal)
-        resumed = service.recover()
-        if resumed:
-            print(f"[journal: re-enqueued {resumed} pending job(s)]")
-        await service.start()
-        server = await start_http_server(service, args.host, args.port)
-        print(
-            f"repro serve: listening on {args.host}:{server_port(server)} "
-            f"({config.workers} worker(s), "
-            f"journal={'on' if journal else 'off'}, "
-            f"chaos={'on' if config.allow_chaos else 'off'})"
-        )
-        try:
-            async with server:
-                await server.serve_forever()
-        finally:
-            await service.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("\n[interrupted; drained and shut down]")
-    return 0
-
-
-def _parse_payload(pairs: list[str]) -> dict:
-    """``key=value`` pairs → job payload (ints and bools are coerced)."""
-    payload: dict = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise SystemExit(f"payload field {pair!r} is not key=value")
-        if value.lower() in ("true", "false"):
-            payload[key] = value.lower() == "true"
-        else:
-            try:
-                payload[key] = int(value)
-            except ValueError:
-                payload[key] = value
-    return payload
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import submit_job, wait_job
-
-    payload = _parse_payload(args.payload)
-    status, body = submit_job(
-        args.host, args.port, args.kind, payload, client=args.client
-    )
-    print(f"[{status}] job {body.get('id')}: {body.get('status')}")
-    if not args.no_wait and body.get("status") in ("queued", "running"):
-        body = wait_job(args.host, args.port, body["id"], timeout=args.timeout)
-    print(json.dumps(body, indent=2))
-    return 1 if body.get("status") in ("failed", "rejected") else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -645,50 +565,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="emulator vector engine (default: numpy when "
                             "available); results are identical")
 
-    p_srv = sub.add_parser(
-        "serve",
-        help="run the fault-tolerant HTTP sweep service",
-    )
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=8752,
-                       help="listen port (0 picks a free one; default 8752)")
-    p_srv.add_argument("--workers", type=int, default=2,
-                       help="supervised pool worker processes (default 2)")
-    p_srv.add_argument("--journal", default=None, metavar="PATH",
-                       help="crash-safe job journal file; pending jobs are "
-                            "replayed from it on restart")
-    p_srv.add_argument("--cache-dir", default="results/cache",
-                       help="content-addressed result cache directory")
-    p_srv.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
-    p_srv.add_argument("--queue-limit", type=int, default=64,
-                       help="bounded queue depth before 429 load shedding")
-    p_srv.add_argument("--quota", type=int, default=8,
-                       help="max active jobs per client before 429")
-    p_srv.add_argument("--timeout", type=float, default=60.0,
-                       help="per-job wall-clock budget in seconds")
-    p_srv.add_argument("--allow-chaos", action="store_true",
-                       help="accept chaos_* kinds and 'inject' payloads "
-                            "(testing only)")
-
-    p_sub = sub.add_parser(
-        "submit",
-        help="submit a job to a running serve instance",
-    )
-    p_sub.add_argument("kind",
-                       help="loop | experiment | verify | attrib | trace")
-    p_sub.add_argument("payload", nargs="*", metavar="key=value",
-                       help="payload fields, e.g. workload=spmv loop=spmv "
-                            "strategy=srv n=256")
-    p_sub.add_argument("--host", default="127.0.0.1")
-    p_sub.add_argument("--port", type=int, default=8752)
-    p_sub.add_argument("--client", default="cli",
-                       help="client identity for per-client quotas")
-    p_sub.add_argument("--no-wait", action="store_true",
-                       help="print the accepted job and return immediately")
-    p_sub.add_argument("--timeout", type=float, default=300.0,
-                       help="max seconds to wait for a terminal state")
-
     from repro.verify.faults import FaultClass
 
     p_inj = sub.add_parser(
@@ -769,13 +645,11 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "trace": _cmd_trace,
         "attrib": _cmd_attrib,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
     }[args.command]
     try:
         return handler(args)
     except BrokenPipeError:
-        # stdout consumer (e.g. ``repro submit ... | head``) went away;
+        # stdout consumer (e.g. ``repro list | head``) went away;
         # exit quietly instead of stack-tracing on interpreter shutdown
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0

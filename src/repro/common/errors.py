@@ -84,41 +84,6 @@ class ObserveError(ReproError):
     """Misuse of the observability layer (:mod:`repro.observe`)."""
 
 
-class ServeError(ReproError):
-    """Base class for sweep-service (:mod:`repro.serve`) failures."""
-
-
-class WorkerCrashError(ServeError):
-    """A pool worker process died (e.g. SIGKILL) while running a job.
-
-    The supervisor replaces the broken pool and retries the job; this
-    error reaches a client only after the retry budget is exhausted.
-    """
-
-
-class WorkerHungError(ServeError):
-    """A job exceeded its wall-clock budget inside a pool worker.
-
-    The supervisor cannot interrupt a wedged worker cooperatively, so it
-    kills and restarts the pool — queued jobs are unaffected.
-    """
-
-
-class JobRejectedError(ServeError):
-    """A job was refused at admission (quota, queue bound, circuit open).
-
-    Carries the HTTP-style status the server reports: ``429`` for load
-    shedding (full queue / client quota), ``503`` for a tripped circuit
-    breaker, ``400`` for a malformed request.
-    """
-
-    def __init__(self, status: int, reason: str) -> None:
-        self.status = status
-        self.reason = reason
-        super().__init__(f"rejected ({status}): {reason}")
-
-
-
 class SampleError(ReproError):
     """Interval-sampling failure (:mod:`repro.sample`).
 

@@ -3,10 +3,8 @@
 from repro.compiler.analysis import (
     DepClass,
     Dependence,
-    analyse,
     analyse_statements,
     classify_pair,
-    loop_class,
     region_class,
 )
 from repro.compiler.codegen import LoopCodeGenerator, Strategy, compile_loop
@@ -29,10 +27,8 @@ from repro.compiler.ir import (
 __all__ = [
     "DepClass",
     "Dependence",
-    "analyse",
     "analyse_statements",
     "classify_pair",
-    "loop_class",
     "region_class",
     "expr_reads",
     "LoopCodeGenerator",

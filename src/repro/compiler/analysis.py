@@ -133,25 +133,3 @@ def region_class(
     if not deps:
         return DepClass.NONE
     return max(dep.dep_class for dep in deps)
-
-
-def analyse(loop: Loop, vector_length: int = 16) -> list[Dependence]:
-    """All potential cross-iteration dependences in the loop.
-
-    Deprecated alias for :func:`analyse_statements` over the whole body:
-    loop-granular verdicts over-serialise multi-statement bodies (one
-    indirect pair taints every statement).  New callers should pass the
-    statement subset they actually care about, or use
-    :mod:`repro.analyze` for value-aware region verdicts.
-    """
-    return analyse_statements(loop, None, vector_length)
-
-
-def loop_class(loop: Loop, vector_length: int = 16) -> DepClass:
-    """The worst dependence class across the loop.
-
-    Deprecated alias for :func:`region_class` over the whole body — kept
-    because the SVE/FlexVec strategies genuinely vectorise all-or-
-    nothing; region-aware callers should use :func:`region_class`.
-    """
-    return region_class(loop, None, vector_length)

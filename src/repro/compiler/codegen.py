@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 
 from repro.common.errors import CompilerError
-from repro.compiler.analysis import DepClass, loop_class
+from repro.compiler.analysis import DepClass, region_class
 from repro.compiler.ir import (
     Affine,
     BinOp,
@@ -581,7 +581,9 @@ class LoopCodeGenerator:
         if strategy is Strategy.SCALAR:
             return self.scalar_program()
         if strategy is Strategy.SVE:
-            if loop_class(self.loop, self.vl) in (DepClass.NONE, DepClass.PROVABLE_SAFE):
+            if region_class(self.loop, None, self.vl) in (
+                DepClass.NONE, DepClass.PROVABLE_SAFE,
+            ):
                 return self.vector_program(srv=False)
             # state-of-the-art compiler cannot prove safety: scalar fallback
             return self.scalar_program()
@@ -590,7 +592,7 @@ class LoopCodeGenerator:
                 # reductions are incompatible with selective replay; when
                 # the loop is otherwise clean, vectorise without a region,
                 # else run scalar — SRV's coverage boundary (section VI).
-                if loop_class(self.loop, self.vl) in (
+                if region_class(self.loop, None, self.vl) in (
                     DepClass.NONE, DepClass.PROVABLE_SAFE,
                 ):
                     return self.vector_program(srv=False)

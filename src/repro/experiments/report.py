@@ -87,11 +87,10 @@ class ShardReport:
     cells: int                 # cells assigned to this shard
     executed: int = 0          # computed fresh in the worker
     cached: int = 0            # already present in a cache layer
-    resumed: int = 0           # replayed from a crash-safe journal
+    resumed: int = 0           # re-run inline after its worker died
     elapsed_s: float = 0.0
     pid: int = 0
     #: structured ``RunFailure``-compatible records for cells that failed
-    #: (including a crashed worker, where every cell is recorded)
     failures: list = field(default_factory=list)
 
     @property

@@ -452,9 +452,9 @@ def _alarm_usable() -> bool:
     """Can the SIGALRM deadline arm here?
 
     ``SIGALRM`` does not exist on every platform (Windows), and signal
-    handlers may only be installed from the main thread — which the
-    sweep service's pool workers and any threaded caller are not
-    guaranteed to be.
+    handlers may only be installed from the main thread.  The sweep
+    engine's ``ProcessPoolExecutor`` workers run their tasks on their
+    main thread, so only threaded callers run unbounded.
     """
     return (
         hasattr(signal, "SIGALRM")
@@ -462,21 +462,16 @@ def _alarm_usable() -> bool:
     )
 
 
-def _async_exc_usable() -> bool:
-    """Is the CPython cross-thread-exception fallback available?"""
-    try:
-        import ctypes
-
-        return hasattr(ctypes, "pythonapi") and hasattr(
-            ctypes.pythonapi, "PyThreadState_SetAsyncExc"
-        )
-    except ImportError:  # pragma: no cover - exotic interpreters only
-        return False
-
-
 @contextmanager
-def _alarm_deadline(seconds: float):
-    """SIGALRM-based deadline (main thread, POSIX)."""
+def _deadline(seconds: float | None):
+    """Raise :class:`RunTimeoutError` if the block runs past ``seconds``.
+
+    Uses ``SIGALRM``, so it only arms in the main thread on platforms
+    that have it; elsewhere the block runs unbounded rather than failing.
+    """
+    if not seconds or not _alarm_usable():
+        yield
+        return
 
     def _on_alarm(signum, frame):
         raise RunTimeoutError(f"run exceeded {seconds:.1f}s wall clock")
@@ -488,70 +483,6 @@ def _alarm_deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-
-
-@contextmanager
-def _timer_deadline(seconds: float):
-    """Watchdog-thread deadline for contexts where SIGALRM cannot arm.
-
-    A daemon :class:`threading.Timer` raises :class:`RunTimeoutError`
-    *in the guarded thread* via ``PyThreadState_SetAsyncExc``.  Delivery
-    happens at the next bytecode boundary, so pure-Python simulation
-    loops are interrupted promptly while a thread blocked inside a long
-    C call is only interrupted on return — best-effort by construction,
-    which is why the sweep service additionally enforces budgets from
-    *outside* the worker (:meth:`repro.serve.pool.SupervisedPool.run`).
-    """
-    import ctypes
-
-    target = ctypes.c_ulong(threading.get_ident())
-    fired = threading.Event()
-
-    def _expire() -> None:
-        fired.set()
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            target, ctypes.py_object(RunTimeoutError)
-        )
-
-    timer = threading.Timer(seconds, _expire)
-    timer.daemon = True
-    timer.start()
-    try:
-        yield
-    except RunTimeoutError:
-        # async delivery raises the bare class; re-raise with the same
-        # message the SIGALRM path produces
-        raise RunTimeoutError(
-            f"run exceeded {seconds:.1f}s wall clock"
-        ) from None
-    finally:
-        timer.cancel()
-        if fired.is_set():
-            # cancel a pending-but-undelivered async exception so it
-            # cannot fire in unrelated code after this block
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(target, None)
-
-
-@contextmanager
-def _deadline(seconds: float | None):
-    """Raise :class:`RunTimeoutError` if the block runs past ``seconds``.
-
-    Picks the strongest available mechanism: ``SIGALRM`` in the main
-    thread on platforms that have it, the watchdog-thread fallback
-    elsewhere (non-main threads, platforms without ``SIGALRM``).  Only
-    when neither is usable does the block run unbounded.
-    """
-    if not seconds:
-        yield
-        return
-    if _alarm_usable():
-        with _alarm_deadline(seconds):
-            yield
-    elif _async_exc_usable():
-        with _timer_deadline(seconds):
-            yield
-    else:  # pragma: no cover - no enforcement mechanism on this platform
-        yield
 
 
 def run_loop_hardened(

@@ -71,22 +71,12 @@ class EventKind(enum.Enum):
     # memory hierarchy
     CACHE_HIT = "cache_hit"
     CACHE_MISS = "cache_miss"
-    # sweep-service job lifecycle (domain "serve"; t is ms since service
-    # start, op is -1 — jobs are not trace-op scoped)
-    JOB_ACCEPT = "job_accept"
-    JOB_START = "job_start"
-    JOB_RETRY = "job_retry"
-    JOB_DONE = "job_done"
-    JOB_FAIL = "job_fail"
-    JOB_REJECT = "job_reject"
 
 
 #: Source domains and their rank in the canonical order.  ``emu`` and
 #: ``srv`` timestamps are emulator steps; ``pipe`` and ``lsu``
 #: timestamps are simulated cycles.
-DOMAIN_RANK: dict[str, int] = {
-    "emu": 0, "pipe": 1, "lsu": 2, "srv": 3, "serve": 4,
-}
+DOMAIN_RANK: dict[str, int] = {"emu": 0, "pipe": 1, "lsu": 2, "srv": 3}
 
 #: Domains whose ``t`` field is a pipeline cycle number.
 CYCLE_DOMAINS = frozenset(("pipe", "lsu"))
@@ -214,9 +204,9 @@ class IntervalCounterSink:
     binned counts are identical between ``stream`` and ``list`` trace
     modes even though raw arrival order differs (the fused pipeline
     interleaves domains; the materialised path runs them back to back).
-    Events that are not op-scoped (``op == -1``, e.g. serve-domain job
-    events) are dropped.  :meth:`drain` is the flush path: it hands the
-    finished bins to the caller and frees them.
+    Events that are not op-scoped (``op == -1``) are dropped.
+    :meth:`drain` is the flush path: it hands the finished bins to the
+    caller and frees them.
     """
 
     __slots__ = ("interval_size", "_bins")
@@ -261,7 +251,14 @@ class IntervalCounterSink:
 # ---------------------------------------------------------------------------
 
 
-def _swallow(*_args, **_kwargs) -> None:
+# The null-sink no-ops take the exact signatures of ``_emit`` and
+# ``_emit_lsu``: binding fixed positional parameters is cheaper than
+# packing ``*args``, and these run once per event at every site.
+def _swallow(kind, domain, op, t, dur=0, pc=-1, lane=-1, data=()) -> None:
+    pass
+
+
+def _swallow_lsu(kind, lane=-1, data=()) -> None:
     pass
 
 
@@ -271,17 +268,23 @@ class EventBus:
     ``op`` and ``cycle`` are *context* attributes: the timing models set
     them per memory op so context-free sites (the LSU, which has neither
     an op index nor a clock of its own) can stamp their events via
-    :meth:`emit_lsu`.
+    ``emit_lsu``.
     """
 
-    __slots__ = ("sink", "op", "cycle", "emit")
+    __slots__ = ("sink", "op", "cycle", "emit", "emit_lsu")
 
     def __init__(self, sink) -> None:
         self.sink = sink
         self.op = -1
         self.cycle = -1
-        # a null bus never allocates an Event: emit degrades to a no-op
-        self.emit = _swallow if isinstance(sink, NullSink) else self._emit
+        # a null bus never allocates an Event: both emit entry points
+        # degrade to no-ops
+        if isinstance(sink, NullSink):
+            self.emit = _swallow
+            self.emit_lsu = _swallow_lsu
+        else:
+            self.emit = self._emit
+            self.emit_lsu = self._emit_lsu
 
     def _emit(
         self,
@@ -296,11 +299,11 @@ class EventBus:
     ) -> None:
         self.sink.accept(Event(kind, domain, op, t, dur, pc, lane, data))
 
-    def emit_lsu(
+    def _emit_lsu(
         self, kind: EventKind, lane: int = -1, data: tuple = ()
     ) -> None:
-        """Emit from the LSU using the bus's op/cycle context."""
-        self.emit(kind, "lsu", self.op, self.cycle, 0, -1, lane, data)
+        """``emit_lsu``: emit from the LSU using the bus's op/cycle context."""
+        self._emit(kind, "lsu", self.op, self.cycle, 0, -1, lane, data)
 
 
 #: The installed bus, or ``None`` (the common case).  Instrumentation

@@ -21,10 +21,11 @@ Lifecycle of one ``run_sweep`` call:
    a sequential sweep because the harness code path *is* the sequential
    code path.
 
-Failure semantics extend PR 1's ``RunFailure`` machinery: a cell that
-raises inside a worker, a worker that dies (``BrokenProcessPool``), or a
-shard that cannot be scheduled at all each degrade to structured failure
-records on the shard report — the sweep continues, and the replay phase
+Failure semantics extend the runner's ``RunFailure`` records: a cell that
+raises inside a worker degrades to a structured failure record on the
+shard report, a shard whose worker died (``BrokenProcessPool``) is
+re-run once inline in the parent, and a pool that cannot be created at
+all runs every shard inline — the sweep continues, and the replay phase
 recomputes whatever the warm phase could not provide.
 """
 

@@ -178,6 +178,11 @@ class PipelineModel:
         # event work is inside `obs is not None` guards so the disabled
         # path costs one dead branch per site
         obs = _obs.ACTIVE
+        # per-op event kinds, bound once (an enum member lookup costs as
+        # much as the null sink's whole emit call)
+        kind_fetch = _obs.EventKind.FETCH
+        kind_issue = _obs.EventKind.ISSUE
+        kind_commit = _obs.EventKind.COMMIT
         region_idx = -1
         region_fallback = False
         pass_begin = 0
@@ -233,7 +238,7 @@ class PipelineModel:
             fetch = fetch_cycle
             fetch_used += 1
             if obs is not None:
-                obs.emit(_obs.EventKind.FETCH, "pipe", i, fetch, 0, op.pc)
+                obs.emit(kind_fetch, "pipe", i, fetch, 0, op.pc)
 
             # ---- dispatch (rename + buffers) -----------------------------
             dispatch = rob.allocate(fetch + FRONTEND_DEPTH)
@@ -325,7 +330,7 @@ class PipelineModel:
             complete_ring[i % window] = complete
             if obs is not None:
                 obs.emit(
-                    _obs.EventKind.ISSUE, "pipe", i, issue_at,
+                    kind_issue, "pipe", i, issue_at,
                     complete - issue_at, op.pc, -1,
                     (("cls", op_class.value),),
                 )
@@ -430,7 +435,7 @@ class PipelineModel:
                     for access in op.mem:
                         caches.access(access.addr, access.size, True)
             if obs is not None:
-                obs.emit(_obs.EventKind.COMMIT, "pipe", i, commit, 0, op.pc)
+                obs.emit(kind_commit, "pipe", i, commit, 0, op.pc)
             if pending_region_end is not None:
                 stats.region_cycles += commit - region_start_fetch
                 if obs is not None:

@@ -6,7 +6,7 @@ the fingerprints (seeded k-means, k by BIC), re-simulates one
 representative per cluster in detail through the streaming pipeline with
 a warm-up window and ambient-cache checkpointing, and projects
 whole-program cycles with per-cluster error bars.  See
-``docs/ARCHITECTURE.md`` §12 for the dataflow and the warm-state
+``docs/ARCHITECTURE.md`` §11 for the dataflow and the warm-state
 contract.
 """
 

@@ -34,7 +34,6 @@ from repro.compiler import (
     Store,
     Strategy,
     compile_loop,
-    loop_class,
     region_class,
     scalar_reference,
 )
@@ -110,7 +109,7 @@ class TestVerdicts:
         # the point of the abstract table domain: Banerjee says UNKNOWN
         # for any indirection, but known injective contents prove safety
         loop, arrays = histogram_loop(reversed(range(N)))
-        assert loop_class(loop, VL) is DepClass.UNKNOWN
+        assert region_class(loop, None, VL) is DepClass.UNKNOWN
         analysis = analyse_spec(make_spec(loop, arrays), "t")
         assert analysis.loop_verdict is RegionVerdict.NO_CONFLICT
 
@@ -257,11 +256,6 @@ class TestRegionClassAPI:
         assert region_class(loop, [0]) in (DepClass.NONE,
                                            DepClass.PROVABLE_SAFE)
         assert region_class(loop, [1]) is DepClass.UNKNOWN
-
-    def test_loop_class_is_whole_body_wrapper(self):
-        for builder in (disjoint_loop, prefix_loop):
-            loop, _ = builder()
-            assert loop_class(loop, VL) is region_class(loop, None, VL)
 
 
 class TestReplayTruth:

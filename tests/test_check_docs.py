@@ -84,6 +84,16 @@ class TestCliDocumented:
         # the one documented command is not flagged
         assert not any("'list'" in p for p in problems)
 
+    def test_flags_stale_command_table_row(self, check_docs, tmp_path):
+        readme = tmp_path / "README.md"
+        rows = [f"| `repro {name}` | documented |"
+                for name in check_docs.cli_subcommands()]
+        rows.append("| `repro frobnicate --now` | long gone |")
+        readme.write_text("\n".join(rows) + "\n")
+        problems = check_docs.check_cli_documented(str(readme))
+        assert len(problems) == 1
+        assert "'repro frobnicate'" in problems[0]
+
 
 class TestKnobsDocumented:
     def test_finds_declared_knobs(self, check_docs):

@@ -9,9 +9,9 @@ from repro.compiler import (
     Loop,
     Read,
     Store,
-    analyse,
+    analyse_statements,
     classify_pair,
-    loop_class,
+    region_class,
 )
 
 VL = 16
@@ -70,15 +70,15 @@ class TestLoopAnalysis:
             [Store("a", Affine(), BinOp("+", Read("a", Affine()),
                                         Read("b", Affine())))],
         )
-        assert loop_class(loop, VL) is DepClass.NONE
+        assert region_class(loop, None, VL) is DepClass.NONE
 
     def test_listing1_is_unknown(self):
         loop = Loop(
             "listing1", {"a": 4, "x": 4},
             [Store("a", Indirect("x"), BinOp("+", Read("a", Affine()), Const(2)))],
         )
-        assert loop_class(loop, VL) is DepClass.UNKNOWN
-        deps = analyse(loop, VL)
+        assert region_class(loop, None, VL) is DepClass.UNKNOWN
+        deps = analyse_statements(loop, None, VL)
         assert any(d.kind == "raw" and d.dep_class is DepClass.UNKNOWN for d in deps)
 
     def test_recurrence_is_provable_unsafe(self):
@@ -86,21 +86,21 @@ class TestLoopAnalysis:
             "prefix", {"a": 4},
             [Store("a", Affine(), BinOp("+", Read("a", Affine(1, -1)), Const(1)))],
         )
-        assert loop_class(loop, VL) is DepClass.PROVABLE_UNSAFE
+        assert region_class(loop, None, VL) is DepClass.PROVABLE_UNSAFE
 
     def test_long_distance_is_safe(self):
         loop = Loop(
             "far", {"a": 4},
             [Store("a", Affine(), Read("a", Affine(1, -32)))],
         )
-        assert loop_class(loop, VL) is DepClass.PROVABLE_SAFE
+        assert region_class(loop, None, VL) is DepClass.PROVABLE_SAFE
 
     def test_distinct_arrays_no_deps(self):
         loop = Loop(
             "copy", {"a": 4, "b": 4},
             [Store("a", Affine(), Read("b", Affine()))],
         )
-        assert analyse(loop, VL) == []
+        assert analyse_statements(loop, None, VL) == []
 
     def test_waw_between_statements(self):
         loop = Loop(
@@ -110,7 +110,7 @@ class TestLoopAnalysis:
                 Store("a", Indirect("x"), Const(2)),
             ],
         )
-        deps = analyse(loop, VL)
+        deps = analyse_statements(loop, None, VL)
         assert any(d.kind == "waw" and d.dep_class is DepClass.UNKNOWN for d in deps)
 
     def test_read_only_index_table_not_a_dependence(self):
@@ -119,12 +119,13 @@ class TestLoopAnalysis:
             "listing1", {"a": 4, "x": 4},
             [Store("a", Indirect("x"), BinOp("+", Read("a", Affine()), Const(2)))],
         )
-        assert not any(d.array == "x" for d in analyse(loop, VL))
+        deps = analyse_statements(loop, None, VL)
+        assert not any(d.array == "x" for d in deps)
 
     def test_vector_length_changes_class(self):
         loop = Loop(
             "dist8", {"a": 4},
             [Store("a", Affine(), Read("a", Affine(1, -8)))],
         )
-        assert loop_class(loop, 16) is DepClass.PROVABLE_UNSAFE
-        assert loop_class(loop, 8) is DepClass.PROVABLE_SAFE
+        assert region_class(loop, None, 16) is DepClass.PROVABLE_UNSAFE
+        assert region_class(loop, None, 8) is DepClass.PROVABLE_SAFE

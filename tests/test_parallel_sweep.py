@@ -8,6 +8,9 @@ satellite requirement that a checkpoint written by a *sequential* run is
 honoured by a parallel one.
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.compiler import Strategy
@@ -15,6 +18,7 @@ from repro.experiments import ALL_EXPERIMENTS, runner
 from repro.parallel import (
     SweepCell,
     cells_for_experiments,
+    engine,
     plan_summary,
     run_sweep,
     warm_cells,
@@ -121,6 +125,50 @@ class TestDeterminism:
         assert sum(r.executed for r in inline_reports) == len(cells)
         assert sum(r.executed for r in pool_reports) == len(cells)
         assert not any(r.failures for r in inline_reports + pool_reports)
+
+
+class _FakePool:
+    """Runs submitted shards synchronously; shard 0's worker "dies"."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, index, *args):
+        future = Future()
+        if index == 0:
+            future.set_exception(BrokenProcessPool("worker killed"))
+        else:
+            future.set_result(fn(index, *args))
+        return future
+
+
+class TestWorkerDeath:
+    def test_broken_shard_is_retried_inline(self, tmp_path, monkeypatch):
+        cells = cells_for_experiments(["figure13"], n_override=N)[:4]
+        cache_dir = str(tmp_path / "cache")
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _FakePool)
+        messages = []
+
+        reports = warm_cells(cells, jobs=2, cache_dir=cache_dir,
+                             progress=messages.append)
+
+        assert [r.index for r in reports] == [0, 1, 2, 3]
+        victim = reports[0]
+        assert victim.resumed == victim.cells == 1
+        assert victim.executed == 1 and not victim.failures
+        assert all(r.resumed == 0 for r in reports[1:])
+        assert "[shard 0: worker died; retrying inline]" in messages
+
+        runner.clear_cache()
+        rerun = warm_cells(cells, jobs=1, cache_dir=cache_dir)
+        assert sum(r.cached for r in rerun) == len(cells)
+        assert sum(r.executed for r in rerun) == 0
 
 
 class TestCheckpointAgreement:

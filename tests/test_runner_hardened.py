@@ -200,12 +200,11 @@ class TestOracleMismatch:
 
 
 class TestDeadlineFallback:
-    """The wall-clock budget must work where SIGALRM cannot arm."""
+    """SIGALRM bounds the main thread; everywhere else runs unbounded."""
 
     def _busy_wait(self, seconds: float = 5.0) -> None:
-        # pure-Python spin: the watchdog's async exception is delivered
-        # at bytecode boundaries, so (unlike time.sleep) this is
-        # guaranteed interruptible
+        # pure-Python spin: the alarm handler runs between bytecodes, so
+        # this is guaranteed interruptible
         import time
 
         deadline = time.monotonic() + seconds
@@ -213,44 +212,31 @@ class TestDeadlineFallback:
             pass
         raise AssertionError("deadline never fired")
 
-    def test_timer_fallback_interrupts_busy_loop(self, monkeypatch):
-        monkeypatch.setattr(runner, "_alarm_usable", lambda: False)
+    def test_alarm_interrupts_main_thread_busy_loop(self):
+        assert runner._alarm_usable()
         with pytest.raises(RunTimeoutError, match="wall clock"):
             with runner._deadline(0.05):
                 self._busy_wait()
 
-    def test_timer_fallback_quiet_on_fast_block(self, monkeypatch):
-        import time
-
-        monkeypatch.setattr(runner, "_alarm_usable", lambda: False)
-        with runner._deadline(30.0):
-            total = sum(range(1000))
-        assert total == 499500
-        time.sleep(0.01)  # a leaked timer would assert in _busy_wait below
-
-    def test_deadline_in_non_main_thread(self):
-        # no monkeypatching: _alarm_usable itself must detect the thread
+    def test_unbounded_off_main_thread(self):
         import threading
+        import time
 
         outcome: dict = {}
 
         def worker() -> None:
-            assert not runner._alarm_usable()
-            try:
-                with runner._deadline(0.05):
-                    self._busy_wait()
-            except RunTimeoutError as exc:
-                outcome["error"] = str(exc)
+            outcome["usable"] = runner._alarm_usable()
+            with runner._deadline(0.001):
+                time.sleep(0.01)  # outlives the budget; must not raise
+            outcome["finished"] = True
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert "wall clock" in outcome.get("error", "")
+        assert outcome == {"usable": False, "finished": True}
 
     def test_unbounded_when_no_mechanism(self, monkeypatch):
         monkeypatch.setattr(runner, "_alarm_usable", lambda: False)
-        monkeypatch.setattr(runner, "_async_exc_usable", lambda: False)
         with runner._deadline(0.001):
             total = sum(range(100_000))  # outlives the budget; must not raise
         assert total == 4999950000

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.config import TABLE_I
-from repro.compiler import DepClass, Strategy, loop_class, scalar_reference
+from repro.compiler import DepClass, Strategy, region_class, scalar_reference
 from repro.experiments.runner import clear_cache, run_loop
 from repro.workloads import ALL_WORKLOADS, HPC_WORKLOADS, SPEC_WORKLOADS, all_loops, by_name
 
@@ -56,7 +56,7 @@ class TestLoopProperties:
         provably unsafe — this is the defining property of the paper's
         SRV-vectorisable loop set."""
         for workload, spec in all_loops():
-            cls = loop_class(spec.loop, TABLE_I.vector_lanes)
+            cls = region_class(spec.loop, None, TABLE_I.vector_lanes)
             assert cls in (DepClass.UNKNOWN, DepClass.PROVABLE_UNSAFE), (
                 workload.name, spec.name, cls,
             )

@@ -14,14 +14,17 @@ each against the working tree:
 It also checks the reverse direction for two registries: every CLI
 subcommand registered in ``src/repro/cli.py`` (every
 ``add_parser("name")`` call) must be mentioned as ``repro <name>``
-somewhere in ``README.md``, and every generator knob declared in
-``src/repro/gen/knobs.py`` (every ``KnobSpec(name="...")``) must appear
-backticked in ``docs/GENERATOR.md`` — so neither a new subcommand nor a
-new knob can ship undocumented.  Likewise every member of the two
-dependence-verdict enums (``DepClass`` in ``src/repro/compiler/analysis.py``
-and ``RegionVerdict`` in ``src/repro/analyze/dependence.py``) must appear
-backticked in ``docs/ANALYSIS.md``, so the verdict lattice the analyzer
-can emit is exactly the one the documentation explains.
+somewhere in ``README.md`` and, conversely, every ``| `repro <name>`…``
+row of the README command table must name a registered subcommand; every
+generator knob declared in ``src/repro/gen/knobs.py`` (every
+``KnobSpec(name="...")``) must appear backticked in
+``docs/GENERATOR.md`` — so no subcommand or knob can ship undocumented,
+and no deleted subcommand can linger in the table.  Likewise every
+member of the two dependence-verdict enums (``DepClass`` in
+``src/repro/compiler/analysis.py`` and ``RegionVerdict`` in
+``src/repro/analyze/dependence.py``) must appear backticked in
+``docs/ANALYSIS.md``, so the verdict lattice the analyzer can emit is
+exactly the one the documentation explains.
 
 The point is cheap rot detection: when a module is renamed or a file is
 deleted, the docs that still mention it break this check instead of
@@ -121,6 +124,8 @@ def check_file(path: str) -> list[str]:
 
 
 SUBCOMMAND_REF = re.compile(r"add_parser\(\s*[\"']([a-z_]+)[\"']")
+#: A README command-table row: ``| `repro <name> ...` | ... |``.
+COMMAND_ROW_REF = re.compile(r"^\|\s*`repro ([a-z_]+)", re.MULTILINE)
 
 
 def cli_subcommands(cli_path: str | None = None) -> list[str]:
@@ -132,19 +137,26 @@ def cli_subcommands(cli_path: str | None = None) -> list[str]:
 
 
 def check_cli_documented(readme_path: str | None = None) -> list[str]:
-    """Every CLI subcommand must appear as ``repro <name>`` in README."""
+    """Every CLI subcommand must appear as ``repro <name>`` in README,
+    and every README command-table row must name a registered one."""
     if readme_path is None:
         readme_path = os.path.join(REPO_ROOT, "README.md")
     with open(readme_path, encoding="utf-8") as fh:
         readme = fh.read()
     rel_readme = os.path.relpath(readme_path, REPO_ROOT)
+    registered = cli_subcommands()
     problems = []
-    for name in cli_subcommands():
+    for name in registered:
         if f"repro {name}" not in readme:
             problems.append(
                 f"{rel_readme}: CLI subcommand {name!r} is not documented "
                 f"(expected the text 'repro {name}')"
             )
+    for name in sorted(set(COMMAND_ROW_REF.findall(readme)) - set(registered)):
+        problems.append(
+            f"{rel_readme}: command table row 'repro {name}' names no "
+            f"registered CLI subcommand"
+        )
     return problems
 
 
