@@ -93,8 +93,7 @@ def _cmd_loop(args: argparse.Namespace) -> int:
     print(f"{'strategy':8s}  {'correct':7s}  {'instructions':>12s}  "
           f"{'cycles':>8s}  {'replays':>7s}")
     for strategy in Strategy:
-        run = run_loop(spec, strategy, seed=args.seed, n_override=args.n,
-                       lane_engine=args.lane_engine)
+        run = run_loop(spec, strategy, seed=args.seed, n_override=args.n)
         print(
             f"{strategy.value:8s}  {str(run.correct):7s}  "
             f"{run.emu.dynamic_instructions:12d}  {run.pipe.cycles:8d}  "
@@ -141,7 +140,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             report = verify_loop(
                 spec, strategy, seed=args.seed,
                 n_override=args.n, timing=not args.no_timing,
-                lane_engine=args.lane_engine,
             )
             total += 1
             violations += len(report.violations)
@@ -171,7 +169,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         timeout_s=args.timeout,
         trace_mode=args.trace_mode,
-        lane_engine=args.lane_engine,
         progress=print,
     )
     for name in names:
@@ -255,8 +252,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         strategy=Strategy(args.strategy),
         n_override=args.n,
         trace_mode=args.trace_mode,
-        lane_engine=args.lane_engine,
-        lane_engine_diff=args.lane_engine_diff,
         shrink=not args.no_shrink,
         use_cache=not args.no_cache,
         out_dir=Path(args.out),
@@ -268,8 +263,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"fuzz: generator v{obj['generator_version']} seed={cfg.seed} "
           f"count={cfg.count} strategy={cfg.strategy.value}"
           + (f" plant={cfg.plant}" if cfg.plant else "")
-          + (" analyze-diff" if cfg.analyze_diff else "")
-          + (" lane-engine-diff" if cfg.lane_engine_diff else ""))
+          + (" analyze-diff" if cfg.analyze_diff else ""))
     for outcome in report.outcomes:
         if outcome.status == "ok":
             continue
@@ -361,14 +355,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         interval_size=args.interval, warmup=args.warmup,
         clusters=args.clusters, max_clusters=args.max_clusters,
         samples=args.samples, n_override=args.n,
-        lane_engine=args.lane_engine, use_cache=not args.no_cache,
+        use_cache=not args.no_cache,
         workload_key=workload.name,
     )
     if args.exact or args.max_error is not None:
         exact = run_loop(
             spec, strategy, seed=args.seed, core=args.core,
-            n_override=args.n, lane_engine=args.lane_engine,
-            use_cache=not args.no_cache,
+            n_override=args.n, use_cache=not args.no_cache,
         )
         report = report.with_exact(exact.cycles)
     print(report.format_report(), end="")
@@ -420,10 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     p_loop.add_argument("loop")
     p_loop.add_argument("-n", type=int, default=None)
     p_loop.add_argument("--seed", type=int, default=0)
-    p_loop.add_argument("--lane-engine", choices=("python", "numpy"),
-                        default=None,
-                        help="emulator vector engine (default: numpy when "
-                             "available); results are identical")
 
     p_dis = sub.add_parser("disasm", help="print a loop's generated program")
     p_dis.add_argument("workload")
@@ -448,10 +437,6 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--no-timing", action="store_true",
                        help="skip the LSU differential cross-check")
-    p_ver.add_argument("--lane-engine", choices=("python", "numpy"),
-                       default=None,
-                       help="emulator vector engine (default: numpy when "
-                            "available); results are identical")
 
     p_swp = sub.add_parser(
         "sweep",
@@ -478,10 +463,6 @@ def main(argv: list[str] | None = None) -> int:
                        default="stream",
                        help="fused streaming simulation (default) or the "
                             "materialised-trace path; results are identical")
-    p_swp.add_argument("--lane-engine", choices=("python", "numpy"),
-                       default=None,
-                       help="emulator vector engine (default: numpy when "
-                            "available); results are identical")
 
     p_trc = sub.add_parser(
         "trace",
@@ -560,10 +541,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="write the machine-readable report here")
     p_smp.add_argument("--no-cache", action="store_true",
                        help="bypass the result cache")
-    p_smp.add_argument("--lane-engine", choices=("python", "numpy"),
-                       default=None,
-                       help="emulator vector engine (default: numpy when "
-                            "available); results are identical")
 
     from repro.verify.faults import FaultClass
 
@@ -595,14 +572,6 @@ def main(argv: list[str] | None = None) -> int:
                        default="stream",
                        help="fused streaming checks (default) or the "
                             "materialised-trace path; results are identical")
-    p_fuz.add_argument("--lane-engine", choices=("python", "numpy"),
-                       default=None,
-                       help="emulator vector engine for the checks "
-                            "(default: numpy when available)")
-    p_fuz.add_argument("--lane-engine-diff", action="store_true",
-                       help="run every kernel through BOTH lane engines "
-                            "and demand bit-identical memory, metrics and "
-                            "monitor verdicts (bypasses the result cache)")
     p_fuz.add_argument("--no-shrink", action="store_true",
                        help="report failures without minimising them")
     p_fuz.add_argument("--no-cache", action="store_true",

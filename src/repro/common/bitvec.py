@@ -18,10 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-try:  # optional: enables the numpy bridge used by the lane-batched LSU paths
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 
 class BitVector:
@@ -102,15 +99,11 @@ class BitVector:
     @classmethod
     def from_bool_array(cls, flags: "_np.ndarray") -> "BitVector":
         """Vector with bit ``i`` set where ``flags[i]`` is true."""
-        if _np is None:  # pragma: no cover - exercised only on minimal installs
-            raise RuntimeError("BitVector.from_bool_array requires numpy")
         packed = _np.packbits(flags, bitorder="little")
         return cls._new(len(flags), int.from_bytes(packed.tobytes(), "little"))
 
     def to_bool_array(self) -> "_np.ndarray":
         """The bits as a numpy bool array (index 0 = lowest-addressed byte)."""
-        if _np is None:  # pragma: no cover - exercised only on minimal installs
-            raise RuntimeError("BitVector.to_bool_array requires numpy")
         raw = self._bits.to_bytes((self.width + 7) // 8, "little")
         flags = _np.unpackbits(_np.frombuffer(raw, _np.uint8), bitorder="little")
         return flags[: self.width].astype(_np.bool_)

@@ -21,6 +21,8 @@ used for the FlexVec comparison (figure 13).
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import (
     IsaError,
@@ -28,10 +30,10 @@ from repro.common.errors import (
     SrvError,
 )
 from repro.emu import lanes as _lanes
-from repro.emu.lanes import NumpyFallback, np as _np, scalar_i64
+from repro.emu.lanes import NumpyFallback, scalar_i64
 from repro.emu.metrics import EmuMetrics
 from repro.emu.speculative import SpeculativeBuffer
-from repro.emu.state import ArchState, make_arch_state
+from repro.emu.state import ArchState
 from repro.isa.instructions import (
     Branch,
     BranchCond,
@@ -160,7 +162,15 @@ def _branch_taken(cond: BranchCond, a: int, b: int) -> bool:
 
 
 class Interpreter:
-    """Instruction-accurate executor with functional SRV semantics."""
+    """Instruction-accurate executor with functional SRV semantics.
+
+    Vector and predicate ops run through the lane-batched numpy handlers
+    (``_NP_HANDLERS``); an op the kernels cannot represent falls back to
+    its per-lane scalar handler (``_HANDLERS``).
+    """
+
+    #: exact-type dispatch table, bound below the class body
+    _handlers: dict[type, object]
 
     def __init__(
         self,
@@ -170,24 +180,15 @@ class Interpreter:
         max_steps: int = 50_000_000,
         tracer: Tracer | None = None,
         interrupt_at_step: int | None = None,
-        lane_engine: str | None = None,
     ) -> None:
         program.validate()
         self.program = program
         self.memory = memory
         self.config = config
         self.lanes = config.vector_lanes
-        #: lane engine: "python" executes vector ops as per-lane loops,
-        #: "numpy" (the default when numpy is available) batches all lanes
-        #: of an op through the kernels in repro.emu.lanes — bit-identical
-        self.lane_engine = _lanes.resolve_engine(lane_engine)
-        self.state = make_arch_state(self.lanes, self.lane_engine)
-        if self.lane_engine == "numpy":
-            self._handlers = _NP_HANDLERS
-            self._iota = _np.arange(self.lanes, dtype=_np.int64)
-            self._extra_cache: tuple | None = None
-        else:
-            self._handlers = _HANDLERS
+        self.state = ArchState(self.lanes)
+        self._iota = _np.arange(self.lanes, dtype=_np.int64)
+        self._extra_cache: tuple | None = None
         self.metrics = EmuMetrics()
         self.max_steps = max_steps
         self.tracer = tracer
@@ -385,7 +386,10 @@ class Interpreter:
                 raise IsaError(f"unhandled instruction {inst!r}")
         return handler(self, inst, pc, extra_mask, buffer, region_offset)
 
-    # -- per-type handlers (wired into _HANDLERS after the class body) ----
+    # -- per-type scalar handlers (wired into _HANDLERS after the class
+    # body).  Vector ones run lane by lane: they are the NumpyFallback
+    # path and, through ScalarInterpreter, the reference the batched
+    # handlers are tested against.
 
     def _op_scalar_alu(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
@@ -638,15 +642,14 @@ class Interpreter:
 
     # ---- lane-batched (numpy) handlers ----------------------------------
     #
-    # Installed via _NP_HANDLERS when lane_engine == "numpy".  Each batches
-    # all lanes of an op through the kernels in repro.emu.lanes; results
-    # are bit-identical to the per-lane handlers above (see the module
-    # docstring of repro.emu.lanes for the congruence argument).  Anything
-    # the kernels cannot represent — an immediate outside signed 64-bit,
-    # a gather index that would overflow int64 address arithmetic — raises
-    # NumpyFallback *before any state is mutated* and the op re-executes
-    # through the scalar Python handler, which accepts NumpyArchState via
-    # its ArchState-compatible API.
+    # Installed via _NP_HANDLERS.  Each batches all lanes of an op through
+    # the kernels in repro.emu.lanes; results are bit-identical to the
+    # per-lane handlers above (see the module docstring of repro.emu.lanes
+    # for the congruence argument).  Anything the kernels cannot represent
+    # — an immediate outside signed 64-bit, a gather index that would
+    # overflow int64 address arithmetic — raises NumpyFallback *before any
+    # state is mutated* and the op re-executes through the scalar handler,
+    # which uses ArchState's per-lane API.
     #
     # Irreducibly sequential parts stay element-wise by design:
     # speculative-buffer traffic (SRV conflict witnessing must observe
@@ -1203,9 +1206,9 @@ _HANDLERS: dict[type, object] = {
     VecStoreScatter: Interpreter._op_vec_store_scatter,
 }
 
-#: Dispatch table for the lane-batched engine: scalar/control ops share
-#: the Python handlers (they are not lane-parallel); vector and predicate
-#: ops route through the numpy kernels.
+#: The interpreter's dispatch table: scalar/control ops share the Python
+#: handlers (they are not lane-parallel); vector and predicate ops route
+#: through the numpy kernels.
 _NP_HANDLERS: dict[type, object] = dict(_HANDLERS)
 _NP_HANDLERS.update(
     {
@@ -1231,6 +1234,19 @@ _NP_HANDLERS.update(
 _NP_ALU_DISPATCH: dict = {}
 _NP_COMPARE_DISPATCH: dict = {}
 
+Interpreter._handlers = _NP_HANDLERS
+
+
+class ScalarInterpreter(Interpreter):
+    """The per-lane reference: every op runs through its scalar handler.
+
+    Differs from :class:`Interpreter` only in its handler table, so the
+    SRV region walk, tracing and metrics are shared.  Tests and every
+    fuzz kernel compare the two bit for bit.
+    """
+
+    _handlers = _HANDLERS
+
 
 def run_program(
     program: Program,
@@ -1238,11 +1254,8 @@ def run_program(
     config: MachineConfig = TABLE_I,
     max_steps: int = 50_000_000,
     tracer: Tracer | None = None,
-    lane_engine: str | None = None,
 ) -> tuple[EmuMetrics, ArchState]:
     """Convenience wrapper: run ``program`` to completion."""
-    interp = Interpreter(
-        program, memory, config, max_steps, tracer, lane_engine=lane_engine
-    )
+    interp = Interpreter(program, memory, config, max_steps, tracer)
     metrics = interp.run()
     return metrics, interp.state

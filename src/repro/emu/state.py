@@ -9,7 +9,7 @@ booleans.  Scalar registers are 64-bit two's complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as _np
 
 from repro.isa.registers import (
     NUM_PRED_REGS,
@@ -30,105 +30,20 @@ from repro.memory.image import (
 
 SCALAR_BYTES = 8
 
-try:  # numpy backs the lane-batched engine; the scalar engine never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None  # type: ignore[assignment]
 
-
-@dataclass
 class ArchState:
-    lanes: int = 16
-    pc: int = 0
-    halted: bool = False
-    scalar: list[int] = field(default_factory=list)
-    vector: list[list[int]] = field(default_factory=list)
-    pred: list[list[bool]] = field(default_factory=list)
+    """Register file backed by numpy arrays.
 
-    def __post_init__(self) -> None:
-        if not self.scalar:
-            self.scalar = [0] * NUM_SCALAR_REGS
-        if not self.vector:
-            self.vector = [[0] * self.lanes for _ in range(NUM_VECTOR_REGS)]
-        if not self.pred:
-            self.pred = [[False] * self.lanes for _ in range(NUM_PRED_REGS)]
+    Each vector lane stores the element-size-wrapped unsigned value of
+    the writing instruction (a ``uint64`` row per register), and
+    predicates are per-lane booleans.  Scalar registers stay Python
+    ints — scalar ops are not lane-parallel and Python arithmetic is
+    faster there.
 
-    # -- scalar ------------------------------------------------------------
-
-    def read_scalar(self, reg: ScalarReg) -> int:
-        return to_signed(self.scalar[reg.index], SCALAR_BYTES)
-
-    def write_scalar(self, reg: ScalarReg, value: int) -> None:
-        self.scalar[reg.index] = to_unsigned(value, SCALAR_BYTES)
-
-    def read_operand(self, operand: ScalarOperand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        return self.read_scalar(operand)
-
-    # -- vector ------------------------------------------------------------
-
-    def read_vector(self, reg: VecReg) -> list[int]:
-        return list(self.vector[reg.index])
-
-    def read_lane(self, reg: VecReg, lane: int, elem: int, signed: bool = True) -> int:
-        raw = to_unsigned(self.vector[reg.index][lane], elem)
-        return to_signed(raw, elem) if signed else raw
-
-    def write_lane(self, reg: VecReg, lane: int, value: int, elem: int) -> None:
-        self.vector[reg.index][lane] = to_unsigned(value, elem)
-
-    def write_vector_masked(
-        self, reg: VecReg, values: list[int], mask: list[bool], elem: int
-    ) -> None:
-        """Merging write: inactive lanes keep their previous contents.
-
-        This is the paper's merging predication (section III-D5) — on
-        re-execution the old destination value is read as an extra source
-        and combined with the new lanes.
-        """
-        dest = self.vector[reg.index]
-        for lane, active in enumerate(mask):
-            if active:
-                dest[lane] = to_unsigned(values[lane], elem)
-
-    # -- predicates -----------------------------------------------------------
-
-    def read_pred(self, reg: PredReg) -> list[bool]:
-        return list(self.pred[reg.index])
-
-    def write_pred(self, reg: PredReg, mask: list[bool]) -> None:
-        if len(mask) != self.lanes:
-            raise ValueError(f"predicate width {len(mask)} != lanes {self.lanes}")
-        self.pred[reg.index] = list(mask)
-
-    def effective_mask(self, pred: PredReg | None) -> list[bool]:
-        if pred is None:
-            return [True] * self.lanes
-        return self.read_pred(pred)
-
-    # -- snapshots ------------------------------------------------------------
-
-    def registers_snapshot(self) -> tuple:
-        return (
-            tuple(self.scalar),
-            tuple(tuple(lane_vals) for lane_vals in self.vector),
-            tuple(tuple(mask) for mask in self.pred),
-        )
-
-
-class NumpyArchState:
-    """Architectural state backed by numpy arrays for the lane-batched engine.
-
-    Register *contents* are identical to :class:`ArchState`: each vector
-    lane stores the element-size-wrapped unsigned value of the writing
-    instruction (held in a ``uint64`` row per register), and predicates
-    are per-lane booleans.  Scalar registers stay Python ints — scalar
-    ops are not lane-parallel and Python arithmetic is faster there.
-
-    The full :class:`ArchState` API is provided (so per-lane handlers,
-    the SRV sequential fallback, and tracer paths run unmodified), plus
-    numpy-native accessors (:meth:`vec_signed`, :meth:`vec_raw`,
+    Two APIs share the arrays: a per-lane, list-valued one
+    (:meth:`read_lane`, :meth:`write_vector_masked`, :meth:`read_pred`)
+    used by the scalar reference handlers and the tracer paths, and a
+    numpy-native one (:meth:`vec_signed`, :meth:`vec_raw`,
     :meth:`write_masked_np`, :meth:`mask_np`) used by the batched
     kernels in :mod:`repro.emu.lanes`.
     """
@@ -136,8 +51,6 @@ class NumpyArchState:
     __slots__ = ("lanes", "pc", "halted", "scalar", "vector", "pred", "_ones")
 
     def __init__(self, lanes: int = 16) -> None:
-        if _np is None:  # pragma: no cover - guarded by lanes.resolve_engine
-            raise RuntimeError("NumpyArchState requires numpy")
         self.lanes = lanes
         self.pc = 0
         self.halted = False
@@ -146,7 +59,7 @@ class NumpyArchState:
         self.pred = _np.zeros((NUM_PRED_REGS, lanes), dtype=_np.bool_)
         self._ones = _np.ones(lanes, dtype=_np.bool_)
 
-    # -- scalar (identical to ArchState) ------------------------------------
+    # -- scalar ---------------------------------------------------------------
 
     def read_scalar(self, reg: ScalarReg) -> int:
         return to_signed(self.scalar[reg.index], SCALAR_BYTES)
@@ -159,7 +72,7 @@ class NumpyArchState:
             return operand.value
         return self.read_scalar(operand)
 
-    # -- vector: ArchState-compatible API ------------------------------------
+    # -- vector: per-lane API -------------------------------------------------
 
     def read_vector(self, reg: VecReg) -> list[int]:
         return self.vector[reg.index].tolist()
@@ -174,7 +87,12 @@ class NumpyArchState:
     def write_vector_masked(
         self, reg: VecReg, values: list[int], mask: list[bool], elem: int
     ) -> None:
-        """Merging write (III-D5), Python-list flavour for compat callers."""
+        """Merging write: inactive lanes keep their previous contents.
+
+        This is the paper's merging predication (section III-D5) — on
+        re-execution the old destination value is read as an extra source
+        and combined with the new lanes.
+        """
         dest = self.vector[reg.index]
         for lane, active in enumerate(mask):
             if active:
@@ -225,10 +143,3 @@ class NumpyArchState:
             tuple(tuple(row.tolist()) for row in self.vector),
             tuple(tuple(row.tolist()) for row in self.pred),
         )
-
-
-def make_arch_state(lanes: int, engine: str):
-    """Build the architectural state for a resolved lane engine."""
-    if engine == "numpy":
-        return NumpyArchState(lanes)
-    return ArchState(lanes)

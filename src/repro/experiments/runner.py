@@ -70,23 +70,6 @@ def set_default_trace_mode(mode: str) -> None:
     _DEFAULT_TRACE_MODE = mode
 
 
-#: Default lane engine for the functional emulator: ``None`` defers to
-#: :data:`repro.emu.lanes.DEFAULT_ENGINE` ("numpy" when numpy is
-#: importable).  The two engines are bit-identical (pinned by
-#: tests/test_lane_engine.py), so — like the trace mode — the engine is
-#: deliberately *not* part of the result-cache key.
-_DEFAULT_LANE_ENGINE: str | None = None
-
-
-def set_default_lane_engine(engine: str | None) -> None:
-    """Set the process-wide default lane engine (``"python"``/``"numpy"``)."""
-    from repro.emu.lanes import resolve_engine
-
-    resolve_engine(engine)  # validate; raises on unknown/unavailable
-    global _DEFAULT_LANE_ENGINE
-    _DEFAULT_LANE_ENGINE = engine
-
-
 @dataclass(frozen=True)
 class RunFailure:
     """Structured record of one failure encountered while producing a run."""
@@ -293,7 +276,6 @@ def _execute(
     n: int,
     core: str,
     trace_mode: str,
-    lane_engine: str | None,
 ) -> tuple[EmuMetrics, PipelineStats | None, bool, str | None]:
     """One full compile/emulate/time/verify pass on fresh memory."""
     arrays = spec.arrays(seed)
@@ -310,13 +292,10 @@ def _execute(
         emu_metrics, pipe, _ = simulate_streaming(
             program, mem, config,
             core=core, validate_lsu=validate_lsu, warm=True,
-            lane_engine=lane_engine,
         )
     else:
         tracer = Tracer() if timing else None
-        emu_metrics, _ = run_program(
-            program, mem, config=config, tracer=tracer, lane_engine=lane_engine
-        )
+        emu_metrics, _ = run_program(program, mem, config=config, tracer=tracer)
 
     correct = True
     bad_array: str | None = None
@@ -353,7 +332,6 @@ def run_loop(
     core: str = "ooo",
     degrade_lsu_overflow: bool = True,
     trace_mode: str | None = None,
-    lane_engine: str | None = None,
     use_cache: bool = True,
 ) -> LoopRun:
     """Compile, execute, time and verify one loop under one strategy.
@@ -366,14 +344,6 @@ def run_loop(
     ``None`` uses the process default (:func:`set_default_trace_mode`).
     The two modes produce bit-identical results, so the mode does not
     participate in result-cache keys.
-
-    ``lane_engine`` selects the emulator's vector execution engine
-    (``"python"`` per-lane loops or ``"numpy"`` lane-batched kernels);
-    ``None`` uses the process default (:func:`set_default_lane_engine`).
-    Like the trace mode, the engines are bit-identical — pinned by
-    tests/test_lane_engine.py — so the engine is deliberately excluded
-    from the result-cache key: a cache hit produced by either engine is
-    valid for both.
 
     With ``degrade_lsu_overflow`` (the default), an
     :class:`LsuOverflowError` from the cycle model re-runs the loop with
@@ -391,12 +361,6 @@ def run_loop(
         trace_mode = _DEFAULT_TRACE_MODE
     if trace_mode not in ("stream", "list"):
         raise ValueError(f"unknown trace mode {trace_mode!r}")
-    if lane_engine is None:
-        lane_engine = _DEFAULT_LANE_ENGINE
-    if lane_engine is not None:
-        from repro.emu.lanes import resolve_engine
-
-        resolve_engine(lane_engine)  # fail fast, before cache lookup
     n = spec.n if n_override is None else min(n_override, spec.n)
     key = _cache_key(spec, strategy, seed, config, timing, n, core)
     cache = result_cache()
@@ -417,7 +381,7 @@ def run_loop(
     try:
         emu_metrics, pipe, correct, bad_array = _execute(
             spec, strategy, seed, config, timing, validate_lsu,
-            check_oracle, n, core, trace_mode, lane_engine,
+            check_oracle, n, core, trace_mode,
         )
     except LsuOverflowError as exc:
         if not degrade_lsu_overflow:
@@ -430,7 +394,7 @@ def run_loop(
         seq_config = config.with_overrides(srv_force_sequential=True)
         emu_metrics, pipe, correct, bad_array = _execute(
             spec, strategy, seed, seq_config, timing, validate_lsu,
-            check_oracle, n, core, trace_mode, lane_engine,
+            check_oracle, n, core, trace_mode,
         )
 
     run = LoopRun(

@@ -8,10 +8,12 @@ falls back to the materialised path on its own when a
 to a 1-minimal reproducer, and writes a machine-readable report.
 
 Clean kernels are checked through :func:`repro.experiments.runner.run_loop`,
-so campaign results land in the content-addressed result cache and a
-warm re-run of the same campaign is nearly free.  Shrink candidates and
-*planted* runs bypass the cache entirely: they execute a loop body that
-differs from the one the cache key names.
+so campaign results land in the content-addressed result cache.  Each
+clean kernel then also runs through the interpreter and its per-lane
+reference (:class:`~repro.emu.interpreter.ScalarInterpreter`) on fresh
+memory, outside the cache, and the two must agree bit for bit.  Shrink
+candidates and *planted* runs bypass the cache entirely: they execute a
+loop body that differs from the one the cache key names.
 
 Planted bugs (:data:`PLANTS`) are check-time mutations — the executed
 program is compiled from a mutated loop while the oracle evaluates the
@@ -81,14 +83,6 @@ class FuzzConfig:
     config: MachineConfig = TABLE_I
     n_override: int | None = None
     trace_mode: str = "stream"
-    #: emulator lane engine ("python" / "numpy"); ``None`` = process default
-    lane_engine: str | None = None
-    #: two-engine differential mode: run every kernel through *both* lane
-    #: engines and demand identical memory, metrics, registers, and
-    #: monitor verdicts.  Executes outside the result cache by
-    #: construction (both runs happen here), so a warm cache can never
-    #: make the comparison vacuous.
-    lane_engine_diff: bool = False
     shrink: bool = True
     use_cache: bool = True
     out_dir: Path | None = None
@@ -230,63 +224,61 @@ def _mutated_check(
     return True, None
 
 
-def _lane_engine_diff_check(
+def _reference_diff_check(
     spec: LoopSpec, cfg: FuzzConfig, n: int
 ) -> tuple[bool, str | None]:
-    """Run one kernel through both lane engines and demand identity.
+    """Run one kernel through the interpreter and its scalar reference.
 
     Both executions happen right here on fresh memory — never through
     the result cache — so the comparison is real even when a prior
-    campaign already populated the cache for this kernel.  Compared per
-    engine: emulator metrics, final register file, final memory image,
-    and the invariant-monitor verdicts over the dynamic trace.
+    campaign already populated the cache for this kernel.  Compared:
+    emulator metrics, final register file, final memory image, and the
+    invariant-monitor verdicts over the dynamic trace.  The agreed final
+    arrays are then judged against the compiler's scalar oracle, so the
+    two handler tables cannot pass by agreeing on a wrong result.
     """
-    from repro.emu import run_program
-    from repro.emu.lanes import ENGINES, resolve_engine
+    from repro.emu.interpreter import Interpreter, ScalarInterpreter
     from repro.pipeline import Tracer
     from repro.verify.monitors import run_monitors
 
-    resolve_engine("numpy")  # fail fast when the numpy engine is absent
-    results: dict[str, tuple] = {}
-    arrays: dict = {}
-    for engine in ENGINES:
-        arrays = spec.arrays(cfg.seed)
-        mem = MemoryImage()
-        for name, init in arrays.items():
-            mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
+    arrays = spec.arrays(cfg.seed)
+    outcomes = []
+    for interpreter in (Interpreter, ScalarInterpreter):
+        mem = _alloc_arrays(spec, arrays)
         program = compile_loop(spec.loop, mem, n, cfg.strategy,
                                params=spec.params)
         tracer = Tracer()
+        interp = interpreter(program, mem, cfg.config, tracer=tracer)
         try:
-            metrics, state = run_program(
-                program, mem, config=cfg.config, tracer=tracer,
-                lane_engine=engine,
-            )
+            metrics = interp.run()
         except ReproError as exc:
-            results[engine] = ("error", f"{type(exc).__name__}: {exc}")
+            outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
             continue
         verdicts = tuple(str(v) for v in run_monitors(tracer.ops, cfg.config))
-        results[engine] = ("ok", (
-            metrics, state.registers_snapshot(), mem.snapshot(), verdicts,
-        ))
-    python, numpy = results["python"], results["numpy"]
-    if python != numpy:
-        for label, idx in (("metrics", 0), ("registers", 1),
-                           ("memory", 2), ("monitor verdicts", 3)):
-            if (python[0] == numpy[0] == "ok"
-                    and python[1][idx] != numpy[1][idx]):
-                return False, f"lane-engine: {label} diverge between engines"
-        return False, (f"lane-engine: outcome diverges "
-                       f"(python={python[0]}, numpy={numpy[0]})")
-    if python[0] == "error":
-        return False, python[1]
-    reference = scalar_reference(spec.loop, arrays, n, params=spec.params)
-    for name in arrays:
-        mem_vals = results["numpy"][1]
-        # oracle judged on the (identical) final images via a fresh load
-        got = _snapshot_array(mem_vals[2], spec, name, arrays)
-        if got != reference[name]:
-            return False, _describe_mismatch(name, got, reference[name])
+        outcomes.append(("ok", (
+            metrics, interp.state.registers_snapshot(), mem.snapshot(),
+            verdicts,
+        )))
+    batched, reference = outcomes
+    if batched != reference:
+        if batched[0] == reference[0] == "ok":
+            for label, got, want in zip(
+                ("metrics", "registers", "memory", "monitor verdicts"),
+                batched[1], reference[1],
+            ):
+                if got != want:
+                    return False, (f"reference: {label} diverge from the "
+                                   f"scalar handlers")
+        return False, (f"reference: outcome diverges "
+                       f"(interpreter={batched[0]}, scalar={reference[0]})")
+    if batched[0] == "error":
+        return False, batched[1]
+    # both runs agree, so the last memory image stands for either
+    oracle = scalar_reference(spec.loop, arrays, n, params=spec.params)
+    for name, want in oracle.items():
+        got = mem.load_array(mem.allocation(name))
+        if got != want:
+            return False, _describe_mismatch(name, got, want)
     return True, None
 
 
@@ -430,24 +422,13 @@ def _analyze_diff_check(
                           cfg.seed, cfg.config, n)
 
 
-def _snapshot_array(snapshot: bytes, spec: LoopSpec, name: str,
-                    arrays: dict) -> list[int]:
-    """Re-read one named array out of a raw memory snapshot."""
-    mem = MemoryImage()
-    for alloc_name, init in arrays.items():
-        mem.alloc(alloc_name, len(init), spec.loop.arrays[alloc_name],
-                  init=init)
-    mem._data[:] = snapshot
-    return mem.load_array(mem.allocation(name))
-
-
 def check_kernel(
     spec: LoopSpec,
     cfg: FuzzConfig,
     *,
     use_cache: bool,
 ) -> tuple[bool, str | None]:
-    """Scalar-oracle + LSU differential check of one spec under ``cfg``."""
+    """Scalar-oracle, LSU and scalar-reference check of one spec."""
     n = spec.n if cfg.n_override is None else min(cfg.n_override, spec.n)
     if cfg.analyze_diff:
         if cfg.plant == "elide-regions":
@@ -463,13 +444,11 @@ def check_kernel(
     if cfg.plant is not None:
         return _mutated_check(spec, PLANTS[cfg.plant], cfg.strategy,
                               cfg.seed, cfg.config, n)
-    if cfg.lane_engine_diff:
-        return _lane_engine_diff_check(spec, cfg, n)
     try:
         run = run_loop(
             spec, cfg.strategy, seed=cfg.seed, config=cfg.config,
             validate_lsu=True, check_oracle=True, n_override=cfg.n_override,
-            trace_mode=cfg.trace_mode, lane_engine=cfg.lane_engine,
+            trace_mode=cfg.trace_mode,
             use_cache=use_cache,
         )
     except ReproError as exc:
@@ -477,7 +456,7 @@ def check_kernel(
     if not run.correct:
         return False, (f"oracle: array {run.bad_array!r} diverges from the "
                        f"scalar reference")
-    return True, None
+    return _reference_diff_check(spec, cfg, n)
 
 
 # ---------------------------------------------------------------------------

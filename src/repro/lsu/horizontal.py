@@ -33,15 +33,12 @@ section III-A); broadcast entries are expanded per lane.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.common.bitvec import BitVector
 from repro.isa.instructions import SrvDirection
 from repro.lsu.entries import AccessType, LsuEntry
 from repro.lsu.vertical import vob_for_pair
-
-try:  # optional: enables the lane-batched violation-vector construction
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None  # type: ignore[assignment]
 
 #: Cached ``arange(region_bytes)`` per region size for the batched path.
 _BYTE_INDEX: dict[int, "_np.ndarray"] = {}
@@ -125,8 +122,7 @@ def horizontal_violation_vector(
         # Both lanes are position-independent: one scalar comparison.
         bits = p_mask if p_base_lane > i_lane else 0
     elif (
-        _np is not None
-        and -_ADDR_GUARD < p_off < _ADDR_GUARD
+        -_ADDR_GUARD < p_off < _ADDR_GUARD
         and -_ADDR_GUARD < i_off < _ADDR_GUARD
     ):
         # Lane-batched construction: evaluate the per-byte predicate

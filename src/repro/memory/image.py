@@ -11,12 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.common.errors import MemoryAccessError
+import numpy as _np
 
-try:  # optional: enables the vectorised bulk paths below
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on minimal installs
-    _np = None  # type: ignore[assignment]
+from repro.common.errors import MemoryAccessError
 
 
 def to_unsigned(value: int, size: int) -> int:
@@ -36,42 +33,39 @@ def to_signed(value: int, size: int) -> int:
 #: element sizes the vectorised helpers handle (dtype-representable)
 _NP_ELEMS = (1, 2, 4, 8)
 
-if _np is not None:
-    _NP_MASKS = {s: _np.uint64((1 << (8 * s)) - 1) for s in _NP_ELEMS}
-    _NP_SIGNS = {s: _np.uint64(1 << (8 * s - 1)) for s in (1, 2, 4)}
-    _NP_DTYPES = {s: _np.dtype(f"<u{s}") for s in _NP_ELEMS}
-    _NP_BYTE_SHIFTS = {
-        s: _np.arange(s, dtype=_np.uint64) * _np.uint64(8) for s in _NP_ELEMS
-    }
+_NP_MASKS = {s: _np.uint64((1 << (8 * s)) - 1) for s in _NP_ELEMS}
+_NP_SIGNS = {s: _np.uint64(1 << (8 * s - 1)) for s in (1, 2, 4)}
+_NP_DTYPES = {s: _np.dtype(f"<u{s}") for s in _NP_ELEMS}
+_NP_BYTE_SHIFTS = {
+    s: _np.arange(s, dtype=_np.uint64) * _np.uint64(8) for s in _NP_ELEMS
+}
 
-    def to_unsigned_array(values: "_np.ndarray", size: int) -> "_np.ndarray":
-        """Vectorised :func:`to_unsigned`: lanes → ``size``-byte storage.
 
-        Accepts int64/uint64/bool lanes; returns uint64 lanes holding the
-        wrapped (element-size-masked) unsigned value of each input lane.
-        """
-        if values.dtype == _np.bool_:
-            values = values.astype(_np.uint64)
-        elif values.dtype != _np.uint64:
-            values = values.view(_np.uint64)
-        if size == 8:
-            return values
-        return values & _NP_MASKS[size]
+def to_unsigned_array(values: "_np.ndarray", size: int) -> "_np.ndarray":
+    """Vectorised :func:`to_unsigned`: lanes → ``size``-byte storage.
 
-    def to_signed_array(values: "_np.ndarray", size: int) -> "_np.ndarray":
-        """Vectorised :func:`to_signed`: uint64 storage lanes → int64.
+    Accepts int64/uint64/bool lanes; returns uint64 lanes holding the
+    wrapped (element-size-masked) unsigned value of each input lane.
+    """
+    if values.dtype == _np.bool_:
+        values = values.astype(_np.uint64)
+    elif values.dtype != _np.uint64:
+        values = values.view(_np.uint64)
+    if size == 8:
+        return values
+    return values & _NP_MASKS[size]
 
-        Sign extension is the usual xor/subtract trick on the unsigned
-        values, exact for every stored pattern.
-        """
-        if size == 8:
-            return values.view(_np.int64)
-        sign = _NP_SIGNS[size]
-        return ((values ^ sign) - sign).view(_np.int64)
 
-else:  # pragma: no cover - exercised only on minimal installs
-    to_unsigned_array = None  # type: ignore[assignment]
-    to_signed_array = None  # type: ignore[assignment]
+def to_signed_array(values: "_np.ndarray", size: int) -> "_np.ndarray":
+    """Vectorised :func:`to_signed`: uint64 storage lanes → int64.
+
+    Sign extension is the usual xor/subtract trick on the unsigned
+    values, exact for every stored pattern.
+    """
+    if size == 8:
+        return values.view(_np.int64)
+    sign = _NP_SIGNS[size]
+    return ((values ^ sign) - sign).view(_np.int64)
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,7 @@ class MemoryImage:
             raise MemoryAccessError(
                 f"writing {len(values)} values at {start} overflows {alloc.name!r}"
             )
-        if _np is not None and alloc.elem in _NP_ELEMS and len(values) > 4:
+        if alloc.elem in _NP_ELEMS and len(values) > 4:
             try:
                 arr = _np.asarray(values, dtype=_np.int64)
             except (OverflowError, TypeError, ValueError):
@@ -253,8 +247,7 @@ class MemoryImage:
                    start: int = 0, signed: bool = True) -> list[int]:
         count = alloc.count - start if count is None else count
         if (
-            _np is not None
-            and alloc.elem in _NP_ELEMS
+            alloc.elem in _NP_ELEMS
             and count > 4
             and 0 <= start
             and start + count <= alloc.count

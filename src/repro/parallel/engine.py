@@ -63,23 +63,19 @@ def _run_shard(
     cache_dir: str | None,
     timeout_s: float | None,
     trace_mode: str | None = None,
-    lane_engine: str | None = None,
 ) -> ShardReport:
     """Execute one shard's cells; importable at top level for pickling.
 
-    Runs in a worker process (or inline for ``jobs <= 1``).  Workers
-    never touch the checkpoint file — concurrent whole-file rewrites
-    would race — so checkpoint recording happens only in the parent's
-    replay phase.
+    Runs in a worker process (or inline for ``jobs <= 1``, where the
+    parent's checkpoint keeps recording).  Pool workers never touch the
+    checkpoint file — concurrent whole-file rewrites would race — so
+    :func:`warm_cells` disables it in each worker's initializer.
     """
     from repro.experiments import runner
 
-    runner.disable_checkpoint()
     if trace_mode is not None:
         # worker processes don't inherit the parent's runtime default
         runner.set_default_trace_mode(trace_mode)
-    if lane_engine is not None:
-        runner.set_default_lane_engine(lane_engine)
     if cache_dir is not None:
         runner.enable_disk_cache(cache_dir)
     cache = result_cache()
@@ -100,7 +96,7 @@ def _run_shard(
                 spec, strategy, cell.seed, config,
                 timeout_s=timeout_s,
                 timing=cell.timing, n_override=cell.n_override, core=cell.core,
-                trace_mode=trace_mode, lane_engine=lane_engine,
+                trace_mode=trace_mode,
             )
             report.executed += 1
         except (ReproError, KeyError) as exc:
@@ -118,7 +114,6 @@ def warm_cells(
     *,
     timeout_s: float | None = None,
     trace_mode: str | None = None,
-    lane_engine: str | None = None,
     progress=None,
 ) -> list[ShardReport]:
     """Populate the disk cache for ``cells`` using ``jobs`` processes.
@@ -126,6 +121,8 @@ def warm_cells(
     With ``jobs <= 1`` the shards run inline (same code path, no pool),
     which is also the fallback when a pool cannot be created at all.
     """
+    from repro.experiments import runner
+
     if not cells:
         return []
     n_shards = max(1, min(len(cells), jobs * SHARDS_PER_JOB))
@@ -133,18 +130,19 @@ def warm_cells(
 
     if jobs <= 1:
         return [
-            _run_shard(i, shard, cache_dir, timeout_s, trace_mode, lane_engine)
+            _run_shard(i, shard, cache_dir, timeout_s, trace_mode)
             for i, shard in enumerate(shards)
         ]
 
     reports: list[ShardReport] = []
     broken: list[int] = []
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=runner.disable_checkpoint,
+        ) as pool:
             futures = {
                 pool.submit(
                     _run_shard, i, shard, cache_dir, timeout_s, trace_mode,
-                    lane_engine,
                 ): i
                 for i, shard in enumerate(shards)
             }
@@ -173,7 +171,6 @@ def warm_cells(
                 progress(f"[shard {index}: worker died; retrying inline]")
             report = _run_shard(
                 index, shards[index], cache_dir, timeout_s, trace_mode,
-                lane_engine,
             )
             report.resumed = len(shards[index])
             reports.append(report)
@@ -182,7 +179,7 @@ def warm_cells(
         if progress is not None:
             progress(f"[pool unavailable ({exc}); running shards inline]")
         return [
-            _run_shard(i, shard, cache_dir, timeout_s, trace_mode, lane_engine)
+            _run_shard(i, shard, cache_dir, timeout_s, trace_mode)
             for i, shard in enumerate(shards)
         ]
     reports.sort(key=lambda r: r.index)
@@ -214,7 +211,6 @@ def run_sweep(
     checkpoint: str | None = None,
     timeout_s: float | None = None,
     trace_mode: str | None = None,
-    lane_engine: str | None = None,
     progress=None,
 ) -> SweepOutcome:
     """Run experiments with a parallel warm phase and a sequential replay.
@@ -237,8 +233,6 @@ def run_sweep(
 
     if trace_mode is not None:
         runner.set_default_trace_mode(trace_mode)
-    if lane_engine is not None:
-        runner.set_default_lane_engine(lane_engine)
     if checkpoint is not None:
         runner.enable_checkpoint(checkpoint)
     if cache_dir is not None:
@@ -270,7 +264,7 @@ def run_sweep(
     start = time.perf_counter()
     report.shards = warm_cells(
         pending, jobs, cache_dir, timeout_s=timeout_s,
-        trace_mode=trace_mode, lane_engine=lane_engine, progress=progress,
+        trace_mode=trace_mode, progress=progress,
     )
     report.warm_elapsed_s = time.perf_counter() - start
 

@@ -83,14 +83,12 @@ def _simulate_materialised(
     validate_lsu: bool,
     warm: bool,
     max_steps: int,
-    lane_engine: str | None,
 ) -> tuple[EmuMetrics, PipelineStats, ArchState]:
     from repro.emu.interpreter import run_program
 
     tracer = Tracer()
     metrics, state = run_program(
         program, memory, config=config, max_steps=max_steps, tracer=tracer,
-        lane_engine=lane_engine,
     )
     if core == "inorder":
         model = InOrderModel(config)
@@ -109,7 +107,6 @@ def simulate_streaming(
     validate_lsu: bool = False,
     warm: bool = False,
     max_steps: int = 50_000_000,
-    lane_engine: str | None = None,
 ) -> tuple[EmuMetrics, PipelineStats, ArchState]:
     """Emulate ``program`` and time it in one streaming pass.
 
@@ -131,7 +128,6 @@ def simulate_streaming(
         LAST_PATH = "materialised"
         return _simulate_materialised(
             program, memory, config, core, validate_lsu, warm, max_steps,
-            lane_engine,
         )
     LAST_PATH = "stream"
 
@@ -146,15 +142,12 @@ def simulate_streaming(
         # observe bus is parked for its duration — the pre-pass emulates
         # the program a second time, and double-emitting emulator events
         # would break stream/list event-sequence equality.
-        # Both passes use the same lane engine so the access stream of the
-        # warm pre-pass matches the real pass exactly.
         warm_interp = Interpreter(
             program,
             memory.clone(),
             config,
             max_steps,
             _CacheWarmTracer(model.caches),
-            lane_engine=lane_engine,
         )
         saved_bus = _obs.ACTIVE
         _obs.ACTIVE = None
@@ -166,7 +159,7 @@ def simulate_streaming(
 
     pump = model.stream()
     send = pump.send
-    interp = Interpreter(program, memory, config, max_steps, lane_engine=lane_engine)
+    interp = Interpreter(program, memory, config, max_steps)
     try:
         for op in interp.iter_trace():
             send(op)

@@ -28,9 +28,8 @@
    measured directly and never extrapolated.
 
 Reports are cached through the shared result cache under a
-``("sample", SAMPLE_VERSION, ...)`` key.  Like ``run_loop``, the
-``lane_engine`` (and trace mode — the sampler is streaming by
-construction) is excluded from the key: engines are bit-identical.
+``("sample", SAMPLE_VERSION, ...)`` key.  Like ``run_loop``, the trace
+mode is excluded from the key (the sampler is streaming by construction).
 ``repro.sample`` is deliberately *not* in the cache's ``CORE_MODULES``
 (editing the sampler must not invalidate exact-run entries), so
 SAMPLE_VERSION must be bumped whenever projection semantics change.
@@ -260,7 +259,7 @@ def resolve_spec(workload_name: str, loop_name: str | None = None):
 
 
 def _build(spec: "LoopSpec", strategy: Strategy, seed: int, n: int,
-           config: MachineConfig, lane_engine: str | None):
+           config: MachineConfig):
     """Fresh interpreter over fresh memory — one pass's worth."""
     from repro.emu.interpreter import Interpreter
 
@@ -269,7 +268,7 @@ def _build(spec: "LoopSpec", strategy: Strategy, seed: int, n: int,
     for name, init in arrays.items():
         mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
     program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
-    return Interpreter(program, mem, config, lane_engine=lane_engine)
+    return Interpreter(program, mem, config)
 
 
 def _checked_stream(interp, interval_size: int, digests: tuple):
@@ -301,12 +300,11 @@ def _sample_once(
     clusters: int | None,
     max_clusters: int,
     samples: int,
-    lane_engine: str | None,
     workload_key: str,
 ) -> SampleReport:
     # pass 1: fingerprints + ambient cache warm base
     ambient = CacheHierarchy(config.memory)
-    interp = _build(spec, strategy, seed, n, config, lane_engine)
+    interp = _build(spec, strategy, seed, n, config)
     run: FingerprintRun = fingerprint_pass(
         interp, interval_size, feed_caches=ambient,
     )
@@ -364,7 +362,7 @@ def _sample_once(
         targets.update(run.intervals[p].index for p in positions)
 
     # pass 2: collect representative segments with ambient cache clones
-    interp2 = _build(spec, strategy, seed, n, config, lane_engine)
+    interp2 = _build(spec, strategy, seed, n, config)
     timings: dict[int, object] = {}
     for segment in collect_segments(
         _checked_stream(interp2, interval_size, run.digests),
@@ -482,7 +480,6 @@ def sample_loop(
     max_clusters: int = 8,
     samples: int = SAMPLES_PER_CLUSTER,
     n_override: int | None = None,
-    lane_engine: str | None = None,
     use_cache: bool = True,
     workload_key: str = "",
 ) -> SampleReport:
@@ -503,10 +500,6 @@ def sample_loop(
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     if samples < 1:
         raise ValueError(f"samples per cluster must be >= 1, got {samples}")
-    if lane_engine is not None:
-        from repro.emu.lanes import resolve_engine
-
-        resolve_engine(lane_engine)  # fail fast, before cache lookup
     n = spec.n if n_override is None else min(n_override, spec.n)
     key = (
         "sample", SAMPLE_VERSION, spec.loop.name, strategy, seed, config,
@@ -521,14 +514,13 @@ def sample_loop(
     try:
         report = _sample_once(
             spec, strategy, seed, n, config, core, interval_size, warmup,
-            clusters, max_clusters, samples, lane_engine, workload_key,
+            clusters, max_clusters, samples, workload_key,
         )
     except LsuOverflowError:
         seq_config = config.with_overrides(srv_force_sequential=True)
         report = _sample_once(
             spec, strategy, seed, n, seq_config, core, interval_size,
-            warmup, clusters, max_clusters, samples, lane_engine,
-            workload_key,
+            warmup, clusters, max_clusters, samples, workload_key,
         )
         report = replace(report, degraded=True)
 

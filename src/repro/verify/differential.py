@@ -63,7 +63,6 @@ def verify_loop(
     config: MachineConfig = TABLE_I,
     n_override: int | None = None,
     timing: bool = True,
-    lane_engine: str | None = None,
 ) -> VerifyReport:
     """Execute one loop with every checker armed and report violations."""
     n = spec.n if n_override is None else min(n_override, spec.n)
@@ -77,8 +76,7 @@ def verify_loop(
 
     tracer = Tracer()
     try:
-        run_program(program, mem, config=config, tracer=tracer,
-                    lane_engine=lane_engine)
+        run_program(program, mem, config=config, tracer=tracer)
     except ReproError as exc:
         report.error = type(exc).__name__
         report.violations.append(Violation(

@@ -95,6 +95,36 @@ class TestCliDocumented:
         assert "'repro frobnicate'" in problems[0]
 
 
+class TestCliFlags:
+    def test_parses_flags_per_subcommand(self, check_docs):
+        flags = check_docs.cli_flags()
+        assert {"--jobs", "--checkpoint", "--trace-mode"} <= flags["sweep"]
+        assert "--jobs" not in flags["loop"]
+        assert set(flags) == set(check_docs.cli_subcommands())
+
+    def test_repo_docs_name_real_flags(self, check_docs):
+        assert check_docs.check_cli_flags() == []
+
+    def test_flags_unknown_flag(self, check_docs, tmp_path):
+        readme = tmp_path / "README.md"
+        readme.write_text(
+            "Run `repro sweep --frobnicate` or `repro sweep --jobs 2`;\n"
+            "`repro nosuchcmd --x` names no subcommand.\n"
+        )
+        problems = check_docs.check_cli_flags([str(readme)])
+        assert len(problems) == 1
+        assert "'repro sweep'" in problems[0]
+        assert "'--frobnicate'" in problems[0]
+
+    def test_flag_checked_against_its_own_subcommand(self, check_docs,
+                                                     tmp_path):
+        readme = tmp_path / "README.md"
+        readme.write_text("`python -m repro loop hmmer viterbi --jobs 2`\n")
+        problems = check_docs.check_cli_flags([str(readme)])
+        assert len(problems) == 1
+        assert "'--jobs'" in problems[0]
+
+
 class TestKnobsDocumented:
     def test_finds_declared_knobs(self, check_docs):
         names = check_docs.generator_knobs()

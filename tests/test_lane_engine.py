@@ -1,61 +1,52 @@
-"""Two-engine equivalence: the numpy lane-batched engine vs the Python path.
+"""The interpreter's numpy handlers against their per-lane scalar reference.
 
-The lane-batched engine (:mod:`repro.emu.lanes`) promises **bit-identical**
-results to the per-lane Python interpreter.  These tests pin that contract
-from three directions:
+The interpreter runs vector and predicate ops through lane-batched numpy
+kernels (:mod:`repro.emu.lanes`).  The per-lane scalar handlers stay as
+the :class:`~repro.emu.lanes.NumpyFallback` path and, through
+:class:`~repro.emu.interpreter.ScalarInterpreter`, as the reference the
+kernels must match **bit for bit**.  These tests pin that contract:
 
 * generated kernels across the knob space (dependence density/distance,
   gather/scatter, DOWN-direction regions, predication boundaries) must
   produce identical final memory images, emulator metrics, register files
-  and invariant-monitor verdicts under both engines;
-* every loop of the 28-loop paper suite must match under both engines and
-  both vector strategies;
-* a paper figure table regenerated under each engine must be byte-identical.
-
-Because the engines are interchangeable, ``lane_engine`` is deliberately
-**excluded** from the result-cache key (like ``trace_mode``): a cached
-result produced by either engine is valid for both.  The exclusion is only
-sound while the identity above holds, so the cache test below documents
-and enforces the pairing — if an engine divergence ever slips in, the
-equivalence tests fail first and the exclusion must be revisited.
+  and invariant-monitor verdicts under both handler tables, and the agreed
+  final arrays must match the compiler's scalar oracle;
+* every loop of the 28-loop paper suite must match under both handler
+  tables and both vector strategies;
+* a paper figure table regenerated on the reference must be
+  byte-identical;
+* every ``NumpyFallback`` raise site is reached by a small program, the
+  scalar handler is seen to run, and the outcome matches the reference.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.common.bitvec import BitVector
+from repro.common.errors import ReproError
 from repro.compiler import Strategy, compile_loop
-from repro.emu import run_program
-from repro.emu.lanes import ENGINES, resolve_engine
+from repro.emu import interpreter as interp_mod
+from repro.emu.interpreter import Interpreter, ScalarInterpreter
+from repro.emu.lanes import NumpyFallback
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner as runner_mod
-from repro.gen.campaign import FuzzConfig, _lane_engine_diff_check
+from repro.gen import campaign as campaign_mod
+from repro.gen.campaign import FuzzConfig, _reference_diff_check
 from repro.gen.emitter import generate_kernel, kernel_seed
 from repro.gen.knobs import Knobs
+from repro.isa import CmpOpcode, ProgramBuilder, imm, p, v, x
 from repro.memory import MemoryImage
 from repro.workloads import all_loops
 
-# ---------------------------------------------------------------------------
-# engine resolution
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_engine_defaults_and_validates():
-    assert resolve_engine(None) in ENGINES
-    assert resolve_engine("python") == "python"
-    assert resolve_engine("numpy") == "numpy"  # numpy imported above
-    with pytest.raises(ValueError, match="unknown lane engine"):
-        resolve_engine("cuda")
-
+INTERPRETERS = (Interpreter, ScalarInterpreter)
 
 # ---------------------------------------------------------------------------
-# generated kernels: both engines, full functional identity
+# generated kernels: both handler tables, full functional identity
 # ---------------------------------------------------------------------------
 
-#: Directed knob sets covering the axes where the engines could plausibly
+#: Directed knob sets covering the axes where the handlers could plausibly
 #: diverge: dependence-driven replays, indirect accesses, DOWN-direction
 #: lane mirroring, and merging predication under partial masks.
 DIRECTED_KNOBS = (
@@ -89,14 +80,30 @@ KERNEL_CASES = [
 def test_generated_kernel_identical_between_engines(seed, knobs):
     kernel = generate_kernel(seed, knobs)
     n = min(96, kernel.spec.n)
-    ok, detail = _lane_engine_diff_check(
-        kernel.spec, FuzzConfig(lane_engine_diff=True), n
-    )
+    ok, detail = _reference_diff_check(kernel.spec, FuzzConfig(), n)
     assert ok, f"{kernel.name}: {detail}"
 
 
+def test_reference_diff_judges_agreed_result_against_oracle(monkeypatch):
+    """Both handler tables agreeing is not enough: the oracle must agree too."""
+    kernel = generate_kernel(kernel_seed(97, 0), None)
+    n = min(96, kernel.spec.n)
+    real = campaign_mod.scalar_reference
+
+    def skewed(loop, arrays, n, params=None):
+        out = real(loop, arrays, n, params=params)
+        name = next(iter(out))
+        out[name] = [out[name][0] + 1] + out[name][1:]
+        return out
+
+    monkeypatch.setattr(campaign_mod, "scalar_reference", skewed)
+    ok, detail = _reference_diff_check(kernel.spec, FuzzConfig(), n)
+    assert not ok
+    assert detail.startswith("oracle: array ") and "at index 0" in detail
+
+
 # ---------------------------------------------------------------------------
-# the 28-loop paper suite: both engines, both vector strategies
+# the 28-loop paper suite: both handler tables, both vector strategies
 # ---------------------------------------------------------------------------
 
 SUITE = [
@@ -105,91 +112,211 @@ SUITE = [
 ]
 
 
-def _run_engine(spec, strategy, engine, n):
+def _run_suite_loop(spec, strategy, interpreter, n):
     arrays = spec.arrays(0)
     mem = MemoryImage()
     for name, init in arrays.items():
         mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
     program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
-    metrics, state = run_program(program, mem, lane_engine=engine)
-    return metrics, state.registers_snapshot(), mem.snapshot()
+    interp = interpreter(program, mem)
+    metrics = interp.run()
+    return metrics, interp.state.registers_snapshot(), mem.snapshot()
 
 
 @pytest.mark.parametrize("spec", SUITE)
 def test_suite_loop_identical_between_engines(spec):
     n = min(64, spec.n)
     for strategy in (Strategy.SRV, Strategy.SVE):
-        results = [
-            _run_engine(spec, strategy, engine, n) for engine in ENGINES
-        ]
-        first, rest = results[0], results[1:]
-        for other in rest:
-            assert other[0] == first[0], f"{strategy}: metrics diverge"
-            assert other[1] == first[1], f"{strategy}: registers diverge"
-            assert other[2] == first[2], f"{strategy}: memory diverges"
+        batched, reference = (
+            _run_suite_loop(spec, strategy, interpreter, n)
+            for interpreter in INTERPRETERS
+        )
+        assert batched[0] == reference[0], f"{strategy}: metrics diverge"
+        assert batched[1] == reference[1], f"{strategy}: registers diverge"
+        assert batched[2] == reference[2], f"{strategy}: memory diverges"
 
 
 # ---------------------------------------------------------------------------
-# figure tables: byte-identical under either engine
+# figure tables: byte-identical on the reference
 # ---------------------------------------------------------------------------
 
 
-def test_figure_table_identical_between_engines():
-    tables = {}
-    for engine in ENGINES:
-        runner_mod.clear_cache()  # a warm cache would make this vacuous
-        runner_mod.set_default_lane_engine(engine)
+def _figure9_table() -> str:
+    runner_mod.clear_cache()  # a warm cache would make this vacuous
+    try:
+        return ALL_EXPERIMENTS["figure9"](n_override=128).format_table()
+    finally:
+        runner_mod.clear_cache()
+
+
+def test_figure_table_identical_between_engines(monkeypatch):
+    batched = _figure9_table()
+    built = []
+
+    class CountedReference(ScalarInterpreter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    # every simulation path looks the class up on the module at call time
+    monkeypatch.setattr(interp_mod, "Interpreter", CountedReference)
+    reference = _figure9_table()
+    assert built, "the reference interpreter never ran"
+    assert batched == reference
+    assert len(batched.splitlines()) > 3  # rows, not a header stub
+
+
+# ---------------------------------------------------------------------------
+# NumpyFallback: every raise site reaches the scalar handler and matches
+# ---------------------------------------------------------------------------
+
+#: elements in the test array; 8-byte elements, so 16 lanes fit exactly
+ARRAY_LEN = 32
+
+
+def _memory() -> MemoryImage:
+    mem = MemoryImage()
+    mem.alloc("a", ARRAY_LEN, 8, init=[100 + i for i in range(ARRAY_LEN)])
+    return mem
+
+
+def _base() -> int:
+    return _memory().allocation("a").base
+
+
+def _alu_imm(b):
+    b.v_index(v(1), imm(3), imm(5), elem=8)
+    b.v_add(v(2), v(1), imm(2**70 + 5), elem=8)
+    b.v_mul(v(3), v(1), imm(-(2**66) - 1), elem=4)
+
+
+def _cmp_imm(b):
+    b.v_index(v(1), imm(-4), imm(1), elem=8)
+    b.v_cmp(CmpOpcode.LT, p(1), v(1), imm(2**64 + 3), elem=8)
+    b.pcount(x(5), p(1))
+
+
+def _index_operand(b):
+    b.v_index(v(1), imm(2**65 + 7), imm(3), elem=8)
+
+
+def _gather(scale, index_start, index_step, base_shift):
+    """Gather lanes of ``a`` through the given geometry, 8-byte index."""
+
+    def build(b):
+        b.mov(x(1), imm(_base() + base_shift))
+        b.v_index(v(2), imm(index_start), imm(index_step), elem=8)
+        b.v_gather(v(3), x(1), v(2), elem=8, index_elem=8, scale=scale)
+    return build
+
+
+def _scatter(scale, index_start, index_step, base_shift):
+    """Scatter an iota to lanes of ``a`` through the given geometry."""
+
+    def build(b):
+        b.mov(x(1), imm(_base() + base_shift))
+        b.v_index(v(2), imm(index_start), imm(index_step), elem=8)
+        b.v_index(v(3), imm(-50), imm(7), elem=8)
+        b.v_scatter(v(3), x(1), v(2), elem=8, index_elem=8, scale=scale)
+    return build
+
+
+#: base outside +-2**62: the 8-byte index brings the address back into ``a``
+_BASE_SHIFT = 2**62 + 2**20
+#: 8-byte index beyond 2**40, offset by the base
+_INDEX_SHIFT = 2**41
+
+GUARD_CASES = {
+    "base": dict(scale=1, index_start=-_BASE_SHIFT, index_step=8,
+                 base_shift=_BASE_SHIFT),
+    "scale": dict(scale=2**21, index_start=0, index_step=0, base_shift=8),
+    "index": dict(scale=1, index_start=_INDEX_SHIFT, index_step=8,
+                  base_shift=-_INDEX_SHIFT),
+}
+
+#: the message each guard raises, to pin which site fired
+GUARD_MESSAGES = {
+    "base": "base address",
+    "scale": "gather scale",
+    "index": "gather index",
+}
+
+FALLBACK_CASES = [
+    pytest.param(_alu_imm, "_op_vec_alu", 2, None, id="v_alu-imm"),
+    pytest.param(_cmp_imm, "_op_vec_cmp", 1, None, id="v_cmp-imm"),
+    pytest.param(_index_operand, "_op_vec_index", 1, None, id="v_index"),
+] + [
+    pytest.param(make(**GUARD_CASES[guard]), handler, 1, guard,
+                 id=f"{kind}-{guard}")
+    for kind, make, handler in (
+        ("gather", _gather, "_op_vec_load_gather"),
+        ("scatter", _scatter, "_op_vec_store_scatter"),
+    )
+    for guard in GUARD_CASES
+]
+
+
+def _outcome(interpreter, program):
+    mem = _memory()
+    interp = interpreter(program, mem)
+    try:
+        interp.run()
+    except ReproError as exc:
+        return ("error", type(exc))
+    return ("ok", interp.state.registers_snapshot(), mem.snapshot())
+
+
+@pytest.mark.parametrize("build,handler,expected,guard", FALLBACK_CASES)
+def test_numpy_fallback_matches_reference(monkeypatch, build, handler,
+                                          expected, guard):
+    b = ProgramBuilder()
+    build(b)
+    b.halt()
+    program = b.build()
+
+    calls = []
+    scalar = getattr(Interpreter, handler)
+
+    def spy(self, *args):
+        calls.append(handler)
+        return scalar(self, *args)
+
+    raised = []
+    guard_addr_math = Interpreter._guard_addr_math
+
+    def guard_spy(*args):
         try:
-            tables[engine] = ALL_EXPERIMENTS["figure9"](
-                n_override=128
-            ).format_table()
-        finally:
-            runner_mod.set_default_lane_engine(None)
-    runner_mod.clear_cache()
-    assert tables["python"] == tables["numpy"]
-    assert len(tables["python"].splitlines()) > 3  # rows, not a header stub
+            guard_addr_math(*args)
+        except NumpyFallback as exc:
+            raised.append(str(exc))
+            raise
+
+    # the reference dispatches through _HANDLERS, never through these
+    # attributes, so only the batched interpreter's fallbacks are counted
+    monkeypatch.setattr(Interpreter, handler, spy)
+    monkeypatch.setattr(Interpreter, "_guard_addr_math",
+                        staticmethod(guard_spy))
+    batched = _outcome(Interpreter, program)
+    assert len(calls) == expected, f"{handler} ran {len(calls)} time(s)"
+    if guard is not None:
+        assert [GUARD_MESSAGES[guard] in msg for msg in raised] == [True]
+    reference = _outcome(ScalarInterpreter, program)
+    assert len(calls) == expected  # the reference never took the fallback
+    assert batched == reference
+    assert batched[0] == "ok"
 
 
-# ---------------------------------------------------------------------------
-# cache-key contract: lane_engine is output-invariant and excluded
-# ---------------------------------------------------------------------------
-
-
-def test_lane_engine_excluded_from_result_cache_key(monkeypatch):
-    """A run cached under one engine must satisfy the other engine's query.
-
-    This is the documented design decision: because the engines are
-    bit-identical (tests above), ``lane_engine`` — like ``trace_mode`` —
-    does not participate in the result-cache key.  The monkeypatched
-    ``_execute`` proves the second call is a genuine cache hit.
-    """
-    spec = all_loops()[0][1]
-    runner_mod.clear_cache()
-    first = runner_mod.run_loop(
-        spec, Strategy.SRV, n_override=32, lane_engine="python"
-    )
-
-    def no_execute(*args, **kwargs):
-        raise AssertionError(
-            "run_loop re-executed: lane_engine leaked into the cache key"
-        )
-
-    monkeypatch.setattr(runner_mod, "_execute", no_execute)
-    second = runner_mod.run_loop(
-        spec, Strategy.SRV, n_override=32, lane_engine="numpy"
-    )
-    runner_mod.clear_cache()
-    assert second.emu == first.emu
-    assert second.pipe == first.pipe
-    assert second.correct == first.correct
-
-
-def test_unavailable_engine_fails_fast_before_cache_lookup():
-    with pytest.raises(ValueError, match="unknown lane engine"):
-        runner_mod.run_loop(
-            all_loops()[0][1], Strategy.SRV, n_override=32,
-            lane_engine="fortran",
-        )
+def test_numpy_fallback_error_matches_reference():
+    """A fallback whose scalar re-execution faults raises the same type."""
+    b = ProgramBuilder()
+    b.mov(x(1), imm(2**62 + 2**20))
+    b.v_index(v(2), imm(0), imm(1), elem=4)
+    b.v_gather(v(3), x(1), v(2), elem=8, index_elem=4)
+    b.halt()
+    program = b.build()
+    batched, reference = (_outcome(cls, program) for cls in INTERPRETERS)
+    assert batched == reference
+    assert batched[0] == "error"
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,9 @@ class TestDeterminism:
 class _FakePool:
     """Runs submitted shards synchronously; shard 0's worker "dies"."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
+        # shards run in this process, so the worker initializer (which
+        # disables the checkpoint) must not run here
         self.max_workers = max_workers
 
     def __enter__(self):
@@ -191,6 +193,22 @@ class TestCheckpointAgreement:
         assert report.skipped_checkpoint == report.planned_cells
         assert sum(s.executed for s in report.shards) == 0
         assert outcome.results["figure13"].format_table() == expected
+
+    def test_inline_sweep_keeps_checkpoint(self, tmp_path):
+        """A --jobs 1 sweep warms in this process and must keep recording."""
+        ckpt = tmp_path / "runs.ckpt"
+        run_sweep(["figure9"], jobs=1, n_override=16, cache_dir=None,
+                  checkpoint=str(ckpt))
+        assert runner._CHECKPOINT_PATH == str(ckpt)
+        assert ckpt.exists()
+
+        runner.disable_checkpoint()
+        runner.clear_cache()
+        rerun = run_sweep(["figure9"], jobs=1, n_override=16, cache_dir=None,
+                          checkpoint=str(ckpt))
+        report = rerun.report
+        assert report.planned_cells > 0
+        assert report.skipped_checkpoint == report.planned_cells
 
     def test_parallel_cache_honoured_by_sequential_run(self, tmp_path):
         """The converse composition: warm in parallel, replay sequentially

@@ -10,9 +10,7 @@ Covers the contracts the sampler's accuracy rests on:
   and a fully materialised replay produce identical vectors;
 * projection determinism — same ``(seed, interval size, k)`` gives a
   byte-identical report on recomputation;
-* accuracy — suite spot checks stay within the standing 5% bound;
-* the cache-key contract — ``lane_engine`` is excluded from sample
-  keys, exactly like exact-run keys.
+* accuracy — suite spot checks stay within the standing 5% bound.
 """
 
 import math
@@ -43,7 +41,7 @@ SUITE_GEOMETRY = dict(interval_size=256, warmup=1536, max_clusters=4)
 
 def _trace_ops(workload_name, loop_name, strategy, n):
     _, spec = resolve_spec(workload_name, loop_name)
-    interp = _build(spec, strategy, 0, n, project_mod.TABLE_I, None)
+    interp = _build(spec, strategy, 0, n, project_mod.TABLE_I)
     return list(interp.iter_trace())
 
 
@@ -80,7 +78,7 @@ class TestWarmStateContract:
 
 def _materialised_fingerprints(spec, strategy, n, interval_size):
     """Reference vectors from a fully materialised trace + event list."""
-    interp = _build(spec, strategy, 0, n, project_mod.TABLE_I, None)
+    interp = _build(spec, strategy, 0, n, project_mod.TABLE_I)
     sink = obs.ListSink()
     saved = obs.ACTIVE
     obs.ACTIVE = obs.EventBus(sink)
@@ -111,8 +109,7 @@ class TestFingerprintDeterminism:
         workload_key, loop_name = loop
         _, spec = resolve_spec(workload_key, loop_name)
         interval = 128
-        interp = _build(spec, Strategy.SRV, 0, 96, project_mod.TABLE_I,
-                        None)
+        interp = _build(spec, Strategy.SRV, 0, 96, project_mod.TABLE_I)
         run = fingerprint_pass(interp, interval)
         reference = _materialised_fingerprints(
             spec, Strategy.SRV, 96, interval,
@@ -242,44 +239,3 @@ class TestResolution:
         workload = by_name(name)
         assert workload.name == name
         assert all(spec.n == 4096 for spec in workload.loops)
-
-
-# ---------------------------------------------------------------------------
-# cache-key contract
-# ---------------------------------------------------------------------------
-
-
-def test_lane_engine_excluded_from_sample_cache_key(monkeypatch):
-    """A projection cached under one engine satisfies the other engine.
-
-    Mirrors the exact-runner contract: lane engines are bit-identical,
-    so ``lane_engine`` must not participate in the sample cache key.
-    """
-    from repro.experiments.runner import clear_cache
-
-    _, spec = resolve_spec("hmmer", "viterbi")
-    clear_cache()
-    try:
-        first = sample_loop(
-            spec, Strategy.SRV, lane_engine="python", **SUITE_GEOMETRY,
-        )
-
-        def no_sample(*args, **kwargs):
-            raise AssertionError(
-                "sample_loop re-executed: lane_engine leaked into the "
-                "sample cache key"
-            )
-
-        monkeypatch.setattr(project_mod, "_sample_once", no_sample)
-        second = sample_loop(
-            spec, Strategy.SRV, lane_engine="numpy", **SUITE_GEOMETRY,
-        )
-    finally:
-        clear_cache()
-    assert second == first
-
-
-def test_unknown_lane_engine_fails_before_cache():
-    _, spec = resolve_spec("hmmer", "viterbi")
-    with pytest.raises(ValueError, match="unknown lane engine"):
-        sample_loop(spec, Strategy.SRV, lane_engine="fortran")

@@ -26,6 +26,11 @@ member of the two dependence-verdict enums (``DepClass`` in
 ``docs/ANALYSIS.md``, so the verdict lattice the analyzer can emit is
 exactly the one the documentation explains.
 
+Command lines are checked too: every ``--flag`` inside a backticked
+``repro <sub> …`` span of the docs (``ROADMAP.md`` excepted — it names
+planned flags) must be one that ``src/repro/cli.py`` adds to that
+subcommand's parser, so a deleted option cannot linger in an example.
+
 The point is cheap rot detection: when a module is renamed or a file is
 deleted, the docs that still mention it break this check instead of
 silently going stale.
@@ -60,9 +65,14 @@ PATH_REF = re.compile(
 )
 
 
-def doc_files() -> list[str]:
+#: Documents whose ``repro <sub> --flag`` spans must name real flags.
+#: ROADMAP.md is left out: it describes flags that do not exist yet.
+FLAG_DOC_GLOBS = tuple(entry for entry in DOC_GLOBS if entry != "ROADMAP.md")
+
+
+def doc_files(globs: tuple[str, ...] = DOC_GLOBS) -> list[str]:
     files = []
-    for entry in DOC_GLOBS:
+    for entry in globs:
         path = os.path.join(REPO_ROOT, entry)
         if os.path.isdir(path):
             files.extend(
@@ -157,6 +167,67 @@ def check_cli_documented(readme_path: str | None = None) -> list[str]:
             f"{rel_readme}: command table row 'repro {name}' names no "
             f"registered CLI subcommand"
         )
+    return problems
+
+
+#: ``p_x = sub.add_parser("name"`` binds a subcommand parser to ``p_x``.
+PARSER_BINDING = re.compile(
+    r"(\w+)\s*=\s*sub\.add_parser\(\s*[\"']([a-z_]+)[\"']"
+)
+#: ``p_x.add_argument("-j", "--jobs", ...`` — the leading option strings.
+ARGUMENT_NAMES = re.compile(
+    r"(\w+)\.add_argument\(((?:\s*[\"'][^\"']*[\"']\s*,)+)"
+)
+QUOTED = re.compile(r"[\"']([^\"']*)[\"']")
+#: An inline code span, and a ``repro <sub> ...`` command inside one.
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+COMMAND_IN_SPAN = re.compile(r"(?:^|\s)repro ([a-z_]+)\b(.*)")
+LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def cli_flags(cli_path: str | None = None) -> dict[str, set[str]]:
+    """Long options each registered subcommand's parser accepts.
+
+    Parsed from source like :func:`cli_subcommands`; ``--help`` is
+    always accepted.
+    """
+    if cli_path is None:
+        cli_path = os.path.join(SRC_ROOT, "repro", "cli.py")
+    with open(cli_path, encoding="utf-8") as fh:
+        source = fh.read()
+    flags = {name: {"--help"} for name in SUBCOMMAND_REF.findall(source)}
+    parsers = dict(PARSER_BINDING.findall(source))
+    for var, names in ARGUMENT_NAMES.findall(source):
+        if var in parsers:
+            flags[parsers[var]].update(
+                name for name in QUOTED.findall(names)
+                if name.startswith("--")
+            )
+    return flags
+
+
+def check_cli_flags(doc_paths: list[str] | None = None) -> list[str]:
+    """Every ``--flag`` in a backticked ``repro <sub> …`` span must be
+    added to ``<sub>``'s parser in ``src/repro/cli.py``."""
+    if doc_paths is None:
+        doc_paths = doc_files(FLAG_DOC_GLOBS)
+    flags = cli_flags()
+    problems = []
+    for path in doc_paths:
+        rel_doc = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                for span in CODE_SPAN.findall(line):
+                    match = COMMAND_IN_SPAN.search(span)
+                    if match is None or match.group(1) not in flags:
+                        continue
+                    name = match.group(1)
+                    for flag in LONG_FLAG.findall(match.group(2)):
+                        if flag not in flags[name]:
+                            problems.append(
+                                f"{rel_doc}:{lineno}: 'repro {name}' has "
+                                f"no flag {flag!r}"
+                            )
     return problems
 
 
@@ -258,6 +329,7 @@ def main() -> int:
     for path in files:
         problems.extend(check_file(path))
     problems.extend(check_cli_documented())
+    problems.extend(check_cli_flags())
     problems.extend(check_knobs_documented())
     problems.extend(check_verdicts_documented())
     if problems:
