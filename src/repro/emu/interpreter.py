@@ -333,6 +333,56 @@ class Interpreter:
         else:
             self.memory.write_int(addr, value, size)
 
+    def _read_vec_mem(
+        self,
+        addrs: list[int],
+        size: int,
+        lanes: list[int],
+        buffer: SpeculativeBuffer | None,
+        region_offset: int,
+    ) -> list[int]:
+        """The active ``lanes`` of one vector load, in lane order.
+
+        Inside a region with no fault plan armed, the speculative buffer
+        takes the whole instruction in one call; otherwise each lane goes
+        through :meth:`_read_mem`.
+        """
+        if buffer is None or _faults.ACTIVE is not None:
+            return [
+                self._read_mem(addr, size, lane, buffer, region_offset)
+                for addr, lane in zip(addrs, lanes)
+            ]
+        values, forwarded = buffer.load_lanes(addrs, size, lanes, region_offset)
+        if forwarded:
+            self._forwarded = True
+        if self.tracer is not None:
+            self._mem_events.extend([
+                MemAccess(addr, size, False, lane)
+                for addr, lane in zip(addrs, lanes)
+            ])
+        return values
+
+    def _write_vec_mem(
+        self,
+        addrs: list[int],
+        size: int,
+        values: list[int],
+        lanes: list[int],
+        buffer: SpeculativeBuffer | None,
+        region_offset: int,
+    ) -> None:
+        """Store the active ``lanes`` of one vector store, in lane order."""
+        if buffer is None or _faults.ACTIVE is not None:
+            for addr, value, lane in zip(addrs, values, lanes):
+                self._write_mem(addr, size, value, lane, buffer, region_offset)
+            return
+        buffer.store_lanes(addrs, size, values, lanes, region_offset)
+        if self.tracer is not None:
+            self._mem_events.extend([
+                MemAccess(addr, size, True, lane)
+                for addr, lane in zip(addrs, lanes)
+            ])
+
     # ------------------------------------------------------- single instr
 
     def _exec(
@@ -653,9 +703,10 @@ class Interpreter:
     #
     # Irreducibly sequential parts stay element-wise by design:
     # speculative-buffer traffic (SRV conflict witnessing must observe
-    # loads/stores in lane order), traced runs (MemAccess event order is
-    # part of the canonical trace), and scatter commits (overlapping
-    # lanes resolve by lane order).
+    # loads/stores in lane order; the buffer's load_lanes/store_lanes take
+    # a whole instruction only when no lane can meet a buffered record),
+    # traced runs (MemAccess event order is part of the canonical trace),
+    # and scatter commits (overlapping lanes resolve by lane order).
 
     def _extra_np(self, extra_mask: list[bool]):
         """Bool-array view of the SRV replay mask, cached by identity.
@@ -835,14 +886,16 @@ class Interpreter:
                 row[idx] = self.memory.gather_lanes(addrs, elem)
                 return pc + 1
         # sequential path: speculative-buffer touch order / trace events
-        out = [0] * self.lanes
-        mlist = mask.tolist()
-        for lane in range(self.lanes):
-            if not mlist[lane]:
-                continue
-            addr = base if broadcast else base + lane * elem
-            out[lane] = self._read_mem(addr, elem, lane, buffer, region_offset)
-        _np.copyto(row, _np.asarray(out, dtype=_np.uint64), where=mask)
+        active = _np.flatnonzero(mask).tolist()
+        if active:
+            if broadcast:
+                addrs = [base] * len(active)
+            else:
+                addrs = [base + lane * elem for lane in active]
+            values = self._read_vec_mem(
+                addrs, elem, active, buffer, region_offset
+            )
+            row[active] = _np.asarray(values, dtype=_np.uint64)
         return pc + 1
 
     def _np_vec_load_gather(self, inst, pc, extra_mask, buffer, region_offset):
@@ -866,16 +919,14 @@ class Interpreter:
             addrs = base + idx_vals[idx] * scale
             row[idx] = self.memory.gather_lanes(addrs, elem)
             return pc + 1
-        addrs = (base + idx_vals * scale).tolist()
-        out = [0] * self.lanes
-        mlist = mask.tolist()
-        for lane in range(self.lanes):
-            if not mlist[lane]:
-                continue
-            out[lane] = self._read_mem(
-                addrs[lane], elem, lane, buffer, region_offset
+        active = _np.flatnonzero(mask).tolist()
+        if active:
+            addrs = (base + idx_vals * scale).tolist()
+            values = self._read_vec_mem(
+                [addrs[lane] for lane in active], elem, active,
+                buffer, region_offset,
             )
-        _np.copyto(row, _np.asarray(out, dtype=_np.uint64), where=mask)
+            row[active] = _np.asarray(values, dtype=_np.uint64)
         return pc + 1
 
     def _np_vec_store_contig(self, inst, pc, extra_mask, buffer, region_offset):
@@ -887,14 +938,14 @@ class Interpreter:
         if buffer is None and self.tracer is None and bool(mask.all()):
             self.memory.write_lanes(base, elem, values)
             return pc + 1
-        vlist = values.tolist()
-        mlist = mask.tolist()
-        for lane in range(self.lanes):
-            if mlist[lane]:
-                self._write_mem(
-                    base + lane * elem, elem, vlist[lane], lane,
-                    buffer, region_offset,
-                )
+        active = _np.flatnonzero(mask).tolist()
+        if active:
+            vlist = values.tolist()
+            self._write_vec_mem(
+                [base + lane * elem for lane in active], elem,
+                [vlist[lane] for lane in active], active,
+                buffer, region_offset,
+            )
         return pc + 1
 
     def _np_vec_store_scatter(self, inst, pc, extra_mask, buffer, region_offset):
@@ -912,14 +963,15 @@ class Interpreter:
         elem = inst.elem
         # overlapping scatter lanes must commit in lane order, so stores
         # stay element-wise; only the address/value computation is batched
-        addrs = (base + idx_vals * scale).tolist()
-        vlist = to_unsigned_array(state.vec_raw(inst.src), elem).tolist()
-        mlist = mask.tolist()
-        for lane in range(self.lanes):
-            if mlist[lane]:
-                self._write_mem(
-                    addrs[lane], elem, vlist[lane], lane, buffer, region_offset
-                )
+        active = _np.flatnonzero(mask).tolist()
+        if active:
+            addrs = (base + idx_vals * scale).tolist()
+            vlist = to_unsigned_array(state.vec_raw(inst.src), elem).tolist()
+            self._write_vec_mem(
+                [addrs[lane] for lane in active], elem,
+                [vlist[lane] for lane in active], active,
+                buffer, region_offset,
+            )
         return pc + 1
 
     @staticmethod
@@ -1020,7 +1072,8 @@ class Interpreter:
             return
 
         buffer = SpeculativeBuffer(
-            self.memory, srv, tm_mode=self.config.srv_tm_mode
+            self.memory, srv, tm_mode=self.config.srv_tm_mode,
+            block_bytes=self.config.alignment_region_bytes,
         )
         active = [True] * self.lanes
         rollbacks = 0

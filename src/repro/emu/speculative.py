@@ -26,11 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.errors import MemoryAccessError
 from repro.emu.metrics import SrvMetrics
 from repro.memory.image import MemoryImage
 
+#: A vector load whose lanes span at most this many bytes reads them with
+#: one memory-image call; wider gathers read lane by lane.
+_SPAN_READ_BYTES = 1024
 
-@dataclass
+
+@dataclass(slots=True)
 class _StoreRecord:
     addr: int
     size: int
@@ -42,13 +47,70 @@ class _StoreRecord:
         return self.addr < addr + size and addr < self.addr + self.size
 
 
-@dataclass
+@dataclass(slots=True)
 class _LoadRecord:
     addr: int
     size: int
     lane: int
     instr: int
     tick: int
+
+
+class _Records(dict):
+    """Records keyed by SRV-id ``(instr, lane)``, also filed by block.
+
+    Every record is filed under each ``1 << shift``-byte block it touches,
+    so a walk for one access visits only the records that can overlap it.
+    Records enter through :meth:`put`, which re-files a record replaced at
+    a different address (a replay pass moving an access), and leave
+    through :meth:`clear`.
+    """
+
+    def __init__(self, shift: int) -> None:
+        super().__init__()
+        self.shift = shift
+        self.by_block: dict[int, dict[tuple[int, int], object]] = {}
+
+    def put(self, key: tuple[int, int], record) -> None:
+        shift, by_block = self.shift, self.by_block
+        addr = record.addr
+        first = addr >> shift
+        last = (addr + record.size - 1) >> shift
+        old = self.get(key)
+        self[key] = record
+        if old is not None:
+            old_first = old.addr >> shift
+            old_last = (old.addr + old.size - 1) >> shift
+            if old_first != first or old_last != last:
+                for block in range(old_first, old_last + 1):
+                    bucket = by_block[block]
+                    del bucket[key]
+                    if not bucket:
+                        del by_block[block]
+        for block in range(first, last + 1):
+            bucket = by_block.get(block)
+            if bucket is None:
+                by_block[block] = {key: record}
+            else:
+                bucket[key] = record
+
+    def touching(self, addr: int, end: int):
+        """Records filed under the blocks ``[addr, end)`` touches, each once."""
+        first = addr >> self.shift
+        last = (end - 1) >> self.shift
+        if first == last:
+            bucket = self.by_block.get(first)
+            return bucket.values() if bucket else ()
+        merged: dict = {}
+        for block in range(first, last + 1):
+            bucket = self.by_block.get(block)
+            if bucket:
+                merged.update(bucket)
+        return merged.values()
+
+    def clear(self) -> None:
+        super().clear()
+        self.by_block.clear()
 
 
 @dataclass
@@ -59,13 +121,19 @@ class SpeculativeBuffer:
     without per-line versioning, a WAR conflict (a load denied forwarding
     because a *later* lane already wrote the bytes) must also re-execute
     the writing lane, not just suppress forwarding.
+
+    ``block_bytes`` (the machine's address-alignment region, a power of
+    two) sizes the blocks records are filed by: the forwarding, WAW and RAW walks visit
+    only records in the blocks an access touches, since a record in any
+    other block cannot overlap it.
     """
 
     memory: MemoryImage
     metrics: SrvMetrics
     tm_mode: bool = False
-    _stores: dict[tuple[int, int], _StoreRecord] = field(default_factory=dict)
-    _loads: dict[tuple[int, int], _LoadRecord] = field(default_factory=dict)
+    block_bytes: int = 64
+    _stores: _Records = field(init=False)
+    _loads: _Records = field(init=False)
     needs_replay: set[int] = field(default_factory=set)
     _tick: int = 0
     # Conservative address bounds over all buffered stores / recorded loads.
@@ -78,15 +146,12 @@ class SpeculativeBuffer:
     _lmin: int = 1 << 62
     _lmax: int = -(1 << 62)
 
+    def __post_init__(self) -> None:
+        shift = self.block_bytes.bit_length() - 1
+        self._stores = _Records(shift)
+        self._loads = _Records(shift)
+
     # -- helpers -------------------------------------------------------------
-
-    @staticmethod
-    def _precedes(pos_a: tuple[int, int], pos_b: tuple[int, int]) -> bool:
-        """True if access at ``pos_a`` is sequentially older than ``pos_b``.
-
-        Positions are ``(lane, instruction_offset)``; lane-major order.
-        """
-        return pos_a < pos_b
 
     def lsu_entries_used(self) -> int:
         return len(self._stores) + len(self._loads)
@@ -102,7 +167,9 @@ class SpeculativeBuffer:
         ``(value, any_byte_forwarded)``.
         """
         self._tick += 1
-        self._loads[(instr, lane)] = _LoadRecord(addr, size, lane, instr, self._tick)
+        self._loads.put(
+            (instr, lane), _LoadRecord(addr, size, lane, instr, self._tick)
+        )
         end = addr + size
         if addr < self._lmin:
             self._lmin = addr
@@ -115,7 +182,7 @@ class SpeculativeBuffer:
         my_pos = (lane, instr)
         war_seen = False
         overlapping: list[_StoreRecord] | None = None
-        for record in self._stores.values():
+        for record in self._stores.touching(addr, end):
             if record.addr >= end or addr >= record.addr + record.size:
                 continue
             if (record.lane, record.instr) < my_pos:
@@ -154,6 +221,56 @@ class SpeculativeBuffer:
                     forwarded = True
         return int.from_bytes(result, "little"), forwarded
 
+    def load_lanes(
+        self, addrs: list[int], size: int, lanes: list[int], instr: int
+    ) -> tuple[list[int], bool]:
+        """One vector load: :meth:`load` for each ``(addrs[i], lanes[i])``.
+
+        ``lanes`` are the instruction's active lanes in ascending order.
+        Returns the lane values and whether any byte was forwarded.  When
+        the whole span lies outside every buffered store, no lane can
+        forward or see a WAR, so all lanes are recorded and memory is read
+        once; otherwise each lane runs :meth:`load` in lane order.
+        """
+        lo = min(addrs)
+        hi = max(addrs) + size
+        if lo < self._smax and hi > self._smin:
+            return self._load_each(addrs, size, lanes, instr)
+        memory = self.memory
+        try:
+            if hi - lo <= _SPAN_READ_BYTES:
+                raw = memory.read_bytes(lo, hi - lo)
+                values = [
+                    int.from_bytes(raw[a - lo:a - lo + size], "little")
+                    for a in addrs
+                ]
+            else:
+                values = [memory.read_int(a, size) for a in addrs]
+        except MemoryAccessError:
+            # re-run lane by lane: records the lanes before the bad one
+            # and raises its exact error
+            return self._load_each(addrs, size, lanes, instr)
+        put = self._loads.put
+        tick = self._tick
+        for addr, lane in zip(addrs, lanes):
+            tick += 1
+            put((instr, lane), _LoadRecord(addr, size, lane, instr, tick))
+        self._tick = tick
+        if lo < self._lmin:
+            self._lmin = lo
+        if hi > self._lmax:
+            self._lmax = hi
+        return values, False
+
+    def _load_each(self, addrs, size, lanes, instr) -> tuple[list[int], bool]:
+        values = []
+        forwarded = False
+        for addr, lane in zip(addrs, lanes):
+            value, hit = self.load(addr, size, lane, instr)
+            values.append(value)
+            forwarded = forwarded or hit
+        return values, forwarded
+
     # -- store ----------------------------------------------------------------
 
     def store(self, addr: int, size: int, value: int, lane: int, instr: int) -> None:
@@ -164,7 +281,7 @@ class SpeculativeBuffer:
         # WAW: an overlapping buffered store in a *later* lane already
         # executed; ordered commit will keep the latest program-order data.
         if addr < self._smax and end > self._smin:
-            for record in self._stores.values():
+            for record in self._stores.touching(addr, end):
                 if record.lane > lane and record.overlaps(addr, size):
                     self.metrics.waw_events += 1
                     break
@@ -173,7 +290,7 @@ class SpeculativeBuffer:
         # already executed (machine time) read stale bytes — flag its lane.
         if addr < self._lmax and end > self._lmin:
             tick = self._tick
-            for load in self._loads.values():
+            for load in self._loads.touching(addr, end):
                 if load.lane <= lane:
                     continue
                 if load.tick >= tick:
@@ -182,11 +299,45 @@ class SpeculativeBuffer:
                     self.needs_replay.add(load.lane)
                     self.metrics.raw_violations += 1
 
-        self._stores[(instr, lane)] = _StoreRecord(addr, size, data, lane, instr)
+        self._stores.put((instr, lane), _StoreRecord(addr, size, data, lane, instr))
         if addr < self._smin:
             self._smin = addr
         if end > self._smax:
             self._smax = end
+
+    def store_lanes(
+        self,
+        addrs: list[int],
+        size: int,
+        values: list[int],
+        lanes: list[int],
+        instr: int,
+    ) -> None:
+        """One vector store: :meth:`store` for each lane, in lane order.
+
+        When the whole span lies outside every buffered store and every
+        recorded load, no lane can meet a WAW or a RAW (lanes of one store
+        never conflict with each other: each is older than the next), so
+        the lanes are simply buffered.
+        """
+        lo = min(addrs)
+        hi = max(addrs) + size
+        if (lo < self._smax and hi > self._smin) or (
+            lo < self._lmax and hi > self._lmin
+        ):
+            for addr, value, lane in zip(addrs, values, lanes):
+                self.store(addr, size, value, lane, instr)
+            return
+        put = self._stores.put
+        mask = (1 << (size * 8)) - 1
+        for addr, value, lane in zip(addrs, values, lanes):
+            data = (value & mask).to_bytes(size, "little")
+            put((instr, lane), _StoreRecord(addr, size, data, lane, instr))
+        self._tick += len(addrs)
+        if lo < self._smin:
+            self._smin = lo
+        if hi > self._smax:
+            self._smax = hi
 
     # -- commit -----------------------------------------------------------------
 
@@ -228,7 +379,4 @@ class SpeculativeBuffer:
         ]
         for record in sorted(keep_committed, key=lambda r: (r.lane, r.instr)):
             self.memory.write_bytes(record.addr, record.data)
-        self._stores.clear()
-        self._loads.clear()
-        self.needs_replay.clear()
-        self._reset_bounds()
+        self.discard()

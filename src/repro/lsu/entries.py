@@ -46,6 +46,9 @@ class LsuEntry:
     speculative: bool = False   # SAQ speculative flag (section III-D4)
     data: bytes | None = None   # SDQ contents for stores
     chunks: list[RegionChunk] = field(default_factory=list)
+    #: address-alignment bases of ``chunks``, in address order: the keys
+    #: the LSU's CAM matches rows on (section IV-A)
+    bases: tuple[int, ...] = ()
     seq: int = 0                # machine-order issue stamp
 
     @classmethod
@@ -79,6 +82,7 @@ class LsuEntry:
             data=data,
         )
         entry.chunks = chunks_for_access(addr, size, region_bytes)
+        entry.bases = tuple([chunk.base for chunk in entry.chunks])
         return entry
 
     # -- lane geometry -------------------------------------------------------

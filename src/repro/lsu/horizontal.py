@@ -174,17 +174,16 @@ def horizontal_violation_vector(
 def _issuing_lane_for_byte(issuing: LsuEntry, byte_addr: int) -> int:
     """Lane of the issuing access relevant for the comparison at ``byte_addr``.
 
-    If the issuing access covers the byte, the lane accessing that byte is
-    used.  Otherwise (the violation vector is built for bytes the issuing
-    access does not touch, cf. figure 5 setting "all but the first 4
-    bits") the issuing entry's own lane field is used — for broadcast
-    issuers the *youngest* covered lane, as every lane performs the access.
+    If the issuing access covers the byte, the oldest lane accessing that
+    byte is used.  Otherwise (the violation vector is built for bytes the
+    issuing access does not touch, cf. figure 5 setting "all but the first
+    4 bits") the issuing entry's own lane field is used — for broadcast
+    issuers that is the *oldest* covered lane, matching ``i_lane`` in
+    :func:`horizontal_violation_vector`.
     """
     if issuing.addr <= byte_addr < issuing.addr + issuing.size:
         lo, _ = issuing.lane_span_of_byte(byte_addr)
         return lo
-    if issuing.access is AccessType.BROADCAST:
-        return issuing.lane
     return issuing.lane
 
 

@@ -35,6 +35,67 @@ from repro.observe import events as _obs
 from repro.verify import faults as _faults
 
 
+class _Table(dict):
+    """One LSU queue: rows keyed by ``(srv_id, lane)``, also filed by base.
+
+    The base index is the CAM's match key: every row is filed under each
+    address-alignment base it touches, and only rows sharing a base with
+    an issuing access can yield a non-empty VOB or HOB (figure 2).  Rows
+    enter and leave through :meth:`put`, :meth:`drop` and :meth:`clear`,
+    which keep the index in step.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_base: dict[int, dict[tuple[int, int], LsuEntry]] = {}
+
+    def put(self, key: tuple[int, int], entry: LsuEntry) -> None:
+        """File ``entry`` under ``key``, replacing any previous row there."""
+        old = self.get(key)
+        if old is not None:
+            self._unfile(key, old)
+        self[key] = entry
+        for base in entry.bases:
+            bucket = self.by_base.get(base)
+            if bucket is None:
+                self.by_base[base] = {key: entry}
+            else:
+                bucket[key] = entry
+
+    def drop(self, key: tuple[int, int]) -> None:
+        entry = self.pop(key, None)
+        if entry is not None:
+            self._unfile(key, entry)
+
+    def _unfile(self, key: tuple[int, int], entry: LsuEntry) -> None:
+        for base in entry.bases:
+            bucket = self.by_base[base]
+            del bucket[key]
+            if not bucket:
+                del self.by_base[base]
+
+    def clear(self) -> None:
+        super().clear()
+        self.by_base.clear()
+
+    def sharing(self, entry: LsuEntry) -> list[LsuEntry]:
+        """Rows sharing an address-alignment base with ``entry``.
+
+        Exactly the rows that can produce a VOB/HOB pair: every pair
+        function returns nothing for a row with no common base.
+        """
+        bases = entry.bases
+        if len(bases) == 1:
+            bucket = self.by_base.get(bases[0])
+            return list(bucket.values()) if bucket else []
+        rows: dict[tuple[int, int], LsuEntry] = {}
+        for base in bases:
+            bucket = self.by_base.get(base)
+            if bucket:
+                rows.update(bucket)
+        return list(rows.values())
+
+
 @dataclass
 class LsuCounters:
     """Event counts backing figures 11 and 12."""
@@ -81,8 +142,8 @@ class LoadStoreUnit:
         self.config = config
         self.region_bytes = config.alignment_region_bytes
         self.counters = LsuCounters()
-        self.lq: dict[tuple[int, int], LsuEntry] = {}
-        self.saq: dict[tuple[int, int], LsuEntry] = {}
+        self.lq = _Table()
+        self.saq = _Table()
         self.in_region = False
         self.direction = SrvDirection.UP
         self.needs_replay: set[int] = set()
@@ -121,6 +182,13 @@ class LoadStoreUnit:
         self.needs_replay.clear()
         self.in_region = False
 
+    def drain_entry(self, key: tuple[int, int]) -> None:
+        """Retire the committed access ``key`` from whichever queue holds it."""
+        if key in self.lq:
+            self.lq.drop(key)
+        if key in self.saq:
+            self.saq.drop(key)
+
     # -- capacity ---------------------------------------------------------------
 
     def entries_used(self) -> int:
@@ -158,7 +226,7 @@ class LoadStoreUnit:
             raise LsuOverflowError(
                 "LSU full of speculative entries outside a region"
             )
-        del oldest_table[oldest_key]
+        oldest_table.drop(oldest_key)
 
     # -- issue -------------------------------------------------------------------
 
@@ -166,22 +234,17 @@ class LoadStoreUnit:
         self._seq += 1
         entry.seq = self._seq
 
-    def _matching_rows(self, entry: LsuEntry, table: dict) -> int:
-        """Rows sharing an address-alignment base with ``entry``.
+    def _match_work(self, rows: list[LsuEntry]) -> int:
+        """Address disambiguations (bit-vector generations) of one lookup.
 
-        Capped at the SDQ read-port count: the hardware generates at most
-        that many VOB/HOB bit-vector pairs per lookup (Table I provides 5
-        SDQ read ports; further matches share the same activation).
+        One per CAM activation plus one per row whose address-alignment
+        base matches (each match produces a VOB/HOB pair, figure 2),
+        capped at the SDQ read-port count: the hardware generates at most
+        that many pairs per lookup (Table I provides 5 SDQ read ports;
+        further matches share the same activation).  A first match always
+        counts.
         """
-        bases = {chunk.base for chunk in entry.chunks}
-        count = 0
-        cap = self.config.ports.sdq_reads
-        for other in table.values():
-            if any(chunk.base in bases for chunk in other.chunks):
-                count += 1
-                if count >= cap:
-                    break
-        return count
+        return 1 + min(len(rows), max(self.config.ports.sdq_reads, 1))
 
     def issue_load(self, entry: LsuEntry) -> LoadIssueResult:
         """Issue a load (or one gather micro-op) against the SAQ."""
@@ -190,24 +253,25 @@ class LoadStoreUnit:
         key = (entry.srv_id, entry.lane)
         self._check_allocate(key, self.lq)
         self._stamp(entry)
-        self.lq[key] = entry
+        self.lq.put(key, entry)
         if _faults.ACTIVE is not None and _faults.ACTIVE.drop_lsu_entry("lq"):
-            del self.lq[key]
+            self.lq.drop(key)
 
         self.counters.cam_lookups_saq += 1
         self.counters.cam_lookups_lq += 1  # load-ordering check
-        # Address disambiguations = bit-vector generations: one per CAM
-        # activation plus one per row whose address-alignment base matches
-        # (each match produces a VOB/HOB pair, figure 2).  Horizontal
-        # replaces vertical for loads inside SRV-regions (section VI-B).
-        work = 1 + self._matching_rows(entry, self.saq)
+        # Horizontal replaces vertical for loads inside SRV-regions
+        # (section VI-B).
+        rows = self.saq.sharing(entry)
+        work = self._match_work(rows)
         if self.in_region:
             self.counters.horizontal_disambiguations += work
         else:
             self.counters.vertical_disambiguations += work
+        # of the matching rows, only those with a byte in common can yield
+        # a non-empty VOB, HOB or forwardable mask
+        priors = [prior for prior in rows if entry.overlaps(prior)]
 
         result = LoadIssueResult()
-        priors = list(self.saq.values())
         # Coverage as an int mask relative to entry.addr: forwardable
         # bytes always fall inside the load's own span, so bit i covers
         # byte entry.addr + i.
@@ -267,10 +331,14 @@ class LoadStoreUnit:
         entry.speculative = self.in_region
 
         result = StoreIssueResult()
+        load_rows = self.lq.sharing(entry)
         self.counters.cam_lookups_lq += 1
-        lq_work = 1 + self._matching_rows(entry, self.lq)
+        lq_work = self._match_work(load_rows)
         self.counters.vertical_disambiguations += lq_work
+        # only matching rows with a byte in common can yield a bit vector
+        loads = [prior for prior in load_rows if entry.overlaps(prior)]
         if self.in_region:
+            store_rows = self.saq.sharing(entry)
             # Doubled lookups plus the extra store-buffer CAM (section
             # VI-C): horizontal RAW search of the LQ plus WAW search of
             # the SAQ — "both horizontal and vertical disambiguations
@@ -278,11 +346,11 @@ class LoadStoreUnit:
             self.counters.cam_lookups_lq += 1
             self.counters.cam_lookups_saq += 1
             self.counters.horizontal_disambiguations += lq_work + (
-                1 + self._matching_rows(entry, self.saq)
+                self._match_work(store_rows)
             )
 
             # Horizontal RAW: prior loads in later lanes read stale bytes.
-            prior_loads = [e for e in self.lq.values() if e.seq < entry.seq]
+            prior_loads = [e for e in loads if e.seq < entry.seq]
             hob = overall_hob(entry, prior_loads, self.region_bytes)
             if hob:
                 lanes = replay_lanes_from_hob(
@@ -294,7 +362,8 @@ class LoadStoreUnit:
                     self.counters.raw_flags += len(lanes)
 
             # WAW: an older store in a later lane wrote the same bytes.
-            for prior in self.saq.values():
+            stores = [prior for prior in store_rows if entry.overlaps(prior)]
+            for prior in stores:
                 if (prior.srv_id, prior.lane) == key:
                     continue
                 if hob_for_pair(entry, prior, self.region_bytes):
@@ -304,14 +373,14 @@ class LoadStoreUnit:
         else:
             # Baseline vertical check: younger (program-order) loads that
             # already issued must squash.
-            for prior in self.lq.values():
+            for prior in loads:
                 if prior.srv_id > entry.srv_id and vob_for_pair(entry, prior):
                     result.vertical_squash = True
                     break
 
-        self.saq[key] = entry
+        self.saq.put(key, entry)
         if _faults.ACTIVE is not None and _faults.ACTIVE.drop_lsu_entry("saq"):
-            del self.saq[key]
+            self.saq.drop(key)
         obs = _obs.ACTIVE
         if obs is not None:
             if result.replay_lanes:
@@ -343,6 +412,3 @@ class LoadStoreUnit:
         the paper's selective memory update for WAW violations.
         """
         return sorted(self.saq.values(), key=lambda e: (e.lane, e.srv_id))
-
-    def drain_non_speculative(self) -> None:
-        self.saq = {k: e for k, e in self.saq.items() if e.speculative}

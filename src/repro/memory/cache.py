@@ -55,6 +55,11 @@ class Cache:
         ]
         self._offset_bits = config.line_bytes.bit_length() - 1
         self._index_mask = config.num_sets - 1
+        #: ``(line number, line)`` of the most recent access: always the
+        #: MRU way of its set, so a repeat touch needs no LRU update.
+        #: :class:`~repro.memory.hierarchy.CacheHierarchy` reads it for its
+        #: same-line fast path; ``None`` once the cache is invalidated.
+        self.mru: tuple[int, _Line] | None = None
 
     def _locate(self, addr: int) -> tuple[int, int]:
         line_addr = addr >> self._offset_bits
@@ -71,7 +76,9 @@ class Cache:
         On a miss the line is allocated here (write-allocate); the caller
         is responsible for charging the next level's latency.
         """
-        index, tag = self._locate(addr)
+        line_addr = addr >> self._offset_bits
+        index = line_addr & self._index_mask
+        tag = line_addr >> self._index_mask.bit_length()
         ways = self._sets[index]
         line = ways.get(tag)
         hit = line is not None
@@ -90,11 +97,10 @@ class Cache:
             ways[tag] = line
         if is_write:
             line.dirty = True
+        self.mru = (line_addr, line)
         return hit, evict_dirty
 
     def invalidate_all(self) -> None:
         for ways in self._sets:
             ways.clear()
-
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        self.mru = None

@@ -116,8 +116,8 @@ class PipelineModel:
         compulsory misses do not dominate short synthetic kernels.
         """
         for op in trace:
-            for access in op.mem:
-                self.caches.access(access.addr, access.size, access.is_store)
+            if op.mem:
+                self.caches.access_op(op.mem)
         self.caches.reset_stats()
 
     def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
@@ -432,8 +432,7 @@ class PipelineModel:
                     # on an already-completed store is a no-op, and eager
                     # retirement would erase the dependence before younger
                     # loads (processed later in trace order) consult it.
-                    for access in op.mem:
-                        caches.access(access.addr, access.size, True)
+                    caches.access_op(op.mem, True)
             if obs is not None:
                 obs.emit(kind_commit, "pipe", i, commit, 0, op.pc)
             if pending_region_end is not None:
@@ -584,9 +583,7 @@ class PipelineModel:
         if fully_forwarded:
             latency = FORWARD_LATENCY
         elif op.mem:
-            latency = max(
-                self.caches.access(a.addr, a.size, False) for a in op.mem
-            )
+            latency = self.caches.access_op(op.mem, False)
         else:
             latency = FORWARD_LATENCY  # fully predicated-off access
         complete = last_slot + latency
@@ -637,8 +634,7 @@ class PipelineModel:
                 keep.append(item)
                 continue  # region entries drain at srv_end
             if complete + 1 <= now:
-                self.lsu.lq.pop(key, None)
-                self.lsu.saq.pop(key, None)
+                self.lsu.drain_entry(key)
             else:
                 keep.append(item)
         lsu_live[:] = keep

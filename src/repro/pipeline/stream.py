@@ -59,9 +59,8 @@ class _CacheWarmTracer(Tracer):
         self._caches = caches
 
     def record(self, pc, inst, decode, mem, branch_taken, region_event=None):
-        access = self._caches.access
-        for a in mem:
-            access(a.addr, a.size, a.is_store)
+        if mem:
+            self._caches.access_op(mem)
         return None
 
     def _last_op(self):

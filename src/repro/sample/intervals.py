@@ -102,7 +102,7 @@ def fingerprint_pass(
     intervals: list[IntervalRecord] = []
     digests: list[tuple] = []
     acc = FingerprintAccumulator(lanes)
-    cache_access = feed_caches.access if feed_caches is not None else None
+    cache_access = feed_caches.access_op if feed_caches is not None else None
     start = 0
     count = 0
 
@@ -120,9 +120,8 @@ def fingerprint_pass(
     try:
         for op in interp.iter_trace():
             acc.add(op)
-            if cache_access is not None:
-                for a in op.mem:
-                    cache_access(a.addr, a.size, a.is_store)
+            if cache_access is not None and op.mem:
+                cache_access(op.mem)
             count += 1
             if count - start == interval_size:
                 close()

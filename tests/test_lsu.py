@@ -5,19 +5,26 @@ figure 3 (vertical), figure 4 (horizontal WAR), and figure 5 / section
 IV-D (horizontal RAW producing replay lanes 3, 7, 11, 15).
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import TABLE_I
 from repro.common.errors import LsuOverflowError
 from repro.isa.instructions import SrvDirection
 from repro.lsu import (
     AccessType,
+    LoadIssueResult,
     LoadStoreUnit,
     LsuEntry,
+    StoreIssueResult,
     align_base,
     align_offset,
     chunks_for_access,
     forwardable_mask,
+    hob_and_forwardable,
     hob_for_pair,
     horizontal_violation_vector,
     overall_hob,
@@ -585,3 +592,297 @@ class TestLoadStoreUnit:
         lsu.abort_region()
         assert lsu.entries_used() == 0
         assert not lsu.in_region
+
+
+# ---------------------------------------------------------------------------
+# matching by alignment base
+# ---------------------------------------------------------------------------
+
+
+def _entry_params(draw, addr: int) -> dict:
+    """Random entry geometry at ``addr``: every access type and direction."""
+    access = draw(st.sampled_from(list(AccessType)))
+    elem = draw(st.sampled_from([1, 2, 4, 8]))
+    lane = 0 if access is AccessType.SCALAR else draw(st.integers(0, 15))
+    if access is AccessType.CONTIGUOUS:
+        lanes_covered = draw(st.integers(1, 16))
+        size = elem * lanes_covered
+    elif access is AccessType.BROADCAST:
+        lanes_covered, size = draw(st.integers(1, 16)), elem
+    else:
+        lanes_covered, size = 1, elem
+    return dict(
+        is_store=draw(st.booleans()),
+        access=access,
+        addr=addr,
+        size=size,
+        elem=elem,
+        lane=lane,
+        lanes_covered=lanes_covered,
+        direction=draw(st.sampled_from(list(SrvDirection))),
+    )
+
+
+@st.composite
+def disjoint_pairs(draw, same_region_ok: bool):
+    """Two entries with no byte in common.
+
+    The second starts after the first one ends: in a later alignment
+    region, or (``same_region_ok``) anywhere past its last byte, possibly
+    in a region the first one also touches.  Offsets are arbitrary, so
+    either entry may straddle a region boundary.
+    """
+    first = make_entry(**_entry_params(draw, draw(st.integers(0x1000, 0x10FF))))
+    end = first.addr + first.size
+    if same_region_ok:
+        start = end + draw(st.integers(0, 2 * REGION))
+    else:
+        after = align_base(end - 1, REGION) + REGION
+        start = after + REGION * draw(st.integers(0, 2)) + draw(
+            st.integers(0, REGION - 1)
+        )
+    second = make_entry(**_entry_params(draw, start))
+    return first, second
+
+
+class TestNoSharedBase:
+    """A pair with no common alignment base, or more generally no common
+    byte, never yields a bit vector: the grounds for evaluating only
+    base-sharing, byte-overlapping rows in the LSU."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_pairs(same_region_ok=False))
+    def test_pair_functions_are_empty(self, pair):
+        first, second = pair
+        assert not set(first.bases) & set(second.bases)
+        self._assert_empty(first, second)
+
+    @settings(max_examples=300, deadline=None)
+    @given(disjoint_pairs(same_region_ok=True))
+    def test_pairs_without_a_common_byte_are_empty(self, pair):
+        first, second = pair
+        assert not first.overlaps(second)
+        self._assert_empty(first, second)
+
+    @staticmethod
+    def _assert_empty(first, second):
+        for issuing, prior in ((first, second), (second, first)):
+            assert hob_for_pair(issuing, prior, REGION) == {}
+            assert hob_and_forwardable(issuing, prior, REGION) == ({}, {})
+            assert vob_for_pair(issuing, prior) == {}
+            assert forwardable_mask(issuing, prior, REGION) == {}
+            every_byte = {c.base: c.bytes_accessed for c in issuing.chunks}
+            assert replay_lanes_from_hob(
+                issuing, every_byte, [prior], REGION
+            ) == set()
+
+    def test_bases_follow_chunks(self):
+        entry = make_entry(addr=0x0C, size=0x40)
+        assert entry.bases == (0x00, 0x40)
+        assert entry.bases == tuple(c.base for c in entry.chunks)
+
+
+class BruteForceLsu(LoadStoreUnit):
+    """The unindexed LSU: every issue pairs with every prior row.
+
+    Match work is counted by scanning the whole table for rows sharing an
+    alignment base.  The tables themselves are kept by the base class, so
+    eviction and drains behave alike.
+    """
+
+    def _count_matching(self, entry, table):
+        bases = set(entry.bases)
+        count = 0
+        for other in table.values():
+            if bases.intersection(other.bases):
+                count += 1
+                if count >= self.config.ports.sdq_reads:
+                    break
+        return count
+
+    def issue_load(self, entry):
+        key = (entry.srv_id, entry.lane)
+        self._check_allocate(key, self.lq)
+        self._stamp(entry)
+        self.lq.put(key, entry)
+        self.counters.cam_lookups_saq += 1
+        self.counters.cam_lookups_lq += 1
+        work = 1 + self._count_matching(entry, self.saq)
+        if self.in_region:
+            self.counters.horizontal_disambiguations += work
+        else:
+            self.counters.vertical_disambiguations += work
+        result = LoadIssueResult()
+        covered = 0
+        for prior in list(self.saq.values()):
+            if self.in_region:
+                hob, ok = hob_and_forwardable(entry, prior, self.region_bytes)
+                if hob:
+                    result.war_suppressed = True
+                    self.counters.war_suppressions += 1
+            else:
+                ok = vob_for_pair(entry, prior)
+            if ok:
+                result.forwarded_from.add((prior.srv_id, prior.lane))
+                for base, bv in ok.items():
+                    offset = base - entry.addr
+                    covered |= (
+                        bv.bits << offset if offset >= 0 else bv.bits >> -offset
+                    )
+        need = (1 << entry.size) - 1
+        result.any_memory_bytes = (covered & need) != need
+        result.sdq_entries_combined = len(result.forwarded_from)
+        if result.forwarded_from:
+            self.counters.loads_forwarded += 1
+            if result.sdq_entries_combined > 1:
+                self.counters.multi_entry_forwards += 1
+        if result.any_memory_bytes:
+            self.counters.loads_from_memory += 1
+        return result
+
+    def issue_store(self, entry):
+        key = (entry.srv_id, entry.lane)
+        self._check_allocate(key, self.saq)
+        self._stamp(entry)
+        entry.speculative = self.in_region
+        result = StoreIssueResult()
+        self.counters.cam_lookups_lq += 1
+        lq_work = 1 + self._count_matching(entry, self.lq)
+        self.counters.vertical_disambiguations += lq_work
+        if self.in_region:
+            self.counters.cam_lookups_lq += 1
+            self.counters.cam_lookups_saq += 1
+            self.counters.horizontal_disambiguations += lq_work + (
+                1 + self._count_matching(entry, self.saq)
+            )
+            prior_loads = [e for e in self.lq.values() if e.seq < entry.seq]
+            hob = overall_hob(entry, prior_loads, self.region_bytes)
+            if hob:
+                lanes = replay_lanes_from_hob(
+                    entry, hob, prior_loads, self.region_bytes
+                )
+                if lanes:
+                    result.replay_lanes = lanes
+                    self.needs_replay.update(lanes)
+                    self.counters.raw_flags += len(lanes)
+            for prior in self.saq.values():
+                if (prior.srv_id, prior.lane) == key:
+                    continue
+                if hob_for_pair(entry, prior, self.region_bytes):
+                    result.waw = True
+                    self.counters.waw_resolutions += 1
+                    break
+        else:
+            for prior in self.lq.values():
+                if prior.srv_id > entry.srv_id and vob_for_pair(entry, prior):
+                    result.vertical_squash = True
+                    break
+        self.saq.put(key, entry)
+        return result
+
+
+def _random_entry_params(rng: random.Random) -> dict:
+    access = rng.choice(list(AccessType))
+    elem = rng.choice([1, 2, 4, 8])
+    lane = 0 if access is AccessType.SCALAR else rng.randrange(16)
+    if access is AccessType.CONTIGUOUS:
+        lanes_covered = rng.randint(1, 16)
+        size = elem * lanes_covered
+    elif access is AccessType.BROADCAST:
+        lanes_covered, size = rng.randint(1, 16), elem
+    else:
+        lanes_covered, size = 1, elem
+    is_store = rng.random() < 0.5
+    return dict(
+        srv_id=rng.randrange(8),
+        is_store=is_store,
+        access=access,
+        # a few regions around 0x1000 so rows often share a base, plus an
+        # occasional far access
+        addr=rng.randrange(0x1000, 0x1100) if rng.random() < 0.9
+        else rng.randrange(0x8000, 0x9000),
+        size=size,
+        elem=elem,
+        lane=lane,
+        lanes_covered=lanes_covered,
+        direction=rng.choice(list(SrvDirection)),
+        data=bytes(size) if is_store else None,
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except LsuOverflowError as exc:
+        return ("overflow", str(exc))
+
+
+def _index_matches_tables(lsu: LoadStoreUnit) -> bool:
+    for table in (lsu.lq, lsu.saq):
+        index = table.by_base
+        filed = {(base, key) for base, rows in index.items() for key in rows}
+        expect = {(base, key) for key, e in table.items() for base in e.bases}
+        if filed != expect:
+            return False
+        if any(rows[key] is not table[key] for rows in index.values() for key in rows):
+            return False
+    return True
+
+
+class TestIndexedLsuEquivalence:
+    """The base-indexed LSU against the evaluate-every-prior algorithm."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_issue_and_drain_streams(self, seed):
+        rng = random.Random(seed)
+        cfg = TABLE_I.with_overrides(lsu_entries=rng.choice([6, 12, 64]))
+        fast, slow = LoadStoreUnit(cfg), BruteForceLsu(cfg)
+        for step in range(160):
+            roll = rng.random()
+            if roll < 0.7:
+                params = _random_entry_params(rng)
+                issue = "issue_store" if params["is_store"] else "issue_load"
+                got = _outcome(lambda: getattr(fast, issue)(make_entry(**params)))
+                want = _outcome(lambda: getattr(slow, issue)(make_entry(**params)))
+            elif roll < 0.8:
+                keys = sorted(set(fast.lq) | set(fast.saq))
+                key = rng.choice(keys) if keys else (0, 0)
+                got, want = fast.drain_entry(key), slow.drain_entry(key)
+            elif roll < 0.88:
+                direction = rng.choice(list(SrvDirection))
+                got = fast.begin_region(direction)
+                want = slow.begin_region(direction)
+            elif roll < 0.97:
+                got, want = fast.end_region(), slow.end_region()
+            else:
+                got, want = fast.abort_region(), slow.abort_region()
+            assert got == want, f"seed {seed} step {step}"
+            assert fast.counters == slow.counters, f"seed {seed} step {step}"
+            assert list(fast.lq) == list(slow.lq)
+            assert list(fast.saq) == list(slow.saq)
+            assert fast.needs_replay == slow.needs_replay
+            assert _index_matches_tables(fast)
+
+    def test_replay_moving_an_entry_refiles_it(self):
+        lsu = LoadStoreUnit(TABLE_I)
+        lsu.begin_region()
+        lsu.issue_store(make_entry(srv_id=1, is_store=True, addr=0x100,
+                                   size=4, elem=4, data=bytes(4)))
+        lsu.issue_store(make_entry(srv_id=1, is_store=True, addr=0x200,
+                                   size=4, elem=4, data=bytes(4)))
+        assert 0x100 not in lsu.saq.by_base
+        assert list(lsu.saq.by_base[0x200]) == [(1, 0)]
+        before = lsu.counters.horizontal_disambiguations
+        lsu.issue_load(make_entry(srv_id=2, addr=0x100, size=4, elem=4))
+        assert lsu.counters.horizontal_disambiguations - before == 1
+
+    def test_drain_entry_retires_from_either_queue(self):
+        lsu = LoadStoreUnit(TABLE_I)
+        lsu.issue_load(make_entry(srv_id=3, addr=0x100, size=4, elem=4))
+        lsu.issue_store(make_entry(srv_id=4, is_store=True, addr=0x100,
+                                   size=4, elem=4, data=bytes(4)))
+        lsu.drain_entry((3, 0))
+        lsu.drain_entry((4, 0))
+        lsu.drain_entry((5, 0))  # absent: a no-op
+        assert lsu.entries_used() == 0
+        assert lsu.lq.by_base == {} and lsu.saq.by_base == {}

@@ -1,10 +1,15 @@
 """Tests for the memory image and cache timing hierarchy."""
 
+import copy
+import dataclasses
+import random
+
 import pytest
 
 from repro.common.config import CacheConfig, MemoryConfig
 from repro.common.errors import MemoryAccessError
 from repro.memory import Cache, CacheHierarchy, MemoryImage, to_signed, to_unsigned
+from repro.pipeline.trace import MemAccess
 
 
 class TestIntConversions:
@@ -193,3 +198,149 @@ class TestHierarchy:
         h = CacheHierarchy()
         with pytest.raises(ValueError):
             h.access(0, 0, False)
+
+
+class PerLineHierarchy(CacheHierarchy):
+    """Reference hierarchy: every line goes through ``Cache.access``."""
+
+    def _access_line(self, line_no, is_write):
+        line_addr = line_no * self.config.l1.line_bytes
+        l1_hit, _ = self.l1.access(line_addr, is_write)
+        if l1_hit:
+            self.stats.l1_hits += 1
+            return self.config.l1.hit_latency
+        self.stats.l1_misses += 1
+        l2_hit, _ = self.l2.access(line_addr, is_write)
+        if l2_hit:
+            self.stats.l2_hits += 1
+            return self.config.l1.hit_latency + self.config.l2.hit_latency
+        self.stats.l2_misses += 1
+        return (
+            self.config.l1.hit_latency
+            + self.config.l2.hit_latency
+            + self.config.dram_latency
+        )
+
+    def access_op(self, mem, is_write=None):
+        line = self.config.l1.line_bytes
+        worst = 0
+        for a in mem:
+            if a.size <= 0:
+                raise ValueError(f"access size must be positive, got {a.size}")
+            write = a.is_store if is_write is None else is_write
+            for line_no in range(a.addr // line, (a.addr + a.size - 1) // line + 1):
+                worst = max(worst, self._access_line(line_no, write))
+        return worst
+
+
+#: tiny caches: 4 two-way L1 sets and 16 two-way L2 sets, so random
+#: streams over a few KB keep evicting (and writing back) lines
+_TINY = MemoryConfig(
+    l1=CacheConfig(512, 2, hit_latency=2),
+    l2=CacheConfig(2048, 2, hit_latency=7),
+)
+
+
+def _cache_state(h: CacheHierarchy):
+    """Stats, per-set LRU order and dirty bits of both levels."""
+    return (
+        dataclasses.astuple(h.stats),
+        dataclasses.astuple(h.l1.stats),
+        dataclasses.astuple(h.l2.stats),
+        [[(tag, line.dirty) for tag, line in ways.items()] for ways in h.l1._sets],
+        [[(tag, line.dirty) for tag, line in ways.items()] for ways in h.l2._sets],
+    )
+
+
+def _random_op(
+    rng: random.Random, last: int
+) -> tuple[list[MemAccess], bool | None]:
+    """One trace op's accesses: a vector (maybe straddling a line), a
+    gather, or a repeat of one address; optionally a forced write flag.
+    Half the ops start at ``last``, the previous op's first address."""
+    kind = rng.random()
+    is_store = rng.random() < 0.4
+    elem = rng.choice([1, 2, 4, 8])
+    base = last if rng.random() < 0.5 else rng.randrange(0, 4096)
+    if kind < 0.5:
+        lanes = rng.randint(1, 16)
+        mem = [MemAccess(base + i * elem, elem, is_store, i) for i in range(lanes)]
+    elif kind < 0.8:
+        mem = [
+            MemAccess(rng.randrange(0, 4096), elem, is_store, i)
+            for i in range(rng.randint(1, 8))
+        ]
+    else:
+        mem = [MemAccess(base, rng.randint(1, 96), is_store, 0)] * rng.randint(1, 3)
+    forced = rng.choice([None, None, True, False])
+    return mem, forced
+
+
+class TestSameLineFastPath:
+    """``CacheHierarchy``'s MRU fast path against per-line ``Cache.access``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_streams_match_per_line_reference(self, seed):
+        rng = random.Random(seed)
+        fast, ref = CacheHierarchy(_TINY), PerLineHierarchy(_TINY)
+        last = 0
+        for step in range(300):
+            roll = rng.random()
+            if roll < 0.02:
+                fast, ref = copy.deepcopy(fast), copy.deepcopy(ref)
+            elif roll < 0.04:
+                fast.l1.invalidate_all()
+                ref.l1.invalidate_all()
+            elif roll < 0.05:
+                fast.l2.invalidate_all()
+                ref.l2.invalidate_all()
+            elif roll < 0.3:
+                mem, _ = _random_op(rng, last)
+                a = mem[0]
+                last = a.addr
+                assert fast.access(a.addr, a.size, a.is_store) == ref.access(
+                    a.addr, a.size, a.is_store
+                )
+            else:
+                mem, forced = _random_op(rng, last)
+                last = mem[0].addr
+                assert fast.access_op(mem, forced) == ref.access_op(mem, forced)
+            assert _cache_state(fast) == _cache_state(ref), f"seed {seed} step {step}"
+        assert fast.l1.stats.writebacks and fast.l1.stats.hits
+
+    def test_fast_path_skips_the_set_lookup(self):
+        h = CacheHierarchy()
+        mem = [MemAccess(0x1000 + 4 * i, 4, False, i) for i in range(16)]
+        h.access_op(mem)
+        # one line: one miss through Cache.access, then 15 MRU hits
+        assert (h.l1.stats.misses, h.l1.stats.hits) == (1, 15)
+        assert (h.stats.l1_misses, h.stats.l1_hits) == (1, 15)
+
+    def test_write_hit_marks_the_mru_line_dirty(self):
+        h = CacheHierarchy(_TINY)
+        h.access(0x40, 4, False)
+        assert h.access_op([MemAccess(0x44, 4, True, 0)]) == 2
+        line_no, line = h.l1.mru
+        assert line_no == 1 and line.dirty
+
+    def test_deepcopy_keeps_the_mru_line_shared_with_its_set(self):
+        h = CacheHierarchy(_TINY)
+        h.access(0x40, 4, False)
+        clone = copy.deepcopy(h)
+        clone.access(0x40, 4, True)
+        index, tag = clone.l1._locate(0x40)
+        assert clone.l1._sets[index][tag].dirty
+        assert not h.l1.mru[1].dirty
+
+    def test_invalidate_all_forgets_the_mru_line(self):
+        h = CacheHierarchy(_TINY)
+        h.access(0x40, 4, False)
+        h.l1.invalidate_all()
+        assert h.l1.mru is None
+        assert h.access(0x40, 4, False) == 2 + 7  # L1 miss, L2 hit
+
+    def test_empty_op_and_bad_size(self):
+        h = CacheHierarchy()
+        assert h.access_op([]) == 0
+        with pytest.raises(ValueError):
+            h.access_op([MemAccess(0, 0, False, 0)])

@@ -1,9 +1,12 @@
 """Direct unit tests for the SRV speculative buffer."""
 
+import random
+
 import pytest
 
+from repro.common.errors import MemoryAccessError
 from repro.emu.metrics import SrvMetrics
-from repro.emu.speculative import SpeculativeBuffer
+from repro.emu.speculative import SpeculativeBuffer, _LoadRecord, _StoreRecord
 from repro.memory import MemoryImage
 
 
@@ -129,3 +132,187 @@ class TestTmMode:
         buffer.store(0x1000, 4, 99, lane=9, instr=0)
         buffer.load(0x1000, 4, lane=1, instr=1)
         assert buffer.needs_replay == set()
+
+
+class ScanAllBuffer(SpeculativeBuffer):
+    """Reference buffer: every walk scans every record, no index or bounds."""
+
+    def load(self, addr, size, lane, instr):
+        self._tick += 1
+        self._loads[(instr, lane)] = _LoadRecord(addr, size, lane, instr, self._tick)
+        end = addr + size
+        war_seen = False
+        overlapping = []
+        for record in self._stores.values():
+            if record.addr >= end or addr >= record.addr + record.size:
+                continue
+            if (record.lane, record.instr) < (lane, instr):
+                overlapping.append(record)
+            else:
+                war_seen = True
+                if self.tm_mode and record.lane > lane:
+                    self.needs_replay.add(record.lane)
+                    self.metrics.tm_war_replays += 1
+        if war_seen:
+            self.metrics.war_events += 1
+        result = bytearray(self.memory.read_bytes(addr, size))
+        best = [None] * size
+        forwarded = False
+        for record in overlapping:
+            pos = (record.lane, record.instr)
+            for byte_addr in range(max(addr, record.addr),
+                                   min(end, record.addr + record.size)):
+                idx = byte_addr - addr
+                if best[idx] is None or best[idx] < pos:
+                    best[idx] = pos
+                    result[idx] = record.data[byte_addr - record.addr]
+                    forwarded = True
+        return int.from_bytes(result, "little"), forwarded
+
+    def store(self, addr, size, value, lane, instr):
+        self._tick += 1
+        for record in self._stores.values():
+            if record.lane > lane and record.overlaps(addr, size):
+                self.metrics.waw_events += 1
+                break
+        for load in self._loads.values():
+            if load.lane > lane and load.tick < self._tick and (
+                load.addr < addr + size and addr < load.addr + load.size
+            ):
+                self.needs_replay.add(load.lane)
+                self.metrics.raw_violations += 1
+        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        self._stores[(instr, lane)] = _StoreRecord(addr, size, data, lane, instr)
+
+
+def _random_image(rng: random.Random) -> MemoryImage:
+    image = MemoryImage(size=4096, base=0x1000)
+    image.write_bytes(0x1000, bytes(rng.randrange(256) for _ in range(1024)))
+    return image
+
+
+def _random_instruction(rng: random.Random, lanes: int) -> dict:
+    """Geometry of one vector memory instruction over a few 64-byte blocks."""
+    elem = rng.choice([1, 2, 4, 8])
+    kind = rng.choice(["contiguous", "broadcast", "gather"])
+    base = 0x1000 + rng.randrange(0, 384)
+    if kind == "contiguous":
+        addrs = [base + lane * elem for lane in range(lanes)]
+    elif kind == "broadcast":
+        addrs = [base] * lanes
+    else:
+        addrs = [0x1000 + rng.randrange(0, 384) for _ in range(lanes)]
+    return {"elem": elem, "addrs": addrs, "is_store": rng.random() < 0.45}
+
+
+class TestBatchedLanes:
+    """``load_lanes``/``store_lanes`` against per-lane calls in lane order,
+    and both against a buffer that scans every record."""
+
+    LANES = 16
+
+    def _run_region(self, rng, tm_mode):
+        image = _random_image(rng)
+        images = [image, image.clone(), image.clone()]
+        metrics = [SrvMetrics() for _ in range(3)]
+        batched = SpeculativeBuffer(images[0], metrics[0], tm_mode=tm_mode)
+        per_lane = SpeculativeBuffer(images[1], metrics[1], tm_mode=tm_mode)
+        reference = ScanAllBuffer(images[2], metrics[2], tm_mode=tm_mode)
+        body = [_random_instruction(rng, self.LANES) for _ in range(rng.randint(2, 6))]
+        active = list(range(self.LANES))
+        for _ in range(rng.randint(1, 4)):  # first pass plus replays
+            for instr, inst in enumerate(body):
+                if rng.random() < 0.3:
+                    # a replay re-executes the access at moved addresses
+                    inst = body[instr] = {
+                        **inst, **_random_instruction(rng, self.LANES),
+                        "is_store": inst["is_store"],
+                    }
+                lanes = [lane for lane in active if rng.random() < 0.8]
+                if not lanes:
+                    continue
+                elem = inst["elem"]
+                addrs = [inst["addrs"][lane] for lane in lanes]
+                if inst["is_store"]:
+                    values = [rng.getrandbits(64) for _ in lanes]
+                    batched.store_lanes(addrs, elem, values, lanes, instr)
+                    for buf in (per_lane, reference):
+                        for addr, value, lane in zip(addrs, values, lanes):
+                            buf.store(addr, elem, value, lane, instr)
+                else:
+                    got = batched.load_lanes(addrs, elem, lanes, instr)
+                    for buf in (per_lane, reference):
+                        pairs = [
+                            buf.load(addr, elem, lane, instr)
+                            for addr, lane in zip(addrs, lanes)
+                        ]
+                        want = ([v for v, _ in pairs], any(f for _, f in pairs))
+                        assert got == want
+                for buf in (per_lane, reference):
+                    assert batched.needs_replay == buf.needs_replay
+                    assert batched.metrics == buf.metrics
+                assert batched._stores.keys() == reference._stores.keys()
+                assert batched._loads == reference._loads
+            active = sorted(batched.needs_replay) or active
+            for buf in (batched, per_lane, reference):
+                buf.needs_replay.clear()
+        for buf in (batched, per_lane, reference):
+            buf.commit()
+        assert images[0].snapshot() == images[1].snapshot() == images[2].snapshot()
+        return batched
+
+    @pytest.mark.parametrize("tm_mode", [False, True])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_regions_match_per_lane_and_scan_all(self, seed, tm_mode):
+        self._run_region(random.Random(seed), tm_mode)
+
+    def test_streams_exercise_conflicts(self):
+        totals = SrvMetrics()
+        for seed in range(25):
+            metrics = self._run_region(random.Random(seed), True).metrics
+            totals.raw_violations += metrics.raw_violations
+            totals.war_events += metrics.war_events
+            totals.waw_events += metrics.waw_events
+            totals.tm_war_replays += metrics.tm_war_replays
+        assert totals.raw_violations and totals.war_events
+        assert totals.waw_events and totals.tm_war_replays
+
+    def test_moved_record_leaves_its_old_block(self, buffer):
+        buffer.store(0x1000, 4, 7, lane=0, instr=0)
+        buffer.store(0x1100, 4, 7, lane=0, instr=0)  # replay, moved
+        assert list(buffer._stores.by_block) == [0x1100 // 64]
+        value, forwarded = buffer.load(0x1000, 4, lane=5, instr=1)
+        assert (value, forwarded) == (1000, False)
+
+    def test_disjoint_vector_skips_the_per_lane_walk(self, buffer, monkeypatch):
+        calls = []
+        real = SpeculativeBuffer.load
+        monkeypatch.setattr(
+            SpeculativeBuffer, "load",
+            lambda self, *args: calls.append(args) or real(self, *args),
+        )
+        addrs = [0x1000 + 4 * lane for lane in range(16)]
+        values, forwarded = buffer.load_lanes(addrs, 4, list(range(16)), 0)
+        assert values == [1000 + lane for lane in range(16)] and not forwarded
+        assert calls == [] and buffer.lsu_entries_used() == 16
+        buffer.store(0x1008, 4, 5, lane=0, instr=1)
+        values, forwarded = buffer.load_lanes(addrs, 4, list(range(16)), 2)
+        assert len(calls) == 16 and forwarded and values[2] == 5
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_out_of_image_lane_raises_the_per_lane_error(self, mem, with_store):
+        lanes = list(range(6))
+        addrs = [0x1000 + 4 * lane for lane in range(5)] + [0x1000 + 4096]
+        outcomes = []
+        for batched in (True, False):
+            buf = SpeculativeBuffer(mem.clone(), SrvMetrics())
+            if with_store:
+                buf.store(0x1004, 4, 9, lane=0, instr=0)
+            with pytest.raises(MemoryAccessError) as info:
+                if batched:
+                    buf.load_lanes(addrs, 4, lanes, 1)
+                else:
+                    for addr, lane in zip(addrs, lanes):
+                        buf.load(addr, 4, lane, 1)
+            outcomes.append((str(info.value), dict(buf._loads), buf._tick))
+        assert outcomes[0] == outcomes[1]
