@@ -24,15 +24,14 @@ ones (section III-C).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro.common.blockindex import BlockIndex
 from repro.common.errors import MemoryAccessError
 from repro.emu.metrics import SrvMetrics
 from repro.memory.image import MemoryImage
-
-#: A vector load whose lanes span at most this many bytes reads them with
-#: one memory-image call; wider gathers read lane by lane.
-_SPAN_READ_BYTES = 1024
 
 
 @dataclass(slots=True)
@@ -56,61 +55,15 @@ class _LoadRecord:
     tick: int
 
 
-class _Records(dict):
-    """Records keyed by SRV-id ``(instr, lane)``, also filed by block.
-
-    Every record is filed under each ``1 << shift``-byte block it touches,
-    so a walk for one access visits only the records that can overlap it.
-    Records enter through :meth:`put`, which re-files a record replaced at
-    a different address (a replay pass moving an access), and leave
-    through :meth:`clear`.
-    """
-
-    def __init__(self, shift: int) -> None:
-        super().__init__()
-        self.shift = shift
-        self.by_block: dict[int, dict[tuple[int, int], object]] = {}
-
-    def put(self, key: tuple[int, int], record) -> None:
-        shift, by_block = self.shift, self.by_block
-        addr = record.addr
-        first = addr >> shift
-        last = (addr + record.size - 1) >> shift
-        old = self.get(key)
-        self[key] = record
-        if old is not None:
-            old_first = old.addr >> shift
-            old_last = (old.addr + old.size - 1) >> shift
-            if old_first != first or old_last != last:
-                for block in range(old_first, old_last + 1):
-                    bucket = by_block[block]
-                    del bucket[key]
-                    if not bucket:
-                        del by_block[block]
-        for block in range(first, last + 1):
-            bucket = by_block.get(block)
-            if bucket is None:
-                by_block[block] = {key: record}
-            else:
-                bucket[key] = record
-
-    def touching(self, addr: int, end: int):
-        """Records filed under the blocks ``[addr, end)`` touches, each once."""
-        first = addr >> self.shift
-        last = (end - 1) >> self.shift
-        if first == last:
-            bucket = self.by_block.get(first)
-            return bucket.values() if bucket else ()
-        merged: dict = {}
-        for block in range(first, last + 1):
-            bucket = self.by_block.get(block)
-            if bucket:
-                merged.update(bucket)
-        return merged.values()
-
-    def clear(self) -> None:
-        super().clear()
-        self.by_block.clear()
+def _record_blocks(
+    shift: int, record: _StoreRecord | _LoadRecord
+) -> tuple[int, ...]:
+    """Numbers of the ``1 << shift``-byte blocks ``record``'s bytes touch."""
+    first = record.addr >> shift
+    last = (record.addr + record.size - 1) >> shift
+    if first == last:
+        return (first,)
+    return tuple(range(first, last + 1))
 
 
 @dataclass
@@ -123,17 +76,18 @@ class SpeculativeBuffer:
     the writing lane, not just suppress forwarding.
 
     ``block_bytes`` (the machine's address-alignment region, a power of
-    two) sizes the blocks records are filed by: the forwarding, WAW and RAW walks visit
-    only records in the blocks an access touches, since a record in any
-    other block cannot overlap it.
+    two) sizes the blocks records are filed by: the forwarding, WAW and
+    RAW walks visit only records in the blocks an access touches, since a
+    record in any other block cannot overlap it.
     """
 
     memory: MemoryImage
     metrics: SrvMetrics
     tm_mode: bool = False
     block_bytes: int = 64
-    _stores: _Records = field(init=False)
-    _loads: _Records = field(init=False)
+    _blocks: Callable[[object], tuple[int, ...]] = field(init=False)
+    _stores: BlockIndex = field(init=False)
+    _loads: BlockIndex = field(init=False)
     needs_replay: set[int] = field(default_factory=set)
     _tick: int = 0
     # Conservative address bounds over all buffered stores / recorded loads.
@@ -147,9 +101,12 @@ class SpeculativeBuffer:
     _lmax: int = -(1 << 62)
 
     def __post_init__(self) -> None:
-        shift = self.block_bytes.bit_length() - 1
-        self._stores = _Records(shift)
-        self._loads = _Records(shift)
+        # a partial, not a bound method: the buffer must not sit in a
+        # reference cycle with its own indexes, or each region's records
+        # outlive it until the cycle collector runs
+        self._blocks = partial(_record_blocks, self.block_bytes.bit_length() - 1)
+        self._stores = BlockIndex(self._blocks)
+        self._loads = BlockIndex(self._blocks)
 
     # -- helpers -------------------------------------------------------------
 
@@ -167,10 +124,9 @@ class SpeculativeBuffer:
         ``(value, any_byte_forwarded)``.
         """
         self._tick += 1
-        self._loads.put(
-            (instr, lane), _LoadRecord(addr, size, lane, instr, self._tick)
-        )
         end = addr + size
+        mine = _LoadRecord(addr, size, lane, instr, self._tick)
+        self._loads.put((instr, lane), mine)
         if addr < self._lmin:
             self._lmin = addr
         if end > self._lmax:
@@ -182,7 +138,7 @@ class SpeculativeBuffer:
         my_pos = (lane, instr)
         war_seen = False
         overlapping: list[_StoreRecord] | None = None
-        for record in self._stores.touching(addr, end):
+        for record in self._stores.within(self._blocks(mine)):
             if record.addr >= end or addr >= record.addr + record.size:
                 continue
             if (record.lane, record.instr) < my_pos:
@@ -229,23 +185,16 @@ class SpeculativeBuffer:
         ``lanes`` are the instruction's active lanes in ascending order.
         Returns the lane values and whether any byte was forwarded.  When
         the whole span lies outside every buffered store, no lane can
-        forward or see a WAR, so all lanes are recorded and memory is read
-        once; otherwise each lane runs :meth:`load` in lane order.
+        forward or see a WAR, so each lane is recorded and read straight
+        from memory; otherwise each lane runs :meth:`load` in lane order.
         """
         lo = min(addrs)
         hi = max(addrs) + size
         if lo < self._smax and hi > self._smin:
             return self._load_each(addrs, size, lanes, instr)
-        memory = self.memory
+        read_int = self.memory.read_int
         try:
-            if hi - lo <= _SPAN_READ_BYTES:
-                raw = memory.read_bytes(lo, hi - lo)
-                values = [
-                    int.from_bytes(raw[a - lo:a - lo + size], "little")
-                    for a in addrs
-                ]
-            else:
-                values = [memory.read_int(a, size) for a in addrs]
+            values = [read_int(a, size) for a in addrs]
         except MemoryAccessError:
             # re-run lane by lane: records the lanes before the bad one
             # and raises its exact error
@@ -277,11 +226,12 @@ class SpeculativeBuffer:
         self._tick += 1
         data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
         end = addr + size
+        mine = _StoreRecord(addr, size, data, lane, instr)
 
         # WAW: an overlapping buffered store in a *later* lane already
         # executed; ordered commit will keep the latest program-order data.
         if addr < self._smax and end > self._smin:
-            for record in self._stores.touching(addr, end):
+            for record in self._stores.within(self._blocks(mine)):
                 if record.lane > lane and record.overlaps(addr, size):
                     self.metrics.waw_events += 1
                     break
@@ -290,7 +240,7 @@ class SpeculativeBuffer:
         # already executed (machine time) read stale bytes — flag its lane.
         if addr < self._lmax and end > self._lmin:
             tick = self._tick
-            for load in self._loads.touching(addr, end):
+            for load in self._loads.within(self._blocks(mine)):
                 if load.lane <= lane:
                     continue
                 if load.tick >= tick:
@@ -299,7 +249,7 @@ class SpeculativeBuffer:
                     self.needs_replay.add(load.lane)
                     self.metrics.raw_violations += 1
 
-        self._stores.put((instr, lane), _StoreRecord(addr, size, data, lane, instr))
+        self._stores.put((instr, lane), mine)
         if addr < self._smin:
             self._smin = addr
         if end > self._smax:

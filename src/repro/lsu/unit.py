@@ -19,7 +19,9 @@ Counter conventions follow the paper's McPAT methodology (section VI-C):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from repro.common.blockindex import BlockIndex
 from repro.common.config import MachineConfig
 from repro.common.errors import LsuOverflowError
 from repro.isa.instructions import SrvDirection
@@ -33,67 +35,6 @@ from repro.lsu.horizontal import (
 from repro.lsu.vertical import vob_for_pair
 from repro.observe import events as _obs
 from repro.verify import faults as _faults
-
-
-class _Table(dict):
-    """One LSU queue: rows keyed by ``(srv_id, lane)``, also filed by base.
-
-    The base index is the CAM's match key: every row is filed under each
-    address-alignment base it touches, and only rows sharing a base with
-    an issuing access can yield a non-empty VOB or HOB (figure 2).  Rows
-    enter and leave through :meth:`put`, :meth:`drop` and :meth:`clear`,
-    which keep the index in step.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.by_base: dict[int, dict[tuple[int, int], LsuEntry]] = {}
-
-    def put(self, key: tuple[int, int], entry: LsuEntry) -> None:
-        """File ``entry`` under ``key``, replacing any previous row there."""
-        old = self.get(key)
-        if old is not None:
-            self._unfile(key, old)
-        self[key] = entry
-        for base in entry.bases:
-            bucket = self.by_base.get(base)
-            if bucket is None:
-                self.by_base[base] = {key: entry}
-            else:
-                bucket[key] = entry
-
-    def drop(self, key: tuple[int, int]) -> None:
-        entry = self.pop(key, None)
-        if entry is not None:
-            self._unfile(key, entry)
-
-    def _unfile(self, key: tuple[int, int], entry: LsuEntry) -> None:
-        for base in entry.bases:
-            bucket = self.by_base[base]
-            del bucket[key]
-            if not bucket:
-                del self.by_base[base]
-
-    def clear(self) -> None:
-        super().clear()
-        self.by_base.clear()
-
-    def sharing(self, entry: LsuEntry) -> list[LsuEntry]:
-        """Rows sharing an address-alignment base with ``entry``.
-
-        Exactly the rows that can produce a VOB/HOB pair: every pair
-        function returns nothing for a row with no common base.
-        """
-        bases = entry.bases
-        if len(bases) == 1:
-            bucket = self.by_base.get(bases[0])
-            return list(bucket.values()) if bucket else []
-        rows: dict[tuple[int, int], LsuEntry] = {}
-        for base in bases:
-            bucket = self.by_base.get(base)
-            if bucket:
-                rows.update(bucket)
-        return list(rows.values())
 
 
 @dataclass
@@ -142,8 +83,10 @@ class LoadStoreUnit:
         self.config = config
         self.region_bytes = config.alignment_region_bytes
         self.counters = LsuCounters()
-        self.lq = _Table()
-        self.saq = _Table()
+        # rows keyed by (srv_id, lane), filed by address-alignment base:
+        # the CAM's match key (figure 2)
+        self.lq = BlockIndex(attrgetter("bases"))
+        self.saq = BlockIndex(attrgetter("bases"))
         self.in_region = False
         self.direction = SrvDirection.UP
         self.needs_replay: set[int] = set()
@@ -261,7 +204,7 @@ class LoadStoreUnit:
         self.counters.cam_lookups_lq += 1  # load-ordering check
         # Horizontal replaces vertical for loads inside SRV-regions
         # (section VI-B).
-        rows = self.saq.sharing(entry)
+        rows = self.saq.within(entry.bases)
         work = self._match_work(rows)
         if self.in_region:
             self.counters.horizontal_disambiguations += work
@@ -331,14 +274,14 @@ class LoadStoreUnit:
         entry.speculative = self.in_region
 
         result = StoreIssueResult()
-        load_rows = self.lq.sharing(entry)
+        load_rows = self.lq.within(entry.bases)
         self.counters.cam_lookups_lq += 1
         lq_work = self._match_work(load_rows)
         self.counters.vertical_disambiguations += lq_work
         # only matching rows with a byte in common can yield a bit vector
         loads = [prior for prior in load_rows if entry.overlaps(prior)]
         if self.in_region:
-            store_rows = self.saq.sharing(entry)
+            store_rows = self.saq.within(entry.bases)
             # Doubled lookups plus the extra store-buffer CAM (section
             # VI-C): horizontal RAW search of the LQ plus WAW search of
             # the SAQ — "both horizontal and vertical disambiguations

@@ -4,8 +4,7 @@
 access and updates per-level statistics.  A vector contiguous access that
 spans two cache lines is charged for both lines; gathers/scatters access
 the hierarchy once per lane (the pipeline cracks them into micro-ops
-before reaching here).  ``access_op`` takes one trace op's accesses at
-once.
+before reaching here).
 
 Consecutive lanes of a vector access mostly touch the line the L1 touched
 last.  That line is the MRU way of its set (``Cache.mru``), so a repeat
@@ -16,18 +15,9 @@ counts it and marks the line dirty on a write without a set lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.common.config import MemoryConfig
 from repro.memory.cache import Cache
-
-
-class _Access(NamedTuple):
-    """The fields :meth:`CacheHierarchy.access_op` reads from each access."""
-
-    addr: int
-    size: int
-    is_store: bool
 
 
 @dataclass
@@ -51,8 +41,7 @@ class CacheHierarchy:
         self.l2 = Cache(self.config.l2, "L2")
         self.stats = HierarchyStats()
 
-    def _access_line(self, line_no: int, is_write: bool) -> int:
-        line_addr = line_no * self.config.l1.line_bytes
+    def _access_line(self, line_addr: int, is_write: bool) -> int:
         l1_hit, _ = self.l1.access(line_addr, is_write)
         if l1_hit:
             self.stats.l1_hits += 1
@@ -75,38 +64,25 @@ class CacheHierarchy:
         Accesses that straddle cache lines pay the worst line's latency
         (the lines are fetched in parallel on separate ports).
         """
-        return self.access_op((_Access(addr, size, is_write),))
-
-    def access_op(self, mem, is_write: bool | None = None) -> int:
-        """Worst latency over one op's accesses (a trace op's ``mem``).
-
-        Equivalent to :meth:`access` per element of ``mem`` in order;
-        ``is_write`` overrides each access's own ``is_store`` flag.
-        Returns 0 for an empty ``mem``.
-        """
+        if size <= 0:
+            raise ValueError(f"access size must be positive, got {size}")
         line = self.config.l1.line_bytes
-        hit_latency = self.config.l1.hit_latency
         l1 = self.l1
         worst = 0
-        for a in mem:
-            addr, size = a.addr, a.size
-            if size <= 0:
-                raise ValueError(f"access size must be positive, got {size}")
-            write = a.is_store if is_write is None else is_write
-            for line_no in range(addr // line, (addr + size - 1) // line + 1):
-                mru = l1.mru
-                if mru is not None and mru[0] == line_no:
-                    # the line the L1 touched last is the MRU way of its
-                    # set: a hit that leaves the LRU order unchanged
-                    l1.stats.hits += 1
-                    self.stats.l1_hits += 1
-                    if write:
-                        mru[1].dirty = True
-                    latency = hit_latency
-                else:
-                    latency = self._access_line(line_no, write)
-                if latency > worst:
-                    worst = latency
+        for line_no in range(addr // line, (addr + size - 1) // line + 1):
+            mru = l1.mru
+            if mru is not None and mru[0] == line_no:
+                # the line the L1 touched last is the MRU way of its set:
+                # a hit that leaves the LRU order unchanged
+                l1.stats.hits += 1
+                self.stats.l1_hits += 1
+                if is_write:
+                    mru[1].dirty = True
+                latency = self.config.l1.hit_latency
+            else:
+                latency = self._access_line(line_no * line, is_write)
+            if latency > worst:
+                worst = latency
         return worst
 
     def warm(self, addr: int, size: int) -> None:

@@ -131,7 +131,10 @@ class MemoryImage:
         self._data[self._span(addr, len(data))] = data
 
     def read_int(self, addr: int, size: int, signed: bool = False) -> int:
-        raw = int.from_bytes(self.read_bytes(addr, size), "little")
+        off = addr - self._base
+        if off < 0 or off + size > len(self._data):
+            self._span(addr, size)  # raises the out-of-range error
+        raw = int.from_bytes(self._data[off:off + size], "little")
         return to_signed(raw, size) if signed else raw
 
     def write_int(self, addr: int, value: int, size: int) -> None:

@@ -116,8 +116,8 @@ class PipelineModel:
         compulsory misses do not dominate short synthetic kernels.
         """
         for op in trace:
-            if op.mem:
-                self.caches.access_op(op.mem)
+            for access in op.mem:
+                self.caches.access(access.addr, access.size, access.is_store)
         self.caches.reset_stats()
 
     def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
@@ -432,7 +432,8 @@ class PipelineModel:
                     # on an already-completed store is a no-op, and eager
                     # retirement would erase the dependence before younger
                     # loads (processed later in trace order) consult it.
-                    caches.access_op(op.mem, True)
+                    for access in op.mem:
+                        caches.access(access.addr, access.size, True)
             if obs is not None:
                 obs.emit(kind_commit, "pipe", i, commit, 0, op.pc)
             if pending_region_end is not None:
@@ -583,7 +584,9 @@ class PipelineModel:
         if fully_forwarded:
             latency = FORWARD_LATENCY
         elif op.mem:
-            latency = self.caches.access_op(op.mem, False)
+            latency = max(
+                self.caches.access(a.addr, a.size, False) for a in op.mem
+            )
         else:
             latency = FORWARD_LATENCY  # fully predicated-off access
         complete = last_slot + latency

@@ -61,8 +61,8 @@ class InOrderModel:
 
     def warm_caches(self, trace) -> None:
         for op in trace:
-            if op.mem:
-                self.caches.access_op(op.mem)
+            for access in op.mem:
+                self.caches.access(access.addr, access.size, access.is_store)
         self.caches.reset_stats()
 
     def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:

@@ -59,8 +59,9 @@ class _CacheWarmTracer(Tracer):
         self._caches = caches
 
     def record(self, pc, inst, decode, mem, branch_taken, region_event=None):
-        if mem:
-            self._caches.access_op(mem)
+        access = self._caches.access
+        for a in mem:
+            access(a.addr, a.size, a.is_store)
         return None
 
     def _last_op(self):

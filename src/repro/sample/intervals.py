@@ -102,26 +102,31 @@ def fingerprint_pass(
     intervals: list[IntervalRecord] = []
     digests: list[tuple] = []
     acc = FingerprintAccumulator(lanes)
-    cache_access = feed_caches.access_op if feed_caches is not None else None
+    cache_access = feed_caches.access if feed_caches is not None else None
     start = 0
     count = 0
+    # L1/L2 miss counts at the last interval boundary.  Kept in a list,
+    # not on ``close`` itself: a function that refers to itself is a
+    # reference cycle, which would keep ``interp`` and its memory image
+    # alive until the cycle collector happens to run.
+    misses = [0, 0]
 
     def close() -> None:
         if cache_access is not None:
             stats = feed_caches.stats
             acc.fold_cache_misses(
-                stats.l1_misses - close.l1, stats.l2_misses - close.l2,
+                stats.l1_misses - misses[0], stats.l2_misses - misses[1],
             )
-            close.l1, close.l2 = stats.l1_misses, stats.l2_misses
+            misses[:] = stats.l1_misses, stats.l2_misses
         _close(intervals, digests, acc, sink, interp,
                start, count, interval_size)
 
-    close.l1 = close.l2 = 0
     try:
         for op in interp.iter_trace():
             acc.add(op)
-            if cache_access is not None and op.mem:
-                cache_access(op.mem)
+            if cache_access is not None:
+                for a in op.mem:
+                    cache_access(a.addr, a.size, a.is_store)
             count += 1
             if count - start == interval_size:
                 close()

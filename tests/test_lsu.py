@@ -819,7 +819,7 @@ def _outcome(call):
 
 def _index_matches_tables(lsu: LoadStoreUnit) -> bool:
     for table in (lsu.lq, lsu.saq):
-        index = table.by_base
+        index = table.by_block
         filed = {(base, key) for base, rows in index.items() for key in rows}
         expect = {(base, key) for key, e in table.items() for base in e.bases}
         if filed != expect:
@@ -870,8 +870,8 @@ class TestIndexedLsuEquivalence:
                                    size=4, elem=4, data=bytes(4)))
         lsu.issue_store(make_entry(srv_id=1, is_store=True, addr=0x200,
                                    size=4, elem=4, data=bytes(4)))
-        assert 0x100 not in lsu.saq.by_base
-        assert list(lsu.saq.by_base[0x200]) == [(1, 0)]
+        assert 0x100 not in lsu.saq.by_block
+        assert list(lsu.saq.by_block[0x200]) == [(1, 0)]
         before = lsu.counters.horizontal_disambiguations
         lsu.issue_load(make_entry(srv_id=2, addr=0x100, size=4, elem=4))
         assert lsu.counters.horizontal_disambiguations - before == 1
@@ -885,4 +885,4 @@ class TestIndexedLsuEquivalence:
         lsu.drain_entry((4, 0))
         lsu.drain_entry((5, 0))  # absent: a no-op
         assert lsu.entries_used() == 0
-        assert lsu.lq.by_base == {} and lsu.saq.by_base == {}
+        assert lsu.lq.by_block == {} and lsu.saq.by_block == {}

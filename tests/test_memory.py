@@ -42,6 +42,15 @@ class TestMemoryImage:
             mem.read_bytes(0x90, 4)
         with pytest.raises(MemoryAccessError):
             mem.read_bytes(0x100 + 62, 4)
+        for addr in (0x90, 0xFE, 0x100 + 62):
+            with pytest.raises(MemoryAccessError) as by_int:
+                mem.read_int(addr, 4)
+            with pytest.raises(MemoryAccessError) as by_bytes:
+                mem.read_bytes(addr, 4)
+            assert str(by_int.value) == str(by_bytes.value)
+        mem.write_bytes(0x100 + 60, b"\x01\x02\x03\x84")
+        assert mem.read_int(0x100 + 60, 4) == 0x84030201
+        assert mem.read_int(0x100 + 60, 4, signed=True) == 0x84030201 - (1 << 32)
 
     def test_alloc_and_arrays(self):
         mem = MemoryImage()
@@ -221,16 +230,14 @@ class PerLineHierarchy(CacheHierarchy):
             + self.config.dram_latency
         )
 
-    def access_op(self, mem, is_write=None):
+    def access(self, addr, size, is_write):
+        if size <= 0:
+            raise ValueError(f"access size must be positive, got {size}")
         line = self.config.l1.line_bytes
-        worst = 0
-        for a in mem:
-            if a.size <= 0:
-                raise ValueError(f"access size must be positive, got {a.size}")
-            write = a.is_store if is_write is None else is_write
-            for line_no in range(a.addr // line, (a.addr + a.size - 1) // line + 1):
-                worst = max(worst, self._access_line(line_no, write))
-        return worst
+        return max(
+            self._access_line(line_no, is_write)
+            for line_no in range(addr // line, (addr + size - 1) // line + 1)
+        )
 
 
 #: tiny caches: 4 two-way L1 sets and 16 two-way L2 sets, so random
@@ -304,14 +311,18 @@ class TestSameLineFastPath:
             else:
                 mem, forced = _random_op(rng, last)
                 last = mem[0].addr
-                assert fast.access_op(mem, forced) == ref.access_op(mem, forced)
+                for a in mem:
+                    write = a.is_store if forced is None else forced
+                    assert fast.access(a.addr, a.size, write) == ref.access(
+                        a.addr, a.size, write
+                    )
             assert _cache_state(fast) == _cache_state(ref), f"seed {seed} step {step}"
         assert fast.l1.stats.writebacks and fast.l1.stats.hits
 
     def test_fast_path_skips_the_set_lookup(self):
         h = CacheHierarchy()
-        mem = [MemAccess(0x1000 + 4 * i, 4, False, i) for i in range(16)]
-        h.access_op(mem)
+        for i in range(16):
+            h.access(0x1000 + 4 * i, 4, False)
         # one line: one miss through Cache.access, then 15 MRU hits
         assert (h.l1.stats.misses, h.l1.stats.hits) == (1, 15)
         assert (h.stats.l1_misses, h.stats.l1_hits) == (1, 15)
@@ -319,7 +330,7 @@ class TestSameLineFastPath:
     def test_write_hit_marks_the_mru_line_dirty(self):
         h = CacheHierarchy(_TINY)
         h.access(0x40, 4, False)
-        assert h.access_op([MemAccess(0x44, 4, True, 0)]) == 2
+        assert h.access(0x44, 4, True) == 2
         line_no, line = h.l1.mru
         assert line_no == 1 and line.dirty
 
@@ -338,9 +349,3 @@ class TestSameLineFastPath:
         h.l1.invalidate_all()
         assert h.l1.mru is None
         assert h.access(0x40, 4, False) == 2 + 7  # L1 miss, L2 hit
-
-    def test_empty_op_and_bad_size(self):
-        h = CacheHierarchy()
-        assert h.access_op([]) == 0
-        with pytest.raises(ValueError):
-            h.access_op([MemAccess(0, 0, False, 0)])

@@ -13,12 +13,15 @@ Covers the contracts the sampler's accuracy rests on:
 * accuracy — suite spot checks stay within the standing 5% bound.
 """
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
 
 from repro.compiler import Strategy
+from repro.memory import CacheHierarchy
 from repro.observe import events as obs
 from repro.observe.events import IntervalCounterSink
 from repro.pipeline.core import simulate
@@ -115,6 +118,22 @@ class TestFingerprintDeterminism:
             spec, Strategy.SRV, 96, interval,
         )
         assert [iv.vector for iv in run.intervals] == reference
+
+    def test_pass_leaves_no_cycle_holding_the_memory_image(self):
+        # the sampler's memory images run to megabytes; a reference cycle
+        # through the pass would keep each alive until the cycle
+        # collector happened to run
+        _, spec = resolve_spec("hmmer", "viterbi")
+        interp = _build(spec, Strategy.SRV, 0, 96, project_mod.TABLE_I)
+        image = weakref.ref(interp.memory)
+        gc.collect()
+        gc.disable()
+        try:
+            fingerprint_pass(interp, 128, feed_caches=CacheHierarchy())
+            del interp
+            assert image() is None
+        finally:
+            gc.enable()
 
     def test_interval_counter_sink_flush(self):
         sink = IntervalCounterSink(4)
