@@ -85,9 +85,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--trace-mode", choices=("stream", "list"), default="stream",
-        help="'stream' (default) fuses emulation and timing into one "
-             "bounded-memory pass; 'list' materialises each dynamic trace "
-             "first — results are bit-identical",
+        help="'stream' (default) emulates once into a compact trace log "
+             "and times the ops rebuilt from it; 'list' materialises each "
+             "dynamic trace as objects first — results are bit-identical",
     )
     args = parser.parse_args()
     n_override = 128 if args.quick else None

@@ -461,8 +461,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="per-run wall-clock budget in seconds")
     p_swp.add_argument("--trace-mode", choices=("stream", "list"),
                        default="stream",
-                       help="fused streaming simulation (default) or the "
-                            "materialised-trace path; results are identical")
+                       help="streaming simulation from a compact trace log "
+                            "(default) or the materialised-trace path; "
+                            "results are identical")
 
     p_trc = sub.add_parser(
         "trace",
@@ -570,8 +571,9 @@ def main(argv: list[str] | None = None) -> int:
                             "(default results/fuzz)")
     p_fuz.add_argument("--trace-mode", choices=("stream", "list"),
                        default="stream",
-                       help="fused streaming checks (default) or the "
-                            "materialised-trace path; results are identical")
+                       help="streaming checks from a compact trace log "
+                            "(default) or the materialised-trace path; "
+                            "results are identical")
     p_fuz.add_argument("--no-shrink", action="store_true",
                        help="report failures without minimising them")
     p_fuz.add_argument("--no-cache", action="store_true",

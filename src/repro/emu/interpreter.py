@@ -1037,7 +1037,7 @@ class Interpreter:
         """Dynamic op index for emu-domain events.
 
         Derived from the tracer's record count so it is identical under
-        ``--trace-mode stream`` and ``list`` (both tracer kinds count
+        ``--trace-mode stream`` and ``list`` (every tracer kind counts
         every recorded op); falls back to the step counter when running
         untraced.
         """

@@ -54,9 +54,10 @@ from repro.parallel.cache import result_cache
 from repro.pipeline import PipelineStats, Tracer, simulate, simulate_streaming
 from repro.workloads.base import LoopSpec
 
-#: Default trace mode for timed runs: ``"stream"`` fuses emulation and
-#: timing into one bounded-memory pass (:func:`simulate_streaming`);
-#: ``"list"`` materialises the full dynamic trace first.  Results are
+#: Default trace mode for timed runs: ``"stream"`` emulates once into a
+#: compact columnar trace log and times the ops rebuilt from it
+#: (:func:`simulate_streaming`); ``"list"`` materialises the full dynamic
+#: trace as ``TraceOp`` objects first.  Both emulate once and are
 #: bit-identical (pinned by tests/test_streaming.py), so the mode is
 #: deliberately *not* part of the result-cache key.
 _DEFAULT_TRACE_MODE = "stream"
@@ -286,7 +287,7 @@ def _execute(
 
     pipe: PipelineStats | None = None
     if timing and trace_mode == "stream":
-        # fused emulate+time pass, O(machine-state) memory; any timing
+        # one emulation into a compact trace log, then timing; any timing
         # exception (LSU overflow) surfaces before the oracle check, same
         # degrade path as the list mode either way
         emu_metrics, pipe, _ = simulate_streaming(
@@ -340,7 +341,8 @@ def run_loop(
     or ``"inorder"`` (the section III-D6 dual-issue in-order variant).
 
     ``trace_mode`` selects how the trace reaches the timing model:
-    ``"stream"`` (fused, bounded memory) or ``"list"`` (materialised);
+    ``"stream"`` (one emulation into a compact trace log) or ``"list"``
+    (materialised ``TraceOp`` objects);
     ``None`` uses the process default (:func:`set_default_trace_mode`).
     The two modes produce bit-identical results, so the mode does not
     participate in result-cache keys.

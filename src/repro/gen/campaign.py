@@ -2,10 +2,10 @@
 
 A campaign generates ``count`` kernels from a campaign seed, runs each
 through the scalar-oracle + LSU differential checks (streaming trace
-mode by default — :func:`repro.pipeline.simulate_streaming` already
-falls back to the materialised path on its own when a
-:mod:`repro.verify.faults` plan is armed), shrinks any failing kernel
-to a 1-minimal reproducer, and writes a machine-readable report.
+mode by default — :func:`repro.pipeline.simulate_streaming` emulates
+once, so an armed :mod:`repro.verify.faults` plan fires at the same
+polls as on the materialised path), shrinks any failing kernel to a
+1-minimal reproducer, and writes a machine-readable report.
 
 Clean kernels are checked through :func:`repro.experiments.runner.run_loop`,
 so campaign results land in the content-addressed result cache.  Each

@@ -28,12 +28,13 @@ Three layers:
 Canonical ordering
 ------------------
 
-The fused streaming pipeline (:func:`repro.pipeline.stream.simulate_streaming`)
-interleaves emulator and timing-model work, while the materialised path
-runs them back to back, so raw emission order differs between
-``--trace-mode stream`` and ``list``.  :func:`canonical_order` re-sorts
-by ``(op, domain rank)`` with a stable sort: per-domain relative order is
-identical on both paths, so the sorted sequences are equal event-for-event
+Both trace modes emulate the whole program before timing it
+(:func:`repro.pipeline.stream.simulate_streaming` times ops rebuilt from
+its trace log), so on either path every emulator event is emitted before
+the first timing-model event.  :func:`canonical_order` re-sorts by
+``(op, domain rank)`` with a stable sort, which groups each op's events
+together; per-domain relative order is the same in ``--trace-mode
+stream`` and ``list``, so the sorted sequences are equal event-for-event
 (pinned by ``tests/test_observe.py``).
 """
 
@@ -201,9 +202,8 @@ class IntervalCounterSink:
 
     Events are assigned to bin ``event.op // interval_size`` — a pure
     function of the op index each event is already stamped with — so the
-    binned counts are identical between ``stream`` and ``list`` trace
-    modes even though raw arrival order differs (the fused pipeline
-    interleaves domains; the materialised path runs them back to back).
+    binned counts do not depend on the order events arrive in, and are
+    identical between ``stream`` and ``list`` trace modes.
     Events that are not op-scoped (``op == -1``) are dropped.
     :meth:`drain` is the flush path: it hands the finished bins to the
     caller and frees them.

@@ -3,9 +3,10 @@
 Trace-driven: the functional emulator produces the dynamic instruction
 stream (with per-lane memory accesses and SRV-region structure), and
 :func:`simulate` computes cycle timings under Table I's structural
-constraints.  :func:`simulate_streaming` fuses emulation and timing into
-a single bounded-memory pass; per-static-instruction decode facts live in
-:class:`DecodeTable`.
+constraints.  :func:`simulate_streaming` emulates once into a compact
+columnar :class:`TraceLog`, warms the caches from its access columns and
+times the ops rebuilt from it; per-static-instruction decode facts live
+in :class:`DecodeTable`.
 """
 
 from repro.pipeline.branch_pred import BranchStats, ReturnAddressStack, TournamentPredictor
@@ -16,10 +17,12 @@ from repro.pipeline.stats import PipelineStats
 from repro.pipeline.store_sets import StoreSetPredictor, StoreSetStats
 from repro.pipeline.stream import simulate_streaming
 from repro.pipeline.trace import (
+    LogTracer,
     MemAccess,
     OpClass,
     RegionEvent,
     StreamingTracer,
+    TraceLog,
     TraceOp,
     Tracer,
 )
@@ -38,10 +41,12 @@ __all__ = [
     "PipelineStats",
     "StoreSetPredictor",
     "StoreSetStats",
+    "LogTracer",
     "MemAccess",
     "OpClass",
     "RegionEvent",
     "StreamingTracer",
+    "TraceLog",
     "TraceOp",
     "Tracer",
 ]

@@ -121,7 +121,11 @@ class PipelineModel:
         self.caches.reset_stats()
 
     def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
-        """Time a materialised trace (drives the streaming consumer)."""
+        """Time a trace (drives the streaming consumer).
+
+        ``trace`` is iterated twice when ``warm``; otherwise any one-shot
+        iterable of ops will do.
+        """
         if warm:
             self.warm_caches(trace)
         pump = self.stream()

@@ -1,29 +1,24 @@
-"""Fused emulate+time simulation with O(machine-state) memory.
+"""Emulate once, then time: the timed path of every sweep cell.
 
-The materialised path (``run_program`` + :func:`repro.pipeline.core.simulate`)
-builds the entire dynamic trace as a Python list before the timing model
-sees op #0 — fine for tools that need the full trace (verify monitors,
-``repro trace``), wasteful for sweeps.  :func:`simulate_streaming` runs
-the functional emulator and a timing model in lock step instead: the
-emulator's :meth:`~repro.emu.interpreter.Interpreter.iter_trace`
-generator hands each finalized :class:`~repro.pipeline.trace.TraceOp`
-straight to the model's consumer coroutine, so retained state is bounded
-by machine capacities (ROB ring, 64-entry store window, in-flight LSU
-entries) regardless of trace length.
+:func:`simulate_streaming` runs the functional emulator a single time
+with a :class:`~repro.pipeline.trace.LogTracer`, which records the
+dynamic trace into a compact columnar
+:class:`~repro.pipeline.trace.TraceLog` (tens of bytes per op, no
+:class:`~repro.pipeline.trace.TraceOp` objects).  A warm run then plays
+the log's access columns into the model's cache hierarchy — the same
+accesses, in the same order, that ``warm_caches`` plays from a
+materialised trace — and resets the cache stats.  Finally the ops are
+rebuilt from the log one at a time and pumped through the timing model.
 
-Cache warming, which the materialised path performs by pre-playing the
-recorded trace's accesses, becomes a *warm pre-pass*: the same program is
-first emulated against a clone of the memory image with a tracer that
-only feeds the cache hierarchy, the cache stats are reset, and the fused
-pass then runs against the real memory.  Both passes start from identical
-architectural state, so the access stream — and therefore every timing
-decision — is bit-identical to the list path.
-
-When a fault-injection plan is armed (:mod:`repro.verify.faults`), a
-fused warm run would perturb the plan's poll counters (the warm pre-pass
-emulates the program a second time), so this module transparently falls
-back to the materialised path — verification campaigns measure the same
-machine either way.
+The order of work — emulate, warm, time — is the order of the
+materialised path (``run_program`` with a :class:`Tracer`, then
+``simulate``), so everything with a side effect sees the same sequence:
+the observe bus receives emulator events before timing events, and an
+armed :mod:`repro.verify.faults` plan polls its emulator hooks and then
+its LSU hook, each once per dynamic site.  Retained memory is the log,
+O(trace length) in compact columns, plus the timing model's
+machine-capacity windows; rebuilt ops are dropped once the pump is done
+with them.
 """
 
 from __future__ import annotations
@@ -35,9 +30,7 @@ from repro.common.config import TABLE_I, MachineConfig
 from repro.pipeline.core import PipelineModel
 from repro.pipeline.inorder import InOrderModel
 from repro.pipeline.stats import PipelineStats
-from repro.observe import events as _obs
-from repro.pipeline.trace import Tracer
-from repro.verify import faults as _faults
+from repro.pipeline.trace import LogTracer
 
 if TYPE_CHECKING:  # the emulator imports the decode table from this package
     from repro.emu.metrics import EmuMetrics
@@ -46,56 +39,9 @@ if TYPE_CHECKING:  # the emulator imports the decode table from this package
     from repro.memory.image import MemoryImage
 
 
-class _CacheWarmTracer(Tracer):
-    """Feeds every op's accesses to a cache hierarchy, keeps nothing.
-
-    ``record`` is overridden wholesale: the warm pre-pass needs only the
-    access stream, so no :class:`TraceOp` objects are built and every
-    post-record annotation hook degrades to a no-op via ``_last_op``.
-    """
-
-    def __init__(self, caches) -> None:
-        super().__init__()
-        self._caches = caches
-
-    def record(self, pc, inst, decode, mem, branch_taken, region_event=None):
-        access = self._caches.access
-        for a in mem:
-            access(a.addr, a.size, a.is_store)
-        return None
-
-    def _last_op(self):
-        return None
-
-
-#: Which path the most recent :func:`simulate_streaming` call actually
-#: took: ``"stream"`` or ``"materialised"``.  Diagnostic only (tests and
-#: the observability layer assert the fault-armed auto-fallback fired);
-#: results are bit-identical either way.
-LAST_PATH: str | None = None
-
-
-def _simulate_materialised(
-    program: Program,
-    memory: MemoryImage,
-    config: MachineConfig,
-    core: str,
-    validate_lsu: bool,
-    warm: bool,
-    max_steps: int,
-) -> tuple[EmuMetrics, PipelineStats, ArchState]:
-    from repro.emu.interpreter import run_program
-
-    tracer = Tracer()
-    metrics, state = run_program(
-        program, memory, config=config, max_steps=max_steps, tracer=tracer,
-    )
-    if core == "inorder":
-        model = InOrderModel(config)
-    else:
-        model = PipelineModel(config, validate_lsu)
-    stats = model.run(tracer.ops, warm=warm)
-    return metrics, stats, state
+# Kept only for perfbench/tracing.py, which tests interpreters against it
+# by name; isinstance(x, ()) is always False.
+_CacheWarmTracer = ()
 
 
 def simulate_streaming(
@@ -108,7 +54,7 @@ def simulate_streaming(
     warm: bool = False,
     max_steps: int = 50_000_000,
 ) -> tuple[EmuMetrics, PipelineStats, ArchState]:
-    """Emulate ``program`` and time it in one streaming pass.
+    """Emulate ``program`` once and time it.
 
     Returns ``(emu_metrics, pipeline_stats, arch_state)`` — bit-identical
     to running ``run_program`` with a :class:`Tracer` followed by
@@ -118,55 +64,21 @@ def simulate_streaming(
     """
     from repro.emu.interpreter import Interpreter
 
-    global LAST_PATH
     if core not in ("ooo", "inorder"):
         raise ValueError(f"unknown core model {core!r}")
-    if _faults.ACTIVE is not None:
-        # A fused warm run would advance the armed plan's poll counters
-        # twice (warm pre-pass + real pass) and fire faults at the wrong
-        # step; keep fault campaigns on the single-emulation path.
-        LAST_PATH = "materialised"
-        return _simulate_materialised(
-            program, memory, config, core, validate_lsu, warm, max_steps,
-        )
-    LAST_PATH = "stream"
-
     if core == "inorder":
         model = InOrderModel(config)
     else:
         model = PipelineModel(config, validate_lsu)
 
+    tracer = LogTracer()
+    interp = Interpreter(program, memory, config, max_steps, tracer)
+    interp.run()
+    log = tracer.log
     if warm:
-        # Warm pre-pass: identical execution on a clone of the image so the
-        # real architectural run below starts from pristine memory.  The
-        # observe bus is parked for its duration — the pre-pass emulates
-        # the program a second time, and double-emitting emulator events
-        # would break stream/list event-sequence equality.
-        warm_interp = Interpreter(
-            program,
-            memory.clone(),
-            config,
-            max_steps,
-            _CacheWarmTracer(model.caches),
-        )
-        saved_bus = _obs.ACTIVE
-        _obs.ACTIVE = None
-        try:
-            warm_interp.run()
-        finally:
-            _obs.ACTIVE = saved_bus
-        model.caches.reset_stats()
-
-    pump = model.stream()
-    send = pump.send
-    interp = Interpreter(program, memory, config, max_steps)
-    try:
-        for op in interp.iter_trace():
-            send(op)
-        send(None)
-    except StopIteration:
-        pass
-    return interp.metrics, model.stats, interp.state
+        log.warm(model.caches)
+    stats = model.run(log.ops(program, interp.decode))
+    return interp.metrics, stats, interp.state
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,19 @@ timing model needs — instruction class, register dependences, per-lane
 memory accesses, branch outcomes, and SRV-region structure (passes,
 replay lane sets, commits).  This mirrors the paper's methodology of
 pairing a validated emulator with the gem5 timing model.
+
+:class:`Tracer` keeps every op as a Python object; :class:`LogTracer`
+records the same trace into a compact columnar :class:`TraceLog` and
+rebuilds the ops on demand.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterator
 
 from repro.isa.instructions import Instruction, SrvDirection
 
@@ -35,7 +42,7 @@ class OpClass(enum.Enum):
     NOP = "nop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemAccess:
     """One lane-granular memory access performed by a trace op."""
 
@@ -102,7 +109,8 @@ class Tracer:
     """Collects :class:`TraceOp` records during functional execution.
 
     Subclasses may override :meth:`_emit` and :meth:`_last_op` to change
-    where finalized ops go (see :class:`StreamingTracer`); every
+    where finalized ops go (see :class:`StreamingTracer` and
+    :class:`LogTracer`); every
     annotation the emulator makes after recording an op (region events,
     replay lane sets, fallback marks) targets the *most recently
     recorded* op and completes before the next op is recorded — the
@@ -244,3 +252,199 @@ class StreamingTracer(Tracer):
         self._pending = None
         if held is not None:
             self._sink(held)
+
+
+# ---------------------------------------------------------------------------
+# the columnar trace log
+# ---------------------------------------------------------------------------
+
+#: One flag byte per logged op: branch outcome (bits 0-1), region event
+#: (bits 2-4), in_region (bit 5), in_fallback (bit 6), DOWN direction (bit 7).
+_BRANCH_BITS = {None: 0, False: 1, True: 2}
+_EVENTS = (None, *RegionEvent)
+_EVENT_BITS = {event: code << 2 for code, event in enumerate(_EVENTS)}
+_EVENT_MASK = 0b111 << 2
+_IN_REGION = 1 << 5
+_IN_FALLBACK = 1 << 6
+_DOWN = 1 << 7
+
+
+def _unpack(bits: int) -> tuple:
+    event = bits >> 2 & 0b111
+    return (
+        (None, False, True, None)[bits & 0b11],
+        _EVENTS[event] if event < len(_EVENTS) else None,
+        bool(bits & _IN_REGION),
+        bool(bits & _IN_FALLBACK),
+        SrvDirection.DOWN if bits & _DOWN else SrvDirection.UP,
+    )
+
+
+#: flag byte -> (branch_taken, region_event, in_region, in_fallback, direction)
+_UNPACK = tuple(_unpack(bits) for bits in range(256))
+
+
+class TraceLog:
+    """One emulation's dynamic trace as compact columns.
+
+    Per op: pc, a flag byte (branch outcome, region event, region and
+    fallback membership, direction), region pass, active lane count and
+    the op's start offset into the access columns.  Per access: address,
+    size, store flag and lane.  Replay lane sets are kept sparsely, by op
+    index, since only ``srv_end`` ops of replaying passes carry one.
+    Nothing static is stored: :meth:`ops` takes the instruction, op class,
+    registers and decode record from the program and its
+    :class:`~repro.pipeline.decode.DecodeTable`.
+    """
+
+    __slots__ = ("pc", "bits", "region_pass", "active", "start",
+                 "addr", "size", "store", "lane", "replay")
+
+    def __init__(self) -> None:
+        self.pc = array("i")
+        self.bits = array("B")
+        self.region_pass = array("i")
+        self.active = array("H")
+        self.start = array("q")
+        self.addr = array("q")
+        self.size = array("B")
+        self.store = array("B")
+        self.lane = array("H")
+        self.replay: dict[int, frozenset[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.pc)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the columns (the sparse replay sets excluded)."""
+        return sum(
+            col.itemsize * len(col)
+            for col in (self.pc, self.bits, self.region_pass, self.active,
+                        self.start, self.addr, self.size, self.store,
+                        self.lane)
+        )
+
+    def warm(self, caches) -> None:
+        """Play every access into ``caches`` in trace order, then reset
+        their stats: steady-state warming, as ``warm_caches`` does for a
+        materialised trace."""
+        access = caches.access
+        for addr, size, store in zip(self.addr, self.size, self.store):
+            access(addr, size, store)
+        caches.reset_stats()
+
+    def ops(self, program, decode) -> Iterator[TraceOp]:
+        """Rebuild the logged ops, field for field what a :class:`Tracer`
+        would have recorded, one at a time."""
+        statics = []
+        for inst in program.instructions:
+            rec = decode.record_for(inst)
+            statics.append((inst, rec.op_class, rec.src_regs, rec.dst_regs,
+                            rec))
+        unpack = _UNPACK
+        replay = self.replay
+        no_lanes: frozenset[int] = frozenset()
+        accesses = zip(self.addr, self.size, self.store, self.lane)
+        ends = chain(islice(self.start, 1, None), (len(self.addr),))
+        columns = zip(self.pc, self.bits, self.region_pass, self.active,
+                      self.start, ends)
+        for index, (pc, bits, region_pass, active, start, end) in enumerate(
+            columns
+        ):
+            inst, op_class, src_regs, dst_regs, rec = statics[pc]
+            branch_taken, event, in_region, in_fallback, direction = (
+                unpack[bits]
+            )
+            mem = [
+                MemAccess(addr, size, store == 1, lane)
+                for addr, size, store, lane in islice(accesses, end - start)
+            ] if end > start else []
+            # positional, in TraceOp's field order
+            yield TraceOp(
+                index, pc, inst, op_class, src_regs, dst_regs, mem,
+                branch_taken, in_region, region_pass, active, event,
+                replay.get(index, no_lanes), direction, in_fallback, rec,
+            )
+
+
+class _LastLoggedOp:
+    """The most recent op of a :class:`TraceLog`, as the annotation hooks
+    of :class:`Tracer` see it: they only ever assign these fields."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: TraceLog) -> None:
+        self._log = log
+
+    def _set_event(self, event: RegionEvent | None) -> None:
+        bits = self._log.bits
+        bits[-1] = bits[-1] & ~_EVENT_MASK | _EVENT_BITS[event]
+
+    def _set_replay_lanes(self, lanes: frozenset[int]) -> None:
+        if lanes:
+            self._log.replay[len(self._log.pc) - 1] = lanes
+
+    def _set_in_fallback(self, flag: bool) -> None:
+        bits = self._log.bits
+        bits[-1] = bits[-1] & ~_IN_FALLBACK | (_IN_FALLBACK if flag else 0)
+
+    region_event = property(None, _set_event)
+    replay_lanes = property(None, _set_replay_lanes)
+    in_fallback = property(None, _set_in_fallback)
+
+
+class LogTracer(Tracer):
+    """A :class:`Tracer` that records into a :class:`TraceLog`.
+
+    No :class:`TraceOp` is built while recording; ``log.ops()`` rebuilds
+    them afterwards.  Equal replay lane sets share one object.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log = log = TraceLog()
+        self._view = _LastLoggedOp(log)
+        self._lane_sets: dict[frozenset[int], frozenset[int]] = {}
+        self._pc = log.pc.append
+        self._bits = log.bits.append
+        self._pass = log.region_pass.append
+        self._active = log.active.append
+        self._start = log.start.append
+        self._addr = log.addr.append
+        self._size = log.size.append
+        self._store = log.store.append
+        self._lane = log.lane.append
+
+    def _last_op(self):
+        return self._view if self._count else None
+
+    def region_end(
+        self, committed: bool, replay_lanes: frozenset[int] = frozenset()
+    ) -> None:
+        lanes = self._lane_sets.setdefault(replay_lanes, replay_lanes)
+        super().region_end(committed, lanes)
+
+    def record(self, pc, inst, decode, mem, branch_taken, region_event=None):
+        bits = _BRANCH_BITS[branch_taken] | _EVENT_BITS[region_event]
+        if self._in_region:
+            bits |= _IN_REGION
+        if self._in_fallback:
+            bits |= _IN_FALLBACK
+        if self._direction is SrvDirection.DOWN:
+            bits |= _DOWN
+        self._pc(pc)
+        self._bits(bits)
+        self._pass(self._region_pass)
+        self._active(self._active_lanes)
+        self._start(len(self.log.addr))
+        if mem:
+            addr, size, store, lane = (
+                self._addr, self._size, self._store, self._lane
+            )
+            for access in mem:
+                addr(access.addr)
+                size(access.size)
+                store(access.is_store)
+                lane(access.lane)
+        self._count += 1

@@ -85,10 +85,9 @@ def fingerprint_pass(
 
     The interpreter must be fresh.  A private
     :class:`~repro.observe.events.IntervalCounterSink` is installed for
-    the duration (any caller-installed bus is parked, exactly like the
-    streaming warm pre-pass) so the emulator's region/replay/fallback
-    events contribute counter features deterministically in either trace
-    mode.  ``feed_caches`` optionally receives every memory access in
+    the duration (any caller-installed bus is parked) so the emulator's
+    region/replay/fallback events contribute counter features
+    deterministically in either trace mode.  ``feed_caches`` optionally receives every memory access in
     stream order — the sampler uses this to warm the ambient cache
     hierarchy for the collection pass without a third emulation.
     """

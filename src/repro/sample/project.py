@@ -7,7 +7,8 @@
    default) slices the stream into ``interval_size``-op intervals and
    fingerprints each (:mod:`repro.sample.fingerprint`), while also
    warming an *ambient* cache hierarchy with the full access stream
-   (the sampled analogue of the exact path's warm pre-pass);
+   (the sampled analogue of the exact path warming its caches from the
+   whole trace log);
 2. **clustering** — seeded k-means over the standardized fingerprints,
    k by BIC or forced via ``clusters`` (:mod:`repro.sample.cluster`);
    per cluster the sampler elects the centroid representative plus up

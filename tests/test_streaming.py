@@ -1,10 +1,14 @@
-"""Streaming (fused emulate+time) vs materialised-list equivalence.
+"""``simulate_streaming`` vs materialised-list equivalence.
 
-The PR 3 contract: ``simulate_streaming`` must be *bit-identical* to
+The contract: ``simulate_streaming`` must be *bit-identical* to
 ``run_program`` + ``simulate``/``simulate_in_order`` — same
 ``PipelineStats``, same emulator metrics, same final memory, same verify
-monitor verdicts — while retaining only O(machine-state) memory.
+monitor verdicts.  It emulates once into a compact ``TraceLog``, whose
+rebuilt ops must equal the ops a plain ``Tracer`` records, field by
+field; the timing models themselves retain only O(machine-state).
 """
+
+import dataclasses
 
 import pytest
 
@@ -13,8 +17,15 @@ from repro.common.rng import periodic_conflict_indices
 from repro.compiler import Strategy, compile_loop
 from repro.emu import Interpreter, run_program
 from repro.isa import ProgramBuilder, imm, v, x
+from repro.isa.instructions import SrvDirection
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate, simulate_streaming
+from repro.pipeline import (
+    LogTracer,
+    Tracer,
+    TraceOp,
+    simulate,
+    simulate_streaming,
+)
 from repro.pipeline.core import PipelineModel
 from repro.pipeline import core as core_mod
 from repro.pipeline.inorder import STORE_WINDOW, InOrderModel, simulate_in_order
@@ -102,7 +113,7 @@ class TestMonitorEquivalence:
         assert verdict_stream == verdict_list
 
 
-def _long_program(mem, n):
+def _long_program(mem, n, direction=SrvDirection.UP):
     a = mem.allocation("a")
     xs = mem.allocation("x")
     b = ProgramBuilder("long_stream")
@@ -112,7 +123,7 @@ def _long_program(mem, n):
     b.shl(x(7), x(3), imm(2))
     b.add(x(5), x(1), x(7))
     b.add(x(6), x(2), x(7))
-    b.srv_start()
+    b.srv_start(direction)
     b.v_load(v(0), x(5))
     b.v_add(v(0), v(0), imm(2))
     b.v_load(v(1), x(6))
@@ -206,69 +217,158 @@ class TestBoundedMemory:
         assert stats_stream.store_set_squashes == stats_list.store_set_squashes
 
 
-class TestFaultArmedFallback:
-    """With a fault plan armed, streaming must auto-fall back to the
-    materialised path (a fused warm pre-pass would double-advance the
-    plan's poll counters) — and record which path it took."""
+class TestTraceLog:
+    """Ops rebuilt from a ``TraceLog`` equal a plain ``Tracer``'s ops."""
 
-    def _spec(self):
-        for workload, spec in SUITE:
-            if spec.name == "is_key_rank":
-                return spec
-        raise LookupError("is_key_rank missing from suite")
+    @staticmethod
+    def _both(program, make_memory, config=TABLE_I):
+        """(recorded, rebuilt) ops of ``program`` on two fresh images."""
+        tracer = Tracer()
+        run_program(program, make_memory(), config=config, tracer=tracer)
+        log_tracer = LogTracer()
+        interp = Interpreter(program, make_memory(), config,
+                             tracer=log_tracer)
+        interp.run()
+        assert log_tracer.count == tracer.count
+        log = log_tracer.log
+        return tracer.ops, list(log.ops(program, interp.decode)), log
 
-    def test_unarmed_takes_stream_path(self):
-        from repro.pipeline import stream as stream_mod
+    @staticmethod
+    def _assert_same_ops(recorded, rebuilt):
+        assert len(rebuilt) == len(recorded)
+        for want, got in zip(recorded, rebuilt):
+            for f in dataclasses.fields(TraceOp):
+                assert getattr(got, f.name) == getattr(want, f.name), (
+                    want.index, f.name)
+            assert got.inst is want.inst
+            # == lets 1 stand for True; repr does not
+            assert repr(got.mem) == repr(want.mem), want.index
+            assert type(got.branch_taken) is type(want.branch_taken)
 
-        spec = self._spec()
+    @staticmethod
+    def _suite_memory(spec, n, strategy):
+        program, _ = _materialise(spec, strategy, n)
+        return program, lambda: _materialise(spec, strategy, n)[1]
+
+    @pytest.mark.parametrize(
+        "workload, spec", SUITE, ids=[s.name for _, s in SUITE]
+    )
+    @pytest.mark.parametrize("strategy", [Strategy.SRV, Strategy.SVE])
+    def test_suite_round_trip(self, workload, spec, strategy):
+        program, make_memory = self._suite_memory(
+            spec, min(N, spec.n), strategy)
+        recorded, rebuilt, _ = self._both(program, make_memory)
+        self._assert_same_ops(recorded, rebuilt)
+
+    @pytest.mark.parametrize("name", ["is_key_rank", "hmmer_viterbi_row"])
+    def test_sequential_fallback_round_trip(self, name):
+        spec = next(s for _, s in SUITE if s.name == name)
+        config = TABLE_I.with_overrides(srv_force_sequential=True)
+        program, make_memory = self._suite_memory(
+            spec, min(N, spec.n), Strategy.SRV)
+        recorded, rebuilt, _ = self._both(program, make_memory, config)
+        assert any(op.in_fallback for op in recorded)
+        assert any(op.replay_lanes for op in recorded)
+        self._assert_same_ops(recorded, rebuilt)
+
+    def test_down_direction_round_trip(self):
+        n = 256
+        program = _long_program(_long_memory(n), n, SrvDirection.DOWN)
+        recorded, rebuilt, log = self._both(
+            program, lambda: _long_memory(n))
+        assert any(op.direction is SrvDirection.DOWN for op in recorded)
+        self._assert_same_ops(recorded, rebuilt)
+        assert 0 < log.nbytes < 100 * len(log)
+
+
+class TestOneEmulation:
+    """A warm ``simulate_streaming`` emulates once, on the real image."""
+
+    def test_one_interpreter_and_no_image_clone(self, monkeypatch):
+        from repro.emu import interpreter as interp_mod
+
+        built = []
+        clones = []
+        init = interp_mod.Interpreter.__init__
+        clone = MemoryImage.clone
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        def counting_clone(self):
+            clones.append(self)
+            return clone(self)
+
+        monkeypatch.setattr(interp_mod.Interpreter, "__init__", counting_init)
+        monkeypatch.setattr(MemoryImage, "clone", counting_clone)
+        spec = next(s for _, s in SUITE if s.name == "is_key_rank")
         program, mem = _materialise(spec, Strategy.SRV, 32)
         simulate_streaming(program, mem, warm=True)
-        assert stream_mod.LAST_PATH == "stream"
+        assert built == [interp_mod.Interpreter]
+        assert clones == []
 
-    def test_armed_falls_back_to_materialised(self):
-        from repro.pipeline import stream as stream_mod
+
+def _fault_specs():
+    from repro.verify import faults
+
+    return {
+        "force-replay": faults.FaultSpec(
+            fault=faults.FaultClass.FORCE_REPLAY, occurrence=1),
+        "corrupt-store": faults.FaultSpec(
+            fault=faults.FaultClass.CORRUPT_STORE_DATA, occurrence=50),
+        "skew-addr": faults.FaultSpec(
+            fault=faults.FaultClass.SKEW_LANE_ADDR, occurrence=300),
+        "drop-lsu-entry": faults.FaultSpec(
+            fault=faults.FaultClass.DROP_LSU_ENTRY, occurrence=40),
+    }
+
+
+class TestFaultPlansOnOnePath:
+    """An armed plan fires at the same dynamic polls on the streaming
+    path as on ``run_program`` + ``simulate``, with identical results:
+    one emulation polls every emulator hook once."""
+
+    def _spec(self):
+        return next(s for _, s in SUITE if s.name == "is_key_rank")
+
+    def _run(self, fault, streaming):
+        """The armed plan and the run's outcome: its metrics, stats and
+        final arrays, or the error a monitor raised."""
+        from repro.common.errors import ReproError
         from repro.verify import faults
 
         spec = self._spec()
         program, mem = _materialise(spec, Strategy.SRV, 32)
-        plan = faults.FaultPlan([
-            faults.FaultSpec(fault=faults.FaultClass.FORCE_REPLAY)
-        ])
-        with faults.inject(plan):
-            simulate_streaming(program, mem, warm=True)
-        assert stream_mod.LAST_PATH == "materialised"
-        # and the armed plan actually fired during the run
-        assert plan.fired
-
-    def test_armed_results_match_materialised_call(self):
-        from repro.verify import faults
-
-        spec = self._spec()
-
-        def run_once():
-            program, mem = _materialise(spec, Strategy.SRV, 32)
-            plan = faults.FaultPlan([
-                faults.FaultSpec(fault=faults.FaultClass.FORCE_REPLAY)
-            ])
+        plan = faults.FaultPlan([_fault_specs()[fault]])
+        try:
             with faults.inject(plan):
-                metrics, stats, _ = simulate_streaming(program, mem, warm=True)
-            return metrics, stats, _final_arrays(spec, mem)
+                if streaming:
+                    metrics, stats, _ = simulate_streaming(
+                        program, mem, validate_lsu=True, warm=True)
+                else:
+                    tracer = Tracer()
+                    metrics, _ = run_program(program, mem, tracer=tracer)
+                    stats = simulate(tracer.ops, validate_lsu=True, warm=True)
+        except ReproError as exc:
+            return plan, (type(exc).__name__, str(exc))
+        return plan, (metrics, stats, _final_arrays(spec, mem))
 
-        metrics_a, stats_a, arrays_a = run_once()
-        metrics_b, stats_b, arrays_b = run_once()
-        # deterministic fallback: identical metrics, stats and memory
-        assert metrics_a == metrics_b
-        assert stats_a == stats_b
-        assert arrays_a == arrays_b
+    @pytest.mark.parametrize("fault", sorted(_fault_specs()))
+    def test_plan_fires_identically(self, fault):
+        plan_stream, outcome_stream = self._run(fault, streaming=True)
+        plan_list, outcome_list = self._run(fault, streaming=False)
+        assert plan_stream.fired, "the armed fault never landed"
+        assert plan_stream.fired == plan_list.fired
+        assert plan_stream.polls == plan_list.polls
+        assert outcome_stream == outcome_list
 
-    def test_runner_fallback_under_injection(self):
-        """End to end: run_loop under an armed plan goes materialised
-        and still produces a structured (possibly incorrect) result."""
+    def test_runner_under_injection(self):
+        """End to end: run_loop under an armed plan still produces a
+        structured (here incorrect) result."""
         from repro.experiments import runner
-        from repro.pipeline import stream as stream_mod
         from repro.verify import faults
 
-        spec = self._spec()
         plan = faults.FaultPlan([
             faults.FaultSpec(
                 fault=faults.FaultClass.CORRUPT_STORE_DATA, repeat=True
@@ -276,8 +376,7 @@ class TestFaultArmedFallback:
         ])
         with faults.inject(plan):
             run = runner.run_loop(
-                spec, Strategy.SRV, use_cache=False, n_override=32,
+                self._spec(), Strategy.SRV, use_cache=False, n_override=32,
             )
-        assert stream_mod.LAST_PATH == "materialised"
         assert plan.fired
         assert run.correct is False
