@@ -87,7 +87,7 @@ class ObserveError(ReproError):
 class SampleError(ReproError):
     """Interval-sampling failure (:mod:`repro.sample`).
 
-    Raised when the re-simulation pass diverges from the fingerprint
-    pass (boundary-digest mismatch) or when a projection cannot be
-    formed (e.g. a representative segment could not be collected).
+    Raised when a program produces no trace ops, or when a projection
+    cannot be formed (e.g. a representative segment could not be
+    collected).
     """

@@ -238,6 +238,11 @@ class Interpreter:
         trace length) is buffered between yields.  ``self.metrics`` and
         the architectural state are complete once the generator is
         exhausted.
+
+        Only tests call it: the timed path and the sampler run ``run()``
+        with a :class:`~repro.pipeline.trace.LogTracer`.  It stays because
+        ``perfbench/tracing.py`` patches it by name through the class
+        ``__dict__``.
         """
         buffer: list[TraceOp] = []
         self.tracer = StreamingTracer(buffer.append)
@@ -250,25 +255,6 @@ class Interpreter:
                 buffer.clear()
         self.tracer.close()
         yield from buffer
-
-    def boundary_digest(self) -> tuple[int, int, int, int]:
-        """Cheap architectural checkpoint for interval-boundary integrity.
-
-        Returns ``(steps, pc, traced ops, scalar-register digest)`` — a
-        pure function of execution position.  The sampling layer records
-        it at each interval boundary of the fingerprint pass and compares
-        against the re-simulation pass: the two passes emulate the same
-        program from the same initial image, so any divergence means the
-        sampled stream is not the stream that was fingerprinted.  Only
-        meaningful within one process (the register digest uses ``hash``).
-        """
-        count = self.tracer.count if self.tracer is not None else 0
-        return (
-            self._steps,
-            self.state.pc,
-            count,
-            hash(tuple(self.state.scalar)),
-        )
 
     def _bump(self) -> None:
         self._steps += 1

@@ -11,8 +11,9 @@ LRU replacement, write-back with write-allocate.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.common.config import CacheConfig
 
@@ -99,6 +100,22 @@ class Cache:
             line.dirty = True
         self.mru = (line_addr, line)
         return hit, evict_dirty
+
+    def clone(self) -> "Cache":
+        """An independent copy: fresh sets of fresh lines, stats by value,
+        and ``mru`` pointing at the copy's own line."""
+        new = copy.copy(self)
+        new.stats = replace(self.stats)
+        new._sets = [
+            OrderedDict([
+                (tag, _Line(tag, line.dirty)) for tag, line in ways.items()
+            ])
+            for ways in self._sets
+        ]
+        if self.mru is not None:
+            line_no, line = self.mru
+            new.mru = (line_no, new._sets[line_no & self._index_mask][line.tag])
+        return new
 
     def invalidate_all(self) -> None:
         for ways in self._sets:

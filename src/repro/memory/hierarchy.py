@@ -14,7 +14,8 @@ counts it and marks the line dirty on a write without a set lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 from repro.common.config import MemoryConfig
 from repro.memory.cache import Cache
@@ -85,10 +86,15 @@ class CacheHierarchy:
                 worst = latency
         return worst
 
+    def clone(self) -> "CacheHierarchy":
+        """An independent copy of both levels and the stats."""
+        new = copy.copy(self)
+        new.l1, new.l2 = self.l1.clone(), self.l2.clone()
+        new.stats = replace(self.stats)
+        return new
+
     def warm(self, addr: int, size: int) -> None:
         """Install lines without recording statistics (test setup helper)."""
-        import copy
-
         saved = (
             copy.copy(self.stats),
             copy.copy(self.l1.stats),

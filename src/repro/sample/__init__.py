@@ -2,9 +2,9 @@
 
 Slices a program's dynamic op stream into fixed-size intervals,
 fingerprints each with a memory-access/op-class feature vector, clusters
-the fingerprints (seeded k-means, k by BIC), re-simulates one
-representative per cluster in detail through the streaming pipeline with
-a warm-up window and ambient-cache checkpointing, and projects
+the fingerprints (seeded k-means, k by BIC), times a few members per
+cluster in detail through the streaming pipeline with a warm-up window
+and ambient-cache checkpointing, and projects
 whole-program cycles with per-cluster error bars.  See
 ``docs/ARCHITECTURE.md`` §11 for the dataflow and the warm-state
 contract.

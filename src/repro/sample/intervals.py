@@ -1,16 +1,24 @@
 """Interval slicing over the dynamic op stream.
 
-Two passes share the interval geometry defined here:
+The sampler emulates each program once.  Two passes over that one
+emulation's ops share the interval geometry defined here:
 
 * the **fingerprint pass** (:func:`fingerprint_pass`) runs the program
-  once functionally, slicing the stream into fixed-size bins of
-  ``interval_size`` dynamic ops and building one feature vector per bin
-  (:mod:`repro.sample.fingerprint`).  No ops are retained — memory is
-  O(intervals), never O(trace).
-* the **collection pass** (:func:`collect_segments`) re-emulates the
-  identical stream and materialises only the representative intervals
+  with a :class:`~repro.pipeline.trace.LogTracer`, then walks the ops
+  rebuilt from the compact :class:`~repro.pipeline.trace.TraceLog`,
+  slicing them into fixed-size bins of ``interval_size`` dynamic ops
+  and building one feature vector per bin
+  (:mod:`repro.sample.fingerprint`).  It returns the log, so memory is
+  O(trace) in compact columns (tens of bytes per op); rebuilt ops are
+  dropped as soon as they are fingerprinted.
+* the **collection pass** (:func:`collect_segments`) walks the same log
+  a second time and materialises only the representative intervals
   chosen by clustering, each with a trailing warm-up window and
   (optionally) a clone of the ambient cache state at its start.
+
+Both walks rebuild their ops from the one log, so the collected
+segments are the very ops that were fingerprinted; there is no second
+emulation that could diverge from the first.
 
 Fingerprint bins are cut strictly by op index.  Timed segments are not:
 an SRV region executes atomically (its LSU ``begin_region``/
@@ -19,12 +27,6 @@ coherent across whole regions), so segment boundaries snap to the next
 *region-safe cut* — an op outside any region, or a region's own
 ``srv_start`` marker.  The per-op cost normalisation in
 :mod:`repro.sample.project` absorbs the resulting few-op jitter.
-
-Both passes record the emulator's :meth:`boundary_digest
-<repro.emu.interpreter.Interpreter.boundary_digest>` at every interval
-close; :mod:`repro.sample.project` compares them so a divergence between
-the fingerprinted stream and the re-simulated stream is an error, never
-a silent mis-projection.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.observe.events import IntervalCounterSink
 from repro.observe import events as _obs
-from repro.pipeline.trace import RegionEvent, TraceOp
+from repro.pipeline.trace import LogTracer, RegionEvent, TraceLog, TraceOp
 from repro.sample.fingerprint import FingerprintAccumulator
 
 if TYPE_CHECKING:
@@ -71,8 +73,10 @@ class FingerprintRun:
     interval_size: int
     intervals: tuple[IntervalRecord, ...]
     total_ops: int
-    digests: tuple[tuple, ...]  #: boundary digest per closed interval
     metrics: "EmuMetrics"
+    #: the emulation's trace; ``log.ops(program, decode)`` rebuilds the
+    #: fingerprinted ops for the collection pass
+    log: TraceLog
 
 
 def fingerprint_pass(
@@ -83,31 +87,40 @@ def fingerprint_pass(
 ) -> FingerprintRun:
     """Run ``interp`` to completion, fingerprinting every interval.
 
-    The interpreter must be fresh.  A private
+    The interpreter must be fresh; it runs once, recording into a
+    :class:`~repro.pipeline.trace.LogTracer`.  A private
     :class:`~repro.observe.events.IntervalCounterSink` is installed for
-    the duration (any caller-installed bus is parked) so the emulator's
-    region/replay/fallback events contribute counter features
-    deterministically in either trace mode.  ``feed_caches`` optionally receives every memory access in
-    stream order — the sampler uses this to warm the ambient cache
-    hierarchy for the collection pass without a third emulation.
+    the run (any caller-installed bus is parked and restored before the
+    ops are walked) so the emulator's region/replay/fallback events
+    contribute counter features deterministically.  ``feed_caches``
+    optionally receives every memory access in stream order — the
+    sampler uses this to warm the ambient cache hierarchy, whose
+    per-interval misses are folded into the fingerprints.  The returned
+    run carries the log, so the collection pass rebuilds the same ops
+    without emulating again.
     """
     if interval_size <= 0:
         raise ValueError(f"interval size must be positive, got {interval_size}")
-    lanes = interp.lanes
     sink = IntervalCounterSink(interval_size)
+    interp.tracer = tracer = LogTracer()
     saved_bus = _obs.ACTIVE
     _obs.ACTIVE = _obs.EventBus(sink)
+    try:
+        interp.run()
+    finally:
+        _obs.ACTIVE = saved_bus
+    log = tracer.log
 
+    lanes = interp.lanes
     intervals: list[IntervalRecord] = []
-    digests: list[tuple] = []
     acc = FingerprintAccumulator(lanes)
     cache_access = feed_caches.access if feed_caches is not None else None
     start = 0
     count = 0
     # L1/L2 miss counts at the last interval boundary.  Kept in a list,
     # not on ``close`` itself: a function that refers to itself is a
-    # reference cycle, which would keep ``interp`` and its memory image
-    # alive until the cycle collector happens to run.
+    # reference cycle, which would keep what it reaches alive until the
+    # cycle collector happens to run.
     misses = [0, 0]
 
     def close() -> None:
@@ -117,45 +130,35 @@ def fingerprint_pass(
                 stats.l1_misses - misses[0], stats.l2_misses - misses[1],
             )
             misses[:] = stats.l1_misses, stats.l2_misses
-        _close(intervals, digests, acc, sink, interp,
-               start, count, interval_size)
+        idx = start // interval_size
+        # every event was emitted during the run, so bins <= idx are
+        # complete
+        for _, counts in sink.drain(before=idx + 1):
+            acc.fold_counters(counts)
+        intervals.append(IntervalRecord(
+            index=idx, start=start, length=count - start,
+            vector=acc.vector(),
+        ))
 
-    try:
-        for op in interp.iter_trace():
-            acc.add(op)
-            if cache_access is not None:
-                for a in op.mem:
-                    cache_access(a.addr, a.size, a.is_store)
-            count += 1
-            if count - start == interval_size:
-                close()
-                acc = FingerprintAccumulator(lanes)
-                start = count
-    finally:
-        _obs.ACTIVE = saved_bus
+    for op in log.ops(interp.program, interp.decode):
+        acc.add(op)
+        if cache_access is not None:
+            for a in op.mem:
+                cache_access(a.addr, a.size, a.is_store)
+        count += 1
+        if count - start == interval_size:
+            close()
+            acc = FingerprintAccumulator(lanes)
+            start = count
     if count > start:
         close()
     return FingerprintRun(
         interval_size=interval_size,
         intervals=tuple(intervals),
         total_ops=count,
-        digests=tuple(digests),
         metrics=interp.metrics,
+        log=log,
     )
-
-
-def _close(intervals, digests, acc, sink, interp, start, count, size) -> None:
-    """Finalize the interval covering ops ``[start, count)``."""
-    idx = start // size
-    # every event for ops < count has been emitted by the time op
-    # count-1 is yielded (emission happens at recording, recording
-    # precedes yielding), so bins <= idx are complete
-    for _, counts in sink.drain(before=idx + 1):
-        acc.fold_counters(counts)
-    intervals.append(IntervalRecord(
-        index=idx, start=start, length=count - start, vector=acc.vector(),
-    ))
-    digests.append(interp.boundary_digest())
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +197,10 @@ def collect_segments(
     window itself starts at a safe cut.
 
     When ``ambient`` is given, every op's accesses are fed to it in
-    stream order and each segment captures a deep copy of its state at
-    the segment's first op — the cache contents an exact run would have
-    at that point (up to timing-model access interleaving).
+    stream order and each segment captures a clone of its state at the
+    segment's first op — the cache contents an exact run would have at
+    that point (up to timing-model access interleaving).
     """
-    import copy
-
     pending = deque(sorted(set(targets)))
     tail: deque[TraceOp] = deque()
     tail_start = 0        #: absolute op index of tail[0]
@@ -214,15 +215,15 @@ def collect_segments(
             yield current
             current = None
             if not pending:
-                return  # nothing left to collect: stop consuming (and
-                # therefore emulating) the rest of the stream
+                return  # nothing left to collect: stop consuming the
+                # rest of the stream
         if current is None and pending and cut \
                 and op.index >= pending[0] * interval_size:
             j = pending.popleft()
             current = Segment(
                 interval=j,
                 warm=list(tail),
-                caches=copy.deepcopy(ambient) if ambient is not None else None,
+                caches=ambient.clone() if ambient is not None else None,
             )
             current_end = (j + 1) * interval_size
         if feed is not None:

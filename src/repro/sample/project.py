@@ -3,22 +3,22 @@
 :func:`sample_loop` is the sampling counterpart of
 :func:`repro.experiments.runner.run_loop`:
 
-1. **fingerprint pass** — one functional emulation (numpy lane engine by
-   default) slices the stream into ``interval_size``-op intervals and
-   fingerprints each (:mod:`repro.sample.fingerprint`), while also
-   warming an *ambient* cache hierarchy with the full access stream
-   (the sampled analogue of the exact path warming its caches from the
-   whole trace log);
+1. **fingerprint pass** — the program's one functional emulation
+   records a compact trace log; the ops rebuilt from it are sliced into
+   ``interval_size``-op intervals and fingerprinted
+   (:mod:`repro.sample.fingerprint`), while also warming an *ambient*
+   cache hierarchy with the full access stream (the sampled analogue of
+   the exact path warming its caches from the whole trace log);
 2. **clustering** — seeded k-means over the standardized fingerprints,
    k by BIC or forced via ``clusters`` (:mod:`repro.sample.cluster`);
    per cluster the sampler elects the centroid representative plus up
    to ``samples - 1`` further members spread uniformly by stream
    position;
-3. **collection pass** — a second functional emulation materialises only
-   the elected segments, each with a region-safe warm-up window and a
-   clone of the ambient cache state at its start; interval boundary
-   digests are compared against pass 1, so the two passes are *proven*
-   to have sampled the same stream;
+3. **collection pass** — a second walk over the same log materialises
+   only the elected segments, each with a region-safe warm-up window
+   and a clone of the ambient cache state at its start.  Nothing is
+   emulated again, so the segments are the fingerprinted ops by
+   construction;
 4. **projection** — each segment is timed through the existing streaming
    pipeline via :func:`repro.pipeline.stream.time_segment`; per cluster
    the cycles-per-op is *pooled* (total cycles over total ops) across
@@ -261,7 +261,7 @@ def resolve_spec(workload_name: str, loop_name: str | None = None):
 
 def _build(spec: "LoopSpec", strategy: Strategy, seed: int, n: int,
            config: MachineConfig):
-    """Fresh interpreter over fresh memory — one pass's worth."""
+    """Fresh interpreter over fresh memory."""
     from repro.emu.interpreter import Interpreter
 
     arrays = spec.arrays(seed)
@@ -270,23 +270,6 @@ def _build(spec: "LoopSpec", strategy: Strategy, seed: int, n: int,
         mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
     program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
     return Interpreter(program, mem, config)
-
-
-def _checked_stream(interp, interval_size: int, digests: tuple):
-    """Yield pass-2 ops while verifying pass-1 boundary digests."""
-    count = 0
-    closed = 0
-    for op in interp.iter_trace():
-        yield op
-        count += 1
-        if count % interval_size == 0:
-            if closed < len(digests) \
-                    and interp.boundary_digest() != digests[closed]:
-                raise SampleError(
-                    f"re-simulation diverged from the fingerprint pass at "
-                    f"interval {closed} (op {count})"
-                )
-            closed += 1
 
 
 def _sample_once(
@@ -362,11 +345,11 @@ def _sample_once(
     for positions in elected.values():
         targets.update(run.intervals[p].index for p in positions)
 
-    # pass 2: collect representative segments with ambient cache clones
-    interp2 = _build(spec, strategy, seed, n, config)
+    # pass 2: collect representative segments with ambient cache clones,
+    # rebuilt from the fingerprinted emulation's log
     timings: dict[int, object] = {}
     for segment in collect_segments(
-        _checked_stream(interp2, interval_size, run.digests),
+        run.log.ops(interp.program, interp.decode),
         targets, interval_size, warmup, ambient=ambient,
     ):
         if not segment.ops:

@@ -349,3 +349,64 @@ class TestSameLineFastPath:
         h.l1.invalidate_all()
         assert h.l1.mru is None
         assert h.access(0x40, 4, False) == 2 + 7  # L1 miss, L2 hit
+
+
+
+def _mru_line_no(cache: Cache):
+    return None if cache.mru is None else cache.mru[0]
+
+
+def _random_accesses(h: CacheHierarchy, rng: random.Random, count: int):
+    """Hit/miss latencies of ``count`` random accesses, some straddling."""
+    return [
+        h.access(rng.randrange(0, 8192), rng.choice([1, 4, 8, 48]),
+                 rng.random() < 0.4)
+        for _ in range(count)
+    ]
+
+
+class TestClone:
+    """``CacheHierarchy.clone`` against ``copy.deepcopy``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_clone_equals_deepcopy_and_stays_in_step(self, seed):
+        rng = random.Random(seed)
+        h = CacheHierarchy(_TINY)
+        _random_accesses(h, rng, 2000)
+        clone, deep = h.clone(), copy.deepcopy(h)
+        assert _cache_state(clone) == _cache_state(deep) == _cache_state(h)
+        for level in ("l1", "l2"):
+            assert _mru_line_no(getattr(clone, level)) == _mru_line_no(
+                getattr(deep, level))
+        # the same further accesses give the same latencies and state,
+        # starting with a write to the MRU line (the same-line fast path)
+        mru_addr = h.l1.mru[0] * _TINY.l1.line_bytes
+        assert clone.access(mru_addr, 4, True) == deep.access(mru_addr, 4, True)
+        assert _cache_state(clone) == _cache_state(deep)
+        assert _random_accesses(clone, random.Random(seed + 100), 5000) \
+            == _random_accesses(deep, random.Random(seed + 100), 5000)
+        assert _cache_state(clone) == _cache_state(deep)
+
+    def test_writing_through_the_clone_leaves_the_original(self):
+        h = CacheHierarchy(_TINY)
+        h.access(0x40, 4, False)  # the MRU line of both levels, clean
+        before = _cache_state(h)
+        clone = h.clone()
+        # the MRU fast path dirties the clone's own line
+        clone.access(0x44, 4, True)
+        index, tag = clone.l1._locate(0x40)
+        assert clone.l1.mru[1] is clone.l1._sets[index][tag]
+        assert clone.l1._sets[index][tag].dirty
+        _random_accesses(clone, random.Random(0), 500)
+        assert _cache_state(h) == before
+        assert not h.l1.mru[1].dirty
+        assert clone.stats is not h.stats
+        assert clone.l1.stats is not h.l1.stats
+
+    def test_clone_of_an_invalidated_cache_has_no_mru_line(self):
+        h = CacheHierarchy(_TINY)
+        h.access(0x40, 4, False)
+        h.l1.invalidate_all()
+        clone = h.clone()
+        assert clone.l1.mru is None
+        assert clone.l2.mru is not None

@@ -9,23 +9,34 @@ Covers the contracts the sampler's accuracy rests on:
   stream and the op-indexed event bins, so a streaming fingerprint pass
   and a fully materialised replay produce identical vectors;
 * projection determinism — same ``(seed, interval size, k)`` gives a
-  byte-identical report on recomputation;
+  byte-identical report on recomputation, and pinned reports fix the
+  projections themselves;
+* one emulation — the collection pass rebuilds the fingerprinted ops
+  from the fingerprint pass's trace log, field for field what a plain
+  :class:`~repro.pipeline.trace.Tracer` records, without emulating again;
+* LSU-overflow degradation — the sampler reruns with the sequential
+  fallback and marks the report degraded;
 * accuracy — suite spot checks stay within the standing 5% bound.
 """
 
+import dataclasses
 import gc
 import math
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.common.errors import LsuOverflowError
 from repro.compiler import Strategy
+from repro.emu import interpreter as interp_mod
 from repro.memory import CacheHierarchy
 from repro.observe import events as obs
 from repro.observe.events import IntervalCounterSink
 from repro.pipeline.core import simulate
 from repro.pipeline.stream import time_segment
+from repro.pipeline.trace import Tracer, TraceOp
 from repro.sample import (
     FingerprintAccumulator,
     cluster_intervals,
@@ -36,7 +47,7 @@ from repro.sample import (
     sample_named,
 )
 from repro.sample import project as project_mod
-from repro.sample.project import _build
+from repro.sample.project import _build, _sample_once
 from repro.workloads import by_name
 
 SUITE_GEOMETRY = dict(interval_size=256, warmup=1536, max_clusters=4)
@@ -232,6 +243,188 @@ class TestProjection:
             sample_loop(spec, Strategy.SRV, samples=0)
         with pytest.raises(ValueError, match="core model"):
             sample_loop(spec, Strategy.SRV, core="quantum")
+
+
+# ---------------------------------------------------------------------------
+# pinned reports: the projections themselves, not just their determinism
+# ---------------------------------------------------------------------------
+
+_NO_EXACT = dict(degraded=False, exact_cycles=None, error_pct=None)
+
+
+def _cluster(cluster, intervals, ops, rep, samples, sampled_ops,
+             sampled_cycles, cpo, projected, error, region):
+    return dict(
+        cluster=cluster, intervals=intervals, ops=ops, rep=rep,
+        samples=samples, sampled_ops=sampled_ops,
+        sampled_cycles=sampled_cycles, cpo=cpo, projected_cycles=projected,
+        error_cycles=error, region_cycles=region,
+    )
+
+
+PINNED_REPORTS = [
+    (("hmmer", "viterbi"), SUITE_GEOMETRY, dict(
+        workload="hmmer", loop="hmmer_viterbi_row", strategy="srv",
+        core="ooo", seed=0, n=64, interval_size=256, warmup=1536,
+        requested_clusters=None, k=1, total_ops=120, intervals=1,
+        head_intervals=1, head_ops=120, head_cycles=197, detailed_ops=120,
+        reduction=1.0, projected_cycles=197, projected_region_cycles=143,
+        **_NO_EXACT,
+        clusters=[
+            _cluster(0, 0, 0, 0, [0], 120, 197, 1.641667, 0.0, 0.0, 0.0),
+        ],
+    )),
+    (("gobmk", None), SUITE_GEOMETRY, dict(
+        workload="gobmk", loop="gobmk_influence_decay", strategy="srv",
+        core="ooo", seed=0, n=361, interval_size=256, warmup=1536,
+        requested_clusters=None, k=2, total_ops=512, intervals=2,
+        head_intervals=2, head_ops=512, head_cycles=750, detailed_ops=779,
+        reduction=0.657, projected_cycles=750, projected_region_cycles=1717,
+        **_NO_EXACT,
+        clusters=[
+            _cluster(0, 0, 0, 1, [1], 245, 260, 1.061224, 0.0, 0.0, 0.0),
+            _cluster(1, 0, 0, 0, [0], 267, 490, 1.835206, 0.0, 0.0, 0.0),
+        ],
+    )),
+    # short intervals: a tail cluster is extrapolated from three samples
+    # timed on ambient cache clones
+    (("gobmk", None), dict(interval_size=64, warmup=128, max_clusters=4),
+     dict(
+        workload="gobmk", loop="gobmk_influence_decay", strategy="srv",
+        core="ooo", seed=0, n=361, interval_size=64, warmup=128,
+        requested_clusters=None, k=2, total_ops=512, intervals=8,
+        head_intervals=2, head_ops=135, head_cycles=238, detailed_ops=785,
+        reduction=0.652, projected_cycles=928, projected_region_cycles=608,
+        **_NO_EXACT,
+        clusters=[
+            _cluster(0, 6, 384, 2, [2, 4, 7], 196, 352, 1.795918, 689.63,
+                     66.55, 450.61),
+            _cluster(1, 0, 0, 0, [0], 69, 112, 1.623188, 0.0, 0.0, 0.0),
+        ],
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "loop, geometry, expected", PINNED_REPORTS,
+    ids=["hmmer-viterbi", "gobmk", "gobmk-short-intervals"],
+)
+def test_report_matches_pinned_values(loop, geometry, expected):
+    report = sample_named(*loop, Strategy.SRV, use_cache=False, **geometry)
+    assert report.to_obj() == expected
+
+
+# ---------------------------------------------------------------------------
+# one emulation: the collection pass walks the fingerprinted log
+# ---------------------------------------------------------------------------
+
+#: (loop, strategy, trip cap, sequential fallback, TraceOp fields some op
+#: must set away from their default)
+ROUND_TRIP_LOOPS = [
+    (("hmmer", "viterbi"), Strategy.SRV, None, False,
+     ("region_event", "replay_lanes", "mem")),
+    (("hmmer", "viterbi"), Strategy.SRV, None, True,
+     ("region_event", "replay_lanes", "in_fallback")),
+    (("gobmk", None), Strategy.SRV, None, False, ("region_event", "mem")),
+    (("gcc", "regalloc"), Strategy.SVE, 64, False, ("branch_taken", "mem")),
+]
+
+
+class TestOneEmulation:
+    def test_one_interpreter_one_run_no_iter_trace(self, monkeypatch):
+        calls = Counter()
+        cls = interp_mod.Interpreter
+        init, run, iter_trace = cls.__init__, cls.run, cls.iter_trace
+
+        def counting_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_run(self):
+            calls["run"] += 1
+            return run(self)
+
+        def counting_iter_trace(self):
+            calls["iter_trace"] += 1
+            return iter_trace(self)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(cls, "run", counting_run)
+        monkeypatch.setattr(cls, "iter_trace", counting_iter_trace)
+        _, spec = resolve_spec("gobmk")
+        sample_loop(spec, Strategy.SRV, use_cache=False,
+                    interval_size=64, warmup=128, max_clusters=4)
+        assert calls == Counter(init=1, run=1)
+
+    @pytest.mark.parametrize(
+        "loop, strategy, n, sequential, exercised", ROUND_TRIP_LOOPS,
+        ids=["hmmer-srv", "hmmer-srv-sequential", "gobmk-srv", "gcc-sve"],
+    )
+    def test_collected_ops_equal_a_tracer_run(
+        self, monkeypatch, loop, strategy, n, sequential, exercised,
+    ):
+        config = project_mod.TABLE_I.with_overrides(
+            srv_force_sequential=sequential,
+        )
+        workload, spec = resolve_spec(*loop)
+        n = spec.n if n is None else min(n, spec.n)
+        received = []
+        collect = project_mod.collect_segments
+
+        def recording_collect(ops, *args, **kwargs):
+            received.extend(ops)
+            return collect(iter(received), *args, **kwargs)
+
+        monkeypatch.setattr(project_mod, "collect_segments",
+                            recording_collect)
+        sample_loop(spec, strategy, config=config, n_override=n,
+                    use_cache=False, interval_size=64, warmup=128)
+
+        interp = _build(spec, strategy, 0, n, config)
+        interp.tracer = tracer = Tracer()
+        interp.run()
+        recorded = tracer.ops
+        for name in exercised:
+            assert any(getattr(op, name) for op in recorded), name
+        assert len(received) == len(recorded)
+        for want, got in zip(recorded, received):
+            for f in dataclasses.fields(TraceOp):
+                assert getattr(got, f.name) == getattr(want, f.name), (
+                    want.index, f.name)
+            # == lets 1 stand for True; repr does not
+            assert repr(got.mem) == repr(want.mem), want.index
+
+
+# ---------------------------------------------------------------------------
+# LSU-overflow degradation
+# ---------------------------------------------------------------------------
+
+
+def test_lsu_overflow_degrades_to_the_sequential_fallback(monkeypatch):
+    timed = project_mod.time_segment
+
+    def overflowing(ops, config, **kwargs):
+        if not config.srv_force_sequential:
+            raise LsuOverflowError("planted overflow")
+        return timed(ops, config, **kwargs)
+
+    monkeypatch.setattr(project_mod, "time_segment", overflowing)
+    workload, spec = resolve_spec("gobmk")
+    geometry = dict(interval_size=64, warmup=128, max_clusters=4)
+    report = sample_loop(spec, Strategy.SRV, use_cache=False,
+                         workload_key=workload.name, **geometry)
+    assert report.degraded
+    seq_config = project_mod.TABLE_I.with_overrides(
+        srv_force_sequential=True,
+    )
+    direct = _sample_once(
+        spec, Strategy.SRV, 0, spec.n, seq_config, "ooo",
+        geometry["interval_size"], geometry["warmup"], None,
+        geometry["max_clusters"], project_mod.SAMPLES_PER_CLUSTER,
+        workload.name,
+    )
+    assert not direct.degraded
+    assert report == replace(direct, degraded=True)
 
 
 # ---------------------------------------------------------------------------
