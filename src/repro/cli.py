@@ -48,6 +48,7 @@ from repro.compiler import Strategy, compile_loop
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import run_loop
 from repro.memory import MemoryImage
+from repro.parallel.engine import DEFAULT_CACHE_DIR
 from repro.workloads import ALL_WORKLOADS, by_name
 
 
@@ -166,9 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_override=args.n,
         cache_dir=None if args.no_cache else args.cache_dir,
-        checkpoint=args.checkpoint,
         timeout_s=args.timeout,
-        trace_mode=args.trace_mode,
         progress=print,
     )
     for name in names:
@@ -196,8 +195,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     run = observe_loop(
         spec, strategy, seed=args.seed, core=args.core,
-        trace_mode=args.trace_mode, n_override=args.n,
-        sink_factory=sink_factory,
+        n_override=args.n, sink_factory=sink_factory,
     )
     label = f"{spec.name}/{strategy.value}/{args.core}"
     print(f"{label}: {run.cycles} cycles, {len(run.events)} events"
@@ -251,7 +249,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         strategy=Strategy(args.strategy),
         n_override=args.n,
-        trace_mode=args.trace_mode,
         shrink=not args.no_shrink,
         use_cache=not args.no_cache,
         out_dir=Path(args.out),
@@ -451,19 +448,14 @@ def main(argv: list[str] | None = None) -> int:
     p_swp.add_argument("-n", type=int, default=None,
                        help="trip-count override")
     p_swp.add_argument("--seed", type=int, default=0)
-    p_swp.add_argument("--cache-dir", default="results/cache",
-                       help="content-addressed result cache directory")
+    p_swp.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                       help="content-addressed result cache directory; a "
+                            "re-run against it resumes a killed sweep")
     p_swp.add_argument("--no-cache", action="store_true",
-                       help="disable the on-disk result cache")
-    p_swp.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="honour/extend a run checkpoint file")
+                       help="disable the on-disk result cache (the sweep "
+                            "then cannot resume)")
     p_swp.add_argument("--timeout", type=float, default=None,
                        help="per-run wall-clock budget in seconds")
-    p_swp.add_argument("--trace-mode", choices=("stream", "list"),
-                       default="stream",
-                       help="streaming simulation from a compact trace log "
-                            "(default) or the materialised-trace path; "
-                            "results are identical")
 
     p_trc = sub.add_parser(
         "trace",
@@ -475,10 +467,6 @@ def main(argv: list[str] | None = None) -> int:
                        choices=[s.value for s in Strategy])
     p_trc.add_argument("--core", choices=("ooo", "inorder"), default="ooo",
                        help="timing model (default: out-of-order)")
-    p_trc.add_argument("--trace-mode", choices=("stream", "list"),
-                       default="stream",
-                       help="simulation path; the event stream is "
-                            "identical either way")
     p_trc.add_argument("--out", default=None, metavar="PATH",
                        help="write Chrome Trace Format JSON here")
     p_trc.add_argument("--ring", type=int, default=0, metavar="CAP",
@@ -569,11 +557,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fuz.add_argument("--out", default="results/fuzz", metavar="DIR",
                        help="campaign report + reproducer directory "
                             "(default results/fuzz)")
-    p_fuz.add_argument("--trace-mode", choices=("stream", "list"),
-                       default="stream",
-                       help="streaming checks from a compact trace log "
-                            "(default) or the materialised-trace path; "
-                            "results are identical")
     p_fuz.add_argument("--no-shrink", action="store_true",
                        help="report failures without minimising them")
     p_fuz.add_argument("--no-cache", action="store_true",

@@ -1022,10 +1022,9 @@ class Interpreter:
     def _op_index(self) -> int:
         """Dynamic op index for emu-domain events.
 
-        Derived from the tracer's record count so it is identical under
-        ``--trace-mode stream`` and ``list`` (every tracer kind counts
-        every recorded op); falls back to the step counter when running
-        untraced.
+        Derived from the tracer's record count so it is identical for
+        every tracer kind (each counts every recorded op); falls back
+        to the step counter when running untraced.
         """
         if self.tracer is not None:
             return self.tracer.count - 1

@@ -29,11 +29,8 @@ from repro.experiments.runner import (
     LoopRun,
     RunFailure,
     cache_key_for,
-    checkpoint_has,
     clear_cache,
-    disable_checkpoint,
     disable_disk_cache,
-    enable_checkpoint,
     enable_disk_cache,
     loop_speedup,
     run_loop,
@@ -69,11 +66,8 @@ __all__ = [
     "ShardReport",
     "SweepReport",
     "cache_key_for",
-    "checkpoint_has",
     "clear_cache",
-    "disable_checkpoint",
     "disable_disk_cache",
-    "enable_checkpoint",
     "enable_disk_cache",
     "loop_speedup",
     "run_loop",

@@ -104,7 +104,6 @@ class SweepReport:
 
     jobs: int
     planned_cells: int = 0
-    skipped_checkpoint: int = 0    # honoured from a prior (sequential) run
     skipped_cache: int = 0         # already in the content-addressed cache
     shards: list = field(default_factory=list)
     warm_elapsed_s: float = 0.0
@@ -123,7 +122,6 @@ class SweepReport:
     def format_table(self) -> str:
         lines = [
             f"Sweep: {self.planned_cells} cells, {self.jobs} worker(s); "
-            f"{self.skipped_checkpoint} from checkpoint, "
             f"{self.skipped_cache} from cache, {self.executed} executed",
             "",
             "shard  cells  executed  cached  resumed  failed  elapsed_s  pid",

@@ -18,9 +18,10 @@ hash).
 
 Hardening features:
 
-* **checkpoint/resume** — :func:`enable_checkpoint` persists every
-  completed run to disk (atomic replace), so a killed sweep resumes where
-  it stopped instead of re-executing finished work;
+* **resume through the result cache** — with the disk layer enabled,
+  every finished run is written as its own atomic entry, so a killed
+  sweep re-run against the same cache directory re-executes only the
+  runs that never finished (and only under the same code version);
 * **graceful LSU-overflow degradation** — if the cycle model raises
   :class:`~repro.common.errors.LsuOverflowError`, the run is re-executed
   with the section III-D7 sequential fallback forced and the degradation
@@ -33,12 +34,10 @@ Hardening features:
 
 from __future__ import annotations
 
-import os
-import pickle
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import (
@@ -51,24 +50,13 @@ from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu import EmuMetrics, run_program
 from repro.memory import MemoryImage
 from repro.parallel.cache import result_cache
-from repro.pipeline import PipelineStats, Tracer, simulate, simulate_streaming
+from repro.pipeline import PipelineStats, simulate_streaming
 from repro.workloads.base import LoopSpec
 
-#: Default trace mode for timed runs: ``"stream"`` emulates once into a
-#: compact columnar trace log and times the ops rebuilt from it
-#: (:func:`simulate_streaming`); ``"list"`` materialises the full dynamic
-#: trace as ``TraceOp`` objects first.  Both emulate once and are
-#: bit-identical (pinned by tests/test_streaming.py), so the mode is
-#: deliberately *not* part of the result-cache key.
+#: Recorded by ``perfbench/worker.py``; timed runs always stream.
 _DEFAULT_TRACE_MODE = "stream"
-
-
-def set_default_trace_mode(mode: str) -> None:
-    """Set the process-wide default trace mode (``"stream"`` or ``"list"``)."""
-    if mode not in ("stream", "list"):
-        raise ValueError(f"unknown trace mode {mode!r}")
-    global _DEFAULT_TRACE_MODE
-    _DEFAULT_TRACE_MODE = mode
+#: Recorded by ``perfbench/worker.py``; sweeps resume from the result cache.
+_CHECKPOINT_PATH: str | None = None
 
 
 @dataclass(frozen=True)
@@ -113,12 +101,8 @@ class LoopRun:
 
 
 # ---------------------------------------------------------------------------
-# memoisation + checkpointing
+# memoisation
 # ---------------------------------------------------------------------------
-
-_CHECKPOINT_PATH: str | None = None
-#: spec-free payloads loaded from / written to the checkpoint file
-_CHECKPOINT: dict[tuple, dict] = {}
 
 
 def clear_cache() -> None:
@@ -149,10 +133,10 @@ def cache_key_for(
     n_override: int | None = None,
     core: str = "ooo",
 ) -> tuple:
-    """The memo/checkpoint key :func:`run_loop` would use for these args.
+    """The memo key :func:`run_loop` would use for these args.
 
-    Exposed for the sweep engine, which needs to test cache/checkpoint
-    membership for planned cells without executing them.
+    Exposed for the sweep engine, which needs to test cache membership
+    for planned cells without executing them.
     """
     n = spec.n if n_override is None else min(n_override, spec.n)
     return _cache_key(spec, strategy, seed, config, timing, n, core)
@@ -161,9 +145,9 @@ def cache_key_for(
 def run_payload(run: LoopRun) -> dict:
     """Spec-free persistable payload of a run.
 
-    ``LoopSpec`` carries callables (input generators), so the checkpoint
-    and the disk cache persist this payload; the spec is re-attached on
-    lookup from the caller's own reference.
+    ``LoopSpec`` carries callables (input generators), so the disk cache
+    persists this payload; the spec is re-attached on lookup from the
+    caller's own reference.
     """
     return {
         "emu": run.emu,
@@ -196,71 +180,6 @@ def disable_disk_cache() -> None:
     result_cache().disable_disk()
 
 
-def enable_checkpoint(path: str) -> int:
-    """Persist completed runs to ``path`` and pre-load any existing ones.
-
-    Returns the number of runs resumed from disk.  A corrupt or
-    unreadable checkpoint is ignored (the sweep simply starts fresh);
-    writes are atomic (tmp + rename) so a kill mid-write cannot corrupt
-    an existing checkpoint.
-    """
-    global _CHECKPOINT_PATH
-    _CHECKPOINT_PATH = path
-    _CHECKPOINT.clear()
-    try:
-        with open(path, "rb") as fh:
-            loaded = pickle.load(fh)
-        if isinstance(loaded, dict):
-            _CHECKPOINT.update(loaded)
-    except Exception:
-        # unpickling arbitrary corrupt bytes can raise nearly anything
-        # (ValueError, KeyError, ImportError, ...) — start fresh
-        pass
-    return len(_CHECKPOINT)
-
-
-def disable_checkpoint() -> None:
-    global _CHECKPOINT_PATH
-    _CHECKPOINT_PATH = None
-    _CHECKPOINT.clear()
-
-
-def _checkpoint_flush() -> None:
-    if _CHECKPOINT_PATH is None:
-        return
-    directory = os.path.dirname(_CHECKPOINT_PATH) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{_CHECKPOINT_PATH}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        pickle.dump(_CHECKPOINT, fh)
-    os.replace(tmp, _CHECKPOINT_PATH)
-
-
-def _checkpoint_record(key: tuple, run: LoopRun) -> None:
-    if _CHECKPOINT_PATH is None:
-        return
-    _CHECKPOINT[key] = run_payload(run)
-    _checkpoint_flush()
-
-
-def _checkpoint_lookup(key: tuple, spec: LoopSpec,
-                       strategy: Strategy) -> LoopRun | None:
-    payload = _CHECKPOINT.get(key)
-    if payload is None:
-        return None
-    return payload_run(payload, spec, strategy)
-
-
-def checkpoint_has(key: tuple) -> bool:
-    """True if the loaded checkpoint already holds this run.
-
-    Used by the sweep engine so a checkpoint written by a sequential run
-    is honoured by a ``--jobs N`` run: matching cells are never assigned
-    to a shard.
-    """
-    return key in _CHECKPOINT
-
-
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -276,7 +195,6 @@ def _execute(
     check_oracle: bool,
     n: int,
     core: str,
-    trace_mode: str,
 ) -> tuple[EmuMetrics, PipelineStats | None, bool, str | None]:
     """One full compile/emulate/time/verify pass on fresh memory."""
     arrays = spec.arrays(seed)
@@ -286,17 +204,15 @@ def _execute(
     program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
 
     pipe: PipelineStats | None = None
-    if timing and trace_mode == "stream":
-        # one emulation into a compact trace log, then timing; any timing
-        # exception (LSU overflow) surfaces before the oracle check, same
-        # degrade path as the list mode either way
+    if timing:
+        # one emulation into a compact trace log, then timing; a timing
+        # exception (LSU overflow) surfaces before the oracle check
         emu_metrics, pipe, _ = simulate_streaming(
             program, mem, config,
             core=core, validate_lsu=validate_lsu, warm=True,
         )
     else:
-        tracer = Tracer() if timing else None
-        emu_metrics, _ = run_program(program, mem, config=config, tracer=tracer)
+        emu_metrics, _ = run_program(program, mem, config=config, tracer=None)
 
     correct = True
     bad_array: str | None = None
@@ -309,15 +225,6 @@ def _execute(
                 bad_array = name
                 break
 
-    if timing and pipe is None:
-        if core == "inorder":
-            from repro.pipeline.inorder import simulate_in_order
-
-            pipe = simulate_in_order(tracer.ops, config=config, warm=True)
-        else:
-            pipe = simulate(
-                tracer.ops, config=config, validate_lsu=validate_lsu, warm=True
-            )
     return emu_metrics, pipe, correct, bad_array
 
 
@@ -332,7 +239,6 @@ def run_loop(
     n_override: int | None = None,
     core: str = "ooo",
     degrade_lsu_overflow: bool = True,
-    trace_mode: str | None = None,
     use_cache: bool = True,
 ) -> LoopRun:
     """Compile, execute, time and verify one loop under one strategy.
@@ -340,29 +246,25 @@ def run_loop(
     ``core`` selects the timing model: ``"ooo"`` (Table I out-of-order)
     or ``"inorder"`` (the section III-D6 dual-issue in-order variant).
 
-    ``trace_mode`` selects how the trace reaches the timing model:
-    ``"stream"`` (one emulation into a compact trace log) or ``"list"``
-    (materialised ``TraceOp`` objects);
-    ``None`` uses the process default (:func:`set_default_trace_mode`).
-    The two modes produce bit-identical results, so the mode does not
-    participate in result-cache keys.
+    A timed run emulates once into a compact trace log and times the
+    ops rebuilt from it (:func:`~repro.pipeline.simulate_streaming`);
+    an untimed run only emulates.
 
     With ``degrade_lsu_overflow`` (the default), an
     :class:`LsuOverflowError` from the cycle model re-runs the loop with
     the sequential fallback forced for every region and records the
     degradation in ``LoopRun.failures`` instead of aborting the sweep.
 
-    ``use_cache=False`` bypasses memo/checkpoint lookup *and* storage —
-    required whenever the execution is deliberately perturbed (an armed
-    :mod:`repro.verify.faults` plan), since a corrupted result must
-    never be published under the clean run's content address.
+    With ``use_cache`` (the default) the run is looked up in and stored
+    to the result cache; with its disk layer enabled, that entry is what
+    lets a killed sweep resume.  ``use_cache=False`` bypasses lookup
+    *and* storage — required whenever the execution is deliberately
+    perturbed (an armed :mod:`repro.verify.faults` plan), since a
+    corrupted result must never be published under the clean run's
+    content address.
     """
     if core not in ("ooo", "inorder"):
         raise ValueError(f"unknown core model {core!r}")
-    if trace_mode is None:
-        trace_mode = _DEFAULT_TRACE_MODE
-    if trace_mode not in ("stream", "list"):
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
     n = spec.n if n_override is None else min(n_override, spec.n)
     key = _cache_key(spec, strategy, seed, config, timing, n, core)
     cache = result_cache()
@@ -370,20 +272,12 @@ def run_loop(
         payload = cache.get(key)
         if payload is not None:
             return payload_run(payload, spec, strategy)
-        resumed = _checkpoint_lookup(key, spec, strategy)
-        if resumed is not None:
-            # memory layer only: checkpoint entries are not
-            # content-addressed (they may predate a simulator edit), so
-            # they must not be promoted into the on-disk store under the
-            # current code version
-            cache.put_memory(key, run_payload(resumed))
-            return resumed
 
     failures: tuple[RunFailure, ...] = ()
     try:
         emu_metrics, pipe, correct, bad_array = _execute(
             spec, strategy, seed, config, timing, validate_lsu,
-            check_oracle, n, core, trace_mode,
+            check_oracle, n, core,
         )
     except LsuOverflowError as exc:
         if not degrade_lsu_overflow:
@@ -396,7 +290,7 @@ def run_loop(
         seq_config = config.with_overrides(srv_force_sequential=True)
         emu_metrics, pipe, correct, bad_array = _execute(
             spec, strategy, seed, seq_config, timing, validate_lsu,
-            check_oracle, n, core, trace_mode,
+            check_oracle, n, core,
         )
 
     run = LoopRun(
@@ -405,7 +299,6 @@ def run_loop(
     )
     if use_cache:
         cache.put(key, run_payload(run))
-        _checkpoint_record(key, run)
     return run
 
 

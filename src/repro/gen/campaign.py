@@ -82,7 +82,6 @@ class FuzzConfig:
     strategy: Strategy = Strategy.SRV
     config: MachineConfig = TABLE_I
     n_override: int | None = None
-    trace_mode: str = "stream"
     shrink: bool = True
     use_cache: bool = True
     out_dir: Path | None = None
@@ -448,7 +447,6 @@ def check_kernel(
         run = run_loop(
             spec, cfg.strategy, seed=cfg.seed, config=cfg.config,
             validate_lsu=True, check_oracle=True, n_override=cfg.n_override,
-            trace_mode=cfg.trace_mode,
             use_cache=use_cache,
         )
     except ReproError as exc:

@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`repro.observe.events` — the typed event bus (sinks, the
   module-level ``ACTIVE`` hook polled by instrumentation sites, the
-  canonical trace-mode-independent ordering);
+  canonical ordering shared by the streaming and materialised paths);
 * :mod:`repro.observe.attrib` — exact cycle attribution into
   ``{compute, memory, replay, barrier, fallback, other}`` buckets;
 * :mod:`repro.observe.export` — Chrome Trace Format / Perfetto JSON,

@@ -29,7 +29,7 @@ Priority order (highest first) and interval sources:
   drain, and issue-width gaps.
 
 All intervals come from ``pipe``-domain events, so attribution is
-identical under ``--trace-mode stream`` and ``list``.
+identical on the streaming path and on a materialised trace.
 """
 
 from __future__ import annotations

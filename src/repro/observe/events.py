@@ -28,14 +28,15 @@ Three layers:
 Canonical ordering
 ------------------
 
-Both trace modes emulate the whole program before timing it
-(:func:`repro.pipeline.stream.simulate_streaming` times ops rebuilt from
-its trace log), so on either path every emulator event is emitted before
-the first timing-model event.  :func:`canonical_order` re-sorts by
-``(op, domain rank)`` with a stable sort, which groups each op's events
-together; per-domain relative order is the same in ``--trace-mode
-stream`` and ``list``, so the sorted sequences are equal event-for-event
-(pinned by ``tests/test_observe.py``).
+Both the streaming path (:func:`repro.pipeline.stream.simulate_streaming`
+times ops rebuilt from its trace log) and the materialised reference (a
+``Tracer`` list fed to :func:`repro.pipeline.simulate`) emulate the whole
+program before timing it, so on either path every emulator event is
+emitted before the first timing-model event.  :func:`canonical_order`
+re-sorts by ``(op, domain rank)`` with a stable sort, which groups each
+op's events together; per-domain relative order is the same on both
+paths, so the sorted sequences are equal event-for-event (pinned by
+``tests/test_observe.py``).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class Event:
 
 
 def canonical_order(events) -> tuple[Event, ...]:
-    """Stable-sort events into the trace-mode-independent order."""
+    """Stable-sort events into the path-independent canonical order."""
     rank = DOMAIN_RANK
     return tuple(
         sorted(events, key=lambda e: (e.op, rank.get(e.domain, 9)))
@@ -186,8 +187,8 @@ class CounterSink:
 
         The deterministic interval-flush path used by the sampling layer:
         callers flush at fixed points in the *op stream* (not wall-clock),
-        so successive flushes partition the run identically regardless of
-        trace mode.
+        so successive flushes partition the run identically on the
+        streaming and materialised paths.
         """
         out = self.counts
         self.counts = Counter()
@@ -203,7 +204,7 @@ class IntervalCounterSink:
     Events are assigned to bin ``event.op // interval_size`` — a pure
     function of the op index each event is already stamped with — so the
     binned counts do not depend on the order events arrive in, and are
-    identical between ``stream`` and ``list`` trace modes.
+    identical on the streaming and materialised paths.
     Events that are not op-scoped (``op == -1``) are dropped.
     :meth:`drain` is the flush path: it hands the finished bins to the
     caller and frees them.

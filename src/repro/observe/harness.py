@@ -5,8 +5,9 @@ fresh — events are side effects, so the memoised
 :func:`repro.experiments.runner.run_loop` path must not be consulted —
 and (b) pairs the event stream with the exact :class:`PipelineStats` it
 was recorded against.  :func:`observe_loop` is that run: compile, arm
-the bus, emulate + time (either trace mode, either core), finalize the
-events into canonical order, and attribute the cycles.
+the bus, emulate once into a compact trace log and time it (either
+core), finalize the events into canonical order, and attribute the
+cycles.
 
 Like the hardened runner, an :class:`LsuOverflowError` from the timing
 model degrades to the section III-D7 sequential fallback instead of
@@ -27,7 +28,7 @@ from repro.emu.metrics import EmuMetrics
 from repro.memory import MemoryImage
 from repro.observe import events as _ev
 from repro.observe.attrib import RunAttribution, attribute_run
-from repro.pipeline import PipelineStats, Tracer, simulate, simulate_streaming
+from repro.pipeline import PipelineStats, simulate_streaming
 from repro.workloads.base import LoopSpec
 
 
@@ -38,7 +39,6 @@ class ObservedRun:
     spec: LoopSpec
     strategy: Strategy
     core: str
-    trace_mode: str
     emu: EmuMetrics
     pipe: PipelineStats
     events: tuple[_ev.Event, ...]
@@ -57,7 +57,6 @@ def _observed_execute(
     config: MachineConfig,
     n: int,
     core: str,
-    trace_mode: str,
     sink,
 ) -> tuple[EmuMetrics, PipelineStats]:
     arrays = spec.arrays(seed)
@@ -67,21 +66,9 @@ def _observed_execute(
     program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
 
     with _ev.capture(sink):
-        if trace_mode == "stream":
-            emu, pipe, _ = simulate_streaming(
-                program, mem, config, core=core, warm=True
-            )
-        else:
-            tracer = Tracer()
-            from repro.emu.interpreter import run_program
-
-            emu, _ = run_program(program, mem, config=config, tracer=tracer)
-            if core == "inorder":
-                from repro.pipeline.inorder import InOrderModel
-
-                pipe = InOrderModel(config).run(tracer.ops, warm=True)
-            else:
-                pipe = simulate(tracer.ops, config=config, warm=True)
+        emu, pipe, _ = simulate_streaming(
+            program, mem, config, core=core, warm=True
+        )
     return emu, pipe
 
 
@@ -92,7 +79,6 @@ def observe_loop(
     seed: int = 0,
     config: MachineConfig = TABLE_I,
     core: str = "ooo",
-    trace_mode: str = "stream",
     n_override: int | None = None,
     sink_factory=_ev.ListSink,
 ) -> ObservedRun:
@@ -103,22 +89,20 @@ def observe_loop(
     """
     if core not in ("ooo", "inorder"):
         raise ValueError(f"unknown core model {core!r}")
-    if trace_mode not in ("stream", "list"):
-        raise ValueError(f"unknown trace mode {trace_mode!r}")
     n = spec.n if n_override is None else min(n_override, spec.n)
 
     degraded = False
     sink = sink_factory()
     try:
         emu, pipe = _observed_execute(
-            spec, strategy, seed, config, n, core, trace_mode, sink
+            spec, strategy, seed, config, n, core, sink
         )
     except LsuOverflowError:
         degraded = True
         sink = sink_factory()  # drop the partial event stream
         seq_config = config.with_overrides(srv_force_sequential=True)
         emu, pipe = _observed_execute(
-            spec, strategy, seed, seq_config, n, core, trace_mode, sink
+            spec, strategy, seed, seq_config, n, core, sink
         )
 
     events = sink.finalized()
@@ -126,7 +110,6 @@ def observe_loop(
         spec=spec,
         strategy=strategy,
         core=core,
-        trace_mode=trace_mode,
         emu=emu,
         pipe=pipe,
         events=events,

@@ -41,6 +41,7 @@ CORE_MODULES: tuple[str, ...] = (
     "isa",
     "lsu",
     "memory",
+    "observe",
     "pipeline",
     "power",
     "srv",
@@ -51,28 +52,37 @@ CORE_MODULES: tuple[str, ...] = (
 _CODE_VERSION: str | None = None
 
 
+#: The ``repro`` package directory that :data:`CORE_MODULES` is relative to.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def core_sources() -> list[str]:
+    """Absolute paths of the source files :func:`code_version_hash` covers."""
+    files: list[str] = []
+    for name in CORE_MODULES:
+        path = os.path.join(_PACKAGE_DIR, name)
+        if os.path.isfile(path):
+            files.append(path)
+        else:
+            files.extend(sorted(
+                os.path.join(dirpath, fname)
+                for dirpath, _, fnames in os.walk(path)
+                for fname in fnames
+                if fname.endswith(".py")
+            ))
+    return files
+
+
 def code_version_hash(refresh: bool = False) -> str:
     """SHA-256 over the simulator-core sources (cached per process)."""
     global _CODE_VERSION
     if _CODE_VERSION is not None and not refresh:
         return _CODE_VERSION
-    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     hasher = hashlib.sha256()
-    for name in CORE_MODULES:
-        path = os.path.join(package_dir, name)
-        if os.path.isfile(path):
-            files = [path]
-        else:
-            files = sorted(
-                os.path.join(dirpath, fname)
-                for dirpath, _, fnames in os.walk(path)
-                for fname in fnames
-                if fname.endswith(".py")
-            )
-        for fpath in files:
-            hasher.update(os.path.relpath(fpath, package_dir).encode())
-            with open(fpath, "rb") as fh:
-                hasher.update(fh.read())
+    for fpath in core_sources():
+        hasher.update(os.path.relpath(fpath, _PACKAGE_DIR).encode())
+        with open(fpath, "rb") as fh:
+            hasher.update(fh.read())
     _CODE_VERSION = hasher.hexdigest()
     return _CODE_VERSION
 
@@ -126,9 +136,9 @@ def _valid_payload(payload) -> bool:
 class ResultCache:
     """LRU memo + optional content-addressed disk store of run payloads.
 
-    Payloads are the same spec-free dicts the checkpoint file uses
-    (``LoopSpec`` carries input-generator callables, so the spec itself
-    is never pickled; callers re-attach it on lookup).
+    Payloads are spec-free dicts (``LoopSpec`` carries input-generator
+    callables, so the spec itself is never pickled; callers re-attach it
+    on lookup).
     """
 
     max_memory: int = 2048
@@ -223,12 +233,6 @@ class ResultCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory:
             self._memory.popitem(last=False)
-
-    def put_memory(self, key: tuple, payload: dict) -> None:
-        """Memoise in process only — used for entries (e.g. checkpoint
-        resumes) that must not be re-published under the current code
-        version."""
-        self._store_memory(key, payload)
 
     def put(self, key: tuple, payload: dict) -> None:
         self._store_memory(key, payload)

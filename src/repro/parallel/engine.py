@@ -4,14 +4,17 @@ Lifecycle of one ``run_sweep`` call:
 
 1. **plan** — enumerate the deduplicated cell matrix for the requested
    experiments (:mod:`repro.parallel.plan`);
-2. **filter** — drop cells already satisfied by the loaded checkpoint
-   (so a checkpoint written by a *sequential* run is honoured by a
-   ``--jobs N`` run) or already present in the content-addressed disk
-   cache under the current code version;
+2. **filter** — drop cells already present in the content-addressed
+   result cache under the current code version.  This is how a killed
+   sweep resumes: every finished run was published as its own atomic
+   disk entry, so a re-run against the same cache directory re-executes
+   only the rest (a sweep without a disk cache does not resume);
 3. **warm** — round-robin the surviving cells into shards and execute
    the shards on a ``ProcessPoolExecutor``.  Workers share nothing but
    the disk cache directory: each computes its cells with the ordinary
    hardened runner and publishes payloads via atomic per-entry writes.
+   Without a disk cache the workers would have nowhere to publish, so
+   the shards run inline and warm this process's memo instead.
    Cell seeding is deterministic — a cell carries its explicit seed, and
    the hardened runner's retry-reseed stride is a pure function of it —
    so shard assignment cannot change any result;
@@ -62,20 +65,13 @@ def _run_shard(
     cells: list[SweepCell],
     cache_dir: str | None,
     timeout_s: float | None,
-    trace_mode: str | None = None,
 ) -> ShardReport:
     """Execute one shard's cells; importable at top level for pickling.
 
-    Runs in a worker process (or inline for ``jobs <= 1``, where the
-    parent's checkpoint keeps recording).  Pool workers never touch the
-    checkpoint file — concurrent whole-file rewrites would race — so
-    :func:`warm_cells` disables it in each worker's initializer.
+    Runs in a worker process, or inline for ``jobs <= 1``.
     """
     from repro.experiments import runner
 
-    if trace_mode is not None:
-        # worker processes don't inherit the parent's runtime default
-        runner.set_default_trace_mode(trace_mode)
     if cache_dir is not None:
         runner.enable_disk_cache(cache_dir)
     cache = result_cache()
@@ -96,7 +92,6 @@ def _run_shard(
                 spec, strategy, cell.seed, config,
                 timeout_s=timeout_s,
                 timing=cell.timing, n_override=cell.n_override, core=cell.core,
-                trace_mode=trace_mode,
             )
             report.executed += 1
         except (ReproError, KeyError) as exc:
@@ -113,7 +108,6 @@ def warm_cells(
     cache_dir: str | None = DEFAULT_CACHE_DIR,
     *,
     timeout_s: float | None = None,
-    trace_mode: str | None = None,
     progress=None,
 ) -> list[ShardReport]:
     """Populate the disk cache for ``cells`` using ``jobs`` processes.
@@ -121,8 +115,6 @@ def warm_cells(
     With ``jobs <= 1`` the shards run inline (same code path, no pool),
     which is also the fallback when a pool cannot be created at all.
     """
-    from repro.experiments import runner
-
     if not cells:
         return []
     n_shards = max(1, min(len(cells), jobs * SHARDS_PER_JOB))
@@ -130,20 +122,16 @@ def warm_cells(
 
     if jobs <= 1:
         return [
-            _run_shard(i, shard, cache_dir, timeout_s, trace_mode)
+            _run_shard(i, shard, cache_dir, timeout_s)
             for i, shard in enumerate(shards)
         ]
 
     reports: list[ShardReport] = []
     broken: list[int] = []
     try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=runner.disable_checkpoint,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(
-                    _run_shard, i, shard, cache_dir, timeout_s, trace_mode,
-                ): i
+                pool.submit(_run_shard, i, shard, cache_dir, timeout_s): i
                 for i, shard in enumerate(shards)
             }
             for future in as_completed(futures):
@@ -169,9 +157,7 @@ def warm_cells(
         for index in broken:
             if progress is not None:
                 progress(f"[shard {index}: worker died; retrying inline]")
-            report = _run_shard(
-                index, shards[index], cache_dir, timeout_s, trace_mode,
-            )
+            report = _run_shard(index, shards[index], cache_dir, timeout_s)
             report.resumed = len(shards[index])
             reports.append(report)
     except OSError as exc:
@@ -179,7 +165,7 @@ def warm_cells(
         if progress is not None:
             progress(f"[pool unavailable ({exc}); running shards inline]")
         return [
-            _run_shard(i, shard, cache_dir, timeout_s, trace_mode)
+            _run_shard(i, shard, cache_dir, timeout_s)
             for i, shard in enumerate(shards)
         ]
     reports.sort(key=lambda r: r.index)
@@ -208,17 +194,15 @@ def run_sweep(
     seed: int = 0,
     n_override: int | None = None,
     cache_dir: str | None = DEFAULT_CACHE_DIR,
-    checkpoint: str | None = None,
     timeout_s: float | None = None,
-    trace_mode: str | None = None,
     progress=None,
 ) -> SweepOutcome:
     """Run experiments with a parallel warm phase and a sequential replay.
 
     Returns every experiment's :class:`ExperimentResult` (bit-identical
     to a plain sequential run) plus the :class:`SweepReport` accounting.
-    A failing experiment is recorded as a failure-only result, matching
-    ``examples/run_all_experiments.py`` semantics.
+    A failing experiment is recorded as a failure-only result and the
+    sweep continues with the next one.
     """
     from repro.experiments import ALL_EXPERIMENTS, runner
 
@@ -231,10 +215,6 @@ def run_sweep(
     report = SweepReport(jobs=jobs)
     outcome = SweepOutcome(report=report)
 
-    if trace_mode is not None:
-        runner.set_default_trace_mode(trace_mode)
-    if checkpoint is not None:
-        runner.enable_checkpoint(checkpoint)
     if cache_dir is not None:
         runner.enable_disk_cache(cache_dir)
 
@@ -253,18 +233,17 @@ def run_sweep(
             spec, strategy, cell.seed, config, cell.timing,
             cell.n_override, cell.core,
         )
-        if runner.checkpoint_has(key):
-            report.skipped_checkpoint += 1
-        elif cache.contains(key):
+        if cache.contains(key):
             report.skipped_cache += 1
         else:
             pending.append(cell)
 
-    # warm
+    # warm; with no disk cache, pool workers could not hand their runs
+    # back, so the shards run inline and fill this process's memo
     start = time.perf_counter()
     report.shards = warm_cells(
-        pending, jobs, cache_dir, timeout_s=timeout_s,
-        trace_mode=trace_mode, progress=progress,
+        pending, jobs if cache_dir is not None else 1, cache_dir,
+        timeout_s=timeout_s, progress=progress,
     )
     report.warm_elapsed_s = time.perf_counter() - start
 

@@ -13,7 +13,7 @@ comparable and the tail interval (shorter than the rest) needs no
 special casing.
 
 Determinism: the vector is a pure function of the interval's ops and
-events — both are identical between ``stream`` and ``list`` trace modes
+events — both are identical on the streaming and materialised paths
 (events are binned by the op index they are stamped with, not by
 arrival order), which is pinned by ``tests/test_sample.py``.
 """

@@ -98,7 +98,7 @@ class TestCliDocumented:
 class TestCliFlags:
     def test_parses_flags_per_subcommand(self, check_docs):
         flags = check_docs.cli_flags()
-        assert {"--jobs", "--checkpoint", "--trace-mode"} <= flags["sweep"]
+        assert {"--jobs", "--cache-dir", "--timeout"} <= flags["sweep"]
         assert "--jobs" not in flags["loop"]
         assert set(flags) == set(check_docs.cli_subcommands())
 

@@ -98,20 +98,13 @@ class TestLsuOverflow:
         """A cycle-model overflow re-runs with forced sequential fallback."""
         spec = by_name("hmmer").loops[0]
         runner.clear_cache()
-        real_simulate = runner.simulate
         real_streaming = runner.simulate_streaming
-
-        def overflowing_simulate(trace, config=TABLE_I, **kwargs):
-            if not config.srv_force_sequential:
-                raise LsuOverflowError("synthetic overflow")
-            return real_simulate(trace, config=config, **kwargs)
 
         def overflowing_streaming(program, memory, config=TABLE_I, **kwargs):
             if not config.srv_force_sequential:
                 raise LsuOverflowError("synthetic overflow")
             return real_streaming(program, memory, config, **kwargs)
 
-        monkeypatch.setattr(runner, "simulate", overflowing_simulate)
         monkeypatch.setattr(runner, "simulate_streaming", overflowing_streaming)
         run = runner.run_loop(spec, Strategy.SRV, n_override=64)
         assert run.correct
@@ -126,13 +119,9 @@ class TestLsuOverflow:
         spec = by_name("hmmer").loops[0]
         runner.clear_cache()
 
-        def overflowing_simulate(trace, config=TABLE_I, **kwargs):
-            raise LsuOverflowError("synthetic overflow")
-
         def overflowing_streaming(program, memory, config=TABLE_I, **kwargs):
             raise LsuOverflowError("synthetic overflow")
 
-        monkeypatch.setattr(runner, "simulate", overflowing_simulate)
         monkeypatch.setattr(runner, "simulate_streaming", overflowing_streaming)
         with pytest.raises(LsuOverflowError):
             runner.run_loop(

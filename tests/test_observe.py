@@ -1,11 +1,11 @@
 """Tests for the observability layer (:mod:`repro.observe`).
 
 Covers the event bus mechanics, the instrumentation threaded through the
-emulator / timing models / LSU, the stream-vs-list event-sequence
-determinism contract, exact cycle attribution, the Perfetto exporter,
-and the two zero-overhead guarantees: experiment tables are byte
-identical with a null sink armed, and the disabled path costs <5% on
-the simulator benchmark kernel.
+emulator / timing models / LSU, the streaming-vs-materialised
+event-sequence determinism contract, exact cycle attribution, the
+Perfetto exporter, and the two zero-overhead guarantees: experiment
+tables are byte identical with a null sink armed, and the disabled path
+costs <5% on the simulator benchmark kernel.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import pytest
 
 from repro.common.config import TABLE_I
 from repro.common.errors import ObserveError
-from repro.compiler import Strategy
+from repro.compiler import Strategy, compile_loop
+from repro.emu import run_program
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import clear_cache
+from repro.memory import MemoryImage
 from repro.observe import attrib as attrib_mod
 from repro.observe import events as ev
 from repro.observe.export import (
@@ -33,6 +35,8 @@ from repro.observe.export import (
     write_chrome_trace,
 )
 from repro.observe.harness import observe_loop
+from repro.pipeline import Tracer, simulate
+from repro.pipeline.inorder import InOrderModel
 from repro.srv.engine import SrvEngine
 from repro.workloads import all_loops
 
@@ -231,13 +235,32 @@ class TestInstrumentation:
         spec = _spec("hmmer", "viterbi")
         with pytest.raises(ValueError):
             observe_loop(spec, Strategy.SRV, core="vliw")
-        with pytest.raises(ValueError):
-            observe_loop(spec, Strategy.SRV, trace_mode="firehose")
 
 
 # ---------------------------------------------------------------------------
-# trace-mode determinism
+# streaming vs materialised determinism
 # ---------------------------------------------------------------------------
+
+
+def _observe_materialised(spec, n_override: int, core: str = "ooo"):
+    """The materialised reference for :func:`observe_loop`: the whole
+    dynamic trace as a ``Tracer`` list, then the timing model over it."""
+    arrays = spec.arrays(0)
+    mem = MemoryImage()
+    for name, init in arrays.items():
+        mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
+    program = compile_loop(spec.loop, mem, min(n_override, spec.n),
+                           Strategy.SRV, params=spec.params)
+    sink = ev.ListSink()
+    tracer = Tracer()
+    with ev.capture(sink):
+        run_program(program, mem, config=TABLE_I, tracer=tracer)
+        if core == "inorder":
+            pipe = InOrderModel(TABLE_I).run(tracer.ops, warm=True)
+        else:
+            pipe = simulate(tracer.ops, config=TABLE_I, warm=True)
+    events = sink.finalized()
+    return pipe, events, attrib_mod.attribute_run(events, pipe.cycles)
 
 
 class TestDeterminism:
@@ -248,12 +271,24 @@ class TestDeterminism:
         self, workload, spec
     ):
         stream = observe_loop(spec, Strategy.SRV, n_override=48)
-        listed = observe_loop(
-            spec, Strategy.SRV, n_override=48, trace_mode="list"
-        )
-        assert stream.cycles == listed.cycles
-        assert stream.events == listed.events
-        assert stream.attribution.buckets == listed.attribution.buckets
+        pipe, events, attribution = _observe_materialised(spec, 48)
+        assert not stream.degraded
+        assert stream.cycles == pipe.cycles
+        assert stream.events == events
+        assert stream.attribution.buckets == attribution.buckets
+
+    @pytest.mark.parametrize("workload,fragment", [
+        ("hmmer", "viterbi"), ("gobmk", "influence"),
+    ])
+    def test_inorder_stream_matches_materialised(self, workload, fragment):
+        spec = _spec(workload, fragment)
+        stream = observe_loop(spec, Strategy.SRV, n_override=64,
+                              core="inorder")
+        pipe, events, attribution = _observe_materialised(
+            spec, 64, core="inorder")
+        assert stream.cycles == pipe.cycles
+        assert stream.events == events
+        assert stream.attribution.buckets == attribution.buckets
 
     def test_ring_buffer_stream_matches_list_tail(self):
         spec = _spec("hmmer", "viterbi")

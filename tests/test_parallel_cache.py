@@ -2,11 +2,15 @@
 
 Covers digest stability, the in-memory LRU bound, cross-process disk
 hits (modelled with two cache instances), implicit invalidation via the
-code-version hash, and corrupt-entry recovery.
+code-version hash (and that the hash covers every module a simulation
+imports), and corrupt-entry recovery.
 """
 
+import ast
+import importlib.util
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.parallel.cache import (
     ResultCache,
     cache_digest,
     code_version_hash,
+    core_sources,
 )
 
 KEY_A = ("loop_a", "srv", 0, "cfg", True, 64, "ooo")
@@ -75,14 +80,6 @@ class TestMemoryLayer:
         cache.put((3,), {"v": 3})
         assert cache.get((1,)) == {"v": 1}
         assert cache.get((2,)) is None
-
-    def test_put_memory_does_not_write_disk(self, tmp_path):
-        cache = ResultCache()
-        cache.enable_disk(str(tmp_path))
-        cache.put_memory(KEY_A, {"v": 1})
-        fresh = ResultCache()
-        fresh.enable_disk(str(tmp_path))
-        assert fresh.get(KEY_A) is None
 
     def test_stats_accounting(self):
         cache = ResultCache()
@@ -193,3 +190,60 @@ class TestDiskLayer:
         cache.clear_memory()
         cache.disable_disk()
         assert cache.get(KEY_A) is None
+
+
+#: Entry points of every timed and sampled run: the streaming timing path
+#: and the functional emulator.
+SIMULATION_ROOTS = ("repro.pipeline.stream", "repro.emu.interpreter")
+
+
+def _static_import_closure(roots) -> set[str]:
+    """Every ``repro`` module reachable from ``roots`` by import statements
+    (function-local ones too), read from the AST without executing code;
+    importing ``a.b.c`` also runs ``a`` and ``a.b``."""
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        parts = module.split(".")
+        todo.extend(".".join(parts[:i]) for i in range(1, len(parts)))
+        origin = importlib.util.find_spec(module).origin
+        tree = ast.parse(Path(origin).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                todo.extend(alias.name for alias in node.names
+                            if alias.name.split(".")[0] == "repro")
+            elif (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "repro"):
+                todo.append(node.module)
+                # ``from repro.x import y`` may name the submodule repro.x.y
+                todo.extend(
+                    f"{node.module}.{alias.name}" for alias in node.names
+                    if _is_module(f"{node.module}.{alias.name}")
+                )
+    return seen
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # the parent is a module, not a package
+        return False
+
+
+class TestCodeVersionCoverage:
+    def test_hash_covers_the_simulation_import_closure(self):
+        """Editing any module a simulation imports must change the code
+        version, or a cached result outlives the code that made it."""
+        hashed = {os.path.realpath(path) for path in core_sources()}
+        closure = _static_import_closure(SIMULATION_ROOTS)
+        assert "repro.pipeline.core" in closure  # the walk reaches deep
+        unhashed = sorted(
+            module for module in closure
+            if os.path.realpath(importlib.util.find_spec(module).origin)
+            not in hashed
+        )
+        assert not unhashed, unhashed

@@ -1,11 +1,11 @@
-"""Parallel sweep engine (repro.parallel): determinism + checkpointing.
+"""Parallel sweep engine (repro.parallel): determinism + resume.
 
 The engine's contract is that a ``--jobs N`` sweep produces tables that
 are **byte-identical** to a sequential run: workers only warm the result
 cache, and the harnesses replay sequentially in the parent.  These tests
-exercise that contract end to end for representative figures, plus the
-satellite requirement that a checkpoint written by a *sequential* run is
-honoured by a parallel one.
+exercise that contract end to end for representative figures, plus
+resuming a killed sweep through the disk cache and running every cell
+exactly once when there is no disk cache.
 """
 
 from concurrent.futures import Future
@@ -36,12 +36,23 @@ N = 32
 @pytest.fixture(autouse=True)
 def _fresh_state(tmp_path):
     runner.clear_cache()
-    runner.disable_checkpoint()
     runner.disable_disk_cache()
     yield
     runner.clear_cache()
-    runner.disable_checkpoint()
     runner.disable_disk_cache()
+
+
+def _spy_execute(monkeypatch) -> list:
+    """Record every ``runner._execute`` call made in this process."""
+    calls = []
+    original = runner._execute
+
+    def _spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_execute", _spy)
+    return calls
 
 
 def _sequential_tables() -> dict[str, str]:
@@ -130,9 +141,7 @@ class TestDeterminism:
 class _FakePool:
     """Runs submitted shards synchronously; shard 0's worker "dies"."""
 
-    def __init__(self, max_workers, initializer=None):
-        # shards run in this process, so the worker initializer (which
-        # disables the checkpoint) must not run here
+    def __init__(self, max_workers):
         self.max_workers = max_workers
 
     def __enter__(self):
@@ -174,43 +183,10 @@ class TestWorkerDeath:
 
 
 class TestCheckpointAgreement:
-    def test_sequential_checkpoint_honoured_by_parallel_run(self, tmp_path):
-        """Satellite: a --jobs N sweep must not redo checkpointed work."""
-        ckpt = str(tmp_path / "runs.ckpt")
+    """A cache warmed by the pool satisfies the plain sequential harness."""
 
-        # sequential run writes the checkpoint
-        runner.enable_checkpoint(ckpt)
-        expected = ALL_EXPERIMENTS["figure13"](n_override=N).format_table()
-        runner.disable_checkpoint()
-        runner.clear_cache()
-
-        # parallel run loads it: every cell is skipped, nothing executes
-        outcome = run_sweep(
-            ["figure13"], jobs=2, n_override=N,
-            cache_dir=str(tmp_path / "cache"), checkpoint=ckpt,
-        )
-        report = outcome.report
-        assert report.skipped_checkpoint == report.planned_cells
-        assert sum(s.executed for s in report.shards) == 0
-        assert outcome.results["figure13"].format_table() == expected
-
-    def test_inline_sweep_keeps_checkpoint(self, tmp_path):
-        """A --jobs 1 sweep warms in this process and must keep recording."""
-        ckpt = tmp_path / "runs.ckpt"
-        run_sweep(["figure9"], jobs=1, n_override=16, cache_dir=None,
-                  checkpoint=str(ckpt))
-        assert runner._CHECKPOINT_PATH == str(ckpt)
-        assert ckpt.exists()
-
-        runner.disable_checkpoint()
-        runner.clear_cache()
-        rerun = run_sweep(["figure9"], jobs=1, n_override=16, cache_dir=None,
-                          checkpoint=str(ckpt))
-        report = rerun.report
-        assert report.planned_cells > 0
-        assert report.skipped_checkpoint == report.planned_cells
-
-    def test_parallel_cache_honoured_by_sequential_run(self, tmp_path):
+    def test_parallel_cache_honoured_by_sequential_run(self, tmp_path,
+                                                       monkeypatch):
         """The converse composition: warm in parallel, replay sequentially
         through the plain harness entry point."""
         cache_dir = str(tmp_path / "cache")
@@ -219,17 +195,62 @@ class TestCheckpointAgreement:
 
         runner.clear_cache()
         runner.enable_disk_cache(cache_dir)
-        calls = []
-        original = runner._execute
-
-        def _spy(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        runner._execute = _spy
-        try:
-            result = ALL_EXPERIMENTS["figure13"](n_override=N)
-        finally:
-            runner._execute = original
+        calls = _spy_execute(monkeypatch)
+        result = ALL_EXPERIMENTS["figure13"](n_override=N)
         assert result.rows
         assert not calls, "warmed cells must satisfy the sequential harness"
+
+
+class _IsolatedPool(_FakePool):
+    """Runs every shard in this process, then drops what it memoised, as
+    a worker's memo dies with its process; only the disk cache persists."""
+
+    def submit(self, fn, index, *args):
+        cache = result_cache()
+        saved = cache._memory.copy()
+        future = Future()
+        try:
+            future.set_result(fn(index, *args))
+        finally:
+            cache._memory = saved
+        return future
+
+
+class TestResume:
+    def test_killed_sweep_resumes_from_disk_cache(self, tmp_path,
+                                                  monkeypatch):
+        """Re-running a killed sweep executes only the unfinished cells."""
+        expected = run_sweep(["figure13"], jobs=1, n_override=N,
+                             cache_dir=None).results["figure13"].format_table()
+
+        # the killed sweep: half its cells reached the disk cache
+        cache_dir = str(tmp_path / "cache")
+        cells = cells_for_experiments(["figure13"], n_override=N)
+        done = cells[: len(cells) // 2]
+        runner.clear_cache()
+        warm_cells(done, jobs=1, cache_dir=cache_dir)
+
+        runner.clear_cache()
+        runner.disable_disk_cache()
+        calls = _spy_execute(monkeypatch)
+        outcome = run_sweep(["figure13"], jobs=1, n_override=N,
+                            cache_dir=cache_dir)
+        report = outcome.report
+        assert report.planned_cells == len(cells)
+        assert report.skipped_cache == len(done)
+        assert report.executed == len(cells) - len(done)
+        assert len(calls) == len(cells) - len(done)
+        assert outcome.results["figure13"].format_table() == expected
+
+    def test_no_cache_parallel_sweep_runs_each_cell_once(self, monkeypatch):
+        """Without a disk cache, workers cannot hand runs back, so a
+        ``jobs > 1`` sweep must not compute cells it will compute again."""
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _IsolatedPool)
+        calls = _spy_execute(monkeypatch)
+        outcome = run_sweep(["figure9"], jobs=2, n_override=16,
+                            cache_dir=None)
+        report = outcome.report
+        assert report.planned_cells > 0
+        assert len(calls) == report.planned_cells
+        assert report.executed == report.planned_cells
+        assert not outcome.failed_experiments

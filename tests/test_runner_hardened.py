@@ -1,8 +1,6 @@
-"""Hardened experiment runner: memo keying, checkpoint/resume, timeout,
-retry-with-reseed, and the typed oracle mismatch error."""
-
-import os
-import pickle
+"""Hardened experiment runner: memo keying, resume through the disk cache
+under one code version only, timeout, retry-with-reseed, and the typed
+oracle mismatch error."""
 
 import pytest
 
@@ -14,6 +12,7 @@ from repro.common.errors import (
 )
 from repro.compiler import Strategy
 from repro.experiments import runner
+from repro.parallel import cache as cache_mod
 from repro.parallel.cache import result_cache
 from repro.workloads import by_name
 
@@ -21,11 +20,9 @@ from repro.workloads import by_name
 @pytest.fixture(autouse=True)
 def _fresh_runner_state():
     runner.clear_cache()
-    runner.disable_checkpoint()
     runner.disable_disk_cache()
     yield
     runner.clear_cache()
-    runner.disable_checkpoint()
     runner.disable_disk_cache()
 
 
@@ -77,50 +74,34 @@ class TestMemoisation:
         assert seeds_cached == {4, 5, 6, 7}
 
 
-class TestCheckpoint:
-    def test_resume_skips_execution(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "runs.ckpt")
+class TestStaleResults:
+    def test_code_version_change_reexecutes(self, tmp_path, monkeypatch):
+        """A stored run resumes only under the code version it was made by."""
         spec = _spec()
-        assert runner.enable_checkpoint(path) == 0
+        runner.enable_disk_cache(str(tmp_path))
         first = runner.run_loop(spec, Strategy.SRV, n_override=64)
-        assert os.path.exists(path)
 
-        # simulate a fresh process: drop in-memory state, re-load the file
+        calls = []
+        real_execute = runner._execute
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_execute", spy)
+        # a fresh process, same sources: the disk entry answers
         runner.clear_cache()
-        runner.disable_checkpoint()
-        resumed_count = runner.enable_checkpoint(path)
-        assert resumed_count == 1
+        runner.run_loop(spec, Strategy.SRV, n_override=64)
+        assert calls == []
 
-        def _boom(*args, **kwargs):
-            raise AssertionError("resumed run must not re-execute")
-
-        monkeypatch.setattr(runner, "_execute", _boom)
+        # a fresh process after a simulator edit: the run re-executes
+        runner.clear_cache()
+        monkeypatch.setattr(cache_mod, "_CODE_VERSION", "0" * 64)
         second = runner.run_loop(spec, Strategy.SRV, n_override=64)
-        assert second.correct == first.correct
+        assert len(calls) == 1
         assert second.pipe.cycles == first.pipe.cycles
         assert second.emu.dynamic_instructions \
             == first.emu.dynamic_instructions
-
-    @pytest.mark.parametrize(
-        "junk", [b"not a pickle", b"garbage not pickle\n", b""]
-    )
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path, junk):
-        path = tmp_path / "runs.ckpt"
-        path.write_bytes(junk)
-        assert runner.enable_checkpoint(str(path)) == 0
-        run = runner.run_loop(_spec(), Strategy.SCALAR, n_override=16,
-                              timing=False)
-        assert run.correct
-
-    def test_checkpoint_payload_is_spec_free(self, tmp_path):
-        """The file must not pickle LoopSpec (it carries callables)."""
-        path = str(tmp_path / "runs.ckpt")
-        runner.enable_checkpoint(path)
-        runner.run_loop(_spec(), Strategy.SCALAR, n_override=16,
-                        timing=False)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload  # round-trips through plain pickle without the spec
 
 
 class TestHardenedRunner:
