@@ -30,7 +30,7 @@ class AccessType(enum.Enum):
     SCALAR = "scalar"
 
 
-@dataclass
+@dataclass(slots=True)
 class LsuEntry:
     """One LQ or SAQ entry (with SDQ data attached for stores)."""
 
@@ -42,14 +42,17 @@ class LsuEntry:
     elem: int                   # element size in bytes
     lane: int                   # lane field; first lane for contiguous
     lanes_covered: int          # number of lanes this entry represents
+    region_bytes: int           # address-alignment region size
     direction: SrvDirection = SrvDirection.UP
     speculative: bool = False   # SAQ speculative flag (section III-D4)
     data: bytes | None = None   # SDQ contents for stores
-    chunks: list[RegionChunk] = field(default_factory=list)
-    #: address-alignment bases of ``chunks``, in address order: the keys
-    #: the LSU's CAM matches rows on (section IV-A)
+    #: address-alignment bases the access touches, in address order: the
+    #: keys the LSU's CAM matches rows on (section IV-A)
     bases: tuple[int, ...] = ()
     seq: int = 0                # machine-order issue stamp
+    _chunks: list[RegionChunk] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def make(
@@ -68,22 +71,30 @@ class LsuEntry:
         data: bytes | None = None,
         speculative: bool = False,
     ) -> "LsuEntry":
-        entry = cls(
-            srv_id=srv_id,
-            is_store=is_store,
-            access=access,
-            addr=addr,
-            size=size,
-            elem=elem,
-            lane=lane,
-            lanes_covered=lanes_covered,
-            direction=direction,
-            speculative=speculative,
-            data=data,
+        if size <= 0:
+            raise ValueError(f"access size must be positive, got {size}")
+        first = addr & -region_bytes
+        last = (addr + size - 1) & -region_bytes
+        return cls(
+            srv_id, is_store, access, addr, size, elem, lane, lanes_covered,
+            region_bytes, direction, speculative, data,
+            (first,) if first == last
+            else tuple(range(first, last + 1, region_bytes)),
         )
-        entry.chunks = chunks_for_access(addr, size, region_bytes)
-        entry.bases = tuple([chunk.base for chunk in entry.chunks])
-        return entry
+
+    @property
+    def chunks(self) -> list[RegionChunk]:
+        """One bytes-accessed bit vector per region in :attr:`bases`.
+
+        Built on first read: only the bit-vector checks of rows that share
+        a base with another access read them.
+        """
+        chunks = self._chunks
+        if chunks is None:
+            chunks = self._chunks = chunks_for_access(
+                self.addr, self.size, self.region_bytes
+            )
+        return chunks
 
     # -- lane geometry -------------------------------------------------------
 

@@ -10,6 +10,8 @@ Consecutive lanes of a vector access mostly touch the line the L1 touched
 last.  That line is the MRU way of its set (``Cache.mru``), so a repeat
 touch is an L1 hit that leaves the LRU order unchanged: the hierarchy
 counts it and marks the line dirty on a write without a set lookup.
+:meth:`CacheHierarchy.access_lanes` plays all lanes of one trace op and
+skips even the per-lane call for a lane that stays inside that line.
 """
 
 from __future__ import annotations
@@ -84,6 +86,52 @@ class CacheHierarchy:
                 latency = self._access_line(line_no * line, is_write)
             if latency > worst:
                 worst = latency
+        return worst
+
+    def access_lanes(self, mem, is_write: bool) -> int:
+        """Worst latency of one op's lane accesses ``mem``, in lane order.
+
+        Exactly ``max(access(a.addr, a.size, is_write) for a in mem)``
+        (0 for no lanes), with the same stats, LRU order and dirty bits.
+        A lane that lies inside the L1's MRU line (the line the previous
+        lane ended on) is counted as that hit here, without a call.  The
+        lanes of one trace op all load or all store, so callers replaying
+        a trace pass the first lane's ``is_store``.
+        """
+        line = self.config.l1.line_bytes
+        l1 = self.l1
+        access = self.access
+        mru = l1.mru
+        worst = 0
+        repeats = 0
+        for a in mem:
+            addr = a.addr
+            size = a.size
+            if (
+                mru is not None
+                and size > 0
+                and addr // line == mru[0] == (addr + size - 1) // line
+            ):
+                repeats += 1
+                if is_write:
+                    mru[1].dirty = True
+                continue
+            if repeats:
+                # settle the skipped hits first, as the per-lane loop
+                # would have, in case this access raises
+                l1.stats.hits += repeats
+                self.stats.l1_hits += repeats
+                repeats = 0
+            latency = access(addr, size, is_write)
+            if latency > worst:
+                worst = latency
+            mru = l1.mru
+        if repeats:
+            l1.stats.hits += repeats
+            self.stats.l1_hits += repeats
+            hit_latency = self.config.l1.hit_latency
+            if hit_latency > worst:
+                worst = hit_latency
         return worst
 
     def clone(self) -> "CacheHierarchy":

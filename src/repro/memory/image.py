@@ -4,10 +4,16 @@ Workloads allocate arrays into a :class:`MemoryImage`, run a program
 against it, and read the arrays back to check results.  Values are stored
 little-endian, unsigned; signed views are provided for convenience since
 the ISA's arithmetic is two's-complement.
+
+The bytes live in a private anonymous ``mmap``: the kernel backs
+untouched pages with the shared zero page, so an image costs resident
+memory only for the pages a run touches, not its whole (default 4 MiB)
+span.  Private, so a forked worker's writes stay its own.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,7 +107,7 @@ class MemoryImage:
         if size <= 0:
             raise MemoryAccessError(f"memory size must be positive, got {size}")
         self._base = base
-        self._data = bytearray(size)
+        self._data = _zeroed(size)
         self._next = base
         self._allocations: dict[str, Allocation] = {}
 
@@ -205,7 +211,7 @@ class MemoryImage:
             new_size = len(self._data)
             while new_size < need:
                 new_size *= 2
-            self._data.extend(bytes(new_size - len(self._data)))
+            self._data = _copied(self._data, new_size)
         self._span(base, alloc.size_bytes)  # bounds check
         self._next = alloc.end
         self._allocations[name] = alloc
@@ -275,7 +281,19 @@ class MemoryImage:
         """Deep copy sharing no state; allocations are carried over."""
         other = MemoryImage.__new__(MemoryImage)
         other._base = self._base
-        other._data = bytearray(self._data)
+        other._data = _copied(self._data, len(self._data))
         other._next = self._next
         other._allocations = dict(self._allocations)
         return other
+
+
+def _zeroed(size: int) -> mmap.mmap:
+    """``size`` zero bytes, committed page by page as they are touched."""
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+
+
+def _copied(data: mmap.mmap, size: int) -> mmap.mmap:
+    """A fresh zero mapping of ``size`` bytes starting with ``data``."""
+    new = _zeroed(size)
+    new[:len(data)] = data
+    return new

@@ -203,8 +203,12 @@ def run_sweep(
     to a plain sequential run) plus the :class:`SweepReport` accounting.
     A failing experiment is recorded as a failure-only result and the
     sweep continues with the next one.
+
+    The sweep reads and writes exactly the disk cache at ``cache_dir``
+    (none when ``None``), whatever the process enabled before; the
+    caller's disk cache is restored on return.
     """
-    from repro.experiments import ALL_EXPERIMENTS, runner
+    from repro.experiments import ALL_EXPERIMENTS
 
     if experiments is None:
         experiments = list(ALL_EXPERIMENTS)
@@ -212,11 +216,33 @@ def run_sweep(
     if unknown:
         raise KeyError(f"unknown experiment(s): {', '.join(unknown)}")
 
+    cache = result_cache()
+    saved_dir = cache.disk_dir
+    if cache_dir is None:
+        cache.disable_disk()
+    else:
+        cache.enable_disk(cache_dir)
+    try:
+        return _sweep(experiments, jobs, seed, n_override, cache_dir,
+                      timeout_s, progress)
+    finally:
+        cache.disk_dir = saved_dir
+
+
+def _sweep(
+    experiments: list[str],
+    jobs: int,
+    seed: int,
+    n_override: int | None,
+    cache_dir: str | None,
+    timeout_s: float | None,
+    progress,
+) -> SweepOutcome:
+    """:func:`run_sweep` with its disk cache in place."""
+    from repro.experiments import ALL_EXPERIMENTS, runner
+
     report = SweepReport(jobs=jobs)
     outcome = SweepOutcome(report=report)
-
-    if cache_dir is not None:
-        runner.enable_disk_cache(cache_dir)
 
     # plan + filter
     cells = cells_for_experiments(experiments, seed=seed, n_override=n_override)

@@ -12,7 +12,7 @@ in :class:`DecodeTable`.
 from repro.pipeline.branch_pred import BranchStats, ReturnAddressStack, TournamentPredictor
 from repro.pipeline.core import PipelineModel, simulate
 from repro.pipeline.decode import DecodeRecord, DecodeTable
-from repro.pipeline.resources import CapacityTracker, PortPool
+from repro.pipeline.resources import PortPool
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.store_sets import StoreSetPredictor, StoreSetStats
 from repro.pipeline.stream import simulate_streaming
@@ -36,7 +36,6 @@ __all__ = [
     "simulate_streaming",
     "DecodeRecord",
     "DecodeTable",
-    "CapacityTracker",
     "PortPool",
     "PipelineStats",
     "StoreSetPredictor",

@@ -40,6 +40,7 @@ instead of per-dynamic-op ``getattr`` probes.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush, heapreplace
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import PipelineError
@@ -49,7 +50,7 @@ from repro.memory.hierarchy import CacheHierarchy
 from repro.observe import events as _obs
 from repro.pipeline.branch_pred import TournamentPredictor
 from repro.pipeline.decode import DecodeRecord, DecodeTable
-from repro.pipeline.resources import CapacityTracker, PortPool
+from repro.pipeline.resources import PortPool
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.store_sets import StoreSetPredictor
 from repro.pipeline.trace import MemAccess, OpClass, RegionEvent, TraceOp
@@ -60,6 +61,9 @@ FORWARD_LATENCY = 1
 
 #: Ops between issue-port occupancy prunes (amortises the dict rebuilds).
 PRUNE_INTERVAL = 2048
+
+#: A cycle later than any the model reaches.
+_NEVER = float("inf")
 
 
 class PipelineModel:
@@ -92,9 +96,13 @@ class PipelineModel:
                 "commit": config.pipeline_width,
             }
         )
-        self.rob = CapacityTracker(config.rob_entries, "ROB")
-        self.iq = CapacityTracker(config.iq_entries, "IQ")
-        self.lsu_slots = CapacityTracker(config.lsu_entries, "LSU")
+        for name, capacity in (
+            ("ROB", config.rob_entries),
+            ("IQ", config.iq_entries),
+            ("LSU", config.lsu_entries),
+        ):
+            if capacity <= 0:
+                raise ValueError(f"{name} capacity must be positive")
         self.stats = PipelineStats()
         #: commit cycle of the most recently retired op — a checkpoint the
         #: sampling layer reads mid-stream to split warm-up from measured
@@ -105,6 +113,11 @@ class PipelineModel:
         self._recent_stores: deque = deque(maxlen=64)
         self._lsu_live: list = []
         self._complete_ring: list[int] = []
+        # bounds that let _execute_mem skip scans that cannot match: no
+        # baseline entry of _lsu_live drains before _drain_at, and no store
+        # in _recent_stores completes after _stores_done_by
+        self._drain_at = 0
+        self._stores_done_by = 0
 
     # ------------------------------------------------------------------ run
 
@@ -115,9 +128,11 @@ class PipelineModel:
         sets are already cache-resident; benchmarks enable this so that
         compulsory misses do not dominate short synthetic kernels.
         """
+        access_lanes = self.caches.access_lanes
         for op in trace:
-            for access in op.mem:
-                self.caches.access(access.addr, access.size, access.is_store)
+            mem = op.mem
+            if mem:
+                access_lanes(mem, mem[0].is_store)
         self.caches.reset_stats()
 
     def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
@@ -156,9 +171,6 @@ class PipelineModel:
         config = self.config
         stats = self.stats
         ports = self.ports
-        rob = self.rob
-        iq = self.iq
-        lsu_slots = self.lsu_slots
         lsu = self.lsu
         bpred = self.bpred
         store_sets = self.store_sets
@@ -192,6 +204,19 @@ class PipelineModel:
         pass_begin = 0
 
         decode_fallback: DecodeTable | None = None
+
+        # Buffer occupancy, as the release times of the in-flight entries.
+        # An allocation into a full buffer waits for the earliest release.
+        # The ROB and LSU free their entries at commit, and commit times
+        # never decrease, so the earliest release is the oldest entry: a
+        # FIFO.  The IQ frees at issue, out of order: a min-heap, whose
+        # pop is deferred to the release as one heapreplace.
+        rob: deque[int] = deque()
+        rob_entries = config.rob_entries
+        iq: list[int] = []
+        iq_entries = config.iq_entries
+        lsu_slots: deque[int] = deque()
+        lsu_entries = config.lsu_entries
 
         reg_ready: dict[tuple[str, int], int] = {}
         # recent stores for vertical (store-set) conflict detection
@@ -245,17 +270,30 @@ class PipelineModel:
                 obs.emit(kind_fetch, "pipe", i, fetch, 0, op.pc)
 
             # ---- dispatch (rename + buffers) -----------------------------
-            dispatch = rob.allocate(fetch + FRONTEND_DEPTH)
-            dispatch = iq.allocate(dispatch)
+            dispatch = fetch + FRONTEND_DEPTH
+            if len(rob) >= rob_entries:
+                t = rob.popleft()
+                if t > dispatch:
+                    dispatch = t
+            iq_full = len(iq) >= iq_entries
+            if iq_full:
+                t = iq[0]
+                if t > dispatch:
+                    dispatch = t
+            mem = op.mem
+            mem_lanes = len(mem)
             is_mem = rec.is_mem
             lsu_demand = 0
             if is_mem:
                 # gathers/scatters occupy one LSU entry per lane
-                lsu_demand = (
-                    max(1, len(op.mem)) if rec.is_gather_scatter else 1
-                )
+                lsu_demand = 1
+                if rec.is_gather_scatter and mem_lanes > 1:
+                    lsu_demand = mem_lanes
                 for _ in range(lsu_demand):
-                    dispatch = lsu_slots.allocate(dispatch)
+                    if len(lsu_slots) >= lsu_entries:
+                        t = lsu_slots.popleft()
+                        if t > dispatch:
+                            dispatch = t
 
             # ---- ready (operand wakeup) ----------------------------------
             ready = dispatch + 1
@@ -278,7 +316,9 @@ class PipelineModel:
                     # Idle time the issue stage actually loses to the
                     # barrier: from when it could next have issued work
                     # to when the srv_end executes.
-                    stalled_from = max(ready, last_issue)
+                    stalled_from = (
+                        ready if ready > last_issue else last_issue
+                    )
                     if barrier_until > stalled_from:
                         stats.barrier_cycles += barrier_until - stalled_from
                         if obs is not None:
@@ -308,14 +348,17 @@ class PipelineModel:
             # the SAQ write ports (scatters), both 2/cycle in Table I.
             issue_at = ports.reserve(rec.port_kind, ready)
             last_slot = issue_at
-            if rec.is_gather_scatter and len(op.mem) > 1:
+            if rec.is_gather_scatter and mem_lanes > 1:
                 micro_kind = (
                     "gather_micro" if rec.access_kind == "gather"
                     else "scatter_micro"
                 )
-                for _ in range(len(op.mem) - 1):
+                for _ in range(mem_lanes - 1):
                     last_slot = ports.reserve(micro_kind, last_slot)
-            iq.release(issue_at)
+            if iq_full:
+                heapreplace(iq, issue_at)
+            else:
+                heappush(iq, issue_at)
             if op_class is not srv_end_cls:
                 # srv_end "issues" only at the serialisation point; it must
                 # not mask the idle window the barrier creates (figure 8).
@@ -356,7 +399,9 @@ class PipelineModel:
                 elif op.branch_taken:
                     # predicted-taken redirect: the front end still loses a
                     # couple of cycles restarting fetch at the target
-                    redirect_at = max(redirect_at, fetch + 1 + taken_bubble)
+                    t = fetch + 1 + taken_bubble
+                    if t > redirect_at:
+                        redirect_at = t
                     stats.frontend_stall_cycles += taken_bubble
 
             # ---- SRV region bookkeeping ------------------------------------
@@ -425,19 +470,20 @@ class PipelineModel:
                         lsu_live[:] = [e for e in lsu_live if not e[1]]
 
             # ---- commit -----------------------------------------------------
-            commit = ports.reserve("commit", max(complete, prev_commit))
+            commit = ports.reserve(
+                "commit", complete if complete > prev_commit else prev_commit
+            )
             self.last_commit = prev_commit = commit
-            rob.release(commit)
+            rob.append(commit)
             if is_mem:
                 for _ in range(lsu_demand):
-                    lsu_slots.release(commit)
-                if rec.is_store:
+                    lsu_slots.append(commit)
+                if rec.is_store and mem:
                     # The LFST entry is left in place: a later load waiting
                     # on an already-completed store is a no-op, and eager
                     # retirement would erase the dependence before younger
                     # loads (processed later in trace order) consult it.
-                    for access in op.mem:
-                        caches.access(access.addr, access.size, True)
+                    caches.access_lanes(mem, True)
             if obs is not None:
                 obs.emit(kind_commit, "pipe", i, commit, 0, op.pc)
             if pending_region_end is not None:
@@ -455,12 +501,12 @@ class PipelineModel:
                 pending_region_end = None
 
             stats.instructions += 1
-            stats.micro_ops += max(1, len(op.mem))
+            stats.micro_ops += mem_lanes if mem_lanes > 1 else 1
             if rec.is_vector:
                 stats.vector_instructions += 1
             else:
                 stats.scalar_instructions += 1
-            stats.mem_lane_accesses += len(op.mem)
+            stats.mem_lane_accesses += mem_lanes
 
             i += 1
             if not i % PRUNE_INTERVAL and i >= window:
@@ -501,8 +547,18 @@ class PipelineModel:
                 )
                 for a in op.mem
             ]
+        first = op.mem[0]
+        lo = first.addr
+        hi = lo + first.size
+        lane = first.lane
+        for a in op.mem:
+            if a.addr < lo:
+                lo = a.addr
+            if a.addr + a.size > hi:
+                hi = a.addr + a.size
+            if a.lane < lane:
+                lane = a.lane
         if rec.is_broadcast:
-            first = op.mem[0]
             return [
                 LsuEntry.make(
                     srv_id=op.pc,
@@ -511,16 +567,14 @@ class PipelineModel:
                     addr=first.addr,
                     size=first.size,
                     elem=first.size,
-                    lane=min(a.lane for a in op.mem),
+                    lane=lane,
                     lanes_covered=len(op.mem),
                     region_bytes=region_bytes,
                     direction=op.direction,
                 )
             ]
         # contiguous (or scalar: a single-lane contiguous access)
-        lo = min(a.addr for a in op.mem)
-        hi = max(a.addr + a.size for a in op.mem)
-        elem = op.mem[0].size
+        elem = first.size
         return [
             LsuEntry.make(
                 srv_id=op.pc,
@@ -529,7 +583,7 @@ class PipelineModel:
                 addr=lo,
                 size=hi - lo,
                 elem=elem,
-                lane=min(a.lane for a in op.mem),
+                lane=lane,
                 lanes_covered=(hi - lo) // elem,
                 region_bytes=region_bytes,
                 direction=op.direction,
@@ -574,13 +628,14 @@ class PipelineModel:
 
         if is_store:
             complete = last_slot + 1
-            for entry in entries:
-                lsu_live.append(((entry.srv_id, entry.lane), in_region, complete))
+            self._track_live(entries, in_region, complete, lsu_live)
             if op.mem:
                 self.store_sets.store_fetched(op.pc, index)
                 recent_stores.append(
                     (index, op.pc, op.mem, issue_at, complete)
                 )
+                if complete > self._stores_done_by:
+                    self._stores_done_by = complete
             stats.stores += 1
             return complete
 
@@ -588,9 +643,7 @@ class PipelineModel:
         if fully_forwarded:
             latency = FORWARD_LATENCY
         elif op.mem:
-            latency = max(
-                self.caches.access(a.addr, a.size, False) for a in op.mem
-            )
+            latency = self.caches.access_lanes(op.mem, False)
         else:
             latency = FORWARD_LATENCY  # fully predicated-off access
         complete = last_slot + latency
@@ -611,7 +664,7 @@ class PipelineModel:
 
         # Vertical mispeculation: this load issued although an older store
         # to an overlapping address had not completed (store-set miss).
-        if not in_region and op.mem:
+        if not in_region and op.mem and self._stores_done_by > issue_at:
             for s_index, s_pc, s_accesses, s_issue, s_complete in recent_stores:
                 if s_index >= index:
                     continue
@@ -621,7 +674,8 @@ class PipelineModel:
                     stats.store_set_squashes += 1
                     stats.squash_penalty_cycles += SQUASH_PENALTY
                     self.store_sets.record_violation(op.pc, s_pc)
-                    complete = max(complete, s_complete + SQUASH_PENALTY)
+                    if s_complete + SQUASH_PENALTY > complete:
+                        complete = s_complete + SQUASH_PENALTY
                     if obs is not None:
                         obs.emit(
                             _obs.EventKind.STORE_SET_CONFLICT, "pipe",
@@ -629,12 +683,23 @@ class PipelineModel:
                             (("store_pc", s_pc),),
                         )
                     break
-        for entry in entries:
-            lsu_live.append(((entry.srv_id, entry.lane), in_region, complete))
+        self._track_live(entries, in_region, complete, lsu_live)
         return complete
 
+    def _track_live(
+        self, entries: list[LsuEntry], in_region: bool, complete: int,
+        lsu_live: list,
+    ) -> None:
+        for entry in entries:
+            lsu_live.append(((entry.srv_id, entry.lane), in_region, complete))
+        if entries and not in_region and complete + 1 < self._drain_at:
+            self._drain_at = complete + 1
+
     def _drain_baseline(self, now: int, lsu_live: list) -> None:
+        if now < self._drain_at:
+            return  # no baseline entry has committed yet
         keep = []
+        drain_at = _NEVER
         for item in lsu_live:
             key, was_region, complete = item
             if was_region:
@@ -644,7 +709,10 @@ class PipelineModel:
                 self.lsu.drain_entry(key)
             else:
                 keep.append(item)
+                if complete + 1 < drain_at:
+                    drain_at = complete + 1
         lsu_live[:] = keep
+        self._drain_at = drain_at
 
     @staticmethod
     def _overlaps(a: list[MemAccess], b: list[MemAccess]) -> bool:

@@ -60,9 +60,11 @@ class InOrderModel:
         self._store_window: deque = deque(maxlen=STORE_WINDOW)
 
     def warm_caches(self, trace) -> None:
+        access_lanes = self.caches.access_lanes
         for op in trace:
-            for access in op.mem:
-                self.caches.access(access.addr, access.size, access.is_store)
+            mem = op.mem
+            if mem:
+                access_lanes(mem, mem[0].is_store)
         self.caches.reset_stats()
 
     def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
@@ -166,10 +168,9 @@ class InOrderModel:
             issue_at = issue_cursor
             issued_this_cycle += 1
 
-            slots = 1
-            if rec.is_gather_scatter:
-                slots = max(1, len(op.mem))
-            last_slot = issue_at + max(0, slots - 1)
+            last_slot = issue_at
+            if rec.is_gather_scatter and len(op.mem) > 1:
+                last_slot += len(op.mem) - 1
 
             if is_mem:
                 # fresh scratch store list: in-order loads never bypass, so

@@ -1,18 +1,14 @@
-"""Structural-resource trackers for the timing model.
+"""Per-cycle issue bandwidth for the timing model.
 
-Two primitives cover every Table I structure:
-
-* :class:`PortPool` — per-cycle issue bandwidth (e.g. "2 vector loads per
-  cycle"): finds the earliest cycle at or after a ready time with a free
-  slot of the requested kind.
-* :class:`CapacityTracker` — finite buffers occupied over an interval
-  (ROB, IQ, LSU): an allocation at capacity waits for the earliest
-  in-flight release.
+:class:`PortPool` models Table I's per-cycle limits (e.g. "2 vector
+loads per cycle"): it finds the earliest cycle at or after a ready time
+with a free slot of the requested kind.  The finite buffers (ROB, IQ,
+LSU) are queues of release times local to the pump in
+:mod:`repro.pipeline.core`.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 
 
@@ -61,33 +57,3 @@ class PortPool:
     def footprint(self) -> int:
         """Total retained (cycle, count) entries across all kinds."""
         return sum(len(used) for used in self._used.values())
-
-
-class CapacityTracker:
-    """A buffer with ``capacity`` slots occupied over [alloc, release)."""
-
-    def __init__(self, capacity: int, name: str = "buffer") -> None:
-        if capacity <= 0:
-            raise ValueError(f"{name} capacity must be positive")
-        self.capacity = capacity
-        self.name = name
-        self._releases: list[int] = []   # min-heap of in-flight release times
-        self.stall_cycles = 0            # cycles allocations waited for space
-
-    def allocate(self, ready: int) -> int:
-        """Grant time for an allocation that becomes ready at ``ready``.
-
-        Must be paired with a later :meth:`release`.
-        """
-        if len(self._releases) < self.capacity:
-            return ready
-        earliest_free = heapq.heappop(self._releases)
-        grant = max(ready, earliest_free)
-        self.stall_cycles += max(0, earliest_free - ready)
-        return grant
-
-    def release(self, time: int) -> None:
-        heapq.heappush(self._releases, time)
-
-    def in_flight(self) -> int:
-        return len(self._releases)

@@ -60,7 +60,7 @@ class RegionEvent(enum.Enum):
     FALLBACK = "fallback"       # LSU-overflow sequential execution
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceOp:
     """One dynamic instruction as seen by the timing model."""
 
@@ -328,10 +328,27 @@ class TraceLog:
     def warm(self, caches) -> None:
         """Play every access into ``caches`` in trace order, then reset
         their stats: steady-state warming, as ``warm_caches`` does for a
-        materialised trace."""
+        materialised trace.
+
+        As in :meth:`~repro.memory.hierarchy.CacheHierarchy.access_lanes`,
+        an access inside the L1's MRU line skips the call (it would be an
+        MRU hit, counted in stats that are reset here anyway); a store
+        still dirties that line.
+        """
         access = caches.access
+        l1 = caches.l1
+        line = caches.config.l1.line_bytes
+        mru = l1.mru
         for addr, size, store in zip(self.addr, self.size, self.store):
+            if (
+                mru is not None
+                and addr // line == mru[0] == (addr + size - 1) // line
+            ):
+                if store:
+                    mru[1].dirty = True
+                continue
             access(addr, size, store)
+            mru = l1.mru
         caches.reset_stats()
 
     def ops(self, program, decode) -> Iterator[TraceOp]:

@@ -114,7 +114,9 @@ def fingerprint_pass(
     lanes = interp.lanes
     intervals: list[IntervalRecord] = []
     acc = FingerprintAccumulator(lanes)
-    cache_access = feed_caches.access if feed_caches is not None else None
+    cache_access = (
+        feed_caches.access_lanes if feed_caches is not None else None
+    )
     start = 0
     count = 0
     # L1/L2 miss counts at the last interval boundary.  Kept in a list,
@@ -142,9 +144,8 @@ def fingerprint_pass(
 
     for op in log.ops(interp.program, interp.decode):
         acc.add(op)
-        if cache_access is not None:
-            for a in op.mem:
-                cache_access(a.addr, a.size, a.is_store)
+        if cache_access is not None and op.mem:
+            cache_access(op.mem, op.mem[0].is_store)
         count += 1
         if count - start == interval_size:
             close()
@@ -207,7 +208,7 @@ def collect_segments(
     cuts: deque[int] = deque()  #: absolute indices of safe cuts in tail
     current: Segment | None = None
     current_end = 0
-    feed = ambient.access if ambient is not None else None
+    feed = ambient.access_lanes if ambient is not None else None
 
     for op in ops:
         cut = safe_cut(op)
@@ -226,9 +227,8 @@ def collect_segments(
                 caches=ambient.clone() if ambient is not None else None,
             )
             current_end = (j + 1) * interval_size
-        if feed is not None:
-            for a in op.mem:
-                feed(a.addr, a.size, a.is_store)
+        if feed is not None and op.mem:
+            feed(op.mem, op.mem[0].is_store)
         if not tail:
             tail_start = op.index
         tail.append(op)

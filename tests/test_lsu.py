@@ -682,6 +682,48 @@ class TestNoSharedBase:
         assert entry.bases == tuple(c.base for c in entry.chunks)
 
 
+class TestLazyGeometry:
+    """``LsuEntry.make`` computes ``bases`` by arithmetic and defers the
+    bit vectors; both must equal ``chunks_for_access``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(0, 1 << 20),
+        st.integers(1, 300),
+        st.sampled_from([16, 32, 64, 128]),
+    )
+    def test_bases_and_chunks_match_chunks_for_access(
+        self, addr, size, region
+    ):
+        entry = LsuEntry.make(
+            srv_id=0, is_store=False, access=AccessType.CONTIGUOUS,
+            addr=addr, size=size, elem=1, lane=0, lanes_covered=size,
+            region_bytes=region,
+        )
+        expected = chunks_for_access(addr, size, region)
+        assert entry.bases == tuple(c.base for c in expected)
+        assert entry.chunks == expected
+        assert entry.chunks is entry.chunks  # built once
+
+    def test_make_builds_no_bit_vectors(self, monkeypatch):
+        from repro.lsu import entries
+
+        calls = []
+        original = entries.chunks_for_access
+        monkeypatch.setattr(
+            entries, "chunks_for_access",
+            lambda *args: calls.append(args) or original(*args),
+        )
+        entry = make_entry(addr=0x3C, size=8)
+        assert entry.bases == (0x00, 0x40) and not calls
+        assert entry.chunk_for_base(0x40).bytes_accessed.popcount() == 4
+        assert calls == [(0x3C, 8, REGION)]
+
+    def test_nonpositive_size_is_rejected_at_make(self):
+        with pytest.raises(ValueError):
+            make_entry(addr=0x40, size=0)
+
+
 class BruteForceLsu(LoadStoreUnit):
     """The unindexed LSU: every issue pairs with every prior row.
 

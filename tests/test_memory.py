@@ -2,14 +2,17 @@
 
 import copy
 import dataclasses
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, MemoryConfig
 from repro.common.errors import MemoryAccessError
 from repro.memory import Cache, CacheHierarchy, MemoryImage, to_signed, to_unsigned
-from repro.pipeline.trace import MemAccess
+from repro.pipeline.trace import MemAccess, TraceLog
 
 
 class TestIntConversions:
@@ -103,6 +106,72 @@ class TestMemoryImage:
         a = mem.alloc("a", 3, 4, init=[-1, -2, 3])
         assert mem.load_array(a) == [-1, -2, 3]
         assert mem.load_array(a, signed=False)[0] == 0xFFFFFFFF
+
+    def test_growth_keeps_contents_and_moves_the_ceiling(self):
+        mem = MemoryImage(size=256, base=0x1000)
+        a = mem.alloc("a", 8, 4, init=range(8))
+        mem.write_bytes(0x1000 + 40, b"\x07\x08")  # between the arrays
+        with pytest.raises(MemoryAccessError):
+            mem.read_int(0x1000 + 256, 4)
+        b = mem.alloc("b", 100, 4, init=range(100, 200))
+        assert mem.size == 512
+        assert mem.load_array(a) == list(range(8))
+        assert mem.read_bytes(0x1000 + 40, 2) == b"\x07\x08"
+        assert mem.load_array(b) == list(range(100, 200))
+        assert mem.read_int(0x1000 + 508, 4) == 0  # fresh bytes are zero
+        with pytest.raises(MemoryAccessError) as err:
+            mem.read_int(0x1000 + 510, 4)
+        assert str(err.value) == (
+            "access [0x11fe, 0x1202) outside memory [0x1000, 0x1200)"
+        )
+        lanes = mem.read_lanes(b.base, 4, 4)
+        assert lanes.tolist() == [100, 101, 102, 103]
+
+    def test_clone_shares_no_bytes_in_either_direction(self):
+        mem = MemoryImage(size=256)
+        a = mem.alloc("a", 4, 4, init=[1, 2, 3, 4])
+        clone = mem.clone()
+        mem.write_int(a.addr(1), 20, 4)
+        clone.write_int(a.addr(2), 30, 4)
+        assert mem.load_array(a) == [1, 20, 3, 4]
+        assert clone.load_array(a) == [1, 2, 30, 4]
+        clone.alloc("big", 200, 4)  # grows the clone only
+        assert (mem.size, clone.size) == (256, 1024)
+        assert "big" not in {x.name for x in mem.allocations()}
+
+    def test_out_of_range_errors_name_the_span(self):
+        mem = MemoryImage(size=64, base=0x100)
+        for call in (
+            lambda: mem.read_bytes(0x13E, 4),
+            lambda: mem.read_int(0x13E, 4),
+            lambda: mem.write_bytes(0x13E, b"1234"),
+            lambda: mem.write_int(0x13E, 1, 4),
+            lambda: mem.read_lanes(0x130, 4, 8),
+        ):
+            with pytest.raises(MemoryAccessError) as err:
+                call()
+            assert "outside memory [0x100, 0x140)" in str(err.value)
+        assert mem.snapshot() == bytes(64)  # nothing was written
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_writes_its_own_copy(self):
+        mem = MemoryImage(size=256)
+        a = mem.alloc("a", 4, 4, init=[1, 2, 3, 4])
+        pid = os.fork()
+        if pid == 0:  # child: write, then leave without cleanup
+            mem.write_int(a.addr(0), 99, 4)
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert mem.load_array(a) == [1, 2, 3, 4]
+
+    def test_snapshot_is_an_immutable_copy(self):
+        mem = MemoryImage(size=128, base=0x40)
+        mem.write_bytes(0x40, b"\x01\x02")
+        snap = mem.snapshot()
+        mem.write_bytes(0x40, b"\xff")
+        assert type(snap) is bytes
+        assert snap == b"\x01\x02" + bytes(126)
+        assert mem.snapshot()[:2] == b"\xff\x02"
 
 
 class TestCache:
@@ -410,3 +479,123 @@ class TestClone:
         clone = h.clone()
         assert clone.l1.mru is None
         assert clone.l2.mru is not None
+
+
+def _lanes(draw_kind, base, elem, count, is_store, down):
+    if draw_kind == "contiguous":
+        mem = [
+            MemAccess(base + i * elem, elem, is_store, i) for i in range(count)
+        ]
+        # DOWN regions walk the lanes from high to low addresses
+        return mem[::-1] if down else mem
+    return [MemAccess(base, elem, is_store, 0)] * count
+
+
+@st.composite
+def _lane_ops(draw):
+    """One op's lanes: a contiguous vector (either direction, often
+    straddling a line), a gather of scattered lanes, or one wide access
+    repeated; plus the op's write flag."""
+    is_store = draw(st.booleans())
+    kind = draw(st.sampled_from(["contiguous", "gather", "repeat"]))
+    if kind == "gather":
+        lanes = draw(st.lists(
+            st.tuples(st.integers(0, 4095), st.sampled_from([1, 2, 4, 8])),
+            min_size=1, max_size=16,
+        ))
+        mem = [MemAccess(a, s, is_store, i) for i, (a, s) in enumerate(lanes)]
+        return mem, is_store
+    base = draw(st.integers(0, 4095))
+    if kind == "contiguous":
+        elem = draw(st.sampled_from([1, 2, 4, 8]))
+        count = draw(st.integers(1, 16))
+    else:
+        elem = draw(st.integers(1, 96))
+        count = draw(st.integers(1, 3))
+    down = draw(st.booleans())
+    return _lanes(kind, base, elem, count, is_store, down), is_store
+
+
+#: a stream step: an op's lanes, one plain access (a warm stream), or an
+#: invalidation of one level
+_STEPS = st.lists(
+    st.one_of(
+        _lane_ops().map(lambda op: ("lanes", op)),
+        st.tuples(st.integers(0, 4095), st.integers(1, 96), st.booleans())
+        .map(lambda a: ("access", a)),
+        st.sampled_from([("invalidate", "l1"), ("invalidate", "l2")]),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def _full_state(h: CacheHierarchy):
+    return _cache_state(h), _mru_line_no(h.l1), _mru_line_no(h.l2)
+
+
+class TestAccessLanes:
+    """``access_lanes`` against the per-lane ``access`` loop it replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_STEPS)
+    def test_matches_the_per_lane_loop(self, steps):
+        fast, ref = CacheHierarchy(_TINY), CacheHierarchy(_TINY)
+        for kind, arg in steps:
+            if kind == "lanes":
+                mem, is_write = arg
+                expected = max(
+                    (ref.access(a.addr, a.size, is_write) for a in mem),
+                    default=0,
+                )
+                assert fast.access_lanes(mem, is_write) == expected
+            elif kind == "access":
+                assert fast.access(*arg) == ref.access(*arg)
+            else:
+                getattr(fast, arg).invalidate_all()
+                getattr(ref, arg).invalidate_all()
+            assert _full_state(fast) == _full_state(ref)
+
+    def test_repeat_lanes_skip_the_call(self):
+        h = CacheHierarchy()
+        calls = []
+        access = h.access
+        h.access = lambda *args: calls.append(args) or access(*args)
+        mem = [MemAccess(0x1000 + 4 * i, 4, False, i) for i in range(16)]
+        assert h.access_lanes(mem, False) == 2 + 7 + 80
+        # the first lane misses through access; 15 lanes are MRU hits
+        assert calls == [(0x1000, 4, False)]
+        assert (h.stats.l1_misses, h.stats.l1_hits) == (1, 15)
+        assert (h.l1.stats.misses, h.l1.stats.hits) == (1, 15)
+        assert h.access_lanes(mem, True) == 2
+        assert calls == [(0x1000, 4, False)]
+        assert h.l1.mru[1].dirty
+
+    def test_invalid_lane_size_raises_like_access(self):
+        h = CacheHierarchy(_TINY)
+        h.access(0x41, 4, False)
+        with pytest.raises(ValueError):
+            h.access_lanes([MemAccess(0x42, 0, False, 0)], False)
+
+
+class TestTraceLogWarm:
+    """``TraceLog.warm`` against playing every logged access."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_lane_ops(), max_size=40), st.integers(0, 4095))
+    def test_matches_playing_every_access(self, ops, first):
+        log = TraceLog()
+        for mem, _ in ops:
+            for a in mem:
+                log.addr.append(a.addr)
+                log.size.append(a.size)
+                log.store.append(a.is_store)
+                log.lane.append(a.lane)
+        fast, ref = CacheHierarchy(_TINY), CacheHierarchy(_TINY)
+        # a resident MRU line before the log starts
+        fast.access(first, 4, False)
+        ref.access(first, 4, False)
+        log.warm(fast)
+        for addr, size, store in zip(log.addr, log.size, log.store):
+            ref.access(addr, size, bool(store))
+        ref.reset_stats()
+        assert _full_state(fast) == _full_state(ref)

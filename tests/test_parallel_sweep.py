@@ -254,3 +254,32 @@ class TestResume:
         assert len(calls) == report.planned_cells
         assert report.executed == report.planned_cells
         assert not outcome.failed_experiments
+
+
+def _entries(directory) -> list:
+    return sorted(p.name for p in directory.rglob("*.pkl"))
+
+
+class TestDiskLayerScope:
+    """A sweep uses exactly the disk cache it is given and hands the
+    caller's back on return."""
+
+    def test_no_cache_sweep_leaves_an_enabled_cache_alone(self, tmp_path):
+        enabled = tmp_path / "enabled"
+        runner.enable_disk_cache(str(enabled))
+        outcome = run_sweep(["figure9"], n_override=16, cache_dir=None)
+        assert outcome.report.executed == outcome.report.planned_cells > 0
+        assert _entries(enabled) == []
+        assert result_cache().disk_dir == str(enabled)
+
+    def test_sweep_writes_only_its_own_cache_and_restores(self, tmp_path):
+        enabled, own = tmp_path / "enabled", tmp_path / "own"
+        runner.enable_disk_cache(str(enabled))
+        outcome = run_sweep(["figure9"], n_override=16, cache_dir=str(own))
+        assert len(_entries(own)) == outcome.report.planned_cells
+        assert _entries(enabled) == []
+        assert result_cache().disk_dir == str(enabled)
+
+    def test_restores_a_disabled_cache(self, tmp_path):
+        run_sweep(["figure9"], n_override=16, cache_dir=str(tmp_path))
+        assert result_cache().disk_dir is None

@@ -1,8 +1,8 @@
-"""Tests for pipeline resource trackers (ports and capacity buffers)."""
+"""Tests for the pipeline's per-cycle issue ports."""
 
 import pytest
 
-from repro.pipeline.resources import CapacityTracker, PortPool
+from repro.pipeline.resources import PortPool
 
 
 class TestPortPool:
@@ -36,39 +36,3 @@ class TestPortPool:
         pool.reserve("load", 7)
         assert pool.usage_at("load", 7) == 1
         assert pool.usage_at("load", 8) == 0
-
-
-class TestCapacityTracker:
-    def test_under_capacity_no_stall(self):
-        t = CapacityTracker(4)
-        for i in range(4):
-            assert t.allocate(i) == i
-            t.release(i + 100)
-
-    def test_at_capacity_waits_for_release(self):
-        t = CapacityTracker(2)
-        assert t.allocate(0) == 0
-        t.release(10)
-        assert t.allocate(1) == 1
-        t.release(20)
-        # full: next allocation waits for the earliest release (10)
-        assert t.allocate(2) == 10
-        t.release(30)
-        assert t.allocate(5) == 20
-
-    def test_ready_after_release_no_stall(self):
-        t = CapacityTracker(1)
-        t.allocate(0)
-        t.release(5)
-        assert t.allocate(50) == 50
-
-    def test_stall_cycles_accumulated(self):
-        t = CapacityTracker(1)
-        t.allocate(0)
-        t.release(10)
-        t.allocate(2)
-        assert t.stall_cycles == 8
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            CapacityTracker(0)
