@@ -32,7 +32,7 @@ from repro.common.rng import periodic_conflict_indices
 from repro.emu import run_program
 from repro.isa import ProgramBuilder, imm, v, x
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate, simulate_streaming
+from repro.pipeline import TraceLog, simulate, simulate_streaming
 
 LANES = 16
 N = 512
@@ -95,9 +95,9 @@ def test_emulator_throughput(benchmark):
 
 def test_pipeline_throughput(benchmark):
     mem = fresh_memory()
-    tracer = Tracer()
-    run_program(build_listing2(mem), mem, tracer=tracer)
-    trace = tracer.ops
+    program = build_listing2(mem)
+    trace = TraceLog(program)
+    run_program(program, mem, tracer=trace)
 
     stats = benchmark(lambda: simulate(trace, warm=True))
     assert stats.cycles > 0
@@ -125,9 +125,9 @@ def _bench_emulator():
 
 def _make_pipeline_bench():
     mem = fresh_memory()
-    tracer = Tracer()
-    run_program(build_listing2(mem), mem, tracer=tracer)
-    trace = tracer.ops
+    program = build_listing2(mem)
+    trace = TraceLog(program)
+    run_program(program, mem, tracer=trace)
     return lambda: simulate(trace, warm=True)
 
 

@@ -16,7 +16,7 @@ from repro.common.rng import uniform_indices
 from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu import run_program
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate
+from repro.pipeline import TraceLog, simulate
 from repro.workloads.base import histogram
 
 N = 512
@@ -35,9 +35,9 @@ def run_binning(num_bins: int, seed: int = 42) -> None:
         mem.alloc("h", num_bins, 4, init=arrays["h"])
         mem.alloc("x", N, 4, init=x_vals)
         program = compile_loop(loop, mem, N, strategy)
-        tracer = Tracer()
-        metrics, _ = run_program(program, mem, tracer=tracer)
-        stats = simulate(tracer.ops, warm=True, validate_lsu=True)
+        log = TraceLog(program)
+        metrics, _ = run_program(program, mem, tracer=log)
+        stats = simulate(log, warm=True, validate_lsu=True)
         assert mem.load_array(mem.allocation("h")) == oracle["h"], strategy
         cycles[strategy] = stats.cycles
         if strategy is Strategy.SRV:

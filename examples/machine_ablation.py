@@ -16,7 +16,7 @@ from repro.common.rng import sparse_conflict_indices
 from repro.compiler import Strategy, compile_loop
 from repro.emu import run_program
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate
+from repro.pipeline import TraceLog, simulate
 from repro.workloads.base import indirect_update
 
 N = 256
@@ -30,9 +30,9 @@ def run_with(config, lanes=None):
     mem.alloc("a", N, 4, init=range(N))
     mem.alloc("x", N, 4, init=x_vals)
     program = compile_loop(loop, mem, N, Strategy.SRV, vector_length=lanes)
-    tracer = Tracer()
-    metrics, _ = run_program(program, mem, config=config, tracer=tracer)
-    stats = simulate(tracer.ops, config=config, warm=True)
+    log = TraceLog(program)
+    metrics, _ = run_program(program, mem, config=config, tracer=log)
+    stats = simulate(log, config=config, warm=True)
     return metrics, stats
 
 

@@ -29,7 +29,7 @@ from repro.compiler import (
 )
 from repro.emu import run_program
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate
+from repro.pipeline import TraceLog, simulate
 
 N = 256
 
@@ -59,9 +59,9 @@ def main() -> None:
         mem.alloc("a", N, 4, init=a_vals)
         mem.alloc("x", N, 4, init=x_vals)
         program = compile_loop(loop, mem, N, strategy)
-        tracer = Tracer()
-        metrics, _ = run_program(program, mem, tracer=tracer)
-        stats = simulate(tracer.ops, warm=True, validate_lsu=True)
+        log = TraceLog(program)
+        metrics, _ = run_program(program, mem, tracer=log)
+        stats = simulate(log, warm=True, validate_lsu=True)
         correct = mem.load_array(mem.allocation("a")) == oracle["a"]
         results[strategy] = (metrics, stats, correct)
         print(

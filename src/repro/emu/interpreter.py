@@ -12,8 +12,8 @@ SRV-regions are executed with full selective-replay semantics
 violations set lanes in the needs-replay set, and at ``srv_end`` only
 those lanes are re-executed, bounded by ``lanes - 1`` rollbacks.
 
-The emulator optionally emits a dynamic trace
-(:class:`~repro.pipeline.trace.Tracer`) consumed by the cycle-approximate
+The emulator optionally records a dynamic trace
+(:class:`~repro.pipeline.trace.TraceLog`) consumed by the cycle-approximate
 pipeline — the same methodology as the paper's validated emulator feeding
 its gem5 timing model.  It also provides the dynamic instruction counts
 used for the FlexVec comparison (figure 13).
@@ -76,13 +76,7 @@ from repro.memory.image import (
 )
 from repro.observe import events as _obs
 from repro.pipeline.decode import DecodeTable
-from repro.pipeline.trace import (
-    MemAccess,
-    RegionEvent,
-    StreamingTracer,
-    TraceOp,
-    Tracer,
-)
+from repro.pipeline.trace import RegionEvent, TraceLog
 from repro.verify import faults as _faults
 
 
@@ -178,7 +172,7 @@ class Interpreter:
         memory: MemoryImage,
         config: MachineConfig = TABLE_I,
         max_steps: int = 50_000_000,
-        tracer: Tracer | None = None,
+        tracer: TraceLog | None = None,
         interrupt_at_step: int | None = None,
     ) -> None:
         program.validate()
@@ -191,13 +185,13 @@ class Interpreter:
         self._extra_cache: tuple | None = None
         self.metrics = EmuMetrics()
         self.max_steps = max_steps
+        #: the trace log every executed op is recorded into (None: untraced)
         self.tracer = tracer
         #: inject a context switch at this dynamic step (section III-D2
         #: semantics apply if it lands inside an SRV-region)
         self.interrupt_at_step = interrupt_at_step
         self._interrupt_pending = False
         self._steps = 0
-        self._mem_events: list[MemAccess] = []
         self._branch_taken: bool | None = None
         #: per-program static decode table: op class, register sets,
         #: access kind, latency and metric flags computed once per static
@@ -229,32 +223,28 @@ class Interpreter:
             self._interrupt_pending = False
 
     def iter_trace(self):
-        """Execute while *yielding* finalized :class:`TraceOp` records.
+        """Execute while *yielding* the index of each finalized op of
+        ``self.tracer`` (a fresh :class:`TraceLog` when unset).
 
-        The generator replaces ``run()`` for consumers that want the
-        dynamic trace without materialising it: at most one top-level
-        step's worth of ops (one SRV region in the worst case — bounded
-        by the static program size times the replay bound, never by
-        trace length) is buffered between yields.  ``self.metrics`` and
-        the architectural state are complete once the generator is
-        exhausted.
+        An op is final once its top-level step (a whole SRV region for
+        ``srv_start``) has executed, so the indices of each step are
+        yielded after it.  ``self.metrics`` and the architectural state
+        are complete once the generator is exhausted.
 
-        Only tests call it: the timed path and the sampler run ``run()``
-        with a :class:`~repro.pipeline.trace.LogTracer`.  It stays because
-        ``perfbench/tracing.py`` patches it by name through the class
-        ``__dict__``.
+        Only tests call it: the timed path and the sampler run ``run()``.
+        It stays because ``perfbench/tracing.py`` patches it by name
+        through the class ``__dict__``.
         """
-        buffer: list[TraceOp] = []
-        self.tracer = StreamingTracer(buffer.append)
+        if self.tracer is None:
+            self.tracer = TraceLog(self.program, self.decode)
+        log = self.tracer
+        done = len(log)
         state = self.state
         n = len(self.program.instructions)
         while not state.halted and 0 <= state.pc < n:
             self._step_outer()
-            if buffer:
-                yield from buffer
-                buffer.clear()
-        self.tracer.close()
-        yield from buffer
+            yield from range(done, len(log))
+            done = len(log)
 
     def _bump(self) -> None:
         self._steps += 1
@@ -265,19 +255,6 @@ class Interpreter:
                 f"execution exceeded {self.max_steps} steps; "
                 "probable infinite loop in workload program"
             )
-
-    # ------------------------------------------------------- bookkeeping
-
-    def _trace(self, pc: int, inst: Instruction, rec) -> None:
-        if self.tracer is None:
-            return
-        self.tracer.record(
-            pc,
-            inst,
-            rec,
-            self._mem_events,
-            self._branch_taken,
-        )
 
     # ------------------------------------------------------------ memory
 
@@ -292,7 +269,7 @@ class Interpreter:
         if _faults.ACTIVE is not None and buffer is not None:
             addr = _faults.ACTIVE.perturb_addr(addr, lane, is_store=False)
         if self.tracer is not None:
-            self._mem_events.append(MemAccess(addr, size, False, lane))
+            self.tracer.access(addr, size, False, lane)
         if buffer is not None:
             raw, forwarded = buffer.load(addr, size, lane, region_offset)
             if forwarded:
@@ -313,7 +290,7 @@ class Interpreter:
             addr = _faults.ACTIVE.perturb_addr(addr, lane, is_store=True)
             value = _faults.ACTIVE.perturb_store_value(value, size, lane)
         if self.tracer is not None:
-            self._mem_events.append(MemAccess(addr, size, True, lane))
+            self.tracer.access(addr, size, True, lane)
         if buffer is not None:
             buffer.store(addr, size, value, lane, region_offset)
         else:
@@ -342,10 +319,7 @@ class Interpreter:
         if forwarded:
             self._forwarded = True
         if self.tracer is not None:
-            self._mem_events.extend([
-                MemAccess(addr, size, False, lane)
-                for addr, lane in zip(addrs, lanes)
-            ])
+            self.tracer.accesses(addrs, size, False, lanes)
         return values
 
     def _write_vec_mem(
@@ -364,10 +338,7 @@ class Interpreter:
             return
         buffer.store_lanes(addrs, size, values, lanes, region_offset)
         if self.tracer is not None:
-            self._mem_events.extend([
-                MemAccess(addr, size, True, lane)
-                for addr, lane in zip(addrs, lanes)
-            ])
+            self.tracer.accesses(addrs, size, True, lanes)
 
     # ------------------------------------------------------- single instr
 
@@ -385,17 +356,14 @@ class Interpreter:
         register); ``buffer`` redirects memory traffic through the
         speculative buffer when inside an SRV-region.
         """
-        rec = self.decode.record_for(inst)
-        self.metrics.count(*rec.count_flags)
-        if self.tracer is not None:
-            # fresh list per op: the tracer stores it by reference
-            self._mem_events = []
+        self.metrics.count(*self.decode.record_for(inst).count_flags)
         self._branch_taken = None
         self._forwarded = False
         next_pc = self._dispatch(inst, pc, extra_mask, buffer, region_offset)
         if self._forwarded:
             self.metrics.loads_forwarded += 1
-        self._trace(pc, inst, rec)
+        if self.tracer is not None:
+            self.tracer.record(pc, self._branch_taken)
         return next_pc
 
     def _dispatch(
@@ -691,7 +659,7 @@ class Interpreter:
     # speculative-buffer traffic (SRV conflict witnessing must observe
     # loads/stores in lane order; the buffer's load_lanes/store_lanes take
     # a whole instruction only when no lane can meet a buffered record),
-    # traced runs (MemAccess event order is part of the canonical trace),
+    # traced runs (the logged access order is part of the canonical trace),
     # and scatter commits (overlapping lanes resolve by lane order).
 
     def _extra_np(self, extra_mask: list[bool]):
@@ -1013,21 +981,18 @@ class Interpreter:
 
     def _record_marker(self, pc: int, inst: Instruction) -> None:
         """Count and trace an ``srv_start`` / ``srv_end`` marker."""
-        rec = self.decode.record_for(inst)
-        self.metrics.count(*rec.count_flags)
-        self._mem_events = []
-        self._branch_taken = None
-        self._trace(pc, inst, rec)
+        self.metrics.count(*self.decode.record_for(inst).count_flags)
+        if self.tracer is not None:
+            self.tracer.record(pc, None)
 
     def _op_index(self) -> int:
         """Dynamic op index for emu-domain events.
 
-        Derived from the tracer's record count so it is identical for
-        every tracer kind (each counts every recorded op); falls back
+        The index of the last op recorded into the trace log; falls back
         to the step counter when running untraced.
         """
         if self.tracer is not None:
-            return self.tracer.count - 1
+            return len(self.tracer) - 1
         return self._steps
 
     def _exec_srv_region(self, start_pc: int, start_inst: SrvStart) -> None:
@@ -1291,7 +1256,7 @@ def run_program(
     memory: MemoryImage,
     config: MachineConfig = TABLE_I,
     max_steps: int = 50_000_000,
-    tracer: Tracer | None = None,
+    tracer: TraceLog | None = None,
 ) -> tuple[EmuMetrics, ArchState]:
     """Convenience wrapper: run ``program`` to completion."""
     interp = Interpreter(program, memory, config, max_steps, tracer)

@@ -237,7 +237,7 @@ def _reference_diff_check(
     two handler tables cannot pass by agreeing on a wrong result.
     """
     from repro.emu.interpreter import Interpreter, ScalarInterpreter
-    from repro.pipeline import Tracer
+    from repro.pipeline import TraceLog
     from repro.verify.monitors import run_monitors
 
     arrays = spec.arrays(cfg.seed)
@@ -246,14 +246,14 @@ def _reference_diff_check(
         mem = _alloc_arrays(spec, arrays)
         program = compile_loop(spec.loop, mem, n, cfg.strategy,
                                params=spec.params)
-        tracer = Tracer()
-        interp = interpreter(program, mem, cfg.config, tracer=tracer)
+        log = TraceLog(program)
+        interp = interpreter(program, mem, cfg.config, tracer=log)
         try:
             metrics = interp.run()
         except ReproError as exc:
             outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
             continue
-        verdicts = tuple(str(v) for v in run_monitors(tracer.ops, cfg.config))
+        verdicts = tuple(str(v) for v in run_monitors(log, cfg.config))
         outcomes.append(("ok", (
             metrics, interp.state.registers_snapshot(), mem.snapshot(),
             verdicts,

@@ -88,15 +88,15 @@ class CacheHierarchy:
                 worst = latency
         return worst
 
-    def access_lanes(self, mem, is_write: bool) -> int:
-        """Worst latency of one op's lane accesses ``mem``, in lane order.
+    def access_lanes(self, addrs, sizes, is_write: bool) -> int:
+        """Worst latency of one op's lane accesses, in lane order.
 
-        Exactly ``max(access(a.addr, a.size, is_write) for a in mem)``
-        (0 for no lanes), with the same stats, LRU order and dirty bits.
-        A lane that lies inside the L1's MRU line (the line the previous
-        lane ended on) is counted as that hit here, without a call.  The
-        lanes of one trace op all load or all store, so callers replaying
-        a trace pass the first lane's ``is_store``.
+        ``addrs`` and ``sizes`` give the lanes' addresses and sizes.
+        Exactly ``max(access(a, s, is_write) for a, s in zip(addrs,
+        sizes))`` (0 for no lanes), with the same stats, LRU order and
+        dirty bits.  A lane that lies inside the L1's MRU line (the line
+        the previous lane ended on) is counted as that hit here, without a
+        call.  The lanes of one trace op all load or all store.
         """
         line = self.config.l1.line_bytes
         l1 = self.l1
@@ -104,9 +104,7 @@ class CacheHierarchy:
         mru = l1.mru
         worst = 0
         repeats = 0
-        for a in mem:
-            addr = a.addr
-            size = a.size
+        for addr, size in zip(addrs, sizes):
             if (
                 mru is not None
                 and size > 0

@@ -28,15 +28,13 @@ Three layers:
 Canonical ordering
 ------------------
 
-Both the streaming path (:func:`repro.pipeline.stream.simulate_streaming`
-times ops rebuilt from its trace log) and the materialised reference (a
-``Tracer`` list fed to :func:`repro.pipeline.simulate`) emulate the whole
-program before timing it, so on either path every emulator event is
-emitted before the first timing-model event.  :func:`canonical_order`
-re-sorts by ``(op, domain rank)`` with a stable sort, which groups each
-op's events together; per-domain relative order is the same on both
-paths, so the sorted sequences are equal event-for-event (pinned by
-``tests/test_observe.py``).
+Every timed run (:func:`repro.pipeline.stream.simulate_streaming`, or
+``run_program`` into a trace log followed by
+:func:`repro.pipeline.simulate`) emulates the whole program before timing
+it, so every emulator event is emitted before the first timing-model
+event.  :func:`canonical_order` re-sorts by ``(op, domain rank)`` with a
+stable sort, which groups each op's events together; the sorted sequence
+is pinned event-for-event by ``tests/test_observe.py``.
 """
 
 from __future__ import annotations

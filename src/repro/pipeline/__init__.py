@@ -1,12 +1,12 @@
 """Cycle-approximate out-of-order pipeline model (Table I).
 
-Trace-driven: the functional emulator produces the dynamic instruction
-stream (with per-lane memory accesses and SRV-region structure), and
-:func:`simulate` computes cycle timings under Table I's structural
-constraints.  :func:`simulate_streaming` emulates once into a compact
-columnar :class:`TraceLog`, warms the caches from its access columns and
-times the ops rebuilt from it; per-static-instruction decode facts live
-in :class:`DecodeTable`.
+Trace-driven: the functional emulator records the dynamic instruction
+stream (with per-lane memory accesses and SRV-region structure) into a
+compact columnar :class:`TraceLog`, and :func:`simulate` computes cycle
+timings over it under Table I's structural constraints, reading each op
+in place.  :func:`simulate_streaming` emulates once, warms the caches
+from the log's access columns and times it; per-static-instruction
+decode facts live in :class:`DecodeTable`.
 """
 
 from repro.pipeline.branch_pred import BranchStats, ReturnAddressStack, TournamentPredictor
@@ -17,14 +17,11 @@ from repro.pipeline.stats import PipelineStats
 from repro.pipeline.store_sets import StoreSetPredictor, StoreSetStats
 from repro.pipeline.stream import simulate_streaming
 from repro.pipeline.trace import (
-    LogTracer,
     MemAccess,
     OpClass,
     RegionEvent,
-    StreamingTracer,
     TraceLog,
     TraceOp,
-    Tracer,
 )
 
 __all__ = [
@@ -40,12 +37,9 @@ __all__ = [
     "PipelineStats",
     "StoreSetPredictor",
     "StoreSetStats",
-    "LogTracer",
     "MemAccess",
     "OpClass",
     "RegionEvent",
-    "StreamingTracer",
     "TraceLog",
     "TraceOp",
-    "Tracer",
 ]

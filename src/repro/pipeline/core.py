@@ -26,15 +26,16 @@ destination as a source operand, which the dependence extraction already
 encodes (section III-D5).
 
 The model is a *streaming consumer*: :meth:`PipelineModel.stream` returns
-a primed coroutine that accepts one :class:`TraceOp` per ``send`` (with a
-single op of internal lookahead) and retains only O(machine-state)
-memory — a completion-time ring sized by the ROB, the 64-entry recent
-store window, in-flight LSU entries, and periodically pruned issue-port
-occupancy maps.  :meth:`PipelineModel.run` drives the same coroutine from
-a materialised trace list, so the two paths are bit-identical by
-construction.  Per-static-instruction facts (op class, port kind, access
-kind, latency) come from the decode table (:mod:`repro.pipeline.decode`)
-instead of per-dynamic-op ``getattr`` probes.
+a primed coroutine that accepts the index of one op of a
+:class:`~repro.pipeline.trace.TraceLog` per ``send`` (with a single op of
+internal lookahead) and reads the op's fields from the log's columns.  It
+retains only O(machine-state) memory — a completion-time ring sized by
+the ROB, the 64-entry recent store window, in-flight LSU entries, and
+periodically pruned issue-port occupancy maps.  :meth:`PipelineModel.run`
+drives the same coroutine over a whole log.  Per-static-instruction facts
+(op class, port kind, access kind, latency) come from the decode table
+(:mod:`repro.pipeline.decode`) instead of per-dynamic-op ``getattr``
+probes.
 """
 
 from __future__ import annotations
@@ -44,16 +45,30 @@ from heapq import heappush, heapreplace
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import PipelineError
+from repro.isa.instructions import SrvDirection
 from repro.lsu.entries import AccessType, LsuEntry
 from repro.lsu.unit import LoadStoreUnit
 from repro.memory.hierarchy import CacheHierarchy
 from repro.observe import events as _obs
 from repro.pipeline.branch_pred import TournamentPredictor
-from repro.pipeline.decode import DecodeRecord, DecodeTable
+from repro.pipeline.decode import DecodeRecord
 from repro.pipeline.resources import PortPool
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.store_sets import StoreSetPredictor
-from repro.pipeline.trace import MemAccess, OpClass, RegionEvent, TraceOp
+from repro.pipeline.trace import (
+    BRANCH_MASK,
+    BRANCH_TAKEN,
+    DOWN,
+    EV_END_COMMIT,
+    EV_END_REPLAY,
+    EV_FALLBACK,
+    EV_START,
+    EVENT_MASK,
+    IN_FALLBACK,
+    IN_REGION,
+    OpClass,
+    TraceLog,
+)
 
 FRONTEND_DEPTH = 4
 SQUASH_PENALTY = 10
@@ -64,6 +79,9 @@ PRUNE_INTERVAL = 2048
 
 #: A cycle later than any the model reaches.
 _NEVER = float("inf")
+
+#: direction bit of a log op's flags -> region direction
+_DIRECTION = {0: SrvDirection.UP, DOWN: SrvDirection.DOWN}
 
 
 class PipelineModel:
@@ -104,6 +122,9 @@ class PipelineModel:
             if capacity <= 0:
                 raise ValueError(f"{name} capacity must be positive")
         self.stats = PipelineStats()
+        #: the trace log :meth:`stream` times (set by :meth:`run`, or by
+        #: a caller that drives the pump itself)
+        self.log: TraceLog | None = None
         #: commit cycle of the most recently retired op — a checkpoint the
         #: sampling layer reads mid-stream to split warm-up from measured
         #: cycles (stats.cycles is only final at end-of-stream)
@@ -121,53 +142,39 @@ class PipelineModel:
 
     # ------------------------------------------------------------------ run
 
-    def warm_caches(self, trace) -> None:
-        """Pre-install every accessed line, modelling steady-state loops.
-
-        The paper simulates long-running loop invocations whose working
-        sets are already cache-resident; benchmarks enable this so that
-        compulsory misses do not dominate short synthetic kernels.
-        """
-        access_lanes = self.caches.access_lanes
-        for op in trace:
-            mem = op.mem
-            if mem:
-                access_lanes(mem, mem[0].is_store)
-        self.caches.reset_stats()
-
-    def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
-        """Time a trace (drives the streaming consumer).
-
-        ``trace`` is iterated twice when ``warm``; otherwise any one-shot
-        iterable of ops will do.
-        """
+    def run(self, log: TraceLog, warm: bool = False) -> PipelineStats:
+        """Time every op of ``log``, after warming the caches from its
+        accesses when ``warm`` (drives the streaming consumer)."""
         if warm:
-            self.warm_caches(trace)
+            log.warm(self.caches)
+        self.log = log
         pump = self.stream()
         send = pump.send
         try:
-            for op in trace:
-                send(op)
+            for index in range(len(log)):
+                send(index)
             send(None)
         except StopIteration:
             pass
         return self.stats
 
     def stream(self):
-        """A primed coroutine consuming :class:`TraceOp` records.
+        """A primed coroutine timing the ops of ``self.log``.
 
-        ``send`` each op in dynamic order, then ``send(None)`` to mark
-        end-of-stream (which raises ``StopIteration`` once the final op
-        is retired and ``self.stats`` is complete).  One op of lookahead
-        is held internally to resolve region-closure decisions.
+        ``send`` each op's index in dynamic order, then ``send(None)`` to
+        mark end-of-stream (which raises ``StopIteration`` once the final
+        op is retired and ``self.stats`` is complete).  One op of
+        lookahead is held internally to resolve region-closure decisions,
+        so the op after the last one sent is never read.
         """
         pump = self._pump()
         next(pump)
         return pump
 
     def _pump(self):
-        # Hot loop: every per-op quantity lives in generator locals, and
-        # all per-static facts come from the decode record.
+        # Hot loop: every per-op quantity lives in generator locals, read
+        # straight from the log's columns, and all per-static facts come
+        # from the decode record of the op's pc.
         config = self.config
         stats = self.stats
         ports = self.ports
@@ -182,12 +189,17 @@ class PipelineModel:
         validate_lsu = self.validate_lsu
         execute_mem = self._execute_mem
 
+        log = self.log
+        pcs = log.pc
+        flags = log.bits
+        bounds = log.bounds
+        addrs = log.addr
+        sizes = log.size
+        records = log.records
+        replay = log.replay
+
         srv_end_cls = OpClass.SRV_END
         branch_cls = OpClass.BRANCH
-        ev_start = RegionEvent.START
-        ev_commit = RegionEvent.END_COMMIT
-        ev_replay = RegionEvent.END_REPLAY
-        ev_fallback = RegionEvent.FALLBACK
 
         # observability: one bus reference for the pump's lifetime (the
         # bus is installed before stream() by the observe harness); all
@@ -202,8 +214,6 @@ class PipelineModel:
         region_idx = -1
         region_fallback = False
         pass_begin = 0
-
-        decode_fallback: DecodeTable | None = None
 
         # Buffer occupancy, as the release times of the in-flight entries.
         # An allocation into a full buffer waits for the earliest release.
@@ -245,17 +255,15 @@ class PipelineModel:
         pending_region_end: int | None = None
         i = 0
 
-        op = yield
-        while op is not None:
+        k = yield
+        while k is not None:
             nxt = yield
-            rec: DecodeRecord = op.decode  # type: ignore[assignment]
-            if rec is None:
-                # hand-built trace op: decode its instruction lazily
-                if decode_fallback is None:
-                    decode_fallback = DecodeTable()
-                rec = decode_fallback.record_for(op.inst)
+            pc = pcs[k]
+            bits = flags[k]
+            rec: DecodeRecord = records[pc]
             op_class = rec.op_class
-            in_hw_region = op.in_region and not op.in_fallback
+            in_region = bits & IN_REGION
+            in_hw_region = in_region and not bits & IN_FALLBACK
 
             # ---- fetch ---------------------------------------------------
             if redirect_at > fetch_cycle:
@@ -267,7 +275,7 @@ class PipelineModel:
             fetch = fetch_cycle
             fetch_used += 1
             if obs is not None:
-                obs.emit(kind_fetch, "pipe", i, fetch, 0, op.pc)
+                obs.emit(kind_fetch, "pipe", i, fetch, 0, pc)
 
             # ---- dispatch (rename + buffers) -----------------------------
             dispatch = fetch + FRONTEND_DEPTH
@@ -280,8 +288,9 @@ class PipelineModel:
                 t = iq[0]
                 if t > dispatch:
                     dispatch = t
-            mem = op.mem
-            mem_lanes = len(mem)
+            lo = bounds[k]
+            hi = bounds[k + 1]
+            mem_lanes = hi - lo
             is_mem = rec.is_mem
             lsu_demand = 0
             if is_mem:
@@ -297,7 +306,7 @@ class PipelineModel:
 
             # ---- ready (operand wakeup) ----------------------------------
             ready = dispatch + 1
-            for reg in op.src_regs:
+            for reg in rec.src_regs:
                 t = reg_ready.get(reg, 0)
                 if t > ready:
                     ready = t
@@ -325,14 +334,14 @@ class PipelineModel:
                             obs.emit(
                                 _obs.EventKind.BARRIER_STALL, "pipe", i,
                                 stalled_from, barrier_until - stalled_from,
-                                op.pc,
+                                pc,
                             )
                     barrier_charged = True
                 ready = barrier_until
 
             # ---- store-set wait (baseline vertical speculation) ----------
             if rec.is_load and not in_hw_region:
-                dep = store_sets.load_depends_on(op.pc)
+                dep = store_sets.load_depends_on(pc)
                 # deps older than the ROB window have committed before this
                 # op dispatched: their completion can never exceed `ready`
                 if dep is not None and i - window < dep < i:
@@ -369,8 +378,8 @@ class PipelineModel:
             # ---- execute --------------------------------------------------
             if is_mem:
                 complete = execute_mem(
-                    op, rec, i, issue_at, last_slot, in_hw_region,
-                    recent_stores, lsu_live, stats,
+                    pc, rec, lo, hi, bits, i, issue_at, last_slot,
+                    in_hw_region, recent_stores, lsu_live, stats,
                 )
             else:
                 complete = issue_at + rec.latency
@@ -378,25 +387,25 @@ class PipelineModel:
             if obs is not None:
                 obs.emit(
                     kind_issue, "pipe", i, issue_at,
-                    complete - issue_at, op.pc, -1,
+                    complete - issue_at, pc, -1,
                     (("cls", op_class.value),),
                 )
             if complete > max_complete:
                 max_complete = complete
-            if is_mem and op.in_region and complete > region_mem_complete:
+            if is_mem and in_region and complete > region_mem_complete:
                 region_mem_complete = complete
 
-            for reg in op.dst_regs:
+            for reg in rec.dst_regs:
                 reg_ready[reg] = complete
 
             # ---- branch resolution ----------------------------------------
-            if op_class is branch_cls and op.branch_taken is not None:
-                target = 1 if op.branch_taken else None
-                mispredict = bpred.update(op.pc, op.branch_taken, target)
+            if op_class is branch_cls and bits & BRANCH_MASK:
+                taken = bits & BRANCH_MASK == BRANCH_TAKEN
+                mispredict = bpred.update(pc, taken, 1 if taken else None)
                 if mispredict:
                     redirect_at = complete + mispredict_penalty
                     stats.frontend_stall_cycles += mispredict_penalty
-                elif op.branch_taken:
+                elif taken:
                     # predicted-taken redirect: the front end still loses a
                     # couple of cycles restarting fetch at the target
                     t = fetch + 1 + taken_bubble
@@ -405,66 +414,67 @@ class PipelineModel:
                     stats.frontend_stall_cycles += taken_bubble
 
             # ---- SRV region bookkeeping ------------------------------------
-            region_event = op.region_event
-            if region_event is ev_start:
+            event = bits & EVENT_MASK
+            if event == EV_START:
                 stats.srv_regions += 1
                 region_start_fetch = fetch
                 if obs is not None:
                     region_idx += 1
-                    region_fallback = op.in_fallback
+                    region_fallback = bool(bits & IN_FALLBACK)
                     pass_begin = fetch
                     obs.emit(
                         _obs.EventKind.REGION_BEGIN, "pipe", i, fetch, 0,
-                        op.pc, -1, (("region", region_idx),),
+                        pc, -1, (("region", region_idx),),
                     )
-                    if op.in_fallback:
+                    if region_fallback:
                         obs.emit(
                             _obs.EventKind.SEQ_FALLBACK, "pipe", i, fetch,
-                            0, op.pc, -1, (("region", region_idx),),
+                            0, pc, -1, (("region", region_idx),),
                         )
                 if in_hw_region:
-                    lsu.begin_region(op.direction)
+                    lsu.begin_region(_DIRECTION[bits & DOWN])
             if op_class is srv_end_cls:
                 if not relax_barrier:
                     barrier_until = complete
                     barrier_charged = False
                 region_mem_complete = 0
                 if obs is not None:
+                    region_pass, active = log.region_pass_of(k)
                     obs.emit(
                         _obs.EventKind.REGION_PASS, "pipe", i, pass_begin,
-                        complete - pass_begin, op.pc, -1,
+                        complete - pass_begin, pc, -1,
                         (
-                            ("pass", op.region_pass),
-                            ("active", op.active_lane_count),
+                            ("pass", region_pass),
+                            ("active", active),
                             ("fallback", region_fallback),
                             ("region", region_idx),
                         ),
                     )
                     pass_begin = complete
-                    if region_event is ev_replay:
-                        for lane in sorted(op.replay_lanes):
+                    if event == EV_END_REPLAY:
+                        for lane in sorted(replay.get(k, ())):
                             obs.emit(
                                 _obs.EventKind.LANE_REPLAY, "pipe", i,
-                                complete, 0, op.pc, lane,
+                                complete, 0, pc, lane,
                                 (("region", region_idx),),
                             )
-                if region_event is ev_replay:
+                if event == EV_END_REPLAY:
                     stats.srv_replay_passes += 1
                 if in_hw_region:
                     lanes = lsu.end_region()
                     if validate_lsu:
-                        expect = set(op.replay_lanes)
+                        expect = set(replay.get(k, ()))
                         if lanes != expect:
                             raise PipelineError(
                                 f"LSU replay lanes {sorted(lanes)} disagree "
                                 f"with functional emulator {sorted(expect)} "
-                                f"at trace op {i} (pc {op.pc})"
+                                f"at trace op {i} (pc {pc})"
                             )
-                if region_event is ev_commit or region_event is ev_fallback:
+                if event == EV_END_COMMIT or event == EV_FALLBACK:
                     # a FALLBACK-marked srv_end continues its region unless
                     # it is the region's final pass (the next op — the one
                     # op of lookahead — is outside the region)
-                    if nxt is None or not nxt.in_region:
+                    if nxt is None or not flags[nxt] & IN_REGION:
                         pending_region_end = complete
                         # region entries drained with the hardware commit
                         lsu_live[:] = [e for e in lsu_live if not e[1]]
@@ -478,21 +488,21 @@ class PipelineModel:
             if is_mem:
                 for _ in range(lsu_demand):
                     lsu_slots.append(commit)
-                if rec.is_store and mem:
+                if rec.is_store and mem_lanes:
                     # The LFST entry is left in place: a later load waiting
                     # on an already-completed store is a no-op, and eager
                     # retirement would erase the dependence before younger
                     # loads (processed later in trace order) consult it.
-                    caches.access_lanes(mem, True)
+                    caches.access_lanes(addrs[lo:hi], sizes[lo:hi], True)
             if obs is not None:
-                obs.emit(kind_commit, "pipe", i, commit, 0, op.pc)
+                obs.emit(kind_commit, "pipe", i, commit, 0, pc)
             if pending_region_end is not None:
                 stats.region_cycles += commit - region_start_fetch
                 if obs is not None:
                     obs.emit(
                         _obs.EventKind.REGION_END, "pipe", i,
                         region_start_fetch, commit - region_start_fetch,
-                        op.pc, -1,
+                        pc, -1,
                         (
                             ("region", region_idx),
                             ("fallback", region_fallback),
@@ -514,7 +524,7 @@ class PipelineModel:
                 # the commit of op i-window, which is itself >= the oldest
                 # completion still in the ring
                 ports.prune_before(complete_ring[i % window])
-            op = nxt
+            k = nxt
 
         stats.cycles = max(prev_commit, 1)
         stats.lsu = lsu.counters
@@ -525,75 +535,87 @@ class PipelineModel:
 
     # ------------------------------------------------------------- memory ops
 
-    def _entries_for(self, op: TraceOp, rec: DecodeRecord) -> list[LsuEntry]:
-        """Build LSU entries from a memory trace op (micro-op cracking)."""
-        if not op.mem:
+    def _entries_for(
+        self, pc: int, rec: DecodeRecord, lo: int, hi: int, bits: int,
+    ) -> list[LsuEntry]:
+        """Build LSU entries from the accesses ``lo:hi`` of the log
+        (micro-op cracking)."""
+        if lo == hi:
             return []
+        log = self.log
+        addrs = log.addr
+        sizes = log.size
+        lanes = log.lane
         is_store = rec.is_store
         region_bytes = self.config.alignment_region_bytes
+        direction = _DIRECTION[bits & DOWN]
         if rec.is_gather_scatter:
             return [
                 LsuEntry.make(
-                    srv_id=op.pc,
+                    srv_id=pc,
                     is_store=is_store,
                     access=AccessType.GATHER_SCATTER,
-                    addr=a.addr,
-                    size=a.size,
-                    elem=a.size,
-                    lane=a.lane,
+                    addr=addrs[a],
+                    size=sizes[a],
+                    elem=sizes[a],
+                    lane=lanes[a],
                     lanes_covered=1,
                     region_bytes=region_bytes,
-                    direction=op.direction,
+                    direction=direction,
                 )
-                for a in op.mem
+                for a in range(lo, hi)
             ]
-        first = op.mem[0]
-        lo = first.addr
-        hi = lo + first.size
-        lane = first.lane
-        for a in op.mem:
-            if a.addr < lo:
-                lo = a.addr
-            if a.addr + a.size > hi:
-                hi = a.addr + a.size
-            if a.lane < lane:
-                lane = a.lane
+        first = addrs[lo]
+        size = sizes[lo]
+        low = first
+        high = first + size
+        lane = lanes[lo]
+        for a in range(lo + 1, hi):
+            addr = addrs[a]
+            if addr < low:
+                low = addr
+            if addr + sizes[a] > high:
+                high = addr + sizes[a]
+            if lanes[a] < lane:
+                lane = lanes[a]
         if rec.is_broadcast:
             return [
                 LsuEntry.make(
-                    srv_id=op.pc,
+                    srv_id=pc,
                     is_store=is_store,
                     access=AccessType.BROADCAST,
-                    addr=first.addr,
-                    size=first.size,
-                    elem=first.size,
+                    addr=first,
+                    size=size,
+                    elem=size,
                     lane=lane,
-                    lanes_covered=len(op.mem),
+                    lanes_covered=hi - lo,
                     region_bytes=region_bytes,
-                    direction=op.direction,
+                    direction=direction,
                 )
             ]
         # contiguous (or scalar: a single-lane contiguous access)
-        elem = first.size
         return [
             LsuEntry.make(
-                srv_id=op.pc,
+                srv_id=pc,
                 is_store=is_store,
                 access=AccessType.CONTIGUOUS,
-                addr=lo,
-                size=hi - lo,
-                elem=elem,
+                addr=low,
+                size=high - low,
+                elem=size,
                 lane=lane,
-                lanes_covered=(hi - lo) // elem,
+                lanes_covered=(high - low) // size,
                 region_bytes=region_bytes,
-                direction=op.direction,
+                direction=direction,
             )
         ]
 
     def _execute_mem(
         self,
-        op: TraceOp,
+        pc: int,
         rec: DecodeRecord,
+        lo: int,
+        hi: int,
+        bits: int,
         index: int,
         issue_at: int,
         last_slot: int,
@@ -603,7 +625,7 @@ class PipelineModel:
         stats: PipelineStats,
     ) -> int:
         is_store = rec.is_store
-        entries = self._entries_for(op, rec)
+        entries = self._entries_for(pc, rec, lo, hi, bits)
         obs = _obs.ACTIVE
         if obs is not None:
             # context for the clock-less LSU: its emit_lsu events are
@@ -629,11 +651,9 @@ class PipelineModel:
         if is_store:
             complete = last_slot + 1
             self._track_live(entries, in_region, complete, lsu_live)
-            if op.mem:
-                self.store_sets.store_fetched(op.pc, index)
-                recent_stores.append(
-                    (index, op.pc, op.mem, issue_at, complete)
-                )
+            if hi > lo:
+                self.store_sets.store_fetched(pc, index)
+                recent_stores.append((index, pc, lo, hi, issue_at, complete))
                 if complete > self._stores_done_by:
                     self._stores_done_by = complete
             stats.stores += 1
@@ -642,44 +662,49 @@ class PipelineModel:
         stats.loads += 1
         if fully_forwarded:
             latency = FORWARD_LATENCY
-        elif op.mem:
-            latency = self.caches.access_lanes(op.mem, False)
+        elif hi > lo:
+            log = self.log
+            latency = self.caches.access_lanes(
+                log.addr[lo:hi], log.size[lo:hi], False
+            )
         else:
             latency = FORWARD_LATENCY  # fully predicated-off access
         complete = last_slot + latency
-        if obs is not None and op.mem and not fully_forwarded:
+        if obs is not None and hi > lo and not fully_forwarded:
             hit_latency = self.config.memory.l1.hit_latency
             if latency > hit_latency:
                 # the stall window beyond an L1 hit feeds the `memory`
                 # attribution bucket
                 obs.emit(
                     _obs.EventKind.CACHE_MISS, "pipe", index,
-                    last_slot + hit_latency, latency - hit_latency, op.pc,
+                    last_slot + hit_latency, latency - hit_latency, pc,
                 )
             else:
                 obs.emit(
                     _obs.EventKind.CACHE_HIT, "pipe", index,
-                    complete, 0, op.pc,
+                    complete, 0, pc,
                 )
 
         # Vertical mispeculation: this load issued although an older store
         # to an overlapping address had not completed (store-set miss).
-        if not in_region and op.mem and self._stores_done_by > issue_at:
-            for s_index, s_pc, s_accesses, s_issue, s_complete in recent_stores:
+        if not in_region and hi > lo and self._stores_done_by > issue_at:
+            for s_index, s_pc, s_lo, s_hi, s_issue, s_complete in (
+                recent_stores
+            ):
                 if s_index >= index:
                     continue
                 if s_complete <= issue_at:
                     continue
-                if self._overlaps(op.mem, s_accesses):
+                if self._overlaps(lo, hi, s_lo, s_hi):
                     stats.store_set_squashes += 1
                     stats.squash_penalty_cycles += SQUASH_PENALTY
-                    self.store_sets.record_violation(op.pc, s_pc)
+                    self.store_sets.record_violation(pc, s_pc)
                     if s_complete + SQUASH_PENALTY > complete:
                         complete = s_complete + SQUASH_PENALTY
                     if obs is not None:
                         obs.emit(
                             _obs.EventKind.STORE_SET_CONFLICT, "pipe",
-                            index, s_complete, SQUASH_PENALTY, op.pc, -1,
+                            index, s_complete, SQUASH_PENALTY, pc, -1,
                             (("store_pc", s_pc),),
                         )
                     break
@@ -714,20 +739,25 @@ class PipelineModel:
         lsu_live[:] = keep
         self._drain_at = drain_at
 
-    @staticmethod
-    def _overlaps(a: list[MemAccess], b: list[MemAccess]) -> bool:
-        for x in a:
-            for y in b:
-                if x.addr < y.addr + y.size and y.addr < x.addr + x.size:
+    def _overlaps(self, lo: int, hi: int, s_lo: int, s_hi: int) -> bool:
+        """Do the log's accesses ``lo:hi`` and ``s_lo:s_hi`` overlap?"""
+        addrs = self.log.addr
+        sizes = self.log.size
+        for x in range(lo, hi):
+            x_addr = addrs[x]
+            x_end = x_addr + sizes[x]
+            for y in range(s_lo, s_hi):
+                y_addr = addrs[y]
+                if x_addr < y_addr + sizes[y] and y_addr < x_end:
                     return True
         return False
 
 
 def simulate(
-    trace: list[TraceOp],
+    log: TraceLog,
     config: MachineConfig = TABLE_I,
     validate_lsu: bool = False,
     warm: bool = False,
 ) -> PipelineStats:
-    """Run the timing model over a materialised trace."""
-    return PipelineModel(config, validate_lsu).run(trace, warm=warm)
+    """Time a recorded trace log on the out-of-order model."""
+    return PipelineModel(config, validate_lsu).run(log, warm=warm)

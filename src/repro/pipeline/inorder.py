@@ -16,8 +16,9 @@ is exactly the paper's point.
 
 Like :class:`repro.pipeline.core.PipelineModel`, the model is a streaming
 consumer: :meth:`InOrderModel.stream` returns a primed coroutine fed one
-:class:`TraceOp` per ``send``, retaining only a 15-op store window and the
-in-flight LSU entries; :meth:`InOrderModel.run` drives it from a list.
+op index of a :class:`~repro.pipeline.trace.TraceLog` per ``send``,
+retaining only a 15-op store window and the in-flight LSU entries;
+:meth:`InOrderModel.run` drives it over a whole log.
 
 Used by the in-order ablation benchmark: SRV's relative benefit is larger
 on an in-order core because the scalar baseline cannot hide latency by
@@ -29,13 +30,26 @@ from __future__ import annotations
 from collections import deque
 
 from repro.common.config import TABLE_I, MachineConfig
+from repro.isa.instructions import SrvDirection
 from repro.lsu.unit import LoadStoreUnit
 from repro.memory.hierarchy import CacheHierarchy
 from repro.observe import events as _obs
 from repro.pipeline.branch_pred import TournamentPredictor
-from repro.pipeline.decode import DecodeTable
 from repro.pipeline.stats import PipelineStats
-from repro.pipeline.trace import OpClass, RegionEvent, TraceOp
+from repro.pipeline.trace import (
+    BRANCH_MASK,
+    BRANCH_TAKEN,
+    DOWN,
+    EV_END_COMMIT,
+    EV_END_REPLAY,
+    EV_FALLBACK,
+    EV_START,
+    EVENT_MASK,
+    IN_FALLBACK,
+    IN_REGION,
+    OpClass,
+    TraceLog,
+)
 
 IN_ORDER_WIDTH = 2
 FORWARD_LATENCY = 1
@@ -53,35 +67,32 @@ class InOrderModel:
         self.bpred = TournamentPredictor(config.branch)
         self.lsu = LoadStoreUnit(config)
         self.stats = PipelineStats()
+        #: the trace log :meth:`stream` times (see PipelineModel.log)
+        self.log: TraceLog | None = None
         #: progress-clock checkpoint (max completion so far), read
         #: mid-stream by the sampling layer; mirrors PipelineModel
         self.last_commit = 0
         self._lsu_live: list = []
         self._store_window: deque = deque(maxlen=STORE_WINDOW)
 
-    def warm_caches(self, trace) -> None:
-        access_lanes = self.caches.access_lanes
-        for op in trace:
-            mem = op.mem
-            if mem:
-                access_lanes(mem, mem[0].is_store)
-        self.caches.reset_stats()
-
-    def run(self, trace: list[TraceOp], warm: bool = False) -> PipelineStats:
+    def run(self, log: TraceLog, warm: bool = False) -> PipelineStats:
+        """Time every op of ``log`` (see :meth:`PipelineModel.run`)."""
         if warm:
-            self.warm_caches(trace)
+            log.warm(self.caches)
+        self.log = log
         pump = self.stream()
         send = pump.send
         try:
-            for op in trace:
-                send(op)
+            for index in range(len(log)):
+                send(index)
             send(None)
         except StopIteration:
             pass
         return self.stats
 
     def stream(self):
-        """A primed coroutine consuming trace ops (send ``None`` to end)."""
+        """A primed coroutine timing ops of ``self.log`` by index (send
+        ``None`` to end)."""
         pump = self._pump()
         next(pump)
         return pump
@@ -95,10 +106,13 @@ class InOrderModel:
         mispredict_penalty = self.config.branch.mispredict_penalty
         srv_end_cls = OpClass.SRV_END
         branch_cls = OpClass.BRANCH
-        ev_start = RegionEvent.START
-        ev_replay = RegionEvent.END_REPLAY
-        ev_commit = RegionEvent.END_COMMIT
-        ev_fallback = RegionEvent.FALLBACK
+
+        log = self.log
+        pcs = log.pc
+        flags = log.bits
+        bounds = log.bounds
+        records = log.records
+        replay = log.replay
 
         # observability (same contract as the OoO pump): all event work
         # sits behind `obs is not None`, so timing is unchanged when off
@@ -107,8 +121,6 @@ class InOrderModel:
         region_fallback = False
         region_start = 0
         pass_begin = 0
-
-        decode_fallback: DecodeTable | None = None
 
         reg_ready: dict[tuple[str, int], int] = {}
         lsu_live: list = []
@@ -124,23 +136,25 @@ class InOrderModel:
         helper = PipelineModel(self.config)
         helper.lsu = lsu        # share the LSU and its counters
         helper.caches = self.caches
+        helper.log = log
         execute_mem = helper._execute_mem
         i = 0
 
-        op = yield
-        while op is not None:
+        k = yield
+        while k is not None:
             nxt = yield
-            rec = op.decode
-            if rec is None:
-                if decode_fallback is None:
-                    decode_fallback = DecodeTable()
-                rec = decode_fallback.record_for(op.inst)
+            pc = pcs[k]
+            bits = flags[k]
+            rec = records[pc]
             op_class = rec.op_class
-            in_hw_region = op.in_region and not op.in_fallback
-            is_mem = rec.is_mem or bool(op.mem)
+            in_hw_region = bits & IN_REGION and not bits & IN_FALLBACK
+            lo = bounds[k]
+            hi = bounds[k + 1]
+            mem_lanes = hi - lo
+            is_mem = rec.is_mem or mem_lanes > 0
 
             ready = issue_cursor
-            for reg in op.src_regs:
+            for reg in rec.src_regs:
                 t = reg_ready.get(reg, 0)
                 if t > ready:
                     ready = t
@@ -169,15 +183,15 @@ class InOrderModel:
             issued_this_cycle += 1
 
             last_slot = issue_at
-            if rec.is_gather_scatter and len(op.mem) > 1:
-                last_slot += len(op.mem) - 1
+            if rec.is_gather_scatter and mem_lanes > 1:
+                last_slot += mem_lanes - 1
 
             if is_mem:
                 # fresh scratch store list: in-order loads never bypass, so
                 # the vertical-squash machinery must see no recent stores
                 complete = execute_mem(
-                    op, rec, i, issue_at, last_slot, in_hw_region,
-                    [], lsu_live, stats,
+                    pc, rec, lo, hi, bits, i, issue_at, last_slot,
+                    in_hw_region, [], lsu_live, stats,
                 )
             else:
                 complete = issue_at + rec.latency
@@ -185,75 +199,78 @@ class InOrderModel:
             if obs is not None:
                 obs.emit(
                     _obs.EventKind.ISSUE, "pipe", i, issue_at,
-                    complete - issue_at, op.pc, -1,
+                    complete - issue_at, pc, -1,
                     (("cls", op_class.value),),
                 )
                 obs.emit(
-                    _obs.EventKind.COMMIT, "pipe", i, complete, 0, op.pc
+                    _obs.EventKind.COMMIT, "pipe", i, complete, 0, pc
                 )
             if complete > max_complete:
                 self.last_commit = max_complete = complete
-            for reg in op.dst_regs:
+            for reg in rec.dst_regs:
                 reg_ready[reg] = complete
 
-            if op_class is branch_cls and op.branch_taken is not None:
-                target = 1 if op.branch_taken else None
-                if bpred.update(op.pc, op.branch_taken, target):
+            if op_class is branch_cls and bits & BRANCH_MASK:
+                taken = bits & BRANCH_MASK == BRANCH_TAKEN
+                if bpred.update(pc, taken, 1 if taken else None):
                     issue_cursor = complete + mispredict_penalty
                     issued_this_cycle = 0
 
-            if op.region_event is ev_start:
+            event = bits & EVENT_MASK
+            if event == EV_START:
                 stats.srv_regions += 1
                 if obs is not None:
                     region_idx += 1
-                    region_fallback = op.in_fallback
+                    region_fallback = bool(bits & IN_FALLBACK)
                     region_start = issue_at
                     pass_begin = issue_at
                     obs.emit(
                         _obs.EventKind.REGION_BEGIN, "pipe", i, issue_at,
-                        0, op.pc, -1, (("region", region_idx),),
+                        0, pc, -1, (("region", region_idx),),
                     )
-                    if op.in_fallback:
+                    if region_fallback:
                         obs.emit(
                             _obs.EventKind.SEQ_FALLBACK, "pipe", i,
-                            issue_at, 0, op.pc, -1,
+                            issue_at, 0, pc, -1,
                             (("region", region_idx),),
                         )
                 if in_hw_region:
-                    lsu.begin_region(op.direction)
+                    lsu.begin_region(
+                        SrvDirection.DOWN if bits & DOWN else SrvDirection.UP
+                    )
             if op_class is srv_end_cls:
-                region_event = op.region_event
                 if obs is not None:
+                    region_pass, active = log.region_pass_of(k)
                     obs.emit(
                         _obs.EventKind.REGION_PASS, "pipe", i, pass_begin,
-                        complete - pass_begin, op.pc, -1,
+                        complete - pass_begin, pc, -1,
                         (
-                            ("pass", op.region_pass),
-                            ("active", op.active_lane_count),
+                            ("pass", region_pass),
+                            ("active", active),
                             ("fallback", region_fallback),
                             ("region", region_idx),
                         ),
                     )
                     pass_begin = complete
-                    if region_event is ev_replay:
-                        for lane in sorted(op.replay_lanes):
+                    if event == EV_END_REPLAY:
+                        for lane in sorted(replay.get(k, ())):
                             obs.emit(
                                 _obs.EventKind.LANE_REPLAY, "pipe", i,
-                                complete, 0, op.pc, lane,
+                                complete, 0, pc, lane,
                                 (("region", region_idx),),
                             )
-                    if region_event is ev_commit or region_event is ev_fallback:
-                        if nxt is None or not nxt.in_region:
+                    if event == EV_END_COMMIT or event == EV_FALLBACK:
+                        if nxt is None or not flags[nxt] & IN_REGION:
                             obs.emit(
                                 _obs.EventKind.REGION_END, "pipe", i,
                                 region_start, complete - region_start,
-                                op.pc, -1,
+                                pc, -1,
                                 (
                                     ("region", region_idx),
                                     ("fallback", region_fallback),
                                 ),
                             )
-                if op.region_event is ev_replay:
+                if event == EV_END_REPLAY:
                     stats.srv_replay_passes += 1
                 if in_hw_region:
                     lsu.end_region()
@@ -271,10 +288,10 @@ class InOrderModel:
                 stats.vector_instructions += 1
             else:
                 stats.scalar_instructions += 1
-            stats.mem_lane_accesses += len(op.mem)
+            stats.mem_lane_accesses += mem_lanes
 
             i += 1
-            op = nxt
+            k = nxt
 
         stats.cycles = max(max_complete, 1)
         stats.lsu = lsu.counters
@@ -284,8 +301,9 @@ class InOrderModel:
 
 
 def simulate_in_order(
-    trace: list[TraceOp],
+    log: TraceLog,
     config: MachineConfig = TABLE_I,
     warm: bool = False,
 ) -> PipelineStats:
-    return InOrderModel(config).run(trace, warm=warm)
+    """Time a recorded trace log on the in-order model."""
+    return InOrderModel(config).run(log, warm=warm)

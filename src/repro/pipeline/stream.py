@@ -1,36 +1,30 @@
 """Emulate once, then time: the timed path of every sweep cell.
 
-:func:`simulate_streaming` runs the functional emulator a single time
-with a :class:`~repro.pipeline.trace.LogTracer`, which records the
-dynamic trace into a compact columnar
-:class:`~repro.pipeline.trace.TraceLog` (tens of bytes per op, no
-:class:`~repro.pipeline.trace.TraceOp` objects).  A warm run then plays
-the log's access columns into the model's cache hierarchy — the same
-accesses, in the same order, that ``warm_caches`` plays from a
-materialised trace — and resets the cache stats.  Finally the ops are
-rebuilt from the log one at a time and pumped through the timing model.
+:func:`simulate_streaming` runs the functional emulator a single time,
+recording the dynamic trace into a compact columnar
+:class:`~repro.pipeline.trace.TraceLog` (tens of bytes per op).  A warm
+run then plays the log's access columns into the model's cache hierarchy
+and resets the cache stats.  Finally the timing model reads each op's
+fields straight from the log's columns, one op index per ``send``.
 
-The order of work — emulate, warm, time — is the order of the
-materialised path (``run_program`` with a :class:`Tracer`, then
-``simulate``), so everything with a side effect sees the same sequence:
-the observe bus receives emulator events before timing events, and an
-armed :mod:`repro.verify.faults` plan polls its emulator hooks and then
-its LSU hook, each once per dynamic site.  Retained memory is the log,
-O(trace length) in compact columns, plus the timing model's
-machine-capacity windows; rebuilt ops are dropped once the pump is done
-with them.
+The order of work is emulate, warm, time, so everything with a side
+effect sees the same sequence: the observe bus receives emulator events
+before timing events, and an armed :mod:`repro.verify.faults` plan polls
+its emulator hooks and then its LSU hook, each once per dynamic site.
+Retained memory is the log, O(trace length) in compact columns, plus the
+timing model's machine-capacity windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.pipeline.core import PipelineModel
 from repro.pipeline.inorder import InOrderModel
 from repro.pipeline.stats import PipelineStats
-from repro.pipeline.trace import LogTracer
+from repro.pipeline.trace import TraceLog
 
 if TYPE_CHECKING:  # the emulator imports the decode table from this package
     from repro.emu.metrics import EmuMetrics
@@ -56,11 +50,10 @@ def simulate_streaming(
 ) -> tuple[EmuMetrics, PipelineStats, ArchState]:
     """Emulate ``program`` once and time it.
 
-    Returns ``(emu_metrics, pipeline_stats, arch_state)`` — bit-identical
-    to running ``run_program`` with a :class:`Tracer` followed by
-    ``simulate``/``simulate_in_order`` with the same arguments.  ``memory``
-    is mutated by the (single) architectural execution exactly as in the
-    materialised path.
+    Returns ``(emu_metrics, pipeline_stats, arch_state)`` — the same as
+    running ``run_program`` into a :class:`TraceLog` followed by
+    ``simulate``/``simulate_in_order`` over it with the same arguments.
+    ``memory`` is mutated by the (single) architectural execution.
     """
     from repro.emu.interpreter import Interpreter
 
@@ -71,13 +64,10 @@ def simulate_streaming(
     else:
         model = PipelineModel(config, validate_lsu)
 
-    tracer = LogTracer()
-    interp = Interpreter(program, memory, config, max_steps, tracer)
+    interp = Interpreter(program, memory, config, max_steps)
+    interp.tracer = log = TraceLog(program, interp.decode)
     interp.run()
-    log = tracer.log
-    if warm:
-        log.warm(model.caches)
-    stats = model.run(log.ops(program, interp.decode))
+    stats = model.run(log, warm=warm)
     return interp.metrics, stats, interp.state
 
 
@@ -99,26 +89,29 @@ class SegmentTiming:
 
 
 def time_segment(
-    segment: Sequence,
+    log: TraceLog,
+    segment: range,
     config: MachineConfig = TABLE_I,
     *,
     core: str = "ooo",
-    warm_ops: Sequence = (),
+    warm: range = range(0),
     caches=None,
 ) -> SegmentTiming:
-    """Time ``segment`` on a fresh model resumed from a warm-up window.
+    """Time the ops ``segment`` of ``log`` on a fresh model resumed from
+    the warm-up window ``warm``.
 
-    The timing models keep all machine state (ROB ring, store window,
-    LSU occupancy, branch/store-set predictors) in coroutine locals, so
-    there is no snapshot to restore directly.  Instead the warm state is
-    *reconstructed*: ``warm_ops`` — the trace ops immediately preceding
-    the segment — are replayed through a fresh pump, the commit-cycle
-    checkpoint (``model.last_commit``) is read once the last warm op has
-    retired, and the segment's cost is the cycle delta from that
-    checkpoint to end-of-stream.  Both ``warm_ops`` and ``segment`` must
-    start at region-safe cut points (never inside an SRV region): the
-    LSU's ``begin_region``/``end_region`` pairing, and therefore every
-    conflict-detection decision, is only coherent across whole regions.
+    Both are op-index ranges of the log, and ``warm`` ends where
+    ``segment`` begins (or is empty).  The timing models keep all machine
+    state (ROB ring, store window, LSU occupancy, branch/store-set
+    predictors) in coroutine locals, so there is no snapshot to restore
+    directly.  Instead the warm state is *reconstructed*: the warm-up
+    ops are replayed through a fresh pump, the commit-cycle checkpoint
+    (``model.last_commit``) is read once the last warm op has retired,
+    and the segment's cost is the cycle delta from that checkpoint to
+    end-of-stream.  Both ranges must start at region-safe cut points
+    (never inside an SRV region): the LSU's ``begin_region``/
+    ``end_region`` pairing, and therefore every conflict-detection
+    decision, is only coherent across whole regions.
 
     ``caches`` optionally supplies a pre-warmed cache hierarchy (the
     sampler clones an ambient hierarchy that tracked the full access
@@ -131,6 +124,9 @@ def time_segment(
         raise ValueError(f"unknown core model {core!r}")
     if not segment:
         raise ValueError("cannot time an empty segment")
+    if warm and warm.stop != segment.start:
+        raise ValueError("the warm-up window must end where the segment "
+                         "begins")
     if core == "inorder":
         model = InOrderModel(config)
     else:
@@ -139,23 +135,25 @@ def time_segment(
         model.caches = caches
         caches.reset_stats()
     else:
-        model.warm_caches(list(warm_ops) + list(segment))
+        log.warm(model.caches, warm.start if warm else segment.start,
+                 segment.stop)
 
+    model.log = log
     pump = model.stream()
     send = pump.send
     warm_cycles = 0
     warm_region = 0
     try:
-        for op in warm_ops:
-            send(op)
+        for index in warm:
+            send(index)
         # One op of lookahead lives inside the pump: after sending the
         # first segment op, the pump has retired exactly the warm ops,
         # so last_commit is the checkpoint splitting warm from measured.
-        send(segment[0])
+        send(segment.start)
         warm_cycles = model.last_commit
         warm_region = model.stats.region_cycles
-        for op in segment[1:]:
-            send(op)
+        for index in segment[1:]:
+            send(index)
         send(None)
     except StopIteration:
         pass
@@ -164,7 +162,7 @@ def time_segment(
         cycles=max(total - warm_cycles, 1),
         ops=len(segment),
         warm_cycles=warm_cycles,
-        warm_ops=len(warm_ops),
+        warm_ops=len(warm),
         region_cycles=max(model.stats.region_cycles - warm_region, 0),
         stats=model.stats,
     )

@@ -12,10 +12,9 @@ fraction or a per-op rate, so intervals of different phases are
 comparable and the tail interval (shorter than the rest) needs no
 special casing.
 
-Determinism: the vector is a pure function of the interval's ops and
-events — both are identical on the streaming and materialised paths
-(events are binned by the op index they are stamped with, not by
-arrival order), which is pinned by ``tests/test_sample.py``.
+Determinism: the vector is a pure function of the interval's logged ops
+and events (events are binned by the op index they are stamped with, not
+by arrival order), which is pinned by ``tests/test_sample.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,14 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.observe.events import EventKind
-from repro.pipeline.trace import OpClass, RegionEvent, TraceOp
+from repro.pipeline.trace import (
+    EV_START,
+    EVENT_MASK,
+    IN_FALLBACK,
+    IN_REGION,
+    OpClass,
+    TraceLog,
+)
 
 #: OpClass members in declaration order — the head of every vector.
 _OP_CLASSES: tuple[OpClass, ...] = tuple(OpClass)
@@ -99,45 +105,59 @@ class FingerprintAccumulator:
         self._l1_misses = 0
         self._l2_misses = 0
 
-    def add(self, op: TraceOp) -> None:
-        self._ops += 1
-        rec = op.decode
-        cls = rec.op_class if rec is not None else op.op_class
-        self._class_counts[cls] += 1
-        if op.in_region:
-            self._region_ops += 1
-            if op.in_fallback:
-                self._fallback_ops += 1
-            if op.region_event is RegionEvent.START:
-                self._region_entries += 1
-        self._replay_lanes += len(op.replay_lanes)
-        mem = op.mem
-        if mem:
-            n_access = len(mem)
+    def add_ops(self, log: TraceLog, start: int, stop: int) -> None:
+        """Fold ops ``start:stop`` of ``log``, read in place."""
+        records = log.records
+        pcs = log.pc
+        flags = log.bits
+        bounds = log.bounds
+        addrs = log.addr
+        replay = log.replay
+        class_counts = self._class_counts
+        last_addr = self._last_addr
+        buckets = self._stride_buckets
+        for index in range(start, stop):
+            pc = pcs[index]
+            bits = flags[index]
+            rec = records[pc]
+            class_counts[rec.op_class] += 1
+            if bits & IN_REGION:
+                self._region_ops += 1
+                if bits & IN_FALLBACK:
+                    self._fallback_ops += 1
+                if bits & EVENT_MASK == EV_START:
+                    self._region_entries += 1
+            lanes = replay.get(index)
+            if lanes:
+                self._replay_lanes += len(lanes)
+            lo = bounds[index]
+            n_access = bounds[index + 1] - lo
+            if not n_access:
+                continue
             self._mem_lane_accesses += n_access
-            if rec is not None:
-                if rec.is_gather_scatter:
-                    self._gs_lane_accesses += n_access
-                if rec.is_vector and rec.is_mem:
-                    self._vec_mem_ops += 1
-                    self._mask_lane_sum += n_access
-                    if rec.is_broadcast:
-                        self._broadcast_ops += 1
+            if rec.is_gather_scatter:
+                self._gs_lane_accesses += n_access
+            if rec.is_vector and rec.is_mem:
+                self._vec_mem_ops += 1
+                self._mask_lane_sum += n_access
+                if rec.is_broadcast:
+                    self._broadcast_ops += 1
             # stride signature: first-lane address delta per static pc
-            addr = mem[0].addr
-            last = self._last_addr.get(op.pc)
-            self._last_addr[op.pc] = addr
+            addr = addrs[lo]
+            last = last_addr.get(pc)
+            last_addr[pc] = addr
             if last is not None:
                 delta = abs(addr - last)
                 self._stride_samples += 1
                 if delta == 0:
-                    self._stride_buckets[0] += 1
+                    buckets[0] += 1
                 elif delta <= _STRIDE_SMALL:
-                    self._stride_buckets[1] += 1
+                    buckets[1] += 1
                 elif delta <= _STRIDE_MEDIUM:
-                    self._stride_buckets[2] += 1
+                    buckets[2] += 1
                 else:
-                    self._stride_buckets[3] += 1
+                    buckets[3] += 1
+        self._ops += stop - start
 
     def fold_counters(self, counts: Counter) -> None:
         """Fold one interval bin of observe-counter tallies."""

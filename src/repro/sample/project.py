@@ -4,7 +4,7 @@
 :func:`repro.experiments.runner.run_loop`:
 
 1. **fingerprint pass** — the program's one functional emulation
-   records a compact trace log; the ops rebuilt from it are sliced into
+   records a compact trace log, which is sliced in place into
    ``interval_size``-op intervals and fingerprinted
    (:mod:`repro.sample.fingerprint`), while also warming an *ambient*
    cache hierarchy with the full access stream (the sampled analogue of
@@ -14,11 +14,11 @@
    per cluster the sampler elects the centroid representative plus up
    to ``samples - 1`` further members spread uniformly by stream
    position;
-3. **collection pass** — a second walk over the same log materialises
-   only the elected segments, each with a region-safe warm-up window
-   and a clone of the ambient cache state at its start.  Nothing is
-   emulated again, so the segments are the fingerprinted ops by
-   construction;
+3. **collection pass** — a second walk over the same log picks out
+   only the elected segments, as op-index ranges, each with a
+   region-safe warm-up window and a clone of the ambient cache state at
+   its start.  Nothing is emulated again, so the segments are the
+   fingerprinted ops by construction;
 4. **projection** — each segment is timed through the existing streaming
    pipeline via :func:`repro.pipeline.stream.time_segment`; per cluster
    the cycles-per-op is *pooled* (total cycles over total ops) across
@@ -345,18 +345,17 @@ def _sample_once(
     for positions in elected.values():
         targets.update(run.intervals[p].index for p in positions)
 
-    # pass 2: collect representative segments with ambient cache clones,
-    # rebuilt from the fingerprinted emulation's log
+    # pass 2: collect representative segments of the fingerprinted
+    # emulation's log, with ambient cache clones
     timings: dict[int, object] = {}
     for segment in collect_segments(
-        run.log.ops(interp.program, interp.decode),
-        targets, interval_size, warmup, ambient=ambient,
+        run.log, targets, interval_size, warmup, ambient=ambient,
     ):
         if not segment.ops:
             continue
         timings[segment.interval] = time_segment(
-            segment.ops, config, core=core,
-            warm_ops=segment.warm, caches=segment.caches,
+            run.log, segment.ops, config, core=core,
+            warm=segment.warm, caches=segment.caches,
         )
 
     # projection: measured head + per-cluster extrapolated tail

@@ -6,7 +6,7 @@ Three independent judges cross-examine a run:
    paper's structural invariants from the dynamic trace;
 2. the **scalar-reference oracle** re-executes the loop IR in pure Python
    and compares every output array byte-for-byte;
-3. the **LSU cross-check** replays the trace through the cycle model with
+3. the **LSU cross-check** replays the trace log through the cycle model with
    ``validate_lsu=True``, so the hardware load-store unit's replay
    decisions are compared lane-by-lane against the functional emulator's.
 
@@ -25,7 +25,7 @@ from repro.common.errors import ReproError
 from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu import run_program
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate
+from repro.pipeline import TraceLog, simulate
 from repro.verify.monitors import Violation, run_monitors
 from repro.workloads.base import LoopSpec
 
@@ -74,19 +74,19 @@ def verify_loop(
         mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
     program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
 
-    tracer = Tracer()
+    log = TraceLog(program)
     try:
-        run_program(program, mem, config=config, tracer=tracer)
+        run_program(program, mem, config=config, tracer=log)
     except ReproError as exc:
         report.error = type(exc).__name__
         report.violations.append(Violation(
             "runtime-invariant", f"{type(exc).__name__}: {exc}"
         ))
         # the trace up to the abort is still checkable
-        report.violations.extend(run_monitors(tracer.ops, config))
+        report.violations.extend(run_monitors(log, config))
         return report
 
-    report.violations.extend(run_monitors(tracer.ops, config))
+    report.violations.extend(run_monitors(log, config))
 
     reference = scalar_reference(spec.loop, arrays, n, params=spec.params)
     for name in arrays:
@@ -104,7 +104,7 @@ def verify_loop(
 
     if timing:
         try:
-            simulate(tracer.ops, config=config, validate_lsu=True, warm=True)
+            simulate(log, config=config, validate_lsu=True, warm=True)
         except ReproError as exc:
             report.violations.append(Violation(
                 "lsu-differential", f"{type(exc).__name__}: {exc}"

@@ -20,9 +20,11 @@ Invariants checked (paper references in parentheses):
   at most ``active_lane_count`` distinct lanes, lane ids are in range,
   and contiguous/broadcast accesses have the address shape their opcode
   promises (figures 3-5);
-* **trace well-formedness** — indices are sequential, branch outcomes are
-  recorded exactly for branch-class ops, and memory events appear only on
-  memory ops.
+* **trace well-formedness** — branch outcomes are recorded exactly for
+  branch-class ops, and memory events appear only on memory ops.
+
+Every monitor reads the :class:`~repro.pipeline.trace.TraceLog` in
+place, by op index.
 """
 
 from __future__ import annotations
@@ -30,7 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.config import MachineConfig
-from repro.pipeline.trace import OpClass, RegionEvent, TraceOp
+from repro.pipeline.trace import (
+    BRANCH_MASK,
+    EV_END_COMMIT,
+    EV_END_REPLAY,
+    EV_FALLBACK,
+    EV_START,
+    EVENT_MASK,
+    IN_REGION,
+    OpClass,
+    TraceLog,
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,7 @@ class Violation:
 
 
 def check_region_structure(
-    trace: list[TraceOp], config: MachineConfig
+    log: TraceLog, config: MachineConfig
 ) -> list[Violation]:
     """Region nesting, closure, and the ``lanes - 1`` replay bound."""
     violations: list[Violation] = []
@@ -62,31 +74,32 @@ def check_region_structure(
     fallback_passes = 0
     in_fallback = False
 
-    for op in trace:
-        event = op.region_event
-        if event is RegionEvent.START:
+    for index, bits in enumerate(log.bits):
+        event = bits & EVENT_MASK
+        if event == EV_START:
             if open_region:
                 violations.append(Violation(
                     "region-nesting",
                     "srv_start inside an active SRV-region",
-                    op.index,
+                    index,
                 ))
             open_region = True
             replay_ends = 0
             fallback_passes = 0
             in_fallback = False
-        if op.in_region != open_region:
+        in_region = bool(bits & IN_REGION)
+        if in_region != open_region:
             violations.append(Violation(
                 "region-nesting",
-                f"op in_region={op.in_region} disagrees with region "
+                f"op in_region={in_region} disagrees with region "
                 f"structure (open={open_region})",
-                op.index,
+                index,
             ))
-        if event is RegionEvent.END_REPLAY:
+        if event == EV_END_REPLAY:
             if not open_region:
                 violations.append(Violation(
                     "region-nesting", "replay srv_end outside a region",
-                    op.index,
+                    index,
                 ))
             replay_ends += 1
             if replay_ends > lanes - 1:
@@ -94,20 +107,20 @@ def check_region_structure(
                     "replay-bound",
                     f"region rolled back {replay_ends} times "
                     f"(bound is lanes - 1 = {lanes - 1})",
-                    op.index,
+                    index,
                 ))
-        elif event is RegionEvent.END_COMMIT:
+        elif event == EV_END_COMMIT:
             if not open_region:
                 violations.append(Violation(
                     "region-nesting", "commit srv_end outside a region",
-                    op.index,
+                    index,
                 ))
             open_region = False
-        elif event is RegionEvent.FALLBACK:
+        elif event == EV_FALLBACK:
             if not open_region:
                 violations.append(Violation(
                     "region-nesting", "fallback srv_end outside a region",
-                    op.index,
+                    index,
                 ))
             in_fallback = True
             fallback_passes += 1
@@ -118,10 +131,10 @@ def check_region_structure(
                     "region-nesting",
                     f"sequential fallback ran {fallback_passes} passes "
                     f"for {lanes} lanes",
-                    op.index,
+                    index,
                 ))
     if open_region:
-        where = trace[-1].index if trace else None
+        where = len(log) - 1 if len(log) else None
         kind = "fallback " if in_fallback else ""
         violations.append(Violation(
             "region-nesting", f"trace ends inside an open {kind}SRV-region",
@@ -131,7 +144,7 @@ def check_region_structure(
 
 
 def check_lsu_occupancy(
-    trace: list[TraceOp], config: MachineConfig
+    log: TraceLog, config: MachineConfig
 ) -> list[Violation]:
     """Re-derive each region's LSU entry demand from its first pass.
 
@@ -143,132 +156,143 @@ def check_lsu_occupancy(
     """
     violations: list[Violation] = []
     lanes = config.vector_lanes
+    insts = log.program.instructions
+    records = log.records
     demand = 0
     counting = False     # inside the first pass of a region
     fallback = False
     start_index: int | None = None
 
-    for op in trace:
-        if op.region_event is RegionEvent.START:
+    for index, (pc, bits) in enumerate(zip(log.pc, log.bits)):
+        event = bits & EVENT_MASK
+        if event == EV_START:
             counting = True
             fallback = False
             demand = 0
-            start_index = op.index
+            start_index = index
             continue
-        if op.region_event is RegionEvent.FALLBACK:
+        if event == EV_FALLBACK:
             fallback = True
-        if op.op_class is OpClass.SRV_END:
+        if records[pc].op_class is OpClass.SRV_END:
             if counting and not fallback and demand > config.lsu_entries:
                 violations.append(Violation(
                     "lsu-occupancy",
                     f"region at op {start_index} demands {demand} LSU "
                     f"entries, capacity {config.lsu_entries}, without "
                     "sequential fallback",
-                    op.index,
+                    index,
                 ))
             counting = False
             continue
-        if counting and op.inst.is_mem:
-            kind = getattr(op.inst, "access_kind", "scalar")
+        inst = insts[pc]
+        if counting and inst.is_mem:
+            kind = getattr(inst, "access_kind", "scalar")
             demand += lanes if kind in ("gather", "scatter") else 1
     return violations
 
 
 def check_mem_consistency(
-    trace: list[TraceOp], config: MachineConfig
+    log: TraceLog, config: MachineConfig
 ) -> list[Violation]:
     """Predicate / bytes-accessed consistency of per-lane memory events."""
     violations: list[Violation] = []
     lanes = config.vector_lanes
+    insts = log.program.instructions
+    bounds = log.bounds
+    addrs = log.addr
+    sizes = log.size
+    lane_ids = log.lane
 
-    for op in trace:
-        if not op.mem:
+    for index, (pc, bits) in enumerate(zip(log.pc, log.bits)):
+        lo = bounds[index]
+        hi = bounds[index + 1]
+        if lo == hi:
             continue
-        seen = {access.lane for access in op.mem}
-        if len(seen) != len(op.mem):
+        seen = set(lane_ids[lo:hi])
+        if len(seen) != hi - lo:
             violations.append(Violation(
                 "mem-consistency", "duplicate lane in memory events",
-                op.index,
+                index,
             ))
         bad = [lane for lane in seen if not 0 <= lane < lanes]
         if bad:
             violations.append(Violation(
                 "mem-consistency", f"lane ids {sorted(bad)} out of range",
-                op.index,
+                index,
             ))
-        limit = (
-            op.active_lane_count
-            if op.in_region and op.active_lane_count
-            else lanes
-        )
+        active = log.region_pass_of(index)[1] if bits & IN_REGION else 0
+        limit = active if active else lanes
         if len(seen) > limit:
             violations.append(Violation(
                 "mem-consistency",
                 f"{len(seen)} lanes accessed memory but only {limit} "
                 "lanes are active in this pass",
-                op.index,
+                index,
             ))
-        elem = getattr(op.inst, "elem", None)
+        inst = insts[pc]
+        elem = getattr(inst, "elem", None)
         if elem is not None:
-            if any(access.size != elem for access in op.mem):
+            if any(size != elem for size in sizes[lo:hi]):
                 violations.append(Violation(
                     "mem-consistency",
                     f"access size disagrees with element size {elem}",
-                    op.index,
+                    index,
                 ))
-            kind = getattr(op.inst, "access_kind", None)
+            kind = getattr(inst, "access_kind", None)
             if kind == "contiguous":
                 # every lane's address must satisfy addr == base + lane*elem
-                bases = {a.addr - a.lane * elem for a in op.mem}
+                bases = {
+                    addrs[a] - lane_ids[a] * elem for a in range(lo, hi)
+                }
                 if len(bases) > 1:
                     violations.append(Violation(
                         "mem-consistency",
                         "contiguous access lanes do not share one base "
                         f"address (bases {sorted(bases)})",
-                        op.index,
+                        index,
                     ))
             elif kind == "broadcast":
-                if len({a.addr for a in op.mem}) > 1:
+                if len(set(addrs[lo:hi])) > 1:
                     violations.append(Violation(
                         "mem-consistency",
                         "broadcast access reads more than one address",
-                        op.index,
+                        index,
                     ))
     return violations
 
 
 def check_well_formedness(
-    trace: list[TraceOp], config: MachineConfig
+    log: TraceLog, config: MachineConfig
 ) -> list[Violation]:
-    """Structural sanity of the trace stream itself."""
+    """Structural sanity of the logged ops themselves."""
     violations: list[Violation] = []
-    for position, op in enumerate(trace):
-        if op.index != position:
+    insts = log.program.instructions
+    records = log.records
+    bounds = log.bounds
+    for index, (pc, bits) in enumerate(zip(log.pc, log.bits)):
+        if pc < 0:
             violations.append(Violation(
-                "trace-form",
-                f"op index {op.index} at position {position}",
-                op.index,
+                "trace-form", f"negative pc {pc}", index
             ))
-        if op.op_class is OpClass.BRANCH and op.branch_taken is None:
+            continue
+        op_class = records[pc].op_class
+        branch = bits & BRANCH_MASK
+        if op_class is OpClass.BRANCH and not branch:
             violations.append(Violation(
                 "trace-form", "branch op without a recorded outcome",
-                op.index,
+                index,
             ))
-        if op.branch_taken is not None and op.op_class is not OpClass.BRANCH:
+        if branch and op_class is not OpClass.BRANCH:
             violations.append(Violation(
                 "trace-form",
-                f"{op.op_class.value} op carries a branch outcome",
-                op.index,
+                f"{op_class.value} op carries a branch outcome",
+                index,
             ))
-        if op.mem and not op.inst.is_mem:
+        if bounds[index + 1] > bounds[index] and not insts[pc].is_mem:
             violations.append(Violation(
                 "trace-form",
-                f"{op.op_class.value} op carries memory events",
-                op.index,
-            ))
-        if op.pc < 0:
-            violations.append(Violation(
-                "trace-form", f"negative pc {op.pc}", op.index
+                f"{op_class.value} op carries memory events",
+                index,
             ))
     return violations
 
@@ -282,10 +306,10 @@ ALL_MONITORS = (
 
 
 def run_monitors(
-    trace: list[TraceOp], config: MachineConfig
+    log: TraceLog, config: MachineConfig
 ) -> list[Violation]:
-    """Run every invariant monitor over ``trace``; collect all violations."""
+    """Run every invariant monitor over ``log``; collect all violations."""
     violations: list[Violation] = []
     for monitor in ALL_MONITORS:
-        violations.extend(monitor(trace, config))
+        violations.extend(monitor(log, config))
     return violations

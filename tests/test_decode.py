@@ -8,7 +8,7 @@ from repro.compiler import Strategy, compile_loop
 from repro.emu import Interpreter, run_program
 from repro.isa import ProgramBuilder, imm, v, x
 from repro.memory import MemoryImage
-from repro.pipeline import DecodeTable, PipelineModel, Tracer
+from repro.pipeline import DecodeTable, PipelineModel, TraceLog
 from repro.pipeline.decode import PORT_OF, decode_instruction
 from repro.pipeline.deps import LATENCY, classify, instruction_regs
 from repro.workloads.base import indirect_update
@@ -25,6 +25,10 @@ def _compiled(strategy=Strategy.SRV, n=N):
         mem.alloc(name, len(init), spec_loop.arrays[name], init=init)
     program = compile_loop(spec_loop, mem, n, strategy)
     return program, mem
+
+
+def _ops(log):
+    return [log.op(index) for index in range(len(log))]
 
 
 class TestDecodeTable:
@@ -79,10 +83,10 @@ class TestDecodeTable:
 
     def test_trace_ops_carry_decode_records(self):
         program, mem = _compiled()
-        tracer = Tracer()
-        run_program(program, mem, tracer=tracer)
-        assert tracer.ops
-        for op in tracer.ops:
+        log = TraceLog(program)
+        run_program(program, mem, tracer=log)
+        assert len(log)
+        for op in _ops(log):
             assert op.decode is not None
             assert op.decode.op_class is op.op_class
             assert op.src_regs == op.decode.src_regs
@@ -115,11 +119,12 @@ class TestMicroOpPortCharges:
         mem.alloc("a", LANES, 4, init=range(LANES))
         # a permutation: every lane accesses a distinct element
         mem.alloc("x", LANES, 4, init=[(i * 5) % LANES for i in range(LANES)])
-        tracer = Tracer()
-        run_program(self._scatter_program(mem), mem, tracer=tracer)
+        program = self._scatter_program(mem)
+        log = TraceLog(program)
+        run_program(program, mem, tracer=log)
 
         expected = {"gather_micro": 0, "scatter_micro": 0, "load": 0, "store": 0}
-        for op in tracer.ops:
+        for op in _ops(log):
             rec = op.decode
             if rec is None or not rec.is_mem:
                 continue
@@ -134,7 +139,7 @@ class TestMicroOpPortCharges:
         assert expected["scatter_micro"] >= LANES - 1
 
         model = PipelineModel(TABLE_I)
-        model.run(tracer.ops)
+        model.run(log)
         for kind, want in expected.items():
             got = sum(model.ports._used[kind].values())
             assert got == want, (kind, got, want)
@@ -142,17 +147,17 @@ class TestMicroOpPortCharges:
     @pytest.mark.parametrize("n", [N])
     def test_micro_charges_full_loop(self, n):
         program, mem = _compiled(n=n)
-        tracer = Tracer()
-        run_program(program, mem, tracer=tracer)
+        log = TraceLog(program)
+        run_program(program, mem, tracer=log)
         expected_micro = sum(
             len(op.mem) - 1
-            for op in tracer.ops
+            for op in _ops(log)
             if op.decode is not None
             and op.decode.is_gather_scatter
             and len(op.mem) > 1
         )
         model = PipelineModel(TABLE_I)
-        model.run(tracer.ops)
+        model.run(log)
         got = sum(model.ports._used["gather_micro"].values()) + sum(
             model.ports._used["scatter_micro"].values()
         )

@@ -8,7 +8,7 @@ from repro.common.rng import periodic_conflict_indices, sparse_conflict_indices
 from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu import Interpreter, run_program
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate
+from repro.pipeline import TraceLog, simulate
 from repro.pipeline.inorder import simulate_in_order
 from repro.workloads.base import indirect_update
 
@@ -30,10 +30,10 @@ def compiled(strategy=Strategy.SRV, x_vals=None, n=N, config=TABLE_I):
 class TestInOrderCore:
     def trace_for(self, strategy, x_vals=None):
         program, mem, oracle = compiled(strategy, x_vals)
-        tracer = Tracer()
-        run_program(program, mem, tracer=tracer)
+        log = TraceLog(program)
+        run_program(program, mem, tracer=log)
         assert mem.load_array(mem.allocation("a")) == oracle["a"]
-        return tracer.ops
+        return log
 
     def test_runs_and_counts(self):
         trace = self.trace_for(Strategy.SRV)
@@ -71,12 +71,12 @@ class TestInOrderCore:
 class TestRelaxedBarrier:
     def test_relaxed_is_faster_and_correct(self):
         program, mem, oracle = compiled()
-        tracer = Tracer()
-        run_program(program, mem, tracer=tracer)
+        log = TraceLog(program)
+        run_program(program, mem, tracer=log)
         assert mem.load_array(mem.allocation("a")) == oracle["a"]
-        base = simulate(tracer.ops, TABLE_I, warm=True)
+        base = simulate(log, TABLE_I, warm=True)
         relaxed = simulate(
-            tracer.ops, TABLE_I.with_overrides(srv_relax_barrier=True), warm=True
+            log, TABLE_I.with_overrides(srv_relax_barrier=True), warm=True
         )
         assert relaxed.cycles < base.cycles
         assert relaxed.barrier_cycles == 0

@@ -20,7 +20,7 @@ from repro.common.rng import periodic_conflict_indices, sparse_conflict_indices
 from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu import Interpreter, run_program
 from repro.memory import MemoryImage
-from repro.pipeline import Tracer, simulate
+from repro.pipeline import TraceLog, simulate
 from repro.pipeline.inorder import simulate_in_order
 from repro.workloads import ALL_WORKLOADS
 from repro.workloads.base import histogram, indirect_update
@@ -33,10 +33,10 @@ def build_and_trace(loop, arrays, n, strategy, config=TABLE_I, **interp_kw):
     for name, init in arrays.items():
         mem.alloc(name, len(init), loop.arrays[name], init=init)
     program = compile_loop(loop, mem, n, strategy)
-    tracer = Tracer()
-    interp = Interpreter(program, mem, config, tracer=tracer, **interp_kw)
+    log = TraceLog(program)
+    interp = Interpreter(program, mem, config, tracer=log, **interp_kw)
     metrics = interp.run()
-    return mem, metrics, tracer.ops
+    return mem, metrics, log
 
 
 class TestLsuCrossValidation:
@@ -69,9 +69,9 @@ class TestLsuCrossValidation:
                 program = compile_loop(
                     spec.loop, mem, n, Strategy.SRV, params=spec.params
                 )
-                tracer = Tracer()
-                run_program(program, mem, tracer=tracer)
-                simulate(tracer.ops, validate_lsu=True, warm=True)
+                log = TraceLog(program)
+                run_program(program, mem, tracer=log)
+                simulate(log, validate_lsu=True, warm=True)
 
 
 class TestTimingModelAgreement:
@@ -128,10 +128,10 @@ class TestModeCombinations:
                 program = compile_loop(
                     spec.loop, mem, n, Strategy.SRV, params=spec.params
                 )
-                tracer = Tracer()
-                run_program(program, mem, tracer=tracer)
-                base = simulate(tracer.ops, TABLE_I, warm=True)
-                fast = simulate(tracer.ops, relaxed, warm=True)
+                log = TraceLog(program)
+                run_program(program, mem, tracer=log)
+                base = simulate(log, TABLE_I, warm=True)
+                fast = simulate(log, relaxed, warm=True)
                 assert fast.cycles <= base.cycles, spec.name
 
 
@@ -192,7 +192,8 @@ class TestRobustness:
         assert mem.load_array(mem.allocation("a")) == oracle["a"]
         from repro.isa import SrvDirection
 
-        starts = [op for op in trace if op.op_class.name == "SRV_START"]
+        ops = [trace.op(index) for index in range(len(trace))]
+        starts = [op for op in ops if op.op_class.name == "SRV_START"]
         assert all(op.direction is SrvDirection.DOWN for op in starts)
         stats = simulate(trace, validate_lsu=True, warm=True)
         assert stats.srv_regions == N // 16

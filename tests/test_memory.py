@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.common.config import CacheConfig, MemoryConfig
 from repro.common.errors import MemoryAccessError
 from repro.memory import Cache, CacheHierarchy, MemoryImage, to_signed, to_unsigned
+from repro.isa.program import Program
 from repro.pipeline.trace import MemAccess, TraceLog
 
 
@@ -547,7 +548,9 @@ class TestAccessLanes:
                     (ref.access(a.addr, a.size, is_write) for a in mem),
                     default=0,
                 )
-                assert fast.access_lanes(mem, is_write) == expected
+                assert fast.access_lanes(
+                    [a.addr for a in mem], [a.size for a in mem], is_write
+                ) == expected
             elif kind == "access":
                 assert fast.access(*arg) == ref.access(*arg)
             else:
@@ -560,13 +563,14 @@ class TestAccessLanes:
         calls = []
         access = h.access
         h.access = lambda *args: calls.append(args) or access(*args)
-        mem = [MemAccess(0x1000 + 4 * i, 4, False, i) for i in range(16)]
-        assert h.access_lanes(mem, False) == 2 + 7 + 80
+        addrs = [0x1000 + 4 * i for i in range(16)]
+        sizes = [4] * 16
+        assert h.access_lanes(addrs, sizes, False) == 2 + 7 + 80
         # the first lane misses through access; 15 lanes are MRU hits
         assert calls == [(0x1000, 4, False)]
         assert (h.stats.l1_misses, h.stats.l1_hits) == (1, 15)
         assert (h.l1.stats.misses, h.l1.stats.hits) == (1, 15)
-        assert h.access_lanes(mem, True) == 2
+        assert h.access_lanes(addrs, sizes, True) == 2
         assert calls == [(0x1000, 4, False)]
         assert h.l1.mru[1].dirty
 
@@ -574,7 +578,7 @@ class TestAccessLanes:
         h = CacheHierarchy(_TINY)
         h.access(0x41, 4, False)
         with pytest.raises(ValueError):
-            h.access_lanes([MemAccess(0x42, 0, False, 0)], False)
+            h.access_lanes([0x42], [0], False)
 
 
 class TestTraceLogWarm:
@@ -583,13 +587,11 @@ class TestTraceLogWarm:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_lane_ops(), max_size=40), st.integers(0, 4095))
     def test_matches_playing_every_access(self, ops, first):
-        log = TraceLog()
+        log = TraceLog(Program())
         for mem, _ in ops:
             for a in mem:
-                log.addr.append(a.addr)
-                log.size.append(a.size)
-                log.store.append(a.is_store)
-                log.lane.append(a.lane)
+                log.access(a.addr, a.size, a.is_store, a.lane)
+            log.record(0, None)
         fast, ref = CacheHierarchy(_TINY), CacheHierarchy(_TINY)
         # a resident MRU line before the log starts
         fast.access(first, 4, False)
@@ -599,3 +601,23 @@ class TestTraceLogWarm:
             ref.access(addr, size, bool(store))
         ref.reset_stats()
         assert _full_state(fast) == _full_state(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_lane_ops(), min_size=1, max_size=40), st.data())
+    def test_play_matches_access_lanes_per_op(self, ops, data):
+        """``play`` over an op range leaves the stats and state of
+        ``access_lanes`` over each of those ops."""
+        log = TraceLog(Program())
+        for mem, is_store in ops:
+            for a in mem:
+                log.access(a.addr, a.size, is_store, a.lane)
+            log.record(0, None)
+        start = data.draw(st.integers(0, len(ops)))
+        stop = data.draw(st.integers(start, len(ops)))
+        fast, ref = CacheHierarchy(_TINY), CacheHierarchy(_TINY)
+        log.play(fast, start, stop)
+        for mem, is_store in ops[start:stop]:
+            ref.access_lanes([a.addr for a in mem], [a.size for a in mem],
+                             is_store)
+        assert _full_state(fast) == _full_state(ref)
+        assert fast.stats == ref.stats

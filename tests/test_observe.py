@@ -20,11 +20,9 @@ import pytest
 
 from repro.common.config import TABLE_I
 from repro.common.errors import ObserveError
-from repro.compiler import Strategy, compile_loop
-from repro.emu import run_program
+from repro.compiler import Strategy
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.runner import clear_cache
-from repro.memory import MemoryImage
 from repro.observe import attrib as attrib_mod
 from repro.observe import events as ev
 from repro.observe.export import (
@@ -35,10 +33,9 @@ from repro.observe.export import (
     write_chrome_trace,
 )
 from repro.observe.harness import observe_loop
-from repro.pipeline import Tracer, simulate
-from repro.pipeline.inorder import InOrderModel
 from repro.srv.engine import SrvEngine
 from repro.workloads import all_loops
+from tests.pinned import PINS, digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -242,28 +239,11 @@ class TestInstrumentation:
 # ---------------------------------------------------------------------------
 
 
-def _observe_materialised(spec, n_override: int, core: str = "ooo"):
-    """The materialised reference for :func:`observe_loop`: the whole
-    dynamic trace as a ``Tracer`` list, then the timing model over it."""
-    arrays = spec.arrays(0)
-    mem = MemoryImage()
-    for name, init in arrays.items():
-        mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
-    program = compile_loop(spec.loop, mem, min(n_override, spec.n),
-                           Strategy.SRV, params=spec.params)
-    sink = ev.ListSink()
-    tracer = Tracer()
-    with ev.capture(sink):
-        run_program(program, mem, config=TABLE_I, tracer=tracer)
-        if core == "inorder":
-            pipe = InOrderModel(TABLE_I).run(tracer.ops, warm=True)
-        else:
-            pipe = simulate(tracer.ops, config=TABLE_I, warm=True)
-    events = sink.finalized()
-    return pipe, events, attrib_mod.attribute_run(events, pipe.cycles)
-
-
 class TestDeterminism:
+    """Observed runs against the pinned event sequences of the deleted
+    materialised path (the whole trace as a ``Tracer`` list, then the
+    timing model over it)."""
+
     @pytest.mark.parametrize(
         "workload,spec", SUITE, ids=[s.name for _, s in SUITE]
     )
@@ -271,11 +251,10 @@ class TestDeterminism:
         self, workload, spec
     ):
         stream = observe_loop(spec, Strategy.SRV, n_override=48)
-        pipe, events, attribution = _observe_materialised(spec, 48)
         assert not stream.degraded
-        assert stream.cycles == pipe.cycles
-        assert stream.events == events
-        assert stream.attribution.buckets == attribution.buckets
+        assert [stream.cycles, digest(stream.events),
+                digest(stream.attribution.buckets)] == \
+            PINS["observe"][spec.name]
 
     @pytest.mark.parametrize("workload,fragment", [
         ("hmmer", "viterbi"), ("gobmk", "influence"),
@@ -284,11 +263,9 @@ class TestDeterminism:
         spec = _spec(workload, fragment)
         stream = observe_loop(spec, Strategy.SRV, n_override=64,
                               core="inorder")
-        pipe, events, attribution = _observe_materialised(
-            spec, 64, core="inorder")
-        assert stream.cycles == pipe.cycles
-        assert stream.events == events
-        assert stream.attribution.buckets == attribution.buckets
+        assert [stream.cycles, digest(stream.events),
+                digest(stream.attribution.buckets)] == \
+            PINS["observe"][f"{spec.name}/inorder"]
 
     def test_ring_buffer_stream_matches_list_tail(self):
         spec = _spec("hmmer", "viterbi")

@@ -8,7 +8,7 @@ from repro.emu import run_program
 from repro.isa import CmpOpcode, ProgramBuilder, imm, p, v, x
 from repro.isa.instructions import ScalarALU, ScalarOpcode, VecALU, VecOpcode
 from repro.memory import MemoryImage
-from repro.pipeline import OpClass, PipelineModel, Tracer, simulate
+from repro.pipeline import OpClass, PipelineModel, TraceLog, simulate
 from repro.pipeline.deps import LATENCY, classify, instruction_regs
 
 LANES = TABLE_I.vector_lanes
@@ -16,9 +16,10 @@ LANES = TABLE_I.vector_lanes
 
 def trace_of(builder, mem=None, config=TABLE_I):
     mem = mem or MemoryImage()
-    tracer = Tracer()
-    run_program(builder.build(), mem, config=config, tracer=tracer)
-    return tracer.ops
+    program = builder.build()
+    log = TraceLog(program)
+    run_program(program, mem, config=config, tracer=log)
+    return log
 
 
 class TestDeps:
@@ -216,9 +217,10 @@ class TestSrvTiming:
         mem = MemoryImage()
         mem.alloc("a", n, 4, init=list(range(n)))
         mem.alloc("x", n, 4, init=x_vals)
-        tracer = Tracer()
-        run_program(build_listing2(mem, n), mem, tracer=tracer)
-        return simulate(tracer.ops, validate_lsu=validate, warm=True)
+        program = build_listing2(mem, n)
+        log = TraceLog(program)
+        run_program(program, mem, tracer=log)
+        return simulate(log, validate_lsu=validate, warm=True)
 
     def test_lsu_agrees_with_emulator(self):
         """The hardware LSU must flag exactly the lanes the functional

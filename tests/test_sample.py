@@ -5,21 +5,20 @@ Covers the contracts the sampler's accuracy rests on:
 * warm-state reconstruction — timing a whole trace as one segment
   matches :func:`~repro.pipeline.core.simulate`, and a full-history
   warm-up telescopes exactly (measured pieces sum to the exact total);
-* fingerprint determinism — vectors are a pure function of the op
-  stream and the op-indexed event bins, so a streaming fingerprint pass
-  and a fully materialised replay produce identical vectors;
+* fingerprint determinism — vectors are a pure function of the logged
+  ops and the op-indexed event bins; they equal the pinned vectors of a
+  fully materialised replay;
 * projection determinism — same ``(seed, interval size, k)`` gives a
   byte-identical report on recomputation, and pinned reports fix the
   projections themselves;
-* one emulation — the collection pass rebuilds the fingerprinted ops
-  from the fingerprint pass's trace log, field for field what a plain
-  :class:`~repro.pipeline.trace.Tracer` records, without emulating again;
+* one emulation — the collection pass reads its segments from the
+  fingerprint pass's trace log, whose ops equal, field for field, the
+  pinned ops a materialised tracer recorded, without emulating again;
 * LSU-overflow degradation — the sampler reruns with the sequential
   fallback and marks the report degraded;
 * accuracy — suite spot checks stay within the standing 5% bound.
 """
 
-import dataclasses
 import gc
 import math
 import weakref
@@ -36,9 +35,7 @@ from repro.observe import events as obs
 from repro.observe.events import IntervalCounterSink
 from repro.pipeline.core import simulate
 from repro.pipeline.stream import time_segment
-from repro.pipeline.trace import Tracer, TraceOp
 from repro.sample import (
-    FingerprintAccumulator,
     cluster_intervals,
     fingerprint_pass,
     resolve_spec,
@@ -49,14 +46,17 @@ from repro.sample import (
 from repro.sample import project as project_mod
 from repro.sample.project import _build, _sample_once
 from repro.workloads import by_name
+from tests.pinned import PINS, digest, trace_pin
 
 SUITE_GEOMETRY = dict(interval_size=256, warmup=1536, max_clusters=4)
 
 
-def _trace_ops(workload_name, loop_name, strategy, n):
+def _trace_log(workload_name, loop_name, strategy, n):
     _, spec = resolve_spec(workload_name, loop_name)
     interp = _build(spec, strategy, 0, n, project_mod.TABLE_I)
-    return list(interp.iter_trace())
+    for _ in interp.iter_trace():
+        pass
+    return interp.tracer
 
 
 # ---------------------------------------------------------------------------
@@ -66,54 +66,33 @@ def _trace_ops(workload_name, loop_name, strategy, n):
 
 class TestWarmStateContract:
     def test_whole_trace_segment_matches_simulate(self):
-        trace = _trace_ops("hmmer", "viterbi", Strategy.SRV, 128)
-        exact = simulate(trace, warm=True)
-        timing = time_segment(trace)
-        assert timing.cycles == exact.cycles
+        log = _trace_log("hmmer", "viterbi", Strategy.SRV, 128)
+        exact = simulate(log, warm=True)
+        timing = time_segment(log, range(len(log)))
+        assert timing.cycles == exact.cycles == PINS["hmmer_viterbi_128_cycles"]
         assert timing.warm_ops == 0
 
     def test_full_history_warm_telescopes_exactly(self):
-        trace = _trace_ops("hmmer", "viterbi", Strategy.SRV, 128)
-        exact = simulate(trace, warm=True)
+        log = _trace_log("hmmer", "viterbi", Strategy.SRV, 128)
+        exact = simulate(log, warm=True)
         # split at a region-safe cut near the middle
         cut = next(
-            i for i in range(len(trace) // 2, len(trace))
-            if safe_cut(trace[i])
+            i for i in range(len(log) // 2, len(log))
+            if safe_cut(log.bits[i])
         )
-        head = time_segment(trace[:cut])
-        tail = time_segment(trace[cut:], warm_ops=trace[:cut])
+        head = time_segment(log, range(cut))
+        tail = time_segment(log, range(cut, len(log)), warm=range(cut))
         assert head.cycles + tail.cycles == exact.cycles
+
+    def test_warm_window_must_end_at_the_segment(self):
+        log = _trace_log("hmmer", "viterbi", Strategy.SRV, 128)
+        with pytest.raises(ValueError, match="warm-up window"):
+            time_segment(log, range(20, 40), warm=range(10))
 
 
 # ---------------------------------------------------------------------------
 # fingerprint determinism: streaming pass == materialised replay
 # ---------------------------------------------------------------------------
-
-
-def _materialised_fingerprints(spec, strategy, n, interval_size):
-    """Reference vectors from a fully materialised trace + event list."""
-    interp = _build(spec, strategy, 0, n, project_mod.TABLE_I)
-    sink = obs.ListSink()
-    saved = obs.ACTIVE
-    obs.ACTIVE = obs.EventBus(sink)
-    try:
-        ops = list(interp.iter_trace())
-    finally:
-        obs.ACTIVE = saved
-    bins: dict[int, Counter] = {}
-    for event in sink.events:
-        if event.op >= 0:
-            bins.setdefault(event.op // interval_size, Counter())[
-                event.kind
-            ] += 1
-    vectors = []
-    for start in range(0, len(ops), interval_size):
-        acc = FingerprintAccumulator(interp.lanes)
-        for op in ops[start:start + interval_size]:
-            acc.add(op)
-        acc.fold_counters(bins.get(start // interval_size, Counter()))
-        vectors.append(acc.vector())
-    return vectors
 
 
 class TestFingerprintDeterminism:
@@ -122,13 +101,10 @@ class TestFingerprintDeterminism:
     def test_stream_pass_matches_materialised_replay(self, loop):
         workload_key, loop_name = loop
         _, spec = resolve_spec(workload_key, loop_name)
-        interval = 128
         interp = _build(spec, Strategy.SRV, 0, 96, project_mod.TABLE_I)
-        run = fingerprint_pass(interp, interval)
-        reference = _materialised_fingerprints(
-            spec, Strategy.SRV, 96, interval,
-        )
-        assert [iv.vector for iv in run.intervals] == reference
+        run = fingerprint_pass(interp, 128)
+        assert digest([iv.vector for iv in run.intervals]) == \
+            PINS["fingerprints"][spec.name]
 
     def test_pass_leaves_no_cycle_holding_the_memory_image(self):
         # the sampler's memory images run to megabytes; a reference cycle
@@ -318,8 +294,8 @@ def test_report_matches_pinned_values(loop, geometry, expected):
 # one emulation: the collection pass walks the fingerprinted log
 # ---------------------------------------------------------------------------
 
-#: (loop, strategy, trip cap, sequential fallback, TraceOp fields some op
-#: must set away from their default)
+#: (loop, strategy, trip cap, sequential fallback, op fields some op must
+#: set away from their default)
 ROUND_TRIP_LOOPS = [
     (("hmmer", "viterbi"), Strategy.SRV, None, False,
      ("region_event", "replay_lanes", "mem")),
@@ -371,28 +347,21 @@ class TestOneEmulation:
         received = []
         collect = project_mod.collect_segments
 
-        def recording_collect(ops, *args, **kwargs):
-            received.extend(ops)
-            return collect(iter(received), *args, **kwargs)
+        def recording_collect(log, *args, **kwargs):
+            received.append(log)
+            return collect(log, *args, **kwargs)
 
         monkeypatch.setattr(project_mod, "collect_segments",
                             recording_collect)
         sample_loop(spec, strategy, config=config, n_override=n,
                     use_cache=False, interval_size=64, warmup=128)
 
-        interp = _build(spec, strategy, 0, n, config)
-        interp.tracer = tracer = Tracer()
-        interp.run()
-        recorded = tracer.ops
+        (log,) = received
+        ops = [log.op(index) for index in range(len(log))]
         for name in exercised:
-            assert any(getattr(op, name) for op in recorded), name
-        assert len(received) == len(recorded)
-        for want, got in zip(recorded, received):
-            for f in dataclasses.fields(TraceOp):
-                assert getattr(got, f.name) == getattr(want, f.name), (
-                    want.index, f.name)
-            # == lets 1 stand for True; repr does not
-            assert repr(got.mem) == repr(want.mem), want.index
+            assert any(getattr(op, name) for op in ops), name
+        assert trace_pin(log) == PINS["collected"][
+            f"{spec.name}/{strategy.name}/{n}/{sequential}"]
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +372,10 @@ class TestOneEmulation:
 def test_lsu_overflow_degrades_to_the_sequential_fallback(monkeypatch):
     timed = project_mod.time_segment
 
-    def overflowing(ops, config, **kwargs):
+    def overflowing(log, ops, config, **kwargs):
         if not config.srv_force_sequential:
             raise LsuOverflowError("planted overflow")
-        return timed(ops, config, **kwargs)
+        return timed(log, ops, config, **kwargs)
 
     monkeypatch.setattr(project_mod, "time_segment", overflowing)
     workload, spec = resolve_spec("gobmk")

@@ -1,14 +1,15 @@
-"""``simulate_streaming`` vs materialised-list equivalence.
+"""The timed path against the pinned materialised-list results.
 
-The contract: ``simulate_streaming`` must be *bit-identical* to
-``run_program`` + ``simulate``/``simulate_in_order`` — same
-``PipelineStats``, same emulator metrics, same final memory, same verify
-monitor verdicts.  It emulates once into a compact ``TraceLog``, whose
-rebuilt ops must equal the ops a plain ``Tracer`` records, field by
-field; the timing models themselves retain only O(machine-state).
+``simulate_streaming`` emulates once into a compact ``TraceLog`` and
+times it in place.  Until the log became the only trace form it was held
+bit-identical to ``run_program`` + ``simulate``/``simulate_in_order``
+over a materialised ``Tracer`` list — same ``PipelineStats``, same
+emulator metrics, same final memory, same verify monitor verdicts.  The
+list side's results are pinned in ``pinned_traces.json``
+(:mod:`tests.pinned`), and the log path is checked against them: the
+ops viewed from the log equal the recorded ops field by field, and the
+timing models retain only O(machine-state).
 """
-
-import dataclasses
 
 import pytest
 
@@ -19,18 +20,13 @@ from repro.emu import Interpreter, run_program
 from repro.isa import ProgramBuilder, imm, v, x
 from repro.isa.instructions import SrvDirection
 from repro.memory import MemoryImage
-from repro.pipeline import (
-    LogTracer,
-    Tracer,
-    TraceOp,
-    simulate,
-    simulate_streaming,
-)
+from repro.pipeline import TraceLog, simulate, simulate_streaming
 from repro.pipeline.core import PipelineModel
 from repro.pipeline import core as core_mod
-from repro.pipeline.inorder import STORE_WINDOW, InOrderModel, simulate_in_order
+from repro.pipeline.inorder import STORE_WINDOW, InOrderModel
 from repro.verify.monitors import run_monitors
 from repro.workloads import all_loops
+from tests.pinned import PINS, digest, trace_pin
 
 N = 48
 LANES = TABLE_I.vector_lanes
@@ -54,63 +50,54 @@ def _final_arrays(spec, mem):
     }
 
 
+def _suite_pin(spec, strategy, core):
+    """(cycles, EmuMetrics, PipelineStats, final arrays) digests of one
+    streamed suite run."""
+    program, mem = _materialise(spec, strategy, min(N, spec.n))
+    emu, stats, _ = simulate_streaming(
+        program, mem, core=core, validate_lsu=(core == "ooo"), warm=True,
+    )
+    return [stats.cycles, digest(emu), digest(stats),
+            digest(_final_arrays(spec, mem))]
+
+
 class TestSuiteEquivalence:
-    """All 28 suite loops, both timing models, identical stats."""
+    """All 28 suite loops, both timing models, the pinned list results."""
 
     @pytest.mark.parametrize(
         "workload, spec", SUITE, ids=[s.name for _, s in SUITE]
     )
     @pytest.mark.parametrize("core", ["ooo", "inorder"])
     def test_stream_equals_list(self, workload, spec, core):
-        n = min(N, spec.n)
+        assert _suite_pin(spec, Strategy.SRV, core) == \
+            PINS["suite"][f"{spec.name}/SRV/{core}"]
 
-        program, mem_list = _materialise(spec, Strategy.SRV, n)
-        tracer = Tracer()
-        emu_list, _ = run_program(program, mem_list, tracer=tracer)
-        if core == "ooo":
-            stats_list = simulate(tracer.ops, validate_lsu=True, warm=True)
-        else:
-            stats_list = simulate_in_order(tracer.ops, warm=True)
-
-        program2, mem_stream = _materialise(spec, Strategy.SRV, n)
-        emu_stream, stats_stream, _ = simulate_streaming(
-            program2, mem_stream,
-            core=core, validate_lsu=(core == "ooo"), warm=True,
-        )
-
-        assert stats_stream == stats_list
-        assert emu_stream == emu_list
-        assert _final_arrays(spec, mem_stream) == _final_arrays(spec, mem_list)
+    @pytest.mark.parametrize(
+        "workload, spec", SUITE, ids=[s.name for _, s in SUITE]
+    )
+    @pytest.mark.parametrize("core", ["ooo", "inorder"])
+    def test_sve_stream_equals_list(self, workload, spec, core):
+        assert _suite_pin(spec, Strategy.SVE, core) == \
+            PINS["suite"][f"{spec.name}/SVE/{core}"]
 
 
 class TestMonitorEquivalence:
-    """iter_trace() yields the same ops the materialising tracer records,
-    so verify monitors reach identical verdicts on either path."""
+    """iter_trace() records the ops the materialising tracer recorded, so
+    verify monitors reach the pinned verdicts."""
 
     @pytest.mark.parametrize(
         "workload, spec", SUITE[:6], ids=[s.name for _, s in SUITE[:6]]
     )
     def test_monitor_verdicts_match(self, workload, spec):
-        n = min(N, spec.n)
-
-        program, mem1 = _materialise(spec, Strategy.SRV, n)
-        tracer = Tracer()
-        run_program(program, mem1, tracer=tracer)
-
-        program2, mem2 = _materialise(spec, Strategy.SRV, n)
-        interp = Interpreter(program2, mem2)
+        program, mem = _materialise(spec, Strategy.SRV, min(N, spec.n))
+        interp = Interpreter(program, mem)
         streamed = list(interp.iter_trace())
+        log = interp.tracer
 
-        assert len(streamed) == len(tracer.ops)
-        for a, b in zip(streamed, tracer.ops):
-            assert (a.index, a.pc, a.op_class, a.in_region, a.in_fallback,
-                    a.region_event, a.replay_lanes) == (
-                b.index, b.pc, b.op_class, b.in_region, b.in_fallback,
-                b.region_event, b.replay_lanes)
-
-        verdict_stream = [str(v) for v in run_monitors(streamed, TABLE_I)]
-        verdict_list = [str(v) for v in run_monitors(tracer.ops, TABLE_I)]
-        assert verdict_stream == verdict_list
+        assert streamed == list(range(len(log)))
+        assert trace_pin(log) == PINS["trace"][f"{spec.name}/SRV"]
+        verdicts = [str(v) for v in run_monitors(log, TABLE_I)]
+        assert verdicts == PINS["verdicts"][f"{spec.name}/SRV"]
 
 
 def _long_program(mem, n, direction=SrvDirection.UP):
@@ -149,14 +136,17 @@ class TestBoundedMemory:
     LONG_N = 4096
 
     def _stream(self, model, n):
+        """Time ops while they are emulated: each index goes to the pump
+        as soon as ``iter_trace`` finalizes it."""
         mem = _long_memory(n)
         program = _long_program(mem, n)
+        interp = Interpreter(program, mem, tracer=TraceLog(program))
+        model.log = interp.tracer
         pump = model.stream()
-        interp = Interpreter(program, mem)
         count = 0
         try:
-            for op in interp.iter_trace():
-                pump.send(op)
+            for index in interp.iter_trace():
+                pump.send(index)
                 count += 1
             pump.send(None)
         except StopIteration:
@@ -205,79 +195,59 @@ class TestBoundedMemory:
         n = 256
 
         mem1 = _long_memory(n)
-        tracer = Tracer()
-        run_program(_long_program(mem1, n), mem1, config=config, tracer=tracer)
-        stats_list = simulate(tracer.ops, config=config, warm=True)
+        program = _long_program(mem1, n)
+        log = TraceLog(program)
+        run_program(program, mem1, config=config, tracer=log)
+        stats_log = simulate(log, config=config, warm=True)
 
         mem2 = _long_memory(n)
         _, stats_stream, _ = simulate_streaming(
             _long_program(mem2, n), mem2, config, warm=True
         )
-        assert stats_stream == stats_list
-        assert stats_stream.store_set_squashes == stats_list.store_set_squashes
+        assert stats_stream == stats_log
+        assert [stats_stream.cycles, digest(stats_stream)] == \
+            PINS["small_rob"]
 
 
 class TestTraceLog:
-    """Ops rebuilt from a ``TraceLog`` equal a plain ``Tracer``'s ops."""
+    """Ops viewed from a ``TraceLog`` equal the pinned ops a ``Tracer``
+    list recorded, field by field."""
 
     @staticmethod
-    def _both(program, make_memory, config=TABLE_I):
-        """(recorded, rebuilt) ops of ``program`` on two fresh images."""
-        tracer = Tracer()
-        run_program(program, make_memory(), config=config, tracer=tracer)
-        log_tracer = LogTracer()
-        interp = Interpreter(program, make_memory(), config,
-                             tracer=log_tracer)
-        interp.run()
-        assert log_tracer.count == tracer.count
-        log = log_tracer.log
-        return tracer.ops, list(log.ops(program, interp.decode)), log
-
-    @staticmethod
-    def _assert_same_ops(recorded, rebuilt):
-        assert len(rebuilt) == len(recorded)
-        for want, got in zip(recorded, rebuilt):
-            for f in dataclasses.fields(TraceOp):
-                assert getattr(got, f.name) == getattr(want, f.name), (
-                    want.index, f.name)
-            assert got.inst is want.inst
-            # == lets 1 stand for True; repr does not
-            assert repr(got.mem) == repr(want.mem), want.index
-            assert type(got.branch_taken) is type(want.branch_taken)
-
-    @staticmethod
-    def _suite_memory(spec, n, strategy):
-        program, _ = _materialise(spec, strategy, n)
-        return program, lambda: _materialise(spec, strategy, n)[1]
+    def _log(program, memory, config=TABLE_I):
+        log = TraceLog(program)
+        run_program(program, memory, config=config, tracer=log)
+        return log
 
     @pytest.mark.parametrize(
         "workload, spec", SUITE, ids=[s.name for _, s in SUITE]
     )
     @pytest.mark.parametrize("strategy", [Strategy.SRV, Strategy.SVE])
     def test_suite_round_trip(self, workload, spec, strategy):
-        program, make_memory = self._suite_memory(
-            spec, min(N, spec.n), strategy)
-        recorded, rebuilt, _ = self._both(program, make_memory)
-        self._assert_same_ops(recorded, rebuilt)
+        log = self._log(*_materialise(spec, strategy, min(N, spec.n)))
+        assert trace_pin(log) == \
+            PINS["trace"][f"{spec.name}/{strategy.name}"]
 
     @pytest.mark.parametrize("name", ["is_key_rank", "hmmer_viterbi_row"])
     def test_sequential_fallback_round_trip(self, name):
         spec = next(s for _, s in SUITE if s.name == name)
         config = TABLE_I.with_overrides(srv_force_sequential=True)
-        program, make_memory = self._suite_memory(
-            spec, min(N, spec.n), Strategy.SRV)
-        recorded, rebuilt, _ = self._both(program, make_memory, config)
-        assert any(op.in_fallback for op in recorded)
-        assert any(op.replay_lanes for op in recorded)
-        self._assert_same_ops(recorded, rebuilt)
+        log = self._log(
+            *_materialise(spec, Strategy.SRV, min(N, spec.n)), config)
+        ops = [log.op(index) for index in range(len(log))]
+        assert any(op.in_fallback for op in ops)
+        assert any(op.replay_lanes for op in ops)
+        assert trace_pin(log) == PINS["trace"][f"{name}/SRV/sequential"]
 
     def test_down_direction_round_trip(self):
         n = 256
         program = _long_program(_long_memory(n), n, SrvDirection.DOWN)
-        recorded, rebuilt, log = self._both(
-            program, lambda: _long_memory(n))
-        assert any(op.direction is SrvDirection.DOWN for op in recorded)
-        self._assert_same_ops(recorded, rebuilt)
+        log = self._log(program, _long_memory(n))
+        assert any(
+            log.op(index).direction is SrvDirection.DOWN
+            for index in range(len(log))
+        )
+        assert trace_pin(log) == PINS["trace"]["long_stream/DOWN/256"]
         assert 0 < log.nbytes < 100 * len(log)
 
 
@@ -309,6 +279,43 @@ class TestOneEmulation:
         assert clones == []
 
 
+    @pytest.mark.parametrize("name, strategy", [
+        ("is_key_rank", Strategy.SRV), ("randacc_gups", Strategy.SVE),
+    ])
+    def test_timed_path_builds_no_per_op_objects(
+        self, monkeypatch, name, strategy,
+    ):
+        """``run_loop`` times straight from the log: one emulation, and
+        not one ``TraceOp`` or ``MemAccess`` view on the way."""
+        from repro.emu import interpreter as interp_mod
+        from repro.experiments import runner
+        from repro.pipeline import trace as trace_mod
+
+        made = {"TraceOp": 0, "MemAccess": 0, "run": 0}
+        for cls_name in ("TraceOp", "MemAccess"):
+            cls = getattr(trace_mod, cls_name)
+
+            def counting(*args, _cls=cls, _name=cls_name, **kwargs):
+                made[_name] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(trace_mod, cls_name, counting)
+        run = interp_mod.Interpreter.run
+
+        def counting_run(self):
+            made["run"] += 1
+            return run(self)
+
+        monkeypatch.setattr(interp_mod.Interpreter, "run", counting_run)
+        spec = next(s for _, s in SUITE if s.name == name)
+        result = runner.run_loop(spec, strategy, n_override=N,
+                                 use_cache=False)
+        assert made == {"TraceOp": 0, "MemAccess": 0, "run": 1}
+        cycles, emu, stats, _ = PINS["suite"][f"{name}/{strategy.name}/ooo"]
+        assert [result.cycles, digest(result.emu), digest(result.pipe)] \
+            == [cycles, emu, stats]
+
+
 def _fault_specs():
     from repro.verify import faults
 
@@ -326,15 +333,15 @@ def _fault_specs():
 
 class TestFaultPlansOnOnePath:
     """An armed plan fires at the same dynamic polls on the streaming
-    path as on ``run_program`` + ``simulate``, with identical results:
-    one emulation polls every emulator hook once."""
+    path as it did on ``run_program`` + ``simulate`` over a materialised
+    list, with the pinned results: one emulation polls every emulator
+    hook once."""
 
     def _spec(self):
         return next(s for _, s in SUITE if s.name == "is_key_rank")
 
-    def _run(self, fault, streaming):
-        """The armed plan and the run's outcome: its metrics, stats and
-        final arrays, or the error a monitor raised."""
+    @pytest.mark.parametrize("fault", sorted(_fault_specs()))
+    def test_plan_fires_identically(self, fault):
         from repro.common.errors import ReproError
         from repro.verify import faults
 
@@ -343,25 +350,14 @@ class TestFaultPlansOnOnePath:
         plan = faults.FaultPlan([_fault_specs()[fault]])
         try:
             with faults.inject(plan):
-                if streaming:
-                    metrics, stats, _ = simulate_streaming(
-                        program, mem, validate_lsu=True, warm=True)
-                else:
-                    tracer = Tracer()
-                    metrics, _ = run_program(program, mem, tracer=tracer)
-                    stats = simulate(tracer.ops, validate_lsu=True, warm=True)
+                metrics, stats, _ = simulate_streaming(
+                    program, mem, validate_lsu=True, warm=True)
+            outcome = (metrics, stats, _final_arrays(spec, mem))
         except ReproError as exc:
-            return plan, (type(exc).__name__, str(exc))
-        return plan, (metrics, stats, _final_arrays(spec, mem))
-
-    @pytest.mark.parametrize("fault", sorted(_fault_specs()))
-    def test_plan_fires_identically(self, fault):
-        plan_stream, outcome_stream = self._run(fault, streaming=True)
-        plan_list, outcome_list = self._run(fault, streaming=False)
-        assert plan_stream.fired, "the armed fault never landed"
-        assert plan_stream.fired == plan_list.fired
-        assert plan_stream.polls == plan_list.polls
-        assert outcome_stream == outcome_list
+            outcome = (type(exc).__name__, str(exc))
+        assert plan.fired, "the armed fault never landed"
+        assert [digest(plan.fired), digest(plan.polls), digest(outcome),
+                isinstance(outcome[0], str)] == PINS["fault_plans"][fault]
 
     def test_runner_under_injection(self):
         """End to end: run_loop under an armed plan still produces a

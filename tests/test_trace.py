@@ -4,7 +4,7 @@ from repro.common.rng import periodic_conflict_indices
 from repro.compiler import Strategy, compile_loop
 from repro.emu import run_program
 from repro.memory import MemoryImage
-from repro.pipeline import MemAccess, OpClass, RegionEvent, Tracer
+from repro.pipeline import MemAccess, OpClass, RegionEvent, TraceLog
 from repro.workloads.base import indirect_update
 
 N = 48
@@ -17,9 +17,9 @@ def traced(strategy, x_vals=None):
     mem.alloc("a", N, 4, init=range(N))
     mem.alloc("x", N, 4, init=x_vals)
     program = compile_loop(loop, mem, N, strategy)
-    tracer = Tracer()
-    metrics, _ = run_program(program, mem, tracer=tracer)
-    return tracer.ops, metrics
+    log = TraceLog(program)
+    metrics, _ = run_program(program, mem, tracer=log)
+    return [log.op(index) for index in range(len(log))], metrics
 
 
 class TestTraceStructure:
