@@ -21,7 +21,7 @@ used for the FlexVec comparison (figure 13).
 
 from __future__ import annotations
 
-import numpy as _np
+from itertools import compress, repeat
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import (
@@ -29,8 +29,6 @@ from repro.common.errors import (
     ReplayBoundExceededError,
     SrvError,
 )
-from repro.emu import lanes as _lanes
-from repro.emu.lanes import NumpyFallback, scalar_i64
 from repro.emu.metrics import EmuMetrics
 from repro.emu.speculative import SpeculativeBuffer
 from repro.emu.state import ArchState
@@ -67,13 +65,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 from repro.isa.registers import Imm, ScalarReg, VecReg
-from repro.memory.image import (
-    MemoryImage,
-    to_signed,
-    to_signed_array,
-    to_unsigned,
-    to_unsigned_array,
-)
+from repro.memory.image import MemoryImage, to_signed, to_unsigned
 from repro.observe import events as _obs
 from repro.pipeline.decode import DecodeTable
 from repro.pipeline.trace import RegionEvent, TraceLog
@@ -117,14 +109,15 @@ _ALU_BY_NAME = {
 _ALU_DISPATCH: dict = {}
 
 
-def _alu(op, a: int, b: int | None, c: int = 0) -> int:
+def _alu_fn(op):
+    """The ``(a, b, c) -> result`` function of an ALU opcode."""
     fn = _ALU_DISPATCH.get(op)
     if fn is None:
         fn = _ALU_BY_NAME.get(op.name)
         if fn is None:
             raise IsaError(f"unhandled ALU opcode {op}")
         _ALU_DISPATCH[op] = fn
-    return fn(a, b, c)
+    return fn
 
 
 _COMPARE = {
@@ -135,10 +128,6 @@ _COMPARE = {
     CmpOpcode.GT: lambda a, b: a > b,
     CmpOpcode.GE: lambda a, b: a >= b,
 }
-
-
-def _compare(op: CmpOpcode, a: int, b: int) -> bool:
-    return _COMPARE[op](a, b)
 
 
 _BRANCH_TAKEN = {
@@ -156,12 +145,7 @@ def _branch_taken(cond: BranchCond, a: int, b: int) -> bool:
 
 
 class Interpreter:
-    """Instruction-accurate executor with functional SRV semantics.
-
-    Vector and predicate ops run through the lane-batched numpy handlers
-    (``_NP_HANDLERS``); an op the kernels cannot represent falls back to
-    its per-lane scalar handler (``_HANDLERS``).
-    """
+    """Instruction-accurate executor with functional SRV semantics."""
 
     #: exact-type dispatch table, bound below the class body
     _handlers: dict[type, object]
@@ -181,8 +165,7 @@ class Interpreter:
         self.config = config
         self.lanes = config.vector_lanes
         self.state = ArchState(self.lanes)
-        self._iota = _np.arange(self.lanes, dtype=_np.int64)
-        self._extra_cache: tuple | None = None
+        self._all_lanes = list(range(self.lanes))
         self.metrics = EmuMetrics()
         self.max_steps = max_steps
         #: the trace log every executed op is recorded into (None: untraced)
@@ -306,11 +289,18 @@ class Interpreter:
     ) -> list[int]:
         """The active ``lanes`` of one vector load, in lane order.
 
-        Inside a region with no fault plan armed, the speculative buffer
-        takes the whole instruction in one call; otherwise each lane goes
-        through :meth:`_read_mem`.
+        Outside a region the lanes read memory directly (fault plans
+        perturb speculative accesses only).  Inside one with no fault
+        plan armed, the speculative buffer takes the whole instruction in
+        one call; otherwise each lane goes through :meth:`_read_mem`.
         """
-        if buffer is None or _faults.ACTIVE is not None:
+        if buffer is None:
+            read_int = self.memory.read_int
+            values = [read_int(addr, size) for addr in addrs]
+            if self.tracer is not None:
+                self.tracer.accesses(addrs, size, False, lanes)
+            return values
+        if _faults.ACTIVE is not None:
             return [
                 self._read_mem(addr, size, lane, buffer, region_offset)
                 for addr, lane in zip(addrs, lanes)
@@ -332,7 +322,14 @@ class Interpreter:
         region_offset: int,
     ) -> None:
         """Store the active ``lanes`` of one vector store, in lane order."""
-        if buffer is None or _faults.ACTIVE is not None:
+        if buffer is None:
+            write_int = self.memory.write_int
+            for addr, value in zip(addrs, values):
+                write_int(addr, value, size)
+            if self.tracer is not None:
+                self.tracer.accesses(addrs, size, True, lanes)
+            return
+        if _faults.ACTIVE is not None:
             for addr, value, lane in zip(addrs, values, lanes):
                 self._write_mem(addr, size, value, lane, buffer, region_offset)
             return
@@ -390,16 +387,16 @@ class Interpreter:
                 raise IsaError(f"unhandled instruction {inst!r}")
         return handler(self, inst, pc, extra_mask, buffer, region_offset)
 
-    # -- per-type scalar handlers (wired into _HANDLERS after the class
-    # body).  Vector ones run lane by lane: they are the NumpyFallback
-    # path and, through ScalarInterpreter, the reference the batched
-    # handlers are tested against.
+    # -- per-type handlers (wired into _HANDLERS after the class body).
+    # Vector ones read each source row once, sign-extended from the
+    # instruction's element size, resolve their ALU or compare function
+    # once, and write the destination row back with one merging write.
 
     def _op_scalar_alu(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
         a = state.read_operand(inst.src1)
         b = None if inst.src2 is None else state.read_operand(inst.src2)
-        state.write_scalar(inst.dst, _alu(inst.op, a, b))
+        state.write_scalar(inst.dst, _alu_fn(inst.op)(a, b, 0))
         return pc + 1
 
     def _op_scalar_load(self, inst, pc, extra_mask, buffer, region_offset):
@@ -441,43 +438,32 @@ class Interpreter:
 
     def _op_vec_alu(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        mask = self._mask(inst.pred, extra_mask)
         elem = inst.elem
-        out = [0] * self.lanes
-        for lane in range(self.lanes):
-            if not mask[lane]:
-                continue
-            a = state.read_lane(inst.src1, lane, elem)
-            b = (
-                self._vec_operand(inst.src2, lane, elem)
-                if inst.src2 is not None
-                else None
-            )
-            c = (
-                state.read_lane(inst.src3, lane, elem)
-                if inst.src3 is not None
-                else 0
-            )
-            out[lane] = _alu(inst.op, a, b, c)
-        state.write_vector_masked(inst.dst, out, mask, elem)
+        a = state.signed_row(inst.src1, elem)
+        b = self._vec_row(inst.src2, elem)
+        c = repeat(0) if inst.src3 is None else state.signed_row(inst.src3, elem)
+        # every lane is computed (no ALU op can fault); the merging write
+        # keeps the inactive ones
+        out = list(map(_alu_fn(inst.op), a, b, c))
+        state.write_row(inst.dst, out, self._mask(inst.pred, extra_mask), elem)
         return pc + 1
 
     def _op_vec_splat(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        mask = self._mask(inst.pred, extra_mask)
         value = state.read_operand(inst.src)
-        state.write_vector_masked(
-            inst.dst, [value] * self.lanes, mask, inst.elem
+        state.write_row(
+            inst.dst, [value] * self.lanes,
+            self._mask(inst.pred, extra_mask), inst.elem,
         )
         return pc + 1
 
     def _op_vec_index(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        mask = self._mask(None, extra_mask)  # VecIndex is unpredicated
         start = state.read_operand(inst.start)
         step = state.read_operand(inst.step)
         values = [start + lane * step for lane in range(self.lanes)]
-        state.write_vector_masked(inst.dst, values, mask, inst.elem)
+        # VecIndex is unpredicated
+        state.write_row(inst.dst, values, extra_mask, inst.elem)
         return pc + 1
 
     def _op_vec_extract(self, inst, pc, extra_mask, buffer, region_offset):
@@ -492,11 +478,12 @@ class Interpreter:
     def _op_vec_reduce(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
         mask = self._mask(inst.pred, extra_mask)
-        values = [
-            state.read_lane(inst.src, lane, inst.elem)
-            for lane in range(self.lanes)
-            if mask[lane]
-        ]
+        if inst.op == "or":
+            values = state.unsigned_row(inst.src, inst.elem)
+        else:
+            values = state.signed_row(inst.src, inst.elem)
+        if mask is not None:
+            values = list(compress(values, mask))
         if inst.op == "add":
             result = sum(values)
         elif inst.op == "min":
@@ -506,54 +493,52 @@ class Interpreter:
         else:  # "or"
             result = 0
             for value in values:
-                result |= to_unsigned(value, inst.elem)
+                result |= value
         state.write_scalar(inst.dst, result)
         return pc + 1
 
     def _op_vec_cmp(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
+        a = state.signed_row(inst.src1, inst.elem)
+        b = self._vec_row(inst.src2, inst.elem)
+        out = list(map(_COMPARE[inst.op], a, b))
         mask = self._mask(inst.pred, extra_mask)
-        out = [False] * self.lanes
-        for lane in range(self.lanes):
-            if not mask[lane]:
-                continue
-            a = state.read_lane(inst.src1, lane, inst.elem)
-            b = self._vec_operand(inst.src2, lane, inst.elem)
-            out[lane] = _compare(inst.op, a, b)
-        state.write_pred(inst.dst, out)
+        if mask is not None:  # inactive lanes clear
+            out = [bit and active for bit, active in zip(out, mask)]
+        state.pred[inst.dst.index] = out
         return pc + 1
 
     def _op_pred_set_all(self, inst, pc, extra_mask, buffer, region_offset):
-        self.state.write_pred(inst.dst, [inst.value] * self.lanes)
+        self.state.pred[inst.dst.index] = [bool(inst.value)] * self.lanes
         return pc + 1
 
     def _op_pred_count(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        state.write_scalar(inst.dst, sum(state.read_pred(inst.src)))
+        state.write_scalar(inst.dst, sum(state.pred[inst.src.index]))
         return pc + 1
 
     def _op_pred_first_n(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        n = max(0, min(self.lanes, state.read_scalar(inst.count)))
-        state.write_pred(inst.dst, [lane < n for lane in range(self.lanes)])
+        n = state.read_scalar(inst.count)
+        state.pred[inst.dst.index] = [lane < n for lane in range(self.lanes)]
         return pc + 1
 
     def _op_pred_range(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
         lo = state.read_scalar(inst.lo)
         hi = state.read_scalar(inst.hi)
-        state.write_pred(
-            inst.dst, [lo <= lane < hi for lane in range(self.lanes)]
-        )
+        state.pred[inst.dst.index] = [
+            lo <= lane < hi for lane in range(self.lanes)
+        ]
         return pc + 1
 
     def _op_pred_logic(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        a = state.read_pred(inst.src1)
+        a = state.pred[inst.src1.index]
         if inst.op == "not":
             out = [not bit for bit in a]
         else:
-            b = state.read_pred(inst.src2)
+            b = state.pred[inst.src2.index]
             if inst.op == "and":
                 out = [i and j for i, j in zip(a, b)]
             elif inst.op == "or":
@@ -562,390 +547,115 @@ class Interpreter:
                 out = [i != j for i, j in zip(a, b)]
             else:  # andnot
                 out = [i and not j for i, j in zip(a, b)]
-        state.write_pred(inst.dst, out)
+        state.pred[inst.dst.index] = out
         return pc + 1
 
     # ---- vector memory --------------------------------------------------
+    #
+    # Each access goes through _read_vec_mem / _write_vec_mem with the
+    # instruction's active lanes in lane order, so the speculative buffer
+    # sees the lanes in the order SRV conflict detection needs, the trace
+    # log records them in canonical order, and overlapping scatter lanes
+    # commit in lane order.
 
     def _op_vec_load_contig(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
         mask = self._mask(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base) + inst.offset
-        elem = inst.elem
-        broadcast = isinstance(inst, VecLoadBroadcast)
-        out = [0] * self.lanes
-        for lane in range(self.lanes):
-            if not mask[lane]:
-                continue
-            addr = base if broadcast else base + lane * elem
-            raw = self._read_mem(addr, elem, lane, buffer, region_offset)
-            out[lane] = to_signed(raw, elem)
-        state.write_vector_masked(inst.dst, out, mask, elem)
+        lanes = self._active(mask)
+        if lanes:
+            base = self.state.read_scalar(inst.base) + inst.offset
+            elem = inst.elem
+            if isinstance(inst, VecLoadBroadcast):
+                addrs = [base] * len(lanes)
+            else:
+                addrs = [base + lane * elem for lane in lanes]
+            values = self._read_vec_mem(
+                addrs, elem, lanes, buffer, region_offset
+            )
+            self._write_loaded(inst.dst, mask, lanes, values, elem)
         return pc + 1
 
     def _op_vec_load_gather(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
         mask = self._mask(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base)
-        scale = inst.effective_scale
-        out = [0] * self.lanes
-        for lane in range(self.lanes):
-            if not mask[lane]:
-                continue
-            index = state.read_lane(inst.index, lane, inst.index_elem)
-            addr = base + index * scale
-            raw = self._read_mem(addr, inst.elem, lane, buffer, region_offset)
-            out[lane] = to_signed(raw, inst.elem)
-        state.write_vector_masked(inst.dst, out, mask, inst.elem)
+        lanes = self._active(mask)
+        if lanes:
+            base = state.read_scalar(inst.base)
+            scale = inst.effective_scale
+            index = state.signed_row(inst.index, inst.index_elem)
+            values = self._read_vec_mem(
+                [base + index[lane] * scale for lane in lanes], inst.elem,
+                lanes, buffer, region_offset,
+            )
+            self._write_loaded(inst.dst, mask, lanes, values, inst.elem)
         return pc + 1
 
     def _op_vec_store_contig(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        mask = self._mask(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base) + inst.offset
-        elem = inst.elem
-        for lane in range(self.lanes):
-            if not mask[lane]:
-                continue
-            value = state.read_lane(inst.src, lane, elem, signed=False)
-            self._write_mem(
-                base + lane * elem, elem, value, lane, buffer, region_offset,
+        lanes = self._active(self._mask(inst.pred, extra_mask))
+        if lanes:
+            base = state.read_scalar(inst.base) + inst.offset
+            elem = inst.elem
+            row = state.unsigned_row(inst.src, elem)
+            self._write_vec_mem(
+                [base + lane * elem for lane in lanes], elem,
+                [row[lane] for lane in lanes], lanes, buffer, region_offset,
             )
         return pc + 1
 
     def _op_vec_store_scatter(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
-        mask = self._mask(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base)
-        scale = inst.effective_scale
-        for lane in range(self.lanes):
-            if not mask[lane]:
-                continue
-            index = state.read_lane(inst.index, lane, inst.index_elem)
-            value = state.read_lane(inst.src, lane, inst.elem, signed=False)
-            self._write_mem(
-                base + index * scale, inst.elem, value, lane,
-                buffer, region_offset,
-            )
-        return pc + 1
-
-    def _mask(self, pred, extra_mask: list[bool] | None) -> list[bool]:
-        mask = self.state.effective_mask(pred)
-        if extra_mask is not None:
-            mask = [a and b for a, b in zip(mask, extra_mask)]
-        return mask
-
-    def _vec_operand(self, operand, lane: int, elem: int) -> int:
-        if isinstance(operand, VecReg):
-            return self.state.read_lane(operand, lane, elem)
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, ScalarReg):
-            return self.state.read_scalar(operand)
-        raise IsaError(f"bad vector operand {operand!r}")
-
-    # ---- lane-batched (numpy) handlers ----------------------------------
-    #
-    # Installed via _NP_HANDLERS.  Each batches all lanes of an op through
-    # the kernels in repro.emu.lanes; results are bit-identical to the
-    # per-lane handlers above (see the module docstring of repro.emu.lanes
-    # for the congruence argument).  Anything the kernels cannot represent
-    # — an immediate outside signed 64-bit, a gather index that would
-    # overflow int64 address arithmetic — raises NumpyFallback *before any
-    # state is mutated* and the op re-executes through the scalar handler,
-    # which uses ArchState's per-lane API.
-    #
-    # Irreducibly sequential parts stay element-wise by design:
-    # speculative-buffer traffic (SRV conflict witnessing must observe
-    # loads/stores in lane order; the buffer's load_lanes/store_lanes take
-    # a whole instruction only when no lane can meet a buffered record),
-    # traced runs (the logged access order is part of the canonical trace),
-    # and scatter commits (overlapping lanes resolve by lane order).
-
-    def _extra_np(self, extra_mask: list[bool]):
-        """Bool-array view of the SRV replay mask, cached by identity.
-
-        The region executor allocates a fresh ``active`` list per pass and
-        never mutates one in place, so object identity is a sound cache
-        key; the tuple holds a strong reference to keep the id stable.
-        """
-        cached = self._extra_cache
-        if cached is not None and cached[0] is extra_mask:
-            return cached[1]
-        arr = _np.asarray(extra_mask, dtype=_np.bool_)
-        self._extra_cache = (extra_mask, arr)
-        return arr
-
-    def _mask_np(self, pred, extra_mask: list[bool] | None):
-        mask = self.state.mask_np(pred)
-        if extra_mask is not None:
-            mask = mask & self._extra_np(extra_mask)
-        return mask
-
-    def _np_vec_operand(self, operand, elem: int):
-        if isinstance(operand, VecReg):
-            return self.state.vec_signed(operand, elem)
-        if isinstance(operand, Imm):
-            return scalar_i64(operand.value)
-        if isinstance(operand, ScalarReg):
-            return self.state.read_scalar(operand)
-        raise IsaError(f"bad vector operand {operand!r}")
-
-    def _np_vec_alu(self, inst, pc, extra_mask, buffer, region_offset):
-        op = inst.op
-        fn = _NP_ALU_DISPATCH.get(op)
-        if fn is None:
-            fn = _lanes.NP_ALU_BY_NAME.get(op.name)
-            if fn is None:
-                raise IsaError(f"unhandled ALU opcode {op}")
-            _NP_ALU_DISPATCH[op] = fn
-        state = self.state
-        elem = inst.elem
-        try:
-            a = state.vec_signed(inst.src1, elem)
-            b = (
-                self._np_vec_operand(inst.src2, elem)
-                if inst.src2 is not None
-                else None
-            )
-            c = (
-                state.vec_signed(inst.src3, elem)
-                if inst.src3 is not None
-                else 0
-            )
-        except NumpyFallback:
-            return self._op_vec_alu(inst, pc, extra_mask, buffer, region_offset)
-        mask = self._mask_np(inst.pred, extra_mask)
-        state.write_masked_np(inst.dst, fn(a, b, c), mask, elem)
-        return pc + 1
-
-    def _np_vec_splat(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask_np(inst.pred, extra_mask)
-        # wrap in exact Python arithmetic: splat immediates may exceed int64
-        wrapped = to_unsigned(state.read_operand(inst.src), inst.elem)
-        _np.copyto(state.vec_raw(inst.dst), _np.uint64(wrapped), where=mask)
-        return pc + 1
-
-    def _np_vec_index(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        try:
-            start = scalar_i64(state.read_operand(inst.start))
-            step = scalar_i64(state.read_operand(inst.step))
-        except NumpyFallback:
-            return self._op_vec_index(inst, pc, extra_mask, buffer, region_offset)
-        mask = self._mask_np(None, extra_mask)  # VecIndex is unpredicated
-        values = self._iota * step + start
-        state.write_masked_np(inst.dst, values, mask, inst.elem)
-        return pc + 1
-
-    def _np_vec_reduce(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask_np(inst.pred, extra_mask)
-        if inst.op == "or":
-            raw = to_unsigned_array(state.vec_raw(inst.src), inst.elem)[mask]
-            result = int(_np.bitwise_or.reduce(raw)) if raw.size else 0
-        else:
-            values = state.vec_signed(inst.src, inst.elem)[mask]
-            if inst.op == "add":
-                result = int(values.sum())  # int64 wrap ≡ Python sum mod 2**64
-            elif inst.op == "min":
-                result = int(values.min()) if values.size else 0
-            else:  # "max"
-                result = int(values.max()) if values.size else 0
-        state.write_scalar(inst.dst, result)
-        return pc + 1
-
-    def _np_vec_cmp(self, inst, pc, extra_mask, buffer, region_offset):
-        op = inst.op
-        fn = _NP_COMPARE_DISPATCH.get(op)
-        if fn is None:
-            fn = _lanes.NP_COMPARE_BY_NAME[op.name]
-            _NP_COMPARE_DISPATCH[op] = fn
-        state = self.state
-        try:
-            a = state.vec_signed(inst.src1, inst.elem)
-            b = self._np_vec_operand(inst.src2, inst.elem)
-        except NumpyFallback:
-            return self._op_vec_cmp(inst, pc, extra_mask, buffer, region_offset)
-        mask = self._mask_np(inst.pred, extra_mask)
-        state.pred[inst.dst.index] = fn(a, b) & mask
-        return pc + 1
-
-    def _np_pred_set_all(self, inst, pc, extra_mask, buffer, region_offset):
-        self.state.pred[inst.dst.index].fill(inst.value)
-        return pc + 1
-
-    def _np_pred_count(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        state.write_scalar(inst.dst, int(state.pred[inst.src.index].sum()))
-        return pc + 1
-
-    def _np_pred_first_n(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        n = max(0, min(self.lanes, state.read_scalar(inst.count)))
-        state.pred[inst.dst.index] = self._iota < n
-        return pc + 1
-
-    def _np_pred_range(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        lo = state.read_scalar(inst.lo)
-        hi = state.read_scalar(inst.hi)
-        iota = self._iota
-        state.pred[inst.dst.index] = (lo <= iota) & (iota < hi)
-        return pc + 1
-
-    def _np_pred_logic(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        a = state.pred[inst.src1.index]
-        if inst.op == "not":
-            out = ~a
-        else:
-            b = state.pred[inst.src2.index]
-            if inst.op == "and":
-                out = a & b
-            elif inst.op == "or":
-                out = a | b
-            elif inst.op == "xor":
-                out = a ^ b
-            else:  # andnot
-                out = a & ~b
-        state.pred[inst.dst.index] = out
-        return pc + 1
-
-    # ---- lane-batched vector memory -------------------------------------
-
-    def _np_vec_load_contig(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask_np(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base) + inst.offset
-        elem = inst.elem
-        broadcast = isinstance(inst, VecLoadBroadcast)
-        row = state.vec_raw(inst.dst)
-        if buffer is None and self.tracer is None:
-            # bulk path: untraced, non-speculative — touch order is
-            # unobservable, so one batched read covers all lanes
-            if not mask.any():
-                return pc + 1
-            if broadcast:
-                raw = self.memory.read_int(base, elem)
-                _np.copyto(row, _np.uint64(raw), where=mask)
-                return pc + 1
-            if bool(mask.all()):
-                row[:] = self.memory.read_lanes(base, elem, self.lanes)
-                return pc + 1
-            if -(1 << 62) <= base <= (1 << 62):  # int64 address math safe
-                idx = _np.flatnonzero(mask)
-                addrs = (base + idx * elem).astype(_np.int64)
-                row[idx] = self.memory.gather_lanes(addrs, elem)
-                return pc + 1
-        # sequential path: speculative-buffer touch order / trace events
-        active = _np.flatnonzero(mask).tolist()
-        if active:
-            if broadcast:
-                addrs = [base] * len(active)
-            else:
-                addrs = [base + lane * elem for lane in active]
-            values = self._read_vec_mem(
-                addrs, elem, active, buffer, region_offset
-            )
-            row[active] = _np.asarray(values, dtype=_np.uint64)
-        return pc + 1
-
-    def _np_vec_load_gather(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask_np(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base)
-        try:
-            scale = scalar_i64(inst.effective_scale)
-            idx_vals = state.vec_signed(inst.index, inst.index_elem)
-            self._guard_addr_math(base, idx_vals, scale, inst.index_elem)
-        except NumpyFallback:
-            return self._op_vec_load_gather(
-                inst, pc, extra_mask, buffer, region_offset
-            )
-        elem = inst.elem
-        row = state.vec_raw(inst.dst)
-        if buffer is None and self.tracer is None:
-            if not mask.any():
-                return pc + 1
-            idx = _np.flatnonzero(mask)
-            addrs = base + idx_vals[idx] * scale
-            row[idx] = self.memory.gather_lanes(addrs, elem)
-            return pc + 1
-        active = _np.flatnonzero(mask).tolist()
-        if active:
-            addrs = (base + idx_vals * scale).tolist()
-            values = self._read_vec_mem(
-                [addrs[lane] for lane in active], elem, active,
-                buffer, region_offset,
-            )
-            row[active] = _np.asarray(values, dtype=_np.uint64)
-        return pc + 1
-
-    def _np_vec_store_contig(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask_np(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base) + inst.offset
-        elem = inst.elem
-        values = to_unsigned_array(state.vec_raw(inst.src), elem)
-        if buffer is None and self.tracer is None and bool(mask.all()):
-            self.memory.write_lanes(base, elem, values)
-            return pc + 1
-        active = _np.flatnonzero(mask).tolist()
-        if active:
-            vlist = values.tolist()
+        lanes = self._active(self._mask(inst.pred, extra_mask))
+        if lanes:
+            base = state.read_scalar(inst.base)
+            scale = inst.effective_scale
+            index = state.signed_row(inst.index, inst.index_elem)
+            row = state.unsigned_row(inst.src, inst.elem)
             self._write_vec_mem(
-                [base + lane * elem for lane in active], elem,
-                [vlist[lane] for lane in active], active,
-                buffer, region_offset,
+                [base + index[lane] * scale for lane in lanes], inst.elem,
+                [row[lane] for lane in lanes], lanes, buffer, region_offset,
             )
         return pc + 1
 
-    def _np_vec_store_scatter(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask_np(inst.pred, extra_mask)
-        base = state.read_scalar(inst.base)
-        try:
-            scale = scalar_i64(inst.effective_scale)
-            idx_vals = state.vec_signed(inst.index, inst.index_elem)
-            self._guard_addr_math(base, idx_vals, scale, inst.index_elem)
-        except NumpyFallback:
-            return self._op_vec_store_scatter(
-                inst, pc, extra_mask, buffer, region_offset
-            )
-        elem = inst.elem
-        # overlapping scatter lanes must commit in lane order, so stores
-        # stay element-wise; only the address/value computation is batched
-        active = _np.flatnonzero(mask).tolist()
-        if active:
-            addrs = (base + idx_vals * scale).tolist()
-            vlist = to_unsigned_array(state.vec_raw(inst.src), elem).tolist()
-            self._write_vec_mem(
-                [addrs[lane] for lane in active], elem,
-                [vlist[lane] for lane in active], active,
-                buffer, region_offset,
-            )
-        return pc + 1
+    def _mask(self, pred, extra_mask: list[bool] | None) -> list[bool] | None:
+        """The op's lane mask; ``None`` when every lane is active.
 
-    @staticmethod
-    def _guard_addr_math(base: int, idx_vals, scale: int, index_elem: int) -> None:
-        """Reject gather/scatter geometry that could wrap int64 addresses.
-
-        With ``|base| <= 2**62``, ``|index| <= 2**40`` and
-        ``|scale| <= 2**20`` the per-lane ``base + index * scale`` sums
-        stay strictly inside int64.  Anything larger is far outside the
-        memory image anyway — the Python handler re-executes it with
-        arbitrary-precision addresses and raises the exact per-lane
-        MemoryAccessError.
+        May return the predicate's own row: callers must not mutate it.
         """
-        if not -(1 << 62) <= base <= (1 << 62):
-            raise NumpyFallback(f"base address {base} outside batched range")
-        if not -(1 << 20) <= scale <= (1 << 20):
-            raise NumpyFallback(f"gather scale {scale} too large")
-        if index_elem == 8:
-            if int(idx_vals.min()) < -(1 << 40) or int(idx_vals.max()) > 1 << 40:
-                raise NumpyFallback("gather index outside batched address range")
+        if pred is None:
+            return extra_mask
+        mask = self.state.pred[pred.index]
+        if extra_mask is None:
+            return mask
+        return [a and b for a, b in zip(mask, extra_mask)]
+
+    def _active(self, mask: list[bool] | None) -> list[int]:
+        """The lanes ``mask`` enables, ascending (do not mutate)."""
+        if mask is None:
+            return self._all_lanes
+        return list(compress(self._all_lanes, mask))
+
+    def _write_loaded(self, dst, mask, lanes, values, elem) -> None:
+        """Merge the loaded ``values`` of ``lanes`` into ``dst``."""
+        if mask is None:
+            self.state.write_row(dst, values, None, elem)
+            return
+        out = [0] * self.lanes
+        for lane, value in zip(lanes, values):
+            out[lane] = value
+        self.state.write_row(dst, out, mask, elem)
+
+    def _vec_row(self, operand, elem: int):
+        """A second source operand as per-lane values: a sign-extended
+        row, or a scalar repeated across the lanes."""
+        if isinstance(operand, VecReg):
+            return self.state.signed_row(operand, elem)
+        if isinstance(operand, Imm):
+            return repeat(operand.value)
+        if isinstance(operand, ScalarReg):
+            return repeat(self.state.read_scalar(operand))
+        if operand is None:
+            return repeat(None)
+        raise IsaError(f"bad vector operand {operand!r}")
 
     # ------------------------------------------------------------- SRV region
 
@@ -1005,7 +715,7 @@ class Interpreter:
         self._record_marker(start_pc, start_inst)
         if self.tracer is not None:
             self.tracer.mark_region_event(RegionEvent.START)
-        obs = _obs.ACTIVE
+        obs = _obs.active()
         region_no = srv.regions_entered - 1
         if obs is not None:
             obs.emit(
@@ -1036,9 +746,11 @@ class Interpreter:
                 srv.first_pass_lane_executions += sum(active)
             else:
                 srv.replayed_lane_executions += sum(active)
+            # an all-lanes pass runs unmasked, like code outside a region
+            mask = None if all(active) else active
             for offset, inst in enumerate(body):
                 self._exec_region_op(
-                    inst, body_pc + offset, active, buffer, offset
+                    inst, body_pc + offset, mask, buffer, offset
                 )
                 if self._interrupt_pending:
                     # Context switch inside the region (section III-D2):
@@ -1052,7 +764,9 @@ class Interpreter:
                         lane for lane in range(self.lanes) if active[lane]
                     )
                     buffer.commit_prefix(oldest, offset)
-                    active = [lane == oldest for lane in range(self.lanes)]
+                    active = mask = [
+                        lane == oldest for lane in range(self.lanes)
+                    ]
                     resume_replay = set(range(oldest + 1, self.lanes))
             self._record_marker(end_pc, self.program.instructions[end_pc])
             if obs is not None:
@@ -1126,7 +840,7 @@ class Interpreter:
             # the region's START marker (the last recorded op) and every
             # op of the sequential passes are flagged as fallback
             self.tracer.region_fallback_begin()
-        obs = _obs.ACTIVE
+        obs = _obs.active()
         region_no = srv.regions_entered - 1
         if obs is not None:
             obs.emit(
@@ -1209,46 +923,7 @@ _HANDLERS: dict[type, object] = {
     VecStoreScatter: Interpreter._op_vec_store_scatter,
 }
 
-#: The interpreter's dispatch table: scalar/control ops share the Python
-#: handlers (they are not lane-parallel); vector and predicate ops route
-#: through the numpy kernels.
-_NP_HANDLERS: dict[type, object] = dict(_HANDLERS)
-_NP_HANDLERS.update(
-    {
-        VecALU: Interpreter._np_vec_alu,
-        VecSplat: Interpreter._np_vec_splat,
-        VecIndex: Interpreter._np_vec_index,
-        VecReduce: Interpreter._np_vec_reduce,
-        VecCmp: Interpreter._np_vec_cmp,
-        PredSetAll: Interpreter._np_pred_set_all,
-        PredCount: Interpreter._np_pred_count,
-        PredFirstN: Interpreter._np_pred_first_n,
-        PredRange: Interpreter._np_pred_range,
-        PredLogic: Interpreter._np_pred_logic,
-        VecLoadContig: Interpreter._np_vec_load_contig,
-        VecLoadBroadcast: Interpreter._np_vec_load_contig,
-        VecLoadGather: Interpreter._np_vec_load_gather,
-        VecStoreContig: Interpreter._np_vec_store_contig,
-        VecStoreScatter: Interpreter._np_vec_store_scatter,
-    }
-)
-
-#: per-enum-member caches for the numpy ALU / compare kernel lookup
-_NP_ALU_DISPATCH: dict = {}
-_NP_COMPARE_DISPATCH: dict = {}
-
-Interpreter._handlers = _NP_HANDLERS
-
-
-class ScalarInterpreter(Interpreter):
-    """The per-lane reference: every op runs through its scalar handler.
-
-    Differs from :class:`Interpreter` only in its handler table, so the
-    SRV region walk, tracing and metrics are shared.  Tests and every
-    fuzz kernel compare the two bit for bit.
-    """
-
-    _handlers = _HANDLERS
+Interpreter._handlers = _HANDLERS
 
 
 def run_program(

@@ -9,8 +9,7 @@ booleans.  Scalar registers are 64-bit two's complement.
 
 from __future__ import annotations
 
-import numpy as _np
-
+from repro.isa.instructions import VALID_ELEM_SIZES
 from repro.isa.registers import (
     NUM_PRED_REGS,
     NUM_SCALAR_REGS,
@@ -21,43 +20,37 @@ from repro.isa.registers import (
     ScalarReg,
     VecReg,
 )
-from repro.memory.image import (
-    to_signed,
-    to_signed_array,
-    to_unsigned,
-    to_unsigned_array,
-)
+from repro.memory.image import to_signed, to_unsigned
 
 SCALAR_BYTES = 8
 
+#: ``(value mask, sign bit)`` of each element size
+_ELEM_BITS = {
+    size: ((1 << 8 * size) - 1, 1 << (8 * size - 1))
+    for size in VALID_ELEM_SIZES
+}
+
 
 class ArchState:
-    """Register file backed by numpy arrays.
+    """Register file of Python lists.
 
-    Each vector lane stores the element-size-wrapped unsigned value of
-    the writing instruction (a ``uint64`` row per register), and
-    predicates are per-lane booleans.  Scalar registers stay Python
-    ints — scalar ops are not lane-parallel and Python arithmetic is
-    faster there.
-
-    Two APIs share the arrays: a per-lane, list-valued one
-    (:meth:`read_lane`, :meth:`write_vector_masked`, :meth:`read_pred`)
-    used by the scalar reference handlers and the tracer paths, and a
-    numpy-native one (:meth:`vec_signed`, :meth:`vec_raw`,
-    :meth:`write_masked_np`, :meth:`mask_np`) used by the batched
-    kernels in :mod:`repro.emu.lanes`.
+    Each vector register is a row of ``lanes`` ints holding the
+    element-size-wrapped unsigned value of the writing instruction, and
+    each predicate a row of bools.  Handlers read a whole source row at
+    once (:meth:`signed_row`) and write a whole destination row with one
+    merging write (:meth:`write_row`); rows are replaced, never mutated
+    in place, so a row read for one op stays valid while the op writes.
     """
 
-    __slots__ = ("lanes", "pc", "halted", "scalar", "vector", "pred", "_ones")
+    __slots__ = ("lanes", "pc", "halted", "scalar", "vector", "pred")
 
     def __init__(self, lanes: int = 16) -> None:
         self.lanes = lanes
         self.pc = 0
         self.halted = False
         self.scalar = [0] * NUM_SCALAR_REGS
-        self.vector = _np.zeros((NUM_VECTOR_REGS, lanes), dtype=_np.uint64)
-        self.pred = _np.zeros((NUM_PRED_REGS, lanes), dtype=_np.bool_)
-        self._ones = _np.ones(lanes, dtype=_np.bool_)
+        self.vector = [[0] * lanes for _ in range(NUM_VECTOR_REGS)]
+        self.pred = [[False] * lanes for _ in range(NUM_PRED_REGS)]
 
     # -- scalar ---------------------------------------------------------------
 
@@ -72,63 +65,55 @@ class ArchState:
             return operand.value
         return self.read_scalar(operand)
 
-    # -- vector: per-lane API -------------------------------------------------
+    # -- vector ---------------------------------------------------------------
 
     def read_vector(self, reg: VecReg) -> list[int]:
-        return self.vector[reg.index].tolist()
+        return list(self.vector[reg.index])
+
+    def signed_row(self, reg: VecReg, elem: int) -> list[int]:
+        """Every lane of ``reg`` sign-extended from ``elem`` bytes."""
+        mask, sign = _ELEM_BITS[elem]
+        return [((raw & mask) ^ sign) - sign for raw in self.vector[reg.index]]
+
+    def unsigned_row(self, reg: VecReg, elem: int) -> list[int]:
+        """Every lane of ``reg`` wrapped to ``elem`` bytes."""
+        mask = _ELEM_BITS[elem][0]
+        return [raw & mask for raw in self.vector[reg.index]]
 
     def read_lane(self, reg: VecReg, lane: int, elem: int, signed: bool = True) -> int:
-        raw = to_unsigned(int(self.vector[reg.index][lane]), elem)
+        raw = to_unsigned(self.vector[reg.index][lane], elem)
         return to_signed(raw, elem) if signed else raw
 
-    def write_lane(self, reg: VecReg, lane: int, value: int, elem: int) -> None:
-        self.vector[reg.index][lane] = to_unsigned(value, elem)
-
-    def write_vector_masked(
-        self, reg: VecReg, values: list[int], mask: list[bool], elem: int
+    def write_row(
+        self, reg: VecReg, values: list[int], mask: list[bool] | None, elem: int
     ) -> None:
-        """Merging write: inactive lanes keep their previous contents.
+        """Merging write (section III-D5): the lanes ``mask`` enables take
+        ``values`` wrapped to ``elem`` bytes, the others keep their
+        previous contents; ``mask=None`` enables every lane.
 
-        This is the paper's merging predication (section III-D5) — on
-        re-execution the old destination value is read as an extra source
-        and combined with the new lanes.
+        On re-execution the old destination value is read as an extra
+        source and combined with the new lanes.
         """
-        dest = self.vector[reg.index]
-        for lane, active in enumerate(mask):
-            if active:
-                dest[lane] = to_unsigned(values[lane], elem)
-
-    # -- vector: numpy-native API --------------------------------------------
-
-    def vec_raw(self, reg: VecReg) -> "_np.ndarray":
-        """The stored uint64 lanes (a view — do not mutate)."""
-        return self.vector[reg.index]
-
-    def vec_signed(self, reg: VecReg, elem: int) -> "_np.ndarray":
-        """Sign-extended int64 lanes at the given element size."""
-        return to_signed_array(self.vector[reg.index], elem)
-
-    def write_masked_np(
-        self, reg: VecReg, values: "_np.ndarray", mask: "_np.ndarray", elem: int
-    ) -> None:
-        """Merging write (III-D5): active lanes take the wrapped values."""
-        _np.copyto(self.vector[reg.index], to_unsigned_array(values, elem), where=mask)
-
-    def mask_np(self, pred: PredReg | None) -> "_np.ndarray":
-        """Effective mask as a bool array (a view / shared — do not mutate)."""
-        if pred is None:
-            return self._ones
-        return self.pred[pred.index]
+        wrap = _ELEM_BITS[elem][0]
+        if mask is None:
+            self.vector[reg.index] = [value & wrap for value in values]
+        else:
+            self.vector[reg.index] = [
+                value & wrap if active else old
+                for value, active, old in zip(
+                    values, mask, self.vector[reg.index]
+                )
+            ]
 
     # -- predicates -----------------------------------------------------------
 
     def read_pred(self, reg: PredReg) -> list[bool]:
-        return self.pred[reg.index].tolist()
+        return list(self.pred[reg.index])
 
     def write_pred(self, reg: PredReg, mask) -> None:
         if len(mask) != self.lanes:
             raise ValueError(f"predicate width {len(mask)} != lanes {self.lanes}")
-        self.pred[reg.index] = mask
+        self.pred[reg.index] = [bool(bit) for bit in mask]
 
     def effective_mask(self, pred: PredReg | None) -> list[bool]:
         if pred is None:
@@ -140,6 +125,6 @@ class ArchState:
     def registers_snapshot(self) -> tuple:
         return (
             tuple(self.scalar),
-            tuple(tuple(row.tolist()) for row in self.vector),
-            tuple(tuple(row.tolist()) for row in self.pred),
+            tuple(tuple(row) for row in self.vector),
+            tuple(tuple(row) for row in self.pred),
         )

@@ -26,10 +26,10 @@ Hardening features:
   :class:`~repro.common.errors.LsuOverflowError`, the run is re-executed
   with the section III-D7 sequential fallback forced and the degradation
   is recorded on the result instead of aborting the sweep;
-* **per-run timeouts and retry-with-reseed** — :func:`run_loop_hardened`
-  bounds each run's wall clock (SIGALRM, main thread only) and retries
-  transient failures with a derived seed, recording every failure as a
-  structured :class:`RunFailure`.
+* **per-run timeouts** — :func:`run_loop_hardened` bounds each run's
+  wall clock (SIGALRM, main thread only); the sweep engine records a
+  failed or timed-out cell as a structured :class:`RunFailure` under
+  the cell's own seed.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from __future__ import annotations
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import (
     LsuOverflowError,
     OracleMismatchError,
-    ReproError,
     RunTimeoutError,
 )
 from repro.compiler import Strategy, compile_loop, scalar_reference
@@ -66,17 +65,16 @@ class RunFailure:
     loop: str
     strategy: str
     seed: int
-    stage: str            # "emulate" | "timing" | "timeout" | "run"
+    stage: str            # "timing" | "shard" | "experiment"
     error: str            # exception type name
     message: str
-    attempt: int = 0
     degraded: bool = False   # the run was completed in a degraded mode
 
     def __str__(self) -> str:
         mode = " [degraded]" if self.degraded else ""
         return (
             f"{self.loop}/{self.strategy} seed={self.seed} "
-            f"attempt={self.attempt} {self.stage}: {self.error}: "
+            f"{self.stage}: {self.error}: "
             f"{self.message}{mode}"
         )
 
@@ -90,7 +88,7 @@ class LoopRun:
     correct: bool
     #: name of the first array diverging from the oracle (None if correct)
     bad_array: str | None = None
-    #: failures survived while producing this result (degradations, retries)
+    #: failures survived while producing this result (degradations)
     failures: tuple[RunFailure, ...] = ()
 
     @property
@@ -303,7 +301,7 @@ def run_loop(
 
 
 # ---------------------------------------------------------------------------
-# hardened wrapper: timeouts + bounded retry-with-reseed
+# hardened wrapper: timeouts
 # ---------------------------------------------------------------------------
 
 
@@ -351,44 +349,16 @@ def run_loop_hardened(
     config: MachineConfig = TABLE_I,
     *,
     timeout_s: float | None = None,
-    max_retries: int = 2,
-    reseed_stride: int = 7919,
     **kwargs,
 ) -> LoopRun:
-    """:func:`run_loop` with a wall-clock budget and bounded retries.
+    """:func:`run_loop` under a wall-clock budget of ``timeout_s``.
 
-    A timed-out or failed attempt is retried up to ``max_retries`` times
-    with a derived seed (``seed + attempt * reseed_stride``) so an
-    input-dependent pathology does not kill a whole sweep.  Every failed
-    attempt is recorded on the returned run's ``failures``; if all
-    attempts fail the last error propagates.
+    A run past the budget raises :class:`RunTimeoutError`.  Every failure
+    propagates under the run's own seed, so the sweep engine records it
+    against the cell that failed; nothing re-runs under another seed.
     """
-    failures: list[RunFailure] = []
-    last_error: ReproError | None = None
-    for attempt in range(max_retries + 1):
-        attempt_seed = seed + attempt * reseed_stride
-        try:
-            with _deadline(timeout_s):
-                run = run_loop(spec, strategy, attempt_seed, config, **kwargs)
-            if failures:
-                run = replace(run, failures=run.failures + tuple(failures))
-            return run
-        except RunTimeoutError as exc:
-            last_error = exc
-            failures.append(RunFailure(
-                loop=spec.name, strategy=strategy.value, seed=attempt_seed,
-                stage="timeout", error=type(exc).__name__, message=str(exc),
-                attempt=attempt,
-            ))
-        except ReproError as exc:
-            last_error = exc
-            failures.append(RunFailure(
-                loop=spec.name, strategy=strategy.value, seed=attempt_seed,
-                stage="run", error=type(exc).__name__, message=str(exc),
-                attempt=attempt,
-            ))
-    assert last_error is not None
-    raise last_error
+    with _deadline(timeout_s):
+        return run_loop(spec, strategy, seed, config, **kwargs)
 
 
 # ---------------------------------------------------------------------------

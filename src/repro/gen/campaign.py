@@ -8,10 +8,7 @@ polls as on the materialised path), shrinks any failing kernel to a
 1-minimal reproducer, and writes a machine-readable report.
 
 Clean kernels are checked through :func:`repro.experiments.runner.run_loop`,
-so campaign results land in the content-addressed result cache.  Each
-clean kernel then also runs through the interpreter and its per-lane
-reference (:class:`~repro.emu.interpreter.ScalarInterpreter`) on fresh
-memory, outside the cache, and the two must agree bit for bit.  Shrink
+so campaign results land in the content-addressed result cache.  Shrink
 candidates and *planted* runs bypass the cache entirely: they execute a
 loop body that differs from the one the cache key names.
 
@@ -223,64 +220,6 @@ def _mutated_check(
     return True, None
 
 
-def _reference_diff_check(
-    spec: LoopSpec, cfg: FuzzConfig, n: int
-) -> tuple[bool, str | None]:
-    """Run one kernel through the interpreter and its scalar reference.
-
-    Both executions happen right here on fresh memory — never through
-    the result cache — so the comparison is real even when a prior
-    campaign already populated the cache for this kernel.  Compared:
-    emulator metrics, final register file, final memory image, and the
-    invariant-monitor verdicts over the dynamic trace.  The agreed final
-    arrays are then judged against the compiler's scalar oracle, so the
-    two handler tables cannot pass by agreeing on a wrong result.
-    """
-    from repro.emu.interpreter import Interpreter, ScalarInterpreter
-    from repro.pipeline import TraceLog
-    from repro.verify.monitors import run_monitors
-
-    arrays = spec.arrays(cfg.seed)
-    outcomes = []
-    for interpreter in (Interpreter, ScalarInterpreter):
-        mem = _alloc_arrays(spec, arrays)
-        program = compile_loop(spec.loop, mem, n, cfg.strategy,
-                               params=spec.params)
-        log = TraceLog(program)
-        interp = interpreter(program, mem, cfg.config, tracer=log)
-        try:
-            metrics = interp.run()
-        except ReproError as exc:
-            outcomes.append(("error", f"{type(exc).__name__}: {exc}"))
-            continue
-        verdicts = tuple(str(v) for v in run_monitors(log, cfg.config))
-        outcomes.append(("ok", (
-            metrics, interp.state.registers_snapshot(), mem.snapshot(),
-            verdicts,
-        )))
-    batched, reference = outcomes
-    if batched != reference:
-        if batched[0] == reference[0] == "ok":
-            for label, got, want in zip(
-                ("metrics", "registers", "memory", "monitor verdicts"),
-                batched[1], reference[1],
-            ):
-                if got != want:
-                    return False, (f"reference: {label} diverge from the "
-                                   f"scalar handlers")
-        return False, (f"reference: outcome diverges "
-                       f"(interpreter={batched[0]}, scalar={reference[0]})")
-    if batched[0] == "error":
-        return False, batched[1]
-    # both runs agree, so the last memory image stands for either
-    oracle = scalar_reference(spec.loop, arrays, n, params=spec.params)
-    for name, want in oracle.items():
-        got = mem.load_array(mem.allocation(name))
-        if got != want:
-            return False, _describe_mismatch(name, got, want)
-    return True, None
-
-
 def _alloc_arrays(spec: LoopSpec, arrays: dict) -> MemoryImage:
     mem = MemoryImage()
     for name, init in arrays.items():
@@ -427,7 +366,7 @@ def check_kernel(
     *,
     use_cache: bool,
 ) -> tuple[bool, str | None]:
-    """Scalar-oracle, LSU and scalar-reference check of one spec."""
+    """Scalar-oracle and LSU check of one spec."""
     n = spec.n if cfg.n_override is None else min(cfg.n_override, spec.n)
     if cfg.analyze_diff:
         if cfg.plant == "elide-regions":
@@ -454,7 +393,7 @@ def check_kernel(
     if not run.correct:
         return False, (f"oracle: array {run.bad_array!r} diverges from the "
                        f"scalar reference")
-    return _reference_diff_check(spec, cfg, n)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

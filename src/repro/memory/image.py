@@ -146,11 +146,13 @@ class MemoryImage:
     def write_int(self, addr: int, value: int, size: int) -> None:
         self.write_bytes(addr, to_unsigned(value, size).to_bytes(size, "little"))
 
-    # -- lane-batched access (numpy engine fast paths) -----------------------
+    # -- lane-batched access --------------------------------------------------
     #
-    # These helpers serve the lane-batched emulator engine: one call covers
-    # all lanes of a contiguous or gathered vector access.  They raise the
-    # same MemoryAccessError (same message, same offending span) as the
+    # One call covers all lanes of a contiguous or gathered vector access.
+    # Nothing in the simulator calls these since the interpreter moved to
+    # one lane engine; they stay because the benchmark's per-layer tracer
+    # (perfbench/tracing.py) wraps them by name.  They raise the same
+    # MemoryAccessError (same message, same offending span) as the
     # per-lane path would, by re-checking lane-by-lane on failure.
 
     def _check_lane_spans(self, addr: int, elem: int, lanes: int) -> int:

@@ -15,9 +15,8 @@ Lifecycle of one ``run_sweep`` call:
    hardened runner and publishes payloads via atomic per-entry writes.
    Without a disk cache the workers would have nowhere to publish, so
    the shards run inline and warm this process's memo instead.
-   Cell seeding is deterministic — a cell carries its explicit seed, and
-   the hardened runner's retry-reseed stride is a pure function of it —
-   so shard assignment cannot change any result;
+   Cell seeding is deterministic — a cell runs under its explicit seed
+   only — so shard assignment cannot change any result;
 4. **replay** — run the (unchanged, sequential) experiment harnesses in
    the parent against the warmed cache.  Every ``run_loop`` the harness
    performs is a cache hit, and the tables produced are bit-identical to

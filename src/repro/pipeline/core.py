@@ -205,7 +205,7 @@ class PipelineModel:
         # bus is installed before stream() by the observe harness); all
         # event work is inside `obs is not None` guards so the disabled
         # path costs one dead branch per site
-        obs = _obs.ACTIVE
+        obs = _obs.active()
         # per-op event kinds, bound once (an enum member lookup costs as
         # much as the null sink's whole emit call)
         kind_fetch = _obs.EventKind.FETCH
@@ -626,7 +626,7 @@ class PipelineModel:
     ) -> int:
         is_store = rec.is_store
         entries = self._entries_for(pc, rec, lo, hi, bits)
-        obs = _obs.ACTIVE
+        obs = _obs.active()
         if obs is not None:
             # context for the clock-less LSU: its emit_lsu events are
             # stamped with this op index and issue cycle

@@ -1,4 +1,4 @@
-"""Digests pinned from the materialised list path before it was deleted.
+"""Digests pinned from deleted code paths.
 
 Until the trace log became the only trace form, every timed run could
 also be made by recording a ``Tracer`` list and timing it, and the tests
@@ -16,6 +16,10 @@ against it:
 * ``observe``: cycles, event sequence and attribution of observed runs;
 * ``fingerprints``, ``sample_inorder``: sampler vectors and one
   ``SampleReport.to_obj()``.
+
+``lane_engine`` holds what the interpreter's numpy handlers and its
+per-lane scalar handlers agreed on before the numpy engine was deleted
+(see ``tests/test_lane_engine.py``).
 """
 
 from __future__ import annotations

@@ -1,22 +1,24 @@
-"""The interpreter's numpy handlers against their per-lane scalar reference.
+"""The lane engine against the outcomes pinned from the deleted numpy engine.
 
-The interpreter runs vector and predicate ops through lane-batched numpy
-kernels (:mod:`repro.emu.lanes`).  The per-lane scalar handlers stay as
-the :class:`~repro.emu.lanes.NumpyFallback` path and, through
-:class:`~repro.emu.interpreter.ScalarInterpreter`, as the reference the
-kernels must match **bit for bit**.  These tests pin that contract:
+Until the per-lane scalar handlers became the interpreter's only lane
+engine, vector and predicate ops ran through lane-batched numpy kernels,
+and the tests held the two handler tables equal bit for bit.
+``pinned_traces.json`` keeps, under ``lane_engine``, what both agreed on,
+so the one engine is still checked against it:
 
-* generated kernels across the knob space (dependence density/distance,
-  gather/scatter, DOWN-direction regions, predication boundaries) must
-  produce identical final memory images, emulator metrics, register files
-  and invariant-monitor verdicts under both handler tables, and the agreed
-  final arrays must match the compiler's scalar oracle;
-* every loop of the 28-loop paper suite must match under both handler
-  tables and both vector strategies;
-* a paper figure table regenerated on the reference must be
-  byte-identical;
-* every ``NumpyFallback`` raise site is reached by a small program, the
-  scalar handler is seen to run, and the outcome matches the reference.
+* ``kernels``: generated kernels across the knob space (dependence
+  density/distance, gather/scatter, DOWN-direction regions, predication
+  boundaries): digests of the emulator metrics, register file and final
+  memory image, and the invariant-monitor verdicts.  The final arrays
+  are also judged against the compiler's scalar oracle;
+* ``suite``: every loop of the 28-loop paper suite under SRV and SVE:
+  digests of the metrics, register file and final memory image;
+* ``figure9``: the figure 9 table at ``n = 128``;
+* ``programs``: the small programs that drove every site where the numpy
+  kernels used to hand an op back to the scalar handler (operands beyond
+  signed 64-bit, gather/scatter address arithmetic that could wrap
+  ``int64``), including one whose access faults: its error type and
+  message are pinned.
 """
 
 from __future__ import annotations
@@ -26,29 +28,30 @@ import pytest
 
 from repro.common.bitvec import BitVector
 from repro.common.errors import ReproError
-from repro.compiler import Strategy, compile_loop
-from repro.emu import interpreter as interp_mod
-from repro.emu.interpreter import Interpreter, ScalarInterpreter
-from repro.emu.lanes import NumpyFallback
+from repro.compiler import Strategy, compile_loop, scalar_reference
+from repro.emu.interpreter import Interpreter
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner as runner_mod
-from repro.gen import campaign as campaign_mod
-from repro.gen.campaign import FuzzConfig, _reference_diff_check
+from repro.gen.campaign import FuzzConfig
 from repro.gen.emitter import generate_kernel, kernel_seed
 from repro.gen.knobs import Knobs
 from repro.isa import CmpOpcode, ProgramBuilder, imm, p, v, x
 from repro.memory import MemoryImage
+from repro.pipeline import TraceLog
+from repro.verify.monitors import run_monitors
 from repro.workloads import all_loops
+from tests.pinned import PINS, digest
 
-INTERPRETERS = (Interpreter, ScalarInterpreter)
+LANE_PINS = PINS["lane_engine"]
 
 # ---------------------------------------------------------------------------
-# generated kernels: both handler tables, full functional identity
+# generated kernels: full functional outcome
 # ---------------------------------------------------------------------------
 
-#: Directed knob sets covering the axes where the handlers could plausibly
-#: diverge: dependence-driven replays, indirect accesses, DOWN-direction
-#: lane mirroring, and merging predication under partial masks.
+#: Directed knob sets covering the axes where lane handling could
+#: plausibly go wrong: dependence-driven replays, indirect accesses,
+#: DOWN-direction lane mirroring, and merging predication under partial
+#: masks.
 DIRECTED_KNOBS = (
     Knobs(dep_density=0.8, dep_distance=1),        # dense short-range RAW
     Knobs(dep_density=0.5, dep_distance=15),       # longest-range deps
@@ -76,34 +79,47 @@ KERNEL_CASES = [
 ]
 
 
+def _alloc(spec, arrays) -> MemoryImage:
+    mem = MemoryImage()
+    for name, init in arrays.items():
+        mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
+    return mem
+
+
+def _kernel_outcome(seed, knobs) -> list:
+    """``[metrics, registers, memory, verdicts]`` of one generated kernel
+    run on fresh memory, traced; raises if the final arrays diverge from
+    the scalar oracle."""
+    spec = generate_kernel(seed, knobs).spec
+    cfg = FuzzConfig()
+    n = min(96, spec.n)
+    arrays = spec.arrays(cfg.seed)
+    mem = _alloc(spec, arrays)
+    program = compile_loop(spec.loop, mem, n, cfg.strategy,
+                           params=spec.params)
+    log = TraceLog(program)
+    interp = Interpreter(program, mem, cfg.config, tracer=log)
+    metrics = interp.run()
+    oracle = scalar_reference(spec.loop, arrays, n, params=spec.params)
+    for name, want in oracle.items():
+        assert mem.load_array(mem.allocation(name)) == want, (
+            f"{spec.name}: array {name!r} diverges from the scalar oracle"
+        )
+    return [
+        digest(metrics), digest(interp.state.registers_snapshot()),
+        digest(mem.snapshot()),
+        [str(v) for v in run_monitors(log, cfg.config)],
+    ]
+
+
 @pytest.mark.parametrize("seed,knobs", KERNEL_CASES)
-def test_generated_kernel_identical_between_engines(seed, knobs):
-    kernel = generate_kernel(seed, knobs)
-    n = min(96, kernel.spec.n)
-    ok, detail = _reference_diff_check(kernel.spec, FuzzConfig(), n)
-    assert ok, f"{kernel.name}: {detail}"
-
-
-def test_reference_diff_judges_agreed_result_against_oracle(monkeypatch):
-    """Both handler tables agreeing is not enough: the oracle must agree too."""
-    kernel = generate_kernel(kernel_seed(97, 0), None)
-    n = min(96, kernel.spec.n)
-    real = campaign_mod.scalar_reference
-
-    def skewed(loop, arrays, n, params=None):
-        out = real(loop, arrays, n, params=params)
-        name = next(iter(out))
-        out[name] = [out[name][0] + 1] + out[name][1:]
-        return out
-
-    monkeypatch.setattr(campaign_mod, "scalar_reference", skewed)
-    ok, detail = _reference_diff_check(kernel.spec, FuzzConfig(), n)
-    assert not ok
-    assert detail.startswith("oracle: array ") and "at index 0" in detail
+def test_generated_kernel_identical_between_engines(seed, knobs, request):
+    case = request.node.callspec.id
+    assert _kernel_outcome(seed, knobs) == LANE_PINS["kernels"][case]
 
 
 # ---------------------------------------------------------------------------
-# the 28-loop paper suite: both handler tables, both vector strategies
+# the 28-loop paper suite under both vector strategies
 # ---------------------------------------------------------------------------
 
 SUITE = [
@@ -112,32 +128,26 @@ SUITE = [
 ]
 
 
-def _run_suite_loop(spec, strategy, interpreter, n):
-    arrays = spec.arrays(0)
-    mem = MemoryImage()
-    for name, init in arrays.items():
-        mem.alloc(name, len(init), spec.loop.arrays[name], init=init)
-    program = compile_loop(spec.loop, mem, n, strategy, params=spec.params)
-    interp = interpreter(program, mem)
+def _suite_outcome(spec, strategy) -> list:
+    """``[metrics, registers, memory]`` digests of one suite loop."""
+    mem = _alloc(spec, spec.arrays(0))
+    program = compile_loop(spec.loop, mem, min(64, spec.n), strategy,
+                           params=spec.params)
+    interp = Interpreter(program, mem)
     metrics = interp.run()
-    return metrics, interp.state.registers_snapshot(), mem.snapshot()
+    return [digest(metrics), digest(interp.state.registers_snapshot()),
+            digest(mem.snapshot())]
 
 
 @pytest.mark.parametrize("spec", SUITE)
 def test_suite_loop_identical_between_engines(spec):
-    n = min(64, spec.n)
     for strategy in (Strategy.SRV, Strategy.SVE):
-        batched, reference = (
-            _run_suite_loop(spec, strategy, interpreter, n)
-            for interpreter in INTERPRETERS
-        )
-        assert batched[0] == reference[0], f"{strategy}: metrics diverge"
-        assert batched[1] == reference[1], f"{strategy}: registers diverge"
-        assert batched[2] == reference[2], f"{strategy}: memory diverges"
+        assert _suite_outcome(spec, strategy) == \
+            LANE_PINS["suite"][f"{spec.name}/{strategy.name}"]
 
 
 # ---------------------------------------------------------------------------
-# figure tables: byte-identical on the reference
+# a figure table
 # ---------------------------------------------------------------------------
 
 
@@ -149,25 +159,14 @@ def _figure9_table() -> str:
         runner_mod.clear_cache()
 
 
-def test_figure_table_identical_between_engines(monkeypatch):
-    batched = _figure9_table()
-    built = []
-
-    class CountedReference(ScalarInterpreter):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    # every simulation path looks the class up on the module at call time
-    monkeypatch.setattr(interp_mod, "Interpreter", CountedReference)
-    reference = _figure9_table()
-    assert built, "the reference interpreter never ran"
-    assert batched == reference
-    assert len(batched.splitlines()) > 3  # rows, not a header stub
+def test_figure_table_identical_between_engines():
+    table = _figure9_table()
+    assert len(table.splitlines()) > 3  # rows, not a header stub
+    assert table == LANE_PINS["figure9"]
 
 
 # ---------------------------------------------------------------------------
-# NumpyFallback: every raise site reaches the scalar handler and matches
+# operands and address arithmetic beyond signed 64-bit
 # ---------------------------------------------------------------------------
 
 #: elements in the test array; 8-byte elements, so 16 lanes fit exactly
@@ -226,7 +225,7 @@ _BASE_SHIFT = 2**62 + 2**20
 #: 8-byte index beyond 2**40, offset by the base
 _INDEX_SHIFT = 2**41
 
-GUARD_CASES = {
+GEOMETRY_CASES = {
     "base": dict(scale=1, index_start=-_BASE_SHIFT, index_step=8,
                  base_shift=_BASE_SHIFT),
     "scale": dict(scale=2**21, index_start=0, index_step=0, base_shift=8),
@@ -234,89 +233,52 @@ GUARD_CASES = {
                   base_shift=-_INDEX_SHIFT),
 }
 
-#: the message each guard raises, to pin which site fired
-GUARD_MESSAGES = {
-    "base": "base address",
-    "scale": "gather scale",
-    "index": "gather index",
-}
-
-FALLBACK_CASES = [
-    pytest.param(_alu_imm, "_op_vec_alu", 2, None, id="v_alu-imm"),
-    pytest.param(_cmp_imm, "_op_vec_cmp", 1, None, id="v_cmp-imm"),
-    pytest.param(_index_operand, "_op_vec_index", 1, None, id="v_index"),
+PROGRAM_CASES = [
+    pytest.param(_alu_imm, id="v_alu-imm"),
+    pytest.param(_cmp_imm, id="v_cmp-imm"),
+    pytest.param(_index_operand, id="v_index"),
 ] + [
-    pytest.param(make(**GUARD_CASES[guard]), handler, 1, guard,
-                 id=f"{kind}-{guard}")
-    for kind, make, handler in (
-        ("gather", _gather, "_op_vec_load_gather"),
-        ("scatter", _scatter, "_op_vec_store_scatter"),
-    )
-    for guard in GUARD_CASES
+    pytest.param(make(**GEOMETRY_CASES[geometry]), id=f"{kind}-{geometry}")
+    for kind, make in (("gather", _gather), ("scatter", _scatter))
+    for geometry in GEOMETRY_CASES
 ]
 
 
-def _outcome(interpreter, program):
-    mem = _memory()
-    interp = interpreter(program, mem)
-    try:
-        interp.run()
-    except ReproError as exc:
-        return ("error", type(exc))
-    return ("ok", interp.state.registers_snapshot(), mem.snapshot())
-
-
-@pytest.mark.parametrize("build,handler,expected,guard", FALLBACK_CASES)
-def test_numpy_fallback_matches_reference(monkeypatch, build, handler,
-                                          expected, guard):
-    b = ProgramBuilder()
-    build(b)
-    b.halt()
-    program = b.build()
-
-    calls = []
-    scalar = getattr(Interpreter, handler)
-
-    def spy(self, *args):
-        calls.append(handler)
-        return scalar(self, *args)
-
-    raised = []
-    guard_addr_math = Interpreter._guard_addr_math
-
-    def guard_spy(*args):
-        try:
-            guard_addr_math(*args)
-        except NumpyFallback as exc:
-            raised.append(str(exc))
-            raise
-
-    # the reference dispatches through _HANDLERS, never through these
-    # attributes, so only the batched interpreter's fallbacks are counted
-    monkeypatch.setattr(Interpreter, handler, spy)
-    monkeypatch.setattr(Interpreter, "_guard_addr_math",
-                        staticmethod(guard_spy))
-    batched = _outcome(Interpreter, program)
-    assert len(calls) == expected, f"{handler} ran {len(calls)} time(s)"
-    if guard is not None:
-        assert [GUARD_MESSAGES[guard] in msg for msg in raised] == [True]
-    reference = _outcome(ScalarInterpreter, program)
-    assert len(calls) == expected  # the reference never took the fallback
-    assert batched == reference
-    assert batched[0] == "ok"
-
-
-def test_numpy_fallback_error_matches_reference():
-    """A fallback whose scalar re-execution faults raises the same type."""
-    b = ProgramBuilder()
+def _out_of_range_gather(b):
+    """A gather whose base is far outside the memory image."""
     b.mov(x(1), imm(2**62 + 2**20))
     b.v_index(v(2), imm(0), imm(1), elem=4)
     b.v_gather(v(3), x(1), v(2), elem=8, index_elem=4)
+
+
+def _program_outcome(build) -> list:
+    """``["ok", registers, memory]`` digests, or ``["error", type, message]``."""
+    b = ProgramBuilder()
+    build(b)
     b.halt()
-    program = b.build()
-    batched, reference = (_outcome(cls, program) for cls in INTERPRETERS)
-    assert batched == reference
-    assert batched[0] == "error"
+    mem = _memory()
+    interp = Interpreter(b.build(), mem)
+    try:
+        interp.run()
+    except ReproError as exc:
+        return ["error", type(exc).__name__, str(exc)]
+    return ["ok", digest(interp.state.registers_snapshot()),
+            digest(mem.snapshot())]
+
+
+@pytest.mark.parametrize("build", PROGRAM_CASES)
+def test_numpy_fallback_matches_reference(build, request):
+    """Each program that once took a numpy fallback ends as pinned."""
+    outcome = _program_outcome(build)
+    assert outcome[0] == "ok"
+    assert outcome == LANE_PINS["programs"][request.node.callspec.id]
+
+
+def test_numpy_fallback_error_matches_reference():
+    """An out-of-range gather raises the pinned error type and message."""
+    outcome = _program_outcome(_out_of_range_gather)
+    assert outcome[0] == "error"
+    assert outcome == LANE_PINS["programs"]["gather-out-of-range"]
 
 
 # ---------------------------------------------------------------------------

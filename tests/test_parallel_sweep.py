@@ -13,6 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.common.errors import SrvError
 from repro.compiler import Strategy
 from repro.experiments import ALL_EXPERIMENTS, runner
 from repro.parallel import (
@@ -283,3 +284,40 @@ class TestDiskLayerScope:
     def test_restores_a_disabled_cache(self, tmp_path):
         run_sweep(["figure9"], n_override=16, cache_dir=str(tmp_path))
         assert result_cache().disk_dir is None
+
+
+class TestFailingCell:
+    def test_failing_cell_is_reported_under_its_own_seed(self, tmp_path,
+                                                         monkeypatch):
+        """A cell that fails in the warm phase shows in the sweep report
+        and is never re-run under a derived seed."""
+        cache_dir = str(tmp_path / "cache")
+        cells = cells_for_experiments(["figure9"], n_override=16)
+        bad = cells[0]
+        original = runner._execute
+        seeds = []
+
+        def planted(spec, strategy, seed, *args, **kwargs):
+            if spec.name == bad.loop and strategy.value == bad.strategy:
+                seeds.append(seed)
+                raise SrvError("planted cell failure")
+            return original(spec, strategy, seed, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "_execute", planted)
+        outcome = run_sweep(["figure9"], jobs=1, n_override=16,
+                            cache_dir=cache_dir)
+        report = outcome.report
+        failed = [(f.loop, f.strategy, f.seed, f.error)
+                  for f in report.failures]
+        assert failed == [(bad.loop, bad.strategy, bad.seed, "SrvError")]
+        assert report.executed == len(cells) - 1
+        assert bad.seed + 7919 not in seeds
+
+        spec, strategy, config = bad.resolve()
+        runner.clear_cache()
+        runner.enable_disk_cache(cache_dir)
+        for seed in (bad.seed, bad.seed + 7919):
+            key = runner.cache_key_for(spec, strategy, seed, config,
+                                       bad.timing, bad.n_override, bad.core)
+            assert not result_cache().contains(key)
+        assert len(_entries(tmp_path / "cache")) == len(cells) - 1

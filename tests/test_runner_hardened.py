@@ -1,6 +1,6 @@
 """Hardened experiment runner: memo keying, resume through the disk cache
-under one code version only, timeout, retry-with-reseed, and the typed
-oracle mismatch error."""
+under one code version only, timeout, failures under the run's own seed,
+and the typed oracle mismatch error."""
 
 import pytest
 
@@ -105,62 +105,56 @@ class TestStaleResults:
 
 
 class TestHardenedRunner:
-    def test_timeout_raises_after_retries(self, monkeypatch):
+    def test_timeout_raises_once_under_own_seed(self, monkeypatch):
         spec = _spec()
+        seeds = []
 
-        def slow_execute(*args, **kwargs):
+        def slow_execute(spec, strategy, seed, *args, **kwargs):
+            seeds.append(seed)
             raise RunTimeoutError("run exceeded 0.0s wall clock")
 
         monkeypatch.setattr(runner, "_execute", slow_execute)
         with pytest.raises(RunTimeoutError):
-            runner.run_loop_hardened(spec, Strategy.SRV, max_retries=1,
+            runner.run_loop_hardened(spec, Strategy.SRV, seed=3,
                                      n_override=16)
+        assert seeds == [3]
 
-    def test_retry_with_reseed_recovers(self, monkeypatch):
-        """First attempt fails, reseeded retry succeeds; failure recorded."""
+    def test_failure_propagates_without_reseed(self, monkeypatch):
+        """A failed run raises; no attempt runs under a derived seed."""
         spec = _spec()
-        real_execute = runner._execute
-        attempts = []
+        seeds = []
 
-        def flaky_execute(spec, strategy, seed, *args, **kwargs):
-            attempts.append(seed)
-            if len(attempts) == 1:
-                raise LsuOverflowError("transient pathology")
-            return real_execute(spec, strategy, seed, *args, **kwargs)
+        def failing_execute(spec, strategy, seed, *args, **kwargs):
+            seeds.append(seed)
+            raise LsuOverflowError("input-dependent pathology")
 
-        monkeypatch.setattr(runner, "_execute", flaky_execute)
-        run = runner.run_loop_hardened(
-            spec, Strategy.SRV, seed=3, max_retries=2, reseed_stride=100,
-            n_override=64, degrade_lsu_overflow=False,
-        )
-        assert attempts == [3, 103]
-        assert run.correct
-        assert len(run.failures) == 1
-        assert run.failures[0].attempt == 0
-        assert run.failures[0].seed == 3
-        assert run.failures[0].error == "LsuOverflowError"
+        monkeypatch.setattr(runner, "_execute", failing_execute)
+        with pytest.raises(LsuOverflowError):
+            runner.run_loop_hardened(
+                spec, Strategy.SRV, seed=3, n_override=64,
+                degrade_lsu_overflow=False,
+            )
+        assert seeds == [3]
+        assert len(result_cache()) == 0
 
     def test_failures_do_not_mutate_cached_run(self, monkeypatch):
         spec = _spec()
         clean = runner.run_loop(spec, Strategy.SRV, seed=100, n_override=64)
         assert clean.failures == ()
 
-        calls = {"n": 0}
-        real_run_loop = runner.run_loop
+        def failing(spec, strategy, seed, *args, **kwargs):
+            raise RunTimeoutError("synthetic")
 
-        def failing_first(spec, strategy, seed, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RunTimeoutError("synthetic")
-            return real_run_loop(spec, strategy, seed, *args, **kwargs)
-
-        monkeypatch.setattr(runner, "run_loop", failing_first)
-        hardened = runner.run_loop_hardened(
-            spec, Strategy.SRV, seed=0, max_retries=1, reseed_stride=100,
-            n_override=64,
-        )
-        assert hardened.failures  # retry recorded on the returned run
-        assert clean.failures == ()  # cached run untouched
+        monkeypatch.setattr(runner, "run_loop", failing)
+        with pytest.raises(RunTimeoutError):
+            runner.run_loop_hardened(spec, Strategy.SRV, seed=100,
+                                     n_override=64)
+        monkeypatch.undo()
+        hardened = runner.run_loop_hardened(spec, Strategy.SRV, seed=100,
+                                            n_override=64)
+        assert hardened.failures == ()  # the failure left no trace
+        assert hardened.pipe.cycles == clean.pipe.cycles
+        assert clean.failures == ()
 
 
 class TestOracleMismatch:
