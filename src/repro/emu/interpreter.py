@@ -505,11 +505,11 @@ class Interpreter:
         mask = self._mask(inst.pred, extra_mask)
         if mask is not None:  # inactive lanes clear
             out = [bit and active for bit, active in zip(out, mask)]
-        state.pred[inst.dst.index] = out
+        state.write_pred(inst.dst, out)
         return pc + 1
 
     def _op_pred_set_all(self, inst, pc, extra_mask, buffer, region_offset):
-        self.state.pred[inst.dst.index] = [bool(inst.value)] * self.lanes
+        self.state.write_pred(inst.dst, [inst.value] * self.lanes)
         return pc + 1
 
     def _op_pred_count(self, inst, pc, extra_mask, buffer, region_offset):
@@ -520,16 +520,16 @@ class Interpreter:
     def _op_pred_first_n(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
         n = state.read_scalar(inst.count)
-        state.pred[inst.dst.index] = [lane < n for lane in range(self.lanes)]
+        state.write_pred(inst.dst, [lane < n for lane in range(self.lanes)])
         return pc + 1
 
     def _op_pred_range(self, inst, pc, extra_mask, buffer, region_offset):
         state = self.state
         lo = state.read_scalar(inst.lo)
         hi = state.read_scalar(inst.hi)
-        state.pred[inst.dst.index] = [
-            lo <= lane < hi for lane in range(self.lanes)
-        ]
+        state.write_pred(
+            inst.dst, [lo <= lane < hi for lane in range(self.lanes)]
+        )
         return pc + 1
 
     def _op_pred_logic(self, inst, pc, extra_mask, buffer, region_offset):
@@ -547,7 +547,7 @@ class Interpreter:
                 out = [i != j for i, j in zip(a, b)]
             else:  # andnot
                 out = [i and not j for i, j in zip(a, b)]
-        state.pred[inst.dst.index] = out
+        state.write_pred(inst.dst, out)
         return pc + 1
 
     # ---- vector memory --------------------------------------------------
@@ -715,7 +715,7 @@ class Interpreter:
         self._record_marker(start_pc, start_inst)
         if self.tracer is not None:
             self.tracer.mark_region_event(RegionEvent.START)
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         region_no = srv.regions_entered - 1
         if obs is not None:
             obs.emit(
@@ -840,7 +840,7 @@ class Interpreter:
             # the region's START marker (the last recorded op) and every
             # op of the sequential passes are flagged as fallback
             self.tracer.region_fallback_begin()
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         region_no = srv.regions_entered - 1
         if obs is not None:
             obs.emit(

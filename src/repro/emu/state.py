@@ -111,14 +111,11 @@ class ArchState:
         return list(self.pred[reg.index])
 
     def write_pred(self, reg: PredReg, mask) -> None:
+        """Replace ``reg`` with ``mask`` as a row of plain bools; every
+        predicate write, the handlers' included, goes through here."""
         if len(mask) != self.lanes:
             raise ValueError(f"predicate width {len(mask)} != lanes {self.lanes}")
-        self.pred[reg.index] = [bool(bit) for bit in mask]
-
-    def effective_mask(self, pred: PredReg | None) -> list[bool]:
-        if pred is None:
-            return [True] * self.lanes
-        return self.read_pred(pred)
+        self.pred[reg.index] = list(map(bool, mask))
 
     # -- snapshots ------------------------------------------------------------
 

@@ -245,7 +245,7 @@ class LoadStoreUnit:
                 self.counters.multi_entry_forwards += 1
         if result.any_memory_bytes:
             self.counters.loads_from_memory += 1
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         if obs is not None:
             # op/cycle context was set by the timing model's _execute_mem
             if result.war_suppressed:
@@ -324,7 +324,7 @@ class LoadStoreUnit:
         self.saq.put(key, entry)
         if _faults.ACTIVE is not None and _faults.ACTIVE.drop_lsu_entry("saq"):
             self.saq.drop(key)
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         if obs is not None:
             if result.replay_lanes:
                 obs.emit_lsu(

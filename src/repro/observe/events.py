@@ -21,10 +21,9 @@ Three layers:
   tallies only) and :class:`NullSink` (swallow — the "enabled but
   observing nothing" configuration used by the overhead guard test);
 * :class:`EventBus` — routes ``emit`` calls to the sink.  A bus wrapping
-  a :class:`NullSink` rebinds ``emit`` to a module-level no-op, and
-  :func:`active`, which the sites call once per scope, hides such a
-  bus, so an "observe nothing" run skips the sites' event work exactly
-  like an unobserved one.
+  a :class:`NullSink` rebinds ``emit`` to a module-level no-op so the
+  per-event cost is one dead function call, never an :class:`Event`
+  allocation.
 
 Canonical ordering
 ------------------
@@ -309,15 +308,6 @@ class EventBus:
 #: The installed bus, or ``None`` (the common case).  Instrumentation
 #: sites read this exactly once per scope and skip all work when unset.
 ACTIVE: EventBus | None = None
-
-
-def active() -> EventBus | None:
-    """The bus instrumentation sites emit to: :data:`ACTIVE`, or ``None``
-    when nothing is installed or the installed bus swallows everything."""
-    bus = ACTIVE
-    if bus is not None and bus.emit is _swallow:
-        return None
-    return bus
 
 
 def install(sink) -> EventBus:

@@ -205,12 +205,18 @@ class PipelineModel:
         # bus is installed before stream() by the observe harness); all
         # event work is inside `obs is not None` guards so the disabled
         # path costs one dead branch per site
-        obs = _obs.active()
-        # per-op event kinds, bound once (an enum member lookup costs as
-        # much as the null sink's whole emit call)
+        obs = _obs.ACTIVE
+        # per-op event kinds, the bus's emit and each pc's issue-event
+        # payload, bound once: the per-op sites then do no enum or
+        # attribute lookup (``OpClass.value`` is a Python-level property)
         kind_fetch = _obs.EventKind.FETCH
         kind_issue = _obs.EventKind.ISSUE
         kind_commit = _obs.EventKind.COMMIT
+        emit = None
+        issue_data: list[tuple] = []
+        if obs is not None:
+            emit = obs.emit
+            issue_data = [(("cls", r.op_class.value),) for r in records]
         region_idx = -1
         region_fallback = False
         pass_begin = 0
@@ -275,7 +281,7 @@ class PipelineModel:
             fetch = fetch_cycle
             fetch_used += 1
             if obs is not None:
-                obs.emit(kind_fetch, "pipe", i, fetch, 0, pc)
+                emit(kind_fetch, "pipe", i, fetch, 0, pc)
 
             # ---- dispatch (rename + buffers) -----------------------------
             dispatch = fetch + FRONTEND_DEPTH
@@ -385,10 +391,9 @@ class PipelineModel:
                 complete = issue_at + rec.latency
             complete_ring[i % window] = complete
             if obs is not None:
-                obs.emit(
+                emit(
                     kind_issue, "pipe", i, issue_at,
-                    complete - issue_at, pc, -1,
-                    (("cls", op_class.value),),
+                    complete - issue_at, pc, -1, issue_data[pc],
                 )
             if complete > max_complete:
                 max_complete = complete
@@ -495,7 +500,7 @@ class PipelineModel:
                     # loads (processed later in trace order) consult it.
                     caches.access_lanes(addrs[lo:hi], sizes[lo:hi], True)
             if obs is not None:
-                obs.emit(kind_commit, "pipe", i, commit, 0, pc)
+                emit(kind_commit, "pipe", i, commit, 0, pc)
             if pending_region_end is not None:
                 stats.region_cycles += commit - region_start_fetch
                 if obs is not None:
@@ -626,7 +631,7 @@ class PipelineModel:
     ) -> int:
         is_store = rec.is_store
         entries = self._entries_for(pc, rec, lo, hi, bits)
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         if obs is not None:
             # context for the clock-less LSU: its emit_lsu events are
             # stamped with this op index and issue cycle

@@ -116,7 +116,7 @@ class InOrderModel:
 
         # observability (same contract as the OoO pump): all event work
         # sits behind `obs is not None`, so timing is unchanged when off
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         region_idx = -1
         region_fallback = False
         region_start = 0

@@ -92,7 +92,7 @@ class SrvEngine:
         self.regs.direction = direction
         self.rollbacks_this_region = 0
         self.regions_entered += 1
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         if obs is not None:
             obs.emit(
                 _obs.EventKind.REGION_BEGIN, "srv", -1,
@@ -120,7 +120,7 @@ class SrvEngine:
             pending = _faults.ACTIVE.perturb_engine_pending(
                 pending, self.lanes
             )
-        obs = _obs.active()
+        obs = _obs.ACTIVE
         region_no = self.regions_entered - 1
         if pending.none():
             self.regs.reset()

@@ -87,8 +87,23 @@ class TestPredicates:
             state.write_pred(p(1), [True] * 8)
 
     def test_effective_mask_none_is_all(self):
-        state = ArchState()
-        assert state.effective_mask(None) == [True] * 16
+        # an op's lane mask is the interpreter's: no predicate and no
+        # region mask means every lane, spelled None
+        from repro.emu.interpreter import Interpreter
+        from repro.isa import ProgramBuilder
+        from repro.memory import MemoryImage
+
+        b = ProgramBuilder()
+        b.halt()
+        interp = Interpreter(b.build(), MemoryImage())
+        assert interp._mask(None, None) is None
+        assert interp._active(None) == list(range(16))
+        interp.state.write_pred(p(1), [i < 5 for i in range(16)])
+        assert interp._mask(p(1), None) == [i < 5 for i in range(16)]
+        region = [i % 2 == 0 for i in range(16)]
+        assert interp._mask(p(1), region) == [
+            i < 5 and i % 2 == 0 for i in range(16)
+        ]
 
     def test_read_returns_copy(self):
         state = ArchState()
@@ -125,4 +140,4 @@ class TestSnapshots:
     def test_custom_lane_count(self):
         state = ArchState(lanes=4)
         assert len(state.read_vector(v(0))) == 4
-        assert state.effective_mask(None) == [True] * 4
+        assert state.read_pred(p(0)) == [False] * 4
