@@ -17,11 +17,24 @@ The emulator optionally records a dynamic trace
 pipeline — the same methodology as the paper's validated emulator feeding
 its gem5 timing model.  It also provides the dynamic instruction counts
 used for the FlexVec comparison (figure 13).
+
+Decode once, execute many: when a run starts, every static instruction
+becomes one closure ``op(extra_mask, buffer, region_offset) -> next_pc``
+with everything static resolved — its handler, its operands (an ``Imm``
+is a constant, a register a list index), its ALU, compare or branch
+function, its branch target, and for ``srv_start`` the region's body
+ops and LSU demand.  Outside a region the run is
+``pc = code[pc](None, None, 0)``; a region pass calls its body ops with
+the pass's lane mask, its speculative buffer and each op's offset.  The
+loops count executions per pc, fold them into :class:`EmuMetrics` when
+the run ends, and append each op to the trace log's columns.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from itertools import compress, repeat
+from operator import add, and_, eq, ge, gt, le, lt, mul, ne, or_, sub, xor
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import (
@@ -31,13 +44,12 @@ from repro.common.errors import (
 )
 from repro.emu.metrics import EmuMetrics
 from repro.emu.speculative import SpeculativeBuffer
-from repro.emu.state import ArchState
+from repro.emu.state import S64_END, S64_MIN, ArchState, wrap_scalar
 from repro.isa.instructions import (
     Branch,
     BranchCond,
     CmpOpcode,
     Halt,
-    Instruction,
     Jump,
     Nop,
     PredCount,
@@ -47,7 +59,6 @@ from repro.isa.instructions import (
     PredSetAll,
     ScalarALU,
     ScalarLoad,
-    ScalarOpcode,
     ScalarStore,
     SrvEnd,
     SrvStart,
@@ -65,11 +76,18 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 from repro.isa.registers import Imm, ScalarReg, VecReg
-from repro.memory.image import MemoryImage, to_signed, to_unsigned
+from repro.memory.image import MemoryImage
 from repro.observe import events as _obs
 from repro.pipeline.decode import DecodeTable
-from repro.pipeline.trace import RegionEvent, TraceLog
+from repro.pipeline.trace import (
+    BRANCH_NOT_TAKEN,
+    BRANCH_TAKEN,
+    RegionEvent,
+    TraceLog,
+)
 from repro.verify import faults as _faults
+
+_U64 = (1 << 64) - 1
 
 
 def _div(a: int, b: int) -> int:
@@ -79,76 +97,83 @@ def _div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-#: ALU semantics by opcode *name* — both the scalar and vector opcode
-#: enums share mnemonics, so the per-member dispatch table below is
-#: populated lazily from this one.
-_ALU_BY_NAME = {
-    "ADD": lambda a, b, c: a + b,
-    "SUB": lambda a, b, c: a - b,
-    "MUL": lambda a, b, c: a * b,
-    "DIV": lambda a, b, c: _div(a, b),
-    "MOD": lambda a, b, c: a - b * _div(a, b) if b else 0,
-    "AND": lambda a, b, c: a & b,
-    "OR": lambda a, b, c: a | b,
-    "XOR": lambda a, b, c: a ^ b,
-    "SHL": lambda a, b, c: a << (b & 63),
-    "SHR": lambda a, b, c: (a & (1 << 64) - 1) >> (b & 63),
-    "MOV": lambda a, b, c: a,
-    "MIN": lambda a, b, c: min(a, b),
-    "MAX": lambda a, b, c: max(a, b),
-    "ABS": lambda a, b, c: abs(a),
-    "FMA": lambda a, b, c: a * b + c,
-    "CMP_LT": lambda a, b, c: int(a < b),
-    "CMP_LE": lambda a, b, c: int(a <= b),
-    "CMP_EQ": lambda a, b, c: int(a == b),
-    "CMP_NE": lambda a, b, c: int(a != b),
+def _mod(a: int, b: int) -> int:
+    return a - b * _div(a, b) if b else 0
+
+
+def _shl(a: int, b: int) -> int:
+    return a << (b & 63)
+
+
+def _shr(a: int, b: int) -> int:
+    return (a & _U64) >> (b & 63)
+
+
+#: ``(a, b) -> result`` of each two-operand ALU opcode, by *name*: the
+#: scalar and vector opcode enums share mnemonics.  The operator-module
+#: and builtin entries run in C, so mapping one over a row calls no
+#: Python function.  MOV, ABS and FMA are built by the ops themselves.
+_ALU = {
+    "ADD": add,
+    "SUB": sub,
+    "MUL": mul,
+    "DIV": _div,
+    "MOD": _mod,
+    "AND": and_,
+    "OR": or_,
+    "XOR": xor,
+    "SHL": _shl,
+    "SHR": _shr,
+    "MIN": min,
+    "MAX": max,
+    "CMP_LT": lambda a, b: int(a < b),
+    "CMP_LE": lambda a, b: int(a <= b),
+    "CMP_EQ": lambda a, b: int(a == b),
+    "CMP_NE": lambda a, b: int(a != b),
 }
-
-#: Per-enum-member dispatch, filled on first use (hashing an enum member
-#: is cheaper than its ``.name`` string walk through an if-chain).
-_ALU_DISPATCH: dict = {}
-
-
-def _alu_fn(op):
-    """The ``(a, b, c) -> result`` function of an ALU opcode."""
-    fn = _ALU_DISPATCH.get(op)
-    if fn is None:
-        fn = _ALU_BY_NAME.get(op.name)
-        if fn is None:
-            raise IsaError(f"unhandled ALU opcode {op}")
-        _ALU_DISPATCH[op] = fn
-    return fn
-
 
 _COMPARE = {
-    CmpOpcode.LT: lambda a, b: a < b,
-    CmpOpcode.LE: lambda a, b: a <= b,
-    CmpOpcode.EQ: lambda a, b: a == b,
-    CmpOpcode.NE: lambda a, b: a != b,
-    CmpOpcode.GT: lambda a, b: a > b,
-    CmpOpcode.GE: lambda a, b: a >= b,
+    CmpOpcode.LT: lt,
+    CmpOpcode.LE: le,
+    CmpOpcode.EQ: eq,
+    CmpOpcode.NE: ne,
+    CmpOpcode.GT: gt,
+    CmpOpcode.GE: ge,
 }
-
 
 _BRANCH_TAKEN = {
-    BranchCond.EQ: lambda a, b: a == b,
-    BranchCond.NE: lambda a, b: a != b,
-    BranchCond.LT: lambda a, b: a < b,
-    BranchCond.LE: lambda a, b: a <= b,
-    BranchCond.GT: lambda a, b: a > b,
-    BranchCond.GE: lambda a, b: a >= b,
+    BranchCond.EQ: eq,
+    BranchCond.NE: ne,
+    BranchCond.LT: lt,
+    BranchCond.LE: le,
+    BranchCond.GT: gt,
+    BranchCond.GE: ge,
 }
 
 
-def _branch_taken(cond: BranchCond, a: int, b: int) -> bool:
-    return _BRANCH_TAKEN[cond](a, b)
+def _or_all(values) -> int:
+    return reduce(or_, values, 0)
+
+
+#: ``values -> result`` of each ``VecReduce`` op over its active lanes
+#: (an empty min or max is 0)
+_REDUCE = {
+    "add": sum,
+    "min": partial(min, default=0),
+    "max": partial(max, default=0),
+    "or": _or_all,
+}
+
+
+def _too_many_steps(max_steps: int) -> SrvError:
+    return SrvError(
+        f"execution exceeded {max_steps} steps; "
+        "probable infinite loop in workload program"
+    )
 
 
 class Interpreter:
     """Instruction-accurate executor with functional SRV semantics."""
-
-    #: exact-type dispatch table, bound below the class body
-    _handlers: dict[type, object]
 
     def __init__(
         self,
@@ -165,7 +190,6 @@ class Interpreter:
         self.config = config
         self.lanes = config.vector_lanes
         self.state = ArchState(self.lanes)
-        self._all_lanes = list(range(self.lanes))
         self.metrics = EmuMetrics()
         self.max_steps = max_steps
         #: the trace log every executed op is recorded into (None: untraced)
@@ -173,9 +197,7 @@ class Interpreter:
         #: inject a context switch at this dynamic step (section III-D2
         #: semantics apply if it lands inside an SRV-region)
         self.interrupt_at_step = interrupt_at_step
-        self._interrupt_pending = False
         self._steps = 0
-        self._branch_taken: bool | None = None
         #: per-program static decode table: op class, register sets,
         #: access kind, latency and metric flags computed once per static
         #: instruction (replaces the former per-purpose ``id()`` caches)
@@ -185,25 +207,9 @@ class Interpreter:
 
     def run(self) -> EmuMetrics:
         """Execute until ``halt`` or falling off the end of the program."""
-        state = self.state
-        n = len(self.program.instructions)
-        while not state.halted and 0 <= state.pc < n:
-            self._step_outer()
+        for _ in self._execute(stepwise=False):
+            pass
         return self.metrics
-
-    def _step_outer(self) -> None:
-        """Execute one top-level instruction (a whole region for srv_start)."""
-        state = self.state
-        inst = self.program.instructions[state.pc]
-        if isinstance(inst, SrvStart):
-            self._exec_srv_region(state.pc, inst)
-        else:
-            state.pc = self._exec(inst, state.pc)
-        self._bump()
-        if self._interrupt_pending:
-            # a context switch outside an SRV-region needs no special
-            # handling — architectural state is already precise
-            self._interrupt_pending = False
 
     def iter_trace(self):
         """Execute while *yielding* the index of each finalized op of
@@ -222,419 +228,262 @@ class Interpreter:
             self.tracer = TraceLog(self.program, self.decode)
         log = self.tracer
         done = len(log)
-        state = self.state
-        n = len(self.program.instructions)
-        while not state.halted and 0 <= state.pc < n:
-            self._step_outer()
+        for _ in self._execute(stepwise=True):
             yield from range(done, len(log))
             done = len(log)
 
-    def _bump(self) -> None:
-        self._steps += 1
-        if self._steps == self.interrupt_at_step:
-            self._interrupt_pending = True
-        if self._steps > self.max_steps:
-            raise SrvError(
-                f"execution exceeded {self.max_steps} steps; "
-                "probable infinite loop in workload program"
+    def _execute(self, stepwise: bool):
+        """The one loop: run the op table from ``state.pc`` until a halt
+        or the pc leaves the program, yielding after each top-level step
+        when ``stepwise`` (a whole SRV region is one step).
+
+        The table is built here and dropped when the loop ends, so it
+        never outlives the run.  Every top-level step counts toward
+        ``max_steps``; an ``srv_start`` op runs its whole region, which
+        counts, records and steps its own ops.
+        """
+        state = self.state
+        if state.halted:
+            return
+        run = _Run(self)
+        code = run.decode_ops()
+        counts, outcome = run.counts, run.outcome
+        log = self.tracer
+        if log is not None:
+            pcs, bits, bounds, addrs = log.pc, log.bits, log.bounds, log.addr
+        n = len(code)
+        max_steps = self.max_steps
+        steps = self._steps
+        pc = state.pc
+        try:
+            while 0 <= pc < n:
+                counts[pc] += 1
+                if outcome[pc] < 0:  # srv_start
+                    run.steps = steps
+                    pc = code[pc](None, None, 0)
+                    steps = run.steps
+                else:
+                    next_pc = code[pc](None, None, 0)
+                    if log is not None:
+                        pcs.append(pc)
+                        # read after the op: a branch writes its outcome
+                        bits.append(log.op_flags | outcome[pc])
+                        bounds.append(len(addrs))
+                    pc = next_pc
+                steps += 1
+                if steps > max_steps:
+                    raise _too_many_steps(max_steps)
+                if stepwise:
+                    yield
+        finally:
+            # a halt returns the pc after it complemented (negative)
+            state.pc = ~pc if pc < 0 else pc
+            self._steps = steps
+            run.fold_counts()
+            code = run = None
+
+
+class _Region:
+    """The static facts of one SRV region, resolved when the table is built."""
+
+    __slots__ = ("start_pc", "body_pc", "end_pc", "ops", "demand",
+                 "direction", "sequential")
+
+    def __init__(self, start_pc, end_pc, ops, demand, start):
+        self.start_pc = start_pc
+        self.body_pc = start_pc + 1
+        self.end_pc = end_pc
+        #: the body's ops, by offset
+        self.ops = ops
+        #: LSU entries the region needs (section III-D7 sizing rule)
+        self.demand = demand
+        self.direction = start.direction
+        self.sequential = start.sequential
+
+
+class _Run:
+    """One run of an :class:`Interpreter`: what its op table binds.
+
+    It holds the architectural state, memory, trace log and metrics the
+    ops touch; the per-pc execution counts and branch outcomes the loops
+    keep (``outcome[pc]`` is the trace-log branch bits of the op at
+    ``pc``: a branch writes its own when it executes, a jump's is fixed,
+    and an ``srv_start`` is marked ``-1``); the step counter the outer
+    loop hands to a region; and the memory paths the ops share.  It does
+    not hold the interpreter, and nothing holds the run or its table once
+    the run ends, so no reference cycle keeps a memory image alive.
+    """
+
+    __slots__ = ("program", "decode", "config", "lanes", "all_lanes", "state",
+                 "regs", "pred", "memory", "log", "metrics", "counts",
+                 "count_flags", "outcome", "steps", "max_steps",
+                 "interrupt_at")
+
+    def __init__(self, interp: Interpreter) -> None:
+        self.program = interp.program
+        self.decode = interp.decode
+        self.config = interp.config
+        self.lanes = interp.lanes
+        self.all_lanes = list(range(interp.lanes))
+        self.state = interp.state
+        self.regs = interp.state.scalar
+        self.pred = interp.state.pred
+        self.memory = interp.memory
+        self.log = interp.tracer
+        self.metrics = interp.metrics
+        n = len(interp.program.instructions)
+        self.counts = [0] * n
+        #: each pc's decode-record ``count_flags`` (None: no op to count)
+        self.count_flags: list[tuple | None] = [None] * n
+        self.outcome = [0] * n
+        self.steps = 0
+        self.max_steps = interp.max_steps
+        self.interrupt_at = interp.interrupt_at_step
+
+    # -- the table -----------------------------------------------------------
+
+    def decode_ops(self) -> list:
+        """One op per static pc.
+
+        A program that cannot run still builds: an unhandled instruction,
+        a stray ``srv_end`` or an ill-formed region becomes an op that
+        raises when it executes, and a jump to an undefined label raises
+        when it is taken.
+        """
+        insts = self.program.instructions
+        code = []
+        for pc, inst in enumerate(insts):
+            if isinstance(inst, SrvStart):
+                code.append(None)  # bound below, over its body's ops
+                self.outcome[pc] = -1
+            elif isinstance(inst, SrvEnd):
+                code.append(_failing(
+                    SrvError, "srv_end reached outside an SRV-region"
+                ))
+            else:
+                build = _BUILDERS.get(type(inst))
+                if build is None:
+                    # a subclass of a known instruction type builds as it
+                    build = next(
+                        (fn for klass, fn in _BUILDERS.items()
+                         if isinstance(inst, klass)),
+                        None,
+                    )
+                if build is None:
+                    code.append(_failing(
+                        IsaError, f"unhandled instruction {inst!r}"
+                    ))
+                    continue
+                code.append(build(inst, pc, self))
+            self.count_flags[pc] = self.decode.record_for(inst).count_flags
+        for pc, inst in enumerate(insts):
+            if isinstance(inst, SrvStart):
+                code[pc] = self._region_op(pc, inst, code)
+        return code
+
+    def _region_op(self, start_pc: int, start: SrvStart, code: list):
+        insts = self.program.instructions
+        for end_pc in range(start_pc + 1, len(insts)):
+            inst = insts[end_pc]
+            if isinstance(inst, SrvEnd):
+                break
+            if isinstance(inst, SrvStart):
+                return _failing(SrvError, f"nested srv_start at {end_pc}")
+        else:
+            return _failing(
+                SrvError, f"srv_start at {start_pc} has no matching srv_end"
             )
+        body = insts[start_pc + 1:end_pc]
+        # contiguous and broadcast accesses take one LSU entry; gathers
+        # and scatters take one per lane
+        demand = sum(
+            self.lanes if self.decode.record_for(inst).is_gather_scatter
+            else 1
+            for inst in body if inst.is_mem
+        )
+        region = _Region(start_pc, end_pc, tuple(code[start_pc + 1:end_pc]),
+                         demand, start)
+        return partial(self.exec_region, region)
 
-    # ------------------------------------------------------------ memory
+    def fold_counts(self) -> None:
+        """Add the run's per-pc execution counts to its metrics."""
+        for flags, times in zip(self.count_flags, self.counts):
+            if times and flags is not None:
+                self.metrics.count(flags, times)
 
-    def _read_mem(
-        self,
-        addr: int,
-        size: int,
-        lane: int,
-        buffer: SpeculativeBuffer | None,
-        region_offset: int,
-    ) -> int:
-        if _faults.ACTIVE is not None and buffer is not None:
+    # -- memory paths shared by the ops ------------------------------------
+
+    def load(self, addr, size, lane, buffer, region_offset):
+        """One lane's load inside an SRV region: ``(value, forwarded)``.
+
+        The fault plan may perturb the address (only speculative
+        accesses are perturbed); the trace logs the access, then the
+        speculative buffer answers it.
+        """
+        if _faults.ACTIVE is not None:
             addr = _faults.ACTIVE.perturb_addr(addr, lane, is_store=False)
-        if self.tracer is not None:
-            self.tracer.access(addr, size, False, lane)
-        if buffer is not None:
-            raw, forwarded = buffer.load(addr, size, lane, region_offset)
-            if forwarded:
-                self._forwarded = True
-            return raw
-        return self.memory.read_int(addr, size)
+        if self.log is not None:
+            self.log.access(addr, size, False, lane)
+        return buffer.load(addr, size, lane, region_offset)
 
-    def _write_mem(
-        self,
-        addr: int,
-        size: int,
-        value: int,
-        lane: int,
-        buffer: SpeculativeBuffer | None,
-        region_offset: int,
-    ) -> None:
-        if _faults.ACTIVE is not None and buffer is not None:
+    def store(self, addr, size, value, lane, buffer, region_offset) -> None:
+        """One lane's store inside an SRV region, into the speculative
+        buffer (fault hooks and trace as :meth:`load`)."""
+        if _faults.ACTIVE is not None:
             addr = _faults.ACTIVE.perturb_addr(addr, lane, is_store=True)
             value = _faults.ACTIVE.perturb_store_value(value, size, lane)
-        if self.tracer is not None:
-            self.tracer.access(addr, size, True, lane)
-        if buffer is not None:
-            buffer.store(addr, size, value, lane, region_offset)
-        else:
-            self.memory.write_int(addr, value, size)
+        if self.log is not None:
+            self.log.access(addr, size, True, lane)
+        buffer.store(addr, size, value, lane, region_offset)
 
-    def _read_vec_mem(
-        self,
-        addrs: list[int],
-        size: int,
-        lanes: list[int],
-        buffer: SpeculativeBuffer | None,
-        region_offset: int,
-    ) -> list[int]:
+    def read_lanes(self, addrs, size, lanes, buffer, region_offset):
         """The active ``lanes`` of one vector load, in lane order.
 
-        Outside a region the lanes read memory directly (fault plans
-        perturb speculative accesses only).  Inside one with no fault
-        plan armed, the speculative buffer takes the whole instruction in
-        one call; otherwise each lane goes through :meth:`_read_mem`.
+        Outside a region the lanes read memory directly.  Inside one with
+        no fault plan armed, the speculative buffer takes the whole
+        instruction in one call; otherwise each lane goes through
+        :meth:`load`.  An op that forwarded any byte counts once in
+        ``loads_forwarded``.
         """
+        log = self.log
         if buffer is None:
-            read_int = self.memory.read_int
-            values = [read_int(addr, size) for addr in addrs]
-            if self.tracer is not None:
-                self.tracer.accesses(addrs, size, False, lanes)
+            values = list(map(self.memory.read_int, addrs, repeat(size)))
+            if log is not None:
+                log.accesses(addrs, size, False, lanes)
             return values
         if _faults.ACTIVE is not None:
-            return [
-                self._read_mem(addr, size, lane, buffer, region_offset)
-                for addr, lane in zip(addrs, lanes)
-            ]
+            loaded = [self.load(addr, size, lane, buffer, region_offset)
+                      for addr, lane in zip(addrs, lanes)]
+            if any(forwarded for _, forwarded in loaded):
+                self.metrics.loads_forwarded += 1
+            return [value for value, _ in loaded]
         values, forwarded = buffer.load_lanes(addrs, size, lanes, region_offset)
         if forwarded:
-            self._forwarded = True
-        if self.tracer is not None:
-            self.tracer.accesses(addrs, size, False, lanes)
+            self.metrics.loads_forwarded += 1
+        if log is not None:
+            log.accesses(addrs, size, False, lanes)
         return values
 
-    def _write_vec_mem(
-        self,
-        addrs: list[int],
-        size: int,
-        values: list[int],
-        lanes: list[int],
-        buffer: SpeculativeBuffer | None,
-        region_offset: int,
-    ) -> None:
+    def write_lanes(self, addrs, size, values, lanes, buffer,
+                    region_offset) -> None:
         """Store the active ``lanes`` of one vector store, in lane order."""
+        log = self.log
         if buffer is None:
             write_int = self.memory.write_int
             for addr, value in zip(addrs, values):
                 write_int(addr, value, size)
-            if self.tracer is not None:
-                self.tracer.accesses(addrs, size, True, lanes)
+            if log is not None:
+                log.accesses(addrs, size, True, lanes)
             return
         if _faults.ACTIVE is not None:
             for addr, value, lane in zip(addrs, values, lanes):
-                self._write_mem(addr, size, value, lane, buffer, region_offset)
+                self.store(addr, size, value, lane, buffer, region_offset)
             return
         buffer.store_lanes(addrs, size, values, lanes, region_offset)
-        if self.tracer is not None:
-            self.tracer.accesses(addrs, size, True, lanes)
+        if log is not None:
+            log.accesses(addrs, size, True, lanes)
 
-    # ------------------------------------------------------- single instr
-
-    def _exec(
-        self,
-        inst: Instruction,
-        pc: int,
-        extra_mask: list[bool] | None = None,
-        buffer: SpeculativeBuffer | None = None,
-        region_offset: int = 0,
-    ) -> int:
-        """Execute one instruction; returns the next pc.
-
-        ``extra_mask`` ANDs into every vector predicate (the SRV-replay
-        register); ``buffer`` redirects memory traffic through the
-        speculative buffer when inside an SRV-region.
-        """
-        self.metrics.count(*self.decode.record_for(inst).count_flags)
-        self._branch_taken = None
-        self._forwarded = False
-        next_pc = self._dispatch(inst, pc, extra_mask, buffer, region_offset)
-        if self._forwarded:
-            self.metrics.loads_forwarded += 1
-        if self.tracer is not None:
-            self.tracer.record(pc, self._branch_taken)
-        return next_pc
-
-    def _dispatch(
-        self,
-        inst: Instruction,
-        pc: int,
-        extra_mask: list[bool] | None,
-        buffer: SpeculativeBuffer | None,
-        region_offset: int,
-    ) -> int:
-        handlers = self._handlers
-        handler = handlers.get(type(inst))
-        if handler is None:
-            # subclasses of known instruction types still dispatch; cache
-            # the resolution so the scan happens once per type
-            for klass, fn in list(handlers.items()):
-                if isinstance(inst, klass):
-                    handlers[type(inst)] = fn
-                    handler = fn
-                    break
-            else:
-                if isinstance(inst, SrvEnd):
-                    raise SrvError("srv_end reached outside an SRV-region")
-                raise IsaError(f"unhandled instruction {inst!r}")
-        return handler(self, inst, pc, extra_mask, buffer, region_offset)
-
-    # -- per-type handlers (wired into _HANDLERS after the class body).
-    # Vector ones read each source row once, sign-extended from the
-    # instruction's element size, resolve their ALU or compare function
-    # once, and write the destination row back with one merging write.
-
-    def _op_scalar_alu(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        a = state.read_operand(inst.src1)
-        b = None if inst.src2 is None else state.read_operand(inst.src2)
-        state.write_scalar(inst.dst, _alu_fn(inst.op)(a, b, 0))
-        return pc + 1
-
-    def _op_scalar_load(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        addr = state.read_scalar(inst.base) + inst.offset
-        raw = self._read_mem(addr, inst.elem, 0, buffer, region_offset)
-        state.write_scalar(inst.dst, to_signed(raw, inst.elem))
-        return pc + 1
-
-    def _op_scalar_store(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        addr = state.read_scalar(inst.base) + inst.offset
-        value = to_unsigned(state.read_scalar(inst.src), inst.elem)
-        self._write_mem(addr, inst.elem, value, 0, buffer, region_offset)
-        return pc + 1
-
-    def _op_branch(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        a = state.read_scalar(inst.src1)
-        b = state.read_operand(inst.src2)
-        taken = _branch_taken(inst.cond, a, b)
-        self._branch_taken = taken
-        if taken:
-            return self.program.label_target(inst.target)
-        return pc + 1
-
-    def _op_jump(self, inst, pc, extra_mask, buffer, region_offset):
-        self._branch_taken = True
-        return self.program.label_target(inst.target)
-
-    def _op_halt(self, inst, pc, extra_mask, buffer, region_offset):
-        self.state.halted = True
-        return pc + 1
-
-    def _op_nop(self, inst, pc, extra_mask, buffer, region_offset):
-        return pc + 1
-
-    # ---- vector --------------------------------------------------------
-
-    def _op_vec_alu(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        elem = inst.elem
-        a = state.signed_row(inst.src1, elem)
-        b = self._vec_row(inst.src2, elem)
-        c = repeat(0) if inst.src3 is None else state.signed_row(inst.src3, elem)
-        # every lane is computed (no ALU op can fault); the merging write
-        # keeps the inactive ones
-        out = list(map(_alu_fn(inst.op), a, b, c))
-        state.write_row(inst.dst, out, self._mask(inst.pred, extra_mask), elem)
-        return pc + 1
-
-    def _op_vec_splat(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        value = state.read_operand(inst.src)
-        state.write_row(
-            inst.dst, [value] * self.lanes,
-            self._mask(inst.pred, extra_mask), inst.elem,
-        )
-        return pc + 1
-
-    def _op_vec_index(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        start = state.read_operand(inst.start)
-        step = state.read_operand(inst.step)
-        values = [start + lane * step for lane in range(self.lanes)]
-        # VecIndex is unpredicated
-        state.write_row(inst.dst, values, extra_mask, inst.elem)
-        return pc + 1
-
-    def _op_vec_extract(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        if inst.lane >= self.lanes:
-            raise IsaError(f"lane {inst.lane} out of range")
-        state.write_scalar(
-            inst.dst, state.read_lane(inst.src, inst.lane, inst.elem)
-        )
-        return pc + 1
-
-    def _op_vec_reduce(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask(inst.pred, extra_mask)
-        if inst.op == "or":
-            values = state.unsigned_row(inst.src, inst.elem)
-        else:
-            values = state.signed_row(inst.src, inst.elem)
-        if mask is not None:
-            values = list(compress(values, mask))
-        if inst.op == "add":
-            result = sum(values)
-        elif inst.op == "min":
-            result = min(values) if values else 0
-        elif inst.op == "max":
-            result = max(values) if values else 0
-        else:  # "or"
-            result = 0
-            for value in values:
-                result |= value
-        state.write_scalar(inst.dst, result)
-        return pc + 1
-
-    def _op_vec_cmp(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        a = state.signed_row(inst.src1, inst.elem)
-        b = self._vec_row(inst.src2, inst.elem)
-        out = list(map(_COMPARE[inst.op], a, b))
-        mask = self._mask(inst.pred, extra_mask)
-        if mask is not None:  # inactive lanes clear
-            out = [bit and active for bit, active in zip(out, mask)]
-        state.write_pred(inst.dst, out)
-        return pc + 1
-
-    def _op_pred_set_all(self, inst, pc, extra_mask, buffer, region_offset):
-        self.state.write_pred(inst.dst, [inst.value] * self.lanes)
-        return pc + 1
-
-    def _op_pred_count(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        state.write_scalar(inst.dst, sum(state.pred[inst.src.index]))
-        return pc + 1
-
-    def _op_pred_first_n(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        n = state.read_scalar(inst.count)
-        state.write_pred(inst.dst, [lane < n for lane in range(self.lanes)])
-        return pc + 1
-
-    def _op_pred_range(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        lo = state.read_scalar(inst.lo)
-        hi = state.read_scalar(inst.hi)
-        state.write_pred(
-            inst.dst, [lo <= lane < hi for lane in range(self.lanes)]
-        )
-        return pc + 1
-
-    def _op_pred_logic(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        a = state.pred[inst.src1.index]
-        if inst.op == "not":
-            out = [not bit for bit in a]
-        else:
-            b = state.pred[inst.src2.index]
-            if inst.op == "and":
-                out = [i and j for i, j in zip(a, b)]
-            elif inst.op == "or":
-                out = [i or j for i, j in zip(a, b)]
-            elif inst.op == "xor":
-                out = [i != j for i, j in zip(a, b)]
-            else:  # andnot
-                out = [i and not j for i, j in zip(a, b)]
-        state.write_pred(inst.dst, out)
-        return pc + 1
-
-    # ---- vector memory --------------------------------------------------
-    #
-    # Each access goes through _read_vec_mem / _write_vec_mem with the
-    # instruction's active lanes in lane order, so the speculative buffer
-    # sees the lanes in the order SRV conflict detection needs, the trace
-    # log records them in canonical order, and overlapping scatter lanes
-    # commit in lane order.
-
-    def _op_vec_load_contig(self, inst, pc, extra_mask, buffer, region_offset):
-        mask = self._mask(inst.pred, extra_mask)
-        lanes = self._active(mask)
-        if lanes:
-            base = self.state.read_scalar(inst.base) + inst.offset
-            elem = inst.elem
-            if isinstance(inst, VecLoadBroadcast):
-                addrs = [base] * len(lanes)
-            else:
-                addrs = [base + lane * elem for lane in lanes]
-            values = self._read_vec_mem(
-                addrs, elem, lanes, buffer, region_offset
-            )
-            self._write_loaded(inst.dst, mask, lanes, values, elem)
-        return pc + 1
-
-    def _op_vec_load_gather(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        mask = self._mask(inst.pred, extra_mask)
-        lanes = self._active(mask)
-        if lanes:
-            base = state.read_scalar(inst.base)
-            scale = inst.effective_scale
-            index = state.signed_row(inst.index, inst.index_elem)
-            values = self._read_vec_mem(
-                [base + index[lane] * scale for lane in lanes], inst.elem,
-                lanes, buffer, region_offset,
-            )
-            self._write_loaded(inst.dst, mask, lanes, values, inst.elem)
-        return pc + 1
-
-    def _op_vec_store_contig(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        lanes = self._active(self._mask(inst.pred, extra_mask))
-        if lanes:
-            base = state.read_scalar(inst.base) + inst.offset
-            elem = inst.elem
-            row = state.unsigned_row(inst.src, elem)
-            self._write_vec_mem(
-                [base + lane * elem for lane in lanes], elem,
-                [row[lane] for lane in lanes], lanes, buffer, region_offset,
-            )
-        return pc + 1
-
-    def _op_vec_store_scatter(self, inst, pc, extra_mask, buffer, region_offset):
-        state = self.state
-        lanes = self._active(self._mask(inst.pred, extra_mask))
-        if lanes:
-            base = state.read_scalar(inst.base)
-            scale = inst.effective_scale
-            index = state.signed_row(inst.index, inst.index_elem)
-            row = state.unsigned_row(inst.src, inst.elem)
-            self._write_vec_mem(
-                [base + index[lane] * scale for lane in lanes], inst.elem,
-                [row[lane] for lane in lanes], lanes, buffer, region_offset,
-            )
-        return pc + 1
-
-    def _mask(self, pred, extra_mask: list[bool] | None) -> list[bool] | None:
-        """The op's lane mask; ``None`` when every lane is active.
-
-        May return the predicate's own row: callers must not mutate it.
-        """
-        if pred is None:
-            return extra_mask
-        mask = self.state.pred[pred.index]
-        if extra_mask is None:
-            return mask
-        return [a and b for a, b in zip(mask, extra_mask)]
-
-    def _active(self, mask: list[bool] | None) -> list[int]:
-        """The lanes ``mask`` enables, ascending (do not mutate)."""
-        if mask is None:
-            return self._all_lanes
-        return list(compress(self._all_lanes, mask))
-
-    def _write_loaded(self, dst, mask, lanes, values, elem) -> None:
+    def write_loaded(self, dst, mask, lanes, values, elem) -> None:
         """Merge the loaded ``values`` of ``lanes`` into ``dst``."""
         if mask is None:
             self.state.write_row(dst, values, None, elem)
@@ -644,135 +493,125 @@ class Interpreter:
             out[lane] = value
         self.state.write_row(dst, out, mask, elem)
 
-    def _vec_row(self, operand, elem: int):
-        """A second source operand as per-lane values: a sign-extended
-        row, or a scalar repeated across the lanes."""
-        if isinstance(operand, VecReg):
-            return self.state.signed_row(operand, elem)
-        if isinstance(operand, Imm):
-            return repeat(operand.value)
-        if isinstance(operand, ScalarReg):
-            return repeat(self.state.read_scalar(operand))
-        if operand is None:
-            return repeat(None)
-        raise IsaError(f"bad vector operand {operand!r}")
+    # -- SRV regions ---------------------------------------------------------
 
-    # ------------------------------------------------------------- SRV region
-
-    def _region_span(self, start_pc: int) -> tuple[int, int]:
-        """Indices of the region body: ``(first_body_pc, srv_end_pc)``."""
-        for idx in range(start_pc + 1, len(self.program.instructions)):
-            inst = self.program.instructions[idx]
-            if isinstance(inst, SrvEnd):
-                return start_pc + 1, idx
-            if isinstance(inst, SrvStart):
-                raise SrvError(f"nested srv_start at {idx}")
-        raise SrvError(f"srv_start at {start_pc} has no matching srv_end")
-
-    def _region_lsu_demand(self, body: list[Instruction]) -> int:
-        """LSU entries the region needs (section III-D7 sizing rule).
-
-        Contiguous and broadcast accesses take one entry; gathers and
-        scatters take one per lane.
-        """
-        demand = 0
-        for inst in body:
-            if not inst.is_mem:
-                continue
-            rec = self.decode.record_for(inst)
-            demand += self.lanes if rec.is_gather_scatter else 1
-        return demand
-
-    def _exec_region_op(
-        self, inst: Instruction, pc: int, extra_mask, buffer, region_offset
-    ) -> None:
-        self._exec(inst, pc, extra_mask, buffer, region_offset)
-        self._bump()
-
-    def _record_marker(self, pc: int, inst: Instruction) -> None:
-        """Count and trace an ``srv_start`` / ``srv_end`` marker."""
-        self.metrics.count(*self.decode.record_for(inst).count_flags)
-        if self.tracer is not None:
-            self.tracer.record(pc, None)
-
-    def _op_index(self) -> int:
+    def op_index(self) -> int:
         """Dynamic op index for emu-domain events.
 
         The index of the last op recorded into the trace log; falls back
         to the step counter when running untraced.
         """
-        if self.tracer is not None:
-            return len(self.tracer) - 1
-        return self._steps
+        if self.log is not None:
+            return len(self.log) - 1
+        return self.steps
 
-    def _exec_srv_region(self, start_pc: int, start_inst: SrvStart) -> None:
-        body_pc, end_pc = self._region_span(start_pc)
-        body = self.program.instructions[body_pc:end_pc]
+    def exec_region(self, region: _Region, extra_mask, buffer,
+                    region_offset) -> int:
+        """The ``srv_start`` op: run the whole region and return the pc
+        after its ``srv_end``.  The outer loop has counted the marker."""
         srv = self.metrics.srv
+        log = self.log
         srv.regions_entered += 1
-        if self.tracer is not None:
-            self.tracer.region_start(start_inst.direction)
-        self._record_marker(start_pc, start_inst)
-        if self.tracer is not None:
-            self.tracer.mark_region_event(RegionEvent.START)
+        if log is not None:
+            log.region_start(region.direction)
+            log.record(region.start_pc, None)
+            log.mark_region_event(RegionEvent.START)
         obs = _obs.ACTIVE
         region_no = srv.regions_entered - 1
         if obs is not None:
             obs.emit(
-                _obs.EventKind.REGION_BEGIN, "emu", self._op_index(),
-                self._steps, 0, start_pc, -1, (("region", region_no),),
+                _obs.EventKind.REGION_BEGIN, "emu", self.op_index(),
+                self.steps, 0, region.start_pc, -1, (("region", region_no),),
             )
+        srv.lsu_entries_peak = max(srv.lsu_entries_peak, region.demand)
+        config = self.config
+        if (region.demand > config.lsu_entries
+                or config.srv_force_sequential
+                or region.sequential):
+            self._exec_sequential(region, obs, region_no)
+        else:
+            self._exec_speculative(region, obs, region_no)
+        next_pc = region.end_pc + 1
+        return ~next_pc if self.state.halted else next_pc
 
-        demand = self._region_lsu_demand(body)
-        srv.lsu_entries_peak = max(srv.lsu_entries_peak, demand)
-        if (demand > self.config.lsu_entries
-                or self.config.srv_force_sequential
-                or start_inst.sequential):
-            self._exec_region_sequential(body, body_pc, end_pc)
-            return
+    def _run_body(self, region: _Region, mask, buffer, start: int = 0,
+                  interrupt_at: int | None = None) -> int:
+        """One pass over the body ops from offset ``start``, each counted,
+        recorded and stepped.
 
+        Returns -1 once the pass completes, or the offset of the op that
+        took step ``interrupt_at``: the pass stops after it.
+        """
+        counts, outcome, log = self.counts, self.outcome, self.log
+        if log is not None:
+            pcs, bits, bounds, addrs = log.pc, log.bits, log.bounds, log.addr
+        max_steps = self.max_steps
+        steps = self.steps
+        ops = region.ops
+        pc = region.body_pc + start
+        try:
+            for offset in range(start, len(ops)):
+                counts[pc] += 1
+                ops[offset](mask, buffer, offset)
+                if log is not None:
+                    pcs.append(pc)
+                    bits.append(log.op_flags | outcome[pc])
+                    bounds.append(len(addrs))
+                steps += 1
+                if steps > max_steps:
+                    raise _too_many_steps(max_steps)
+                if steps == interrupt_at:
+                    return offset
+                pc += 1
+            return -1
+        finally:
+            self.steps = steps
+
+    def _end_pass(self, region: _Region) -> None:
+        """Count and record the region's ``srv_end`` marker."""
+        self.counts[region.end_pc] += 1
+        if self.log is not None:
+            self.log.record(region.end_pc, None)
+
+    def _exec_speculative(self, region: _Region, obs, region_no: int) -> None:
+        srv = self.metrics.srv
+        config, lanes, log = self.config, self.lanes, self.log
+        end_pc = region.end_pc
         buffer = SpeculativeBuffer(
-            self.memory, srv, tm_mode=self.config.srv_tm_mode,
-            block_bytes=self.config.alignment_region_bytes,
+            self.memory, srv, tm_mode=config.srv_tm_mode,
+            block_bytes=config.alignment_region_bytes,
         )
-        active = [True] * self.lanes
+        active = [True] * lanes
         rollbacks = 0
         resume_replay: set[int] = set()
         while True:
             srv.region_passes += 1
-            if self.tracer is not None:
-                self.tracer.region_pass(rollbacks, sum(active))
+            if log is not None:
+                log.region_pass(rollbacks, sum(active))
             if rollbacks == 0:
                 srv.first_pass_lane_executions += sum(active)
             else:
                 srv.replayed_lane_executions += sum(active)
             # an all-lanes pass runs unmasked, like code outside a region
             mask = None if all(active) else active
-            for offset, inst in enumerate(body):
-                self._exec_region_op(
-                    inst, body_pc + offset, mask, buffer, offset
-                )
-                if self._interrupt_pending:
-                    # Context switch inside the region (section III-D2):
-                    # write back the non-speculative prefix, discard the
-                    # speculative content, and resume with only the oldest
-                    # active lane; all younger lanes re-execute the whole
-                    # region after the next srv_end.
-                    self._interrupt_pending = False
-                    srv.interrupts_taken += 1
-                    oldest = min(
-                        lane for lane in range(self.lanes) if active[lane]
-                    )
-                    buffer.commit_prefix(oldest, offset)
-                    active = mask = [
-                        lane == oldest for lane in range(self.lanes)
-                    ]
-                    resume_replay = set(range(oldest + 1, self.lanes))
-            self._record_marker(end_pc, self.program.instructions[end_pc])
+            offset = self._run_body(region, mask, buffer, 0, self.interrupt_at)
+            if offset >= 0:
+                # Context switch inside the region (section III-D2):
+                # write back the non-speculative prefix, discard the
+                # speculative content, and resume with only the oldest
+                # active lane; all younger lanes re-execute the whole
+                # region after the next srv_end.
+                srv.interrupts_taken += 1
+                oldest = min(lane for lane in range(lanes) if active[lane])
+                buffer.commit_prefix(oldest, offset)
+                active = mask = [lane == oldest for lane in range(lanes)]
+                resume_replay = set(range(oldest + 1, lanes))
+                self._run_body(region, mask, buffer, offset + 1)
+            self._end_pass(region)
             if obs is not None:
                 obs.emit(
-                    _obs.EventKind.REGION_PASS, "emu", self._op_index(),
-                    self._steps, 0, end_pc, -1,
+                    _obs.EventKind.REGION_PASS, "emu", self.op_index(),
+                    self.steps, 0, end_pc, -1,
                     (
                         ("pass", rollbacks),
                         ("active", sum(active)),
@@ -783,16 +622,14 @@ class Interpreter:
                 buffer.needs_replay |= resume_replay
                 resume_replay = set()
             if _faults.ACTIVE is not None:
-                _faults.ACTIVE.perturb_needs_replay(
-                    buffer.needs_replay, self.lanes
-                )
+                _faults.ACTIVE.perturb_needs_replay(buffer.needs_replay, lanes)
             if not buffer.needs_replay:
-                if self.tracer is not None:
-                    self.tracer.region_end(committed=True)
+                if log is not None:
+                    log.region_end(committed=True)
                 if obs is not None:
                     obs.emit(
-                        _obs.EventKind.REGION_END, "emu", self._op_index(),
-                        self._steps, 0, end_pc, -1,
+                        _obs.EventKind.REGION_END, "emu", self.op_index(),
+                        self.steps, 0, end_pc, -1,
                         (
                             ("region", region_no),
                             ("passes", rollbacks + 1),
@@ -803,66 +640,60 @@ class Interpreter:
             rollbacks += 1
             srv.replays += 1
             srv.max_replays_in_region = max(srv.max_replays_in_region, rollbacks)
-            if self.config.srv_max_replays_check and rollbacks > self.lanes - 1:
+            if config.srv_max_replays_check and rollbacks > lanes - 1:
                 raise ReplayBoundExceededError(
-                    f"region at pc {start_pc} rolled back {rollbacks} times "
-                    f"(> lanes-1 = {self.lanes - 1})"
+                    f"region at pc {region.start_pc} rolled back {rollbacks} "
+                    f"times (> lanes-1 = {lanes - 1})"
                 )
             replay_set = frozenset(buffer.needs_replay)
             if _faults.ACTIVE is not None:
                 replay_set = _faults.ACTIVE.perturb_replay_lanes(replay_set)
-            if self.tracer is not None:
-                self.tracer.region_end(committed=False, replay_lanes=replay_set)
+            if log is not None:
+                log.region_end(committed=False, replay_lanes=replay_set)
             if obs is not None:
                 for lane in sorted(replay_set):
                     obs.emit(
-                        _obs.EventKind.LANE_REPLAY, "emu", self._op_index(),
-                        self._steps, 0, end_pc, lane,
+                        _obs.EventKind.LANE_REPLAY, "emu", self.op_index(),
+                        self.steps, 0, end_pc, lane,
                         (("region", region_no),),
                     )
-            active = [lane in replay_set for lane in range(self.lanes)]
+            active = [lane in replay_set for lane in range(lanes)]
             buffer.needs_replay.clear()
         buffer.commit()
-        self.state.pc = end_pc + 1
 
-    def _exec_region_sequential(
-        self, body: list[Instruction], body_pc: int, end_pc: int
-    ) -> None:
+    def _exec_sequential(self, region: _Region, obs, region_no: int) -> None:
         """LSU-overflow fallback (section III-D7).
 
         The region is repeated once per lane with only that lane active;
         stores go straight to memory since single-lane execution is
-        non-speculative (the single active lane is always the oldest).
+        non-speculative (the single active lane is always the oldest), so
+        a context switch needs no SRV handling either.
         """
         srv = self.metrics.srv
+        lanes, log = self.lanes, self.log
+        end_pc = region.end_pc
         srv.lsu_fallbacks += 1
-        if self.tracer is not None:
+        if log is not None:
             # the region's START marker (the last recorded op) and every
             # op of the sequential passes are flagged as fallback
-            self.tracer.region_fallback_begin()
-        obs = _obs.ACTIVE
-        region_no = srv.regions_entered - 1
+            log.region_fallback_begin()
         if obs is not None:
             obs.emit(
-                _obs.EventKind.SEQ_FALLBACK, "emu", self._op_index(),
-                self._steps, 0, body_pc - 1, -1,
+                _obs.EventKind.SEQ_FALLBACK, "emu", self.op_index(),
+                self.steps, 0, region.start_pc, -1,
                 (("region", region_no),),
             )
-        for lane in range(self.lanes):
-            mask = [i == lane for i in range(self.lanes)]
+        for lane in range(lanes):
+            mask = [i == lane for i in range(lanes)]
             srv.region_passes += 1
-            if self.tracer is not None:
-                self.tracer.region_pass(lane, 1)
-            for offset, inst in enumerate(body):
-                self._exec_region_op(inst, body_pc + offset, mask, None, offset)
-                # sequential fallback is non-speculative: a context switch
-                # needs no SRV handling
-                self._interrupt_pending = False
-            self._record_marker(end_pc, self.program.instructions[end_pc])
+            if log is not None:
+                log.region_pass(lane, 1)
+            self._run_body(region, mask, None)
+            self._end_pass(region)
             if obs is not None:
                 obs.emit(
-                    _obs.EventKind.REGION_PASS, "emu", self._op_index(),
-                    self._steps, 0, end_pc, -1,
+                    _obs.EventKind.REGION_PASS, "emu", self.op_index(),
+                    self.steps, 0, end_pc, -1,
                     (
                         ("pass", lane),
                         ("active", 1),
@@ -870,60 +701,611 @@ class Interpreter:
                         ("fallback", True),
                     ),
                 )
-            if self.tracer is not None:
-                if lane == self.lanes - 1:
-                    self.tracer.region_end(committed=True)
-                    self.tracer.region_fallback()
+            if log is not None:
+                if lane == lanes - 1:
+                    log.region_end(committed=True)
+                    log.region_fallback()
                 else:
-                    self.tracer.region_end(
+                    log.region_end(
                         committed=False,
-                        replay_lanes=frozenset(range(lane + 1, self.lanes)),
+                        replay_lanes=frozenset(range(lane + 1, lanes)),
                     )
-                    self.tracer.mark_region_event(RegionEvent.FALLBACK)
-            if obs is not None and lane == self.lanes - 1:
+                    log.mark_region_event(RegionEvent.FALLBACK)
+            if obs is not None and lane == lanes - 1:
                 obs.emit(
-                    _obs.EventKind.REGION_END, "emu", self._op_index(),
-                    self._steps, 0, end_pc, -1,
+                    _obs.EventKind.REGION_END, "emu", self.op_index(),
+                    self.steps, 0, end_pc, -1,
                     (
                         ("region", region_no),
-                        ("passes", self.lanes),
+                        ("passes", lanes),
                         ("fallback", True),
                     ),
                 )
-        self.state.pc = end_pc + 1
 
 
-#: Exact-type dispatch table for :meth:`Interpreter._dispatch`.  One dict
-#: lookup replaces the former 20-step ``isinstance`` chain on the hottest
-#: path of the emulator; subclasses resolve through the fallback scan in
-#: ``_dispatch`` and are cached here.
-_HANDLERS: dict[type, object] = {
-    ScalarALU: Interpreter._op_scalar_alu,
-    ScalarLoad: Interpreter._op_scalar_load,
-    ScalarStore: Interpreter._op_scalar_store,
-    Branch: Interpreter._op_branch,
-    Jump: Interpreter._op_jump,
-    Halt: Interpreter._op_halt,
-    Nop: Interpreter._op_nop,
-    VecALU: Interpreter._op_vec_alu,
-    VecSplat: Interpreter._op_vec_splat,
-    VecIndex: Interpreter._op_vec_index,
-    VecExtractLane: Interpreter._op_vec_extract,
-    VecReduce: Interpreter._op_vec_reduce,
-    VecCmp: Interpreter._op_vec_cmp,
-    PredSetAll: Interpreter._op_pred_set_all,
-    PredCount: Interpreter._op_pred_count,
-    PredFirstN: Interpreter._op_pred_first_n,
-    PredRange: Interpreter._op_pred_range,
-    PredLogic: Interpreter._op_pred_logic,
-    VecLoadContig: Interpreter._op_vec_load_contig,
-    VecLoadBroadcast: Interpreter._op_vec_load_contig,
-    VecLoadGather: Interpreter._op_vec_load_gather,
-    VecStoreContig: Interpreter._op_vec_store_contig,
-    VecStoreScatter: Interpreter._op_vec_store_scatter,
+# ---------------------------------------------------------------------------
+# op builders: ``build(inst, pc, run) -> op``
+#
+# An op is ``op(extra_mask, buffer, region_offset) -> next_pc``.
+# ``extra_mask`` ANDs into every vector predicate (the SRV-replay
+# register; None: every lane); ``buffer`` redirects memory traffic
+# through the speculative buffer inside an SRV-region, where
+# ``region_offset`` is the op's offset in the body.  A halt returns the
+# next pc complemented (negative), which ends the loop.  Scalar results
+# are stored sign-wrapped to 64 bits; a vector op reads each source row
+# once, sign-extended from its element size, and writes its destination
+# row with one merging write.
+# ---------------------------------------------------------------------------
+
+
+def _failing(kind: type[Exception], message: str):
+    """An op (or operand source) that raises ``kind(message)`` when it
+    executes: the program still builds, and fails only if it gets there."""
+    def fail(*args):
+        raise kind(message)
+    return fail
+
+
+def _lane_mask(row, extra_mask):
+    """An op's lane mask: its predicate ``row`` (None: unpredicated)
+    ANDed with the region's ``extra_mask``; None when every lane is
+    active.  May return ``row`` itself: callers must not mutate it."""
+    if row is None:
+        return extra_mask
+    if extra_mask is None:
+        return row
+    return list(map(and_, row, extra_mask))
+
+
+def _row_source(operand, run: _Run, elem: int):
+    """A vector op's second source as a function giving its per-lane
+    values: a sign-extended row, or a scalar repeated across the lanes."""
+    if isinstance(operand, VecReg):
+        return partial(run.state.signed_row, operand, elem)
+    if isinstance(operand, Imm):
+        return partial(repeat, operand.value)
+    if isinstance(operand, ScalarReg):
+        regs, index = run.regs, operand.index
+        return lambda: repeat(regs[index])
+    if operand is None:
+        return partial(repeat, None)
+    return _failing(IsaError, f"bad vector operand {operand!r}")
+
+
+def _pred_index(pred):
+    return None if pred is None else pred.index
+
+
+def _set_const(regs, dst: int, value: int, nxt: int):
+    def mov_const(extra_mask, buffer, region_offset):
+        regs[dst] = value
+        return nxt
+    return mov_const
+
+
+def _scalar_alu(inst: ScalarALU, pc: int, run: _Run):
+    regs = run.regs
+    dst = inst.dst.index
+    nxt = pc + 1
+    name = inst.op.name
+    a, b = inst.src1, inst.src2
+    if name == "MOV":
+        if isinstance(a, Imm):
+            return _set_const(regs, dst, wrap_scalar(a.value), nxt)
+        src = a.index
+
+        def mov(extra_mask, buffer, region_offset):
+            regs[dst] = regs[src]
+            return nxt
+        return mov
+    fn = _ALU.get(name)
+    if fn is None:
+        return _failing(IsaError, f"unhandled ALU opcode {inst.op}")
+
+    if isinstance(a, Imm):
+        if isinstance(b, Imm):
+            return _set_const(regs, dst, wrap_scalar(fn(a.value, b.value)), nxt)
+        value, right = a.value, b.index
+
+        def alu_ir(extra_mask, buffer, region_offset):
+            r = fn(value, regs[right])
+            regs[dst] = r if S64_MIN <= r < S64_END else wrap_scalar(r)
+            return nxt
+        return alu_ir
+
+    left = a.index
+    if isinstance(b, Imm):
+        k = b.value
+        if name in ("ADD", "SUB"):
+            if name == "SUB":
+                k = -k
+
+            def add_ri(extra_mask, buffer, region_offset):
+                r = regs[left] + k
+                regs[dst] = r if S64_MIN <= r < S64_END else wrap_scalar(r)
+                return nxt
+            return add_ri
+        if name == "SHL":
+            k &= 63
+
+            def shl_ri(extra_mask, buffer, region_offset):
+                r = regs[left] << k
+                regs[dst] = r if S64_MIN <= r < S64_END else wrap_scalar(r)
+                return nxt
+            return shl_ri
+
+        def alu_ri(extra_mask, buffer, region_offset):
+            r = fn(regs[left], k)
+            regs[dst] = r if S64_MIN <= r < S64_END else wrap_scalar(r)
+            return nxt
+        return alu_ri
+
+    right = b.index
+    if name == "ADD":
+        def add_rr(extra_mask, buffer, region_offset):
+            r = regs[left] + regs[right]
+            regs[dst] = r if S64_MIN <= r < S64_END else wrap_scalar(r)
+            return nxt
+        return add_rr
+
+    def alu_rr(extra_mask, buffer, region_offset):
+        r = fn(regs[left], regs[right])
+        regs[dst] = r if S64_MIN <= r < S64_END else wrap_scalar(r)
+        return nxt
+    return alu_rr
+
+
+def _scalar_load(inst: ScalarLoad, pc: int, run: _Run):
+    regs, read_int, load = run.regs, run.memory.read_int, run.load
+    metrics, log = run.metrics, run.log
+    if log is not None:
+        log_addr, log_size = log.addr.append, log.size.append
+        log_store, log_lane = log.store.append, log.lane.append
+    dst, base, offset, size = inst.dst.index, inst.base.index, inst.offset, inst.elem
+    # sign extension of a ``size``-byte value
+    sign, span = 1 << (8 * size - 1), 1 << (8 * size)
+    nxt = pc + 1
+
+    def scalar_load(extra_mask, buffer, region_offset):
+        addr = regs[base] + offset
+        if buffer is None:
+            if log is not None:  # TraceLog.access, inline
+                log_addr(addr)
+                log_size(size)
+                log_store(0)
+                log_lane(0)
+            raw = read_int(addr, size)
+        else:
+            raw, forwarded = load(addr, size, 0, buffer, region_offset)
+            if forwarded:
+                metrics.loads_forwarded += 1
+        regs[dst] = raw - span if raw >= sign else raw
+        return nxt
+    return scalar_load
+
+
+def _scalar_store(inst: ScalarStore, pc: int, run: _Run):
+    regs, write_int, store, log = (
+        run.regs, run.memory.write_int, run.store, run.log,
+    )
+    if log is not None:
+        log_addr, log_size = log.addr.append, log.size.append
+        log_store, log_lane = log.store.append, log.lane.append
+    src, base, offset, size = inst.src.index, inst.base.index, inst.offset, inst.elem
+    wrap = (1 << (8 * size)) - 1
+    nxt = pc + 1
+
+    def scalar_store(extra_mask, buffer, region_offset):
+        addr = regs[base] + offset
+        value = regs[src] & wrap
+        if buffer is None:
+            if log is not None:  # TraceLog.access, inline
+                log_addr(addr)
+                log_size(size)
+                log_store(1)
+                log_lane(0)
+            write_int(addr, value, size)
+        else:
+            store(addr, size, value, 0, buffer, region_offset)
+        return nxt
+    return scalar_store
+
+
+def _undefined_label(op, program: Program, label: str):
+    """``op``, whose jump target ``label`` is undefined: taking the jump
+    raises the program's :class:`IsaError`."""
+    def jump_checked(extra_mask, buffer, region_offset):
+        next_pc = op(extra_mask, buffer, region_offset)
+        if next_pc is None:
+            program.label_target(label)  # raises
+        return next_pc
+    return jump_checked
+
+
+def _branch(inst: Branch, pc: int, run: _Run):
+    regs, outcome = run.regs, run.outcome
+    taken_if = _BRANCH_TAKEN[inst.cond]
+    left = inst.src1.index
+    target = run.program.labels.get(inst.target)
+    nxt = pc + 1
+    if isinstance(inst.src2, Imm):
+        value = inst.src2.value
+
+        def branch(extra_mask, buffer, region_offset):
+            if taken_if(regs[left], value):
+                outcome[pc] = BRANCH_TAKEN
+                return target
+            outcome[pc] = BRANCH_NOT_TAKEN
+            return nxt
+    else:
+        right = inst.src2.index
+
+        def branch(extra_mask, buffer, region_offset):
+            if taken_if(regs[left], regs[right]):
+                outcome[pc] = BRANCH_TAKEN
+                return target
+            outcome[pc] = BRANCH_NOT_TAKEN
+            return nxt
+    if target is None:
+        return _undefined_label(branch, run.program, inst.target)
+    return branch
+
+
+def _jump(inst: Jump, pc: int, run: _Run):
+    run.outcome[pc] = BRANCH_TAKEN
+    target = run.program.labels.get(inst.target)
+
+    def jump(extra_mask, buffer, region_offset):
+        return target
+    if target is None:
+        return _undefined_label(jump, run.program, inst.target)
+    return jump
+
+
+def _halt(inst: Halt, pc: int, run: _Run):
+    state = run.state
+    stop = ~(pc + 1)
+
+    def halt(extra_mask, buffer, region_offset):
+        state.halted = True
+        return stop
+    return halt
+
+
+def _nop(inst: Nop, pc: int, run: _Run):
+    nxt = pc + 1
+
+    def nop(extra_mask, buffer, region_offset):
+        return nxt
+    return nop
+
+
+# ---- vector ----------------------------------------------------------------
+
+
+def _vec_alu(inst: VecALU, pc: int, run: _Run):
+    state, pred = run.state, run.pred
+    signed_row, write_row = state.signed_row, state.write_row
+    src1, dst, elem = inst.src1, inst.dst, inst.elem
+    pi = _pred_index(inst.pred)
+    row_b = _row_source(inst.src2, run, elem)
+    name = inst.op.name
+    nxt = pc + 1
+    # every lane is computed (no ALU op can fault); the merging write
+    # keeps the inactive ones
+    if name in ("MOV", "ABS", "FMA"):
+        row_c = (partial(repeat, 0) if inst.src3 is None
+                 else partial(signed_row, inst.src3, elem))
+
+        def vec_alu_other(extra_mask, buffer, region_offset):
+            mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+            a = signed_row(src1, elem)
+            if name == "MOV":
+                out = a
+            elif name == "ABS":
+                out = list(map(abs, a))
+            else:  # FMA
+                out = list(map(add, map(mul, a, row_b()), row_c()))
+            write_row(dst, out, mask, elem)
+            return nxt
+        return vec_alu_other
+    fn = _ALU.get(name)
+    if fn is None:
+        return _failing(IsaError, f"unhandled ALU opcode {inst.op}")
+
+    def vec_alu(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        write_row(dst, list(map(fn, signed_row(src1, elem), row_b())), mask, elem)
+        return nxt
+    return vec_alu
+
+
+def _vec_splat(inst: VecSplat, pc: int, run: _Run):
+    state, pred, lanes = run.state, run.pred, run.lanes
+    read_operand, write_row = state.read_operand, state.write_row
+    src, dst, elem = inst.src, inst.dst, inst.elem
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_splat(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        write_row(dst, [read_operand(src)] * lanes, mask, elem)
+        return nxt
+    return vec_splat
+
+
+def _vec_index(inst: VecIndex, pc: int, run: _Run):
+    state, lanes = run.state, run.lanes
+    read_operand, write_row = state.read_operand, state.write_row
+    start, step, dst, elem = inst.start, inst.step, inst.dst, inst.elem
+    nxt = pc + 1
+
+    def vec_index(extra_mask, buffer, region_offset):
+        first = read_operand(start)
+        stride = read_operand(step)
+        values = [first + lane * stride for lane in range(lanes)]
+        # VecIndex is unpredicated
+        write_row(dst, values, extra_mask, elem)
+        return nxt
+    return vec_index
+
+
+def _vec_extract(inst: VecExtractLane, pc: int, run: _Run):
+    if inst.lane >= run.lanes:
+        return _failing(IsaError, f"lane {inst.lane} out of range")
+    regs, read_lane = run.regs, run.state.read_lane
+    dst, src, lane, elem = inst.dst.index, inst.src, inst.lane, inst.elem
+    nxt = pc + 1
+
+    def vec_extract(extra_mask, buffer, region_offset):
+        regs[dst] = read_lane(src, lane, elem)
+        return nxt
+    return vec_extract
+
+
+def _vec_reduce(inst: VecReduce, pc: int, run: _Run):
+    regs, pred, state = run.regs, run.pred, run.state
+    if inst.op == "or":
+        row = partial(state.unsigned_row, inst.src, inst.elem)
+    else:
+        row = partial(state.signed_row, inst.src, inst.elem)
+    combine = _REDUCE.get(inst.op, _or_all)
+    dst = inst.dst.index
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_reduce(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        values = row()
+        if mask is not None:
+            values = list(compress(values, mask))
+        regs[dst] = wrap_scalar(combine(values))
+        return nxt
+    return vec_reduce
+
+
+def _vec_cmp(inst: VecCmp, pc: int, run: _Run):
+    state, pred = run.state, run.pred
+    signed_row, write_pred = state.signed_row, state.write_pred
+    compare = _COMPARE.get(inst.op)
+    if compare is None:
+        return _failing(IsaError, f"unhandled compare {inst.op}")
+    src1, dst, elem = inst.src1, inst.dst, inst.elem
+    row_b = _row_source(inst.src2, run, elem)
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_cmp(extra_mask, buffer, region_offset):
+        out = list(map(compare, signed_row(src1, elem), row_b()))
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        if mask is not None:  # inactive lanes clear
+            out = list(map(and_, out, mask))
+        write_pred(dst, out)
+        return nxt
+    return vec_cmp
+
+
+def _pred_set_all(inst: PredSetAll, pc: int, run: _Run):
+    write_pred, dst = run.state.write_pred, inst.dst
+    row = [inst.value] * run.lanes
+    nxt = pc + 1
+
+    def pred_set_all(extra_mask, buffer, region_offset):
+        write_pred(dst, row)
+        return nxt
+    return pred_set_all
+
+
+def _pred_count(inst: PredCount, pc: int, run: _Run):
+    regs, pred = run.regs, run.pred
+    dst, src = inst.dst.index, inst.src.index
+    nxt = pc + 1
+
+    def pred_count(extra_mask, buffer, region_offset):
+        regs[dst] = sum(pred[src])
+        return nxt
+    return pred_count
+
+
+def _pred_first_n(inst: PredFirstN, pc: int, run: _Run):
+    regs, write_pred, lanes = run.regs, run.state.write_pred, run.lanes
+    dst, count = inst.dst, inst.count.index
+    nxt = pc + 1
+
+    def pred_first_n(extra_mask, buffer, region_offset):
+        n = regs[count]
+        write_pred(dst, [lane < n for lane in range(lanes)])
+        return nxt
+    return pred_first_n
+
+
+def _pred_range(inst: PredRange, pc: int, run: _Run):
+    regs, write_pred, lanes = run.regs, run.state.write_pred, run.lanes
+    dst, lo_reg, hi_reg = inst.dst, inst.lo.index, inst.hi.index
+    nxt = pc + 1
+
+    def pred_range(extra_mask, buffer, region_offset):
+        lo, hi = regs[lo_reg], regs[hi_reg]
+        write_pred(dst, [lo <= lane < hi for lane in range(lanes)])
+        return nxt
+    return pred_range
+
+
+def _pred_logic(inst: PredLogic, pc: int, run: _Run):
+    pred, write_pred = run.pred, run.state.write_pred
+    op, dst, src1 = inst.op, inst.dst, inst.src1.index
+    src2 = _pred_index(inst.src2)
+    nxt = pc + 1
+
+    def pred_logic(extra_mask, buffer, region_offset):
+        a = pred[src1]
+        if op == "not":
+            out = [not bit for bit in a]
+        else:
+            b = pred[src2]
+            if op == "and":
+                out = [i and j for i, j in zip(a, b)]
+            elif op == "or":
+                out = [i or j for i, j in zip(a, b)]
+            elif op == "xor":
+                out = [i != j for i, j in zip(a, b)]
+            else:  # andnot
+                out = [i and not j for i, j in zip(a, b)]
+        write_pred(dst, out)
+        return nxt
+    return pred_logic
+
+
+# ---- vector memory -----------------------------------------------------------
+#
+# Each access goes through _Run.read_lanes / write_lanes with the
+# instruction's active lanes in lane order, so the speculative buffer
+# sees the lanes in the order SRV conflict detection needs, the trace log
+# records them in canonical order, and overlapping scatter lanes commit
+# in lane order.
+
+
+def _vec_load_contig(inst: VecLoadContig | VecLoadBroadcast, pc: int,
+                     run: _Run):
+    regs, pred, all_lanes = run.regs, run.pred, run.all_lanes
+    read_lanes, write_loaded = run.read_lanes, run.write_loaded
+    dst, base, offset, elem = inst.dst, inst.base.index, inst.offset, inst.elem
+    broadcast = isinstance(inst, VecLoadBroadcast)
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_load_contig(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        lanes = all_lanes if mask is None else list(compress(all_lanes, mask))
+        if lanes:
+            start = regs[base] + offset
+            if broadcast:
+                addrs = [start] * len(lanes)
+            else:
+                addrs = [start + lane * elem for lane in lanes]
+            values = read_lanes(addrs, elem, lanes, buffer, region_offset)
+            write_loaded(dst, mask, lanes, values, elem)
+        return nxt
+    return vec_load_contig
+
+
+def _vec_load_gather(inst: VecLoadGather, pc: int, run: _Run):
+    regs, pred, all_lanes = run.regs, run.pred, run.all_lanes
+    read_lanes, write_loaded = run.read_lanes, run.write_loaded
+    signed_row = run.state.signed_row
+    dst, base, elem = inst.dst, inst.base.index, inst.elem
+    index_reg, index_elem, scale = inst.index, inst.index_elem, inst.effective_scale
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_load_gather(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        lanes = all_lanes if mask is None else list(compress(all_lanes, mask))
+        if lanes:
+            start = regs[base]
+            index = signed_row(index_reg, index_elem)
+            values = read_lanes(
+                [start + index[lane] * scale for lane in lanes], elem,
+                lanes, buffer, region_offset,
+            )
+            write_loaded(dst, mask, lanes, values, elem)
+        return nxt
+    return vec_load_gather
+
+
+def _vec_store_contig(inst: VecStoreContig, pc: int, run: _Run):
+    regs, pred, all_lanes = run.regs, run.pred, run.all_lanes
+    write_lanes, unsigned_row = run.write_lanes, run.state.unsigned_row
+    src, base, offset, elem = inst.src, inst.base.index, inst.offset, inst.elem
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_store_contig(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        lanes = all_lanes if mask is None else list(compress(all_lanes, mask))
+        if lanes:
+            start = regs[base] + offset
+            row = unsigned_row(src, elem)
+            write_lanes(
+                [start + lane * elem for lane in lanes], elem,
+                [row[lane] for lane in lanes], lanes, buffer, region_offset,
+            )
+        return nxt
+    return vec_store_contig
+
+
+def _vec_store_scatter(inst: VecStoreScatter, pc: int, run: _Run):
+    regs, pred, all_lanes = run.regs, run.pred, run.all_lanes
+    write_lanes, state = run.write_lanes, run.state
+    signed_row, unsigned_row = state.signed_row, state.unsigned_row
+    src, base, elem = inst.src, inst.base.index, inst.elem
+    index_reg, index_elem, scale = inst.index, inst.index_elem, inst.effective_scale
+    pi = _pred_index(inst.pred)
+    nxt = pc + 1
+
+    def vec_store_scatter(extra_mask, buffer, region_offset):
+        mask = extra_mask if pi is None else _lane_mask(pred[pi], extra_mask)
+        lanes = all_lanes if mask is None else list(compress(all_lanes, mask))
+        if lanes:
+            start = regs[base]
+            index = signed_row(index_reg, index_elem)
+            row = unsigned_row(src, elem)
+            write_lanes(
+                [start + index[lane] * scale for lane in lanes], elem,
+                [row[lane] for lane in lanes], lanes, buffer, region_offset,
+            )
+        return nxt
+    return vec_store_scatter
+
+
+#: The op builder of each instruction type.  It is consulted once per
+#: static pc when a run starts; a subclass of one of these types builds
+#: as its base (first match in this order).
+_BUILDERS = {
+    ScalarALU: _scalar_alu,
+    ScalarLoad: _scalar_load,
+    ScalarStore: _scalar_store,
+    Branch: _branch,
+    Jump: _jump,
+    Halt: _halt,
+    Nop: _nop,
+    VecALU: _vec_alu,
+    VecSplat: _vec_splat,
+    VecIndex: _vec_index,
+    VecExtractLane: _vec_extract,
+    VecReduce: _vec_reduce,
+    VecCmp: _vec_cmp,
+    PredSetAll: _pred_set_all,
+    PredCount: _pred_count,
+    PredFirstN: _pred_first_n,
+    PredRange: _pred_range,
+    PredLogic: _pred_logic,
+    VecLoadContig: _vec_load_contig,
+    VecLoadBroadcast: _vec_load_contig,
+    VecLoadGather: _vec_load_gather,
+    VecStoreContig: _vec_store_contig,
+    VecStoreScatter: _vec_store_scatter,
 }
-
-Interpreter._handlers = _HANDLERS
 
 
 def run_program(

@@ -62,22 +62,25 @@ class EmuMetrics:
     loads_forwarded: int = 0
     srv: SrvMetrics = field(default_factory=SrvMetrics)
 
-    def count(self, is_vector: bool, is_mem: bool, is_branch: bool,
-              is_gather_scatter: bool = False, is_load: bool = False) -> None:
-        self.dynamic_instructions += 1
+    def count(self, flags: tuple[bool, bool, bool, bool, bool],
+              times: int) -> None:
+        """Add ``times`` executions of one static instruction whose
+        decode record's ``count_flags`` are ``flags``."""
+        is_vector, is_mem, is_branch, is_gather_scatter, is_load = flags
+        self.dynamic_instructions += times
         if is_load:
-            self.load_instructions += 1
+            self.load_instructions += times
             if is_gather_scatter:
-                self.gather_load_instructions += 1
+                self.gather_load_instructions += times
         if is_vector:
-            self.vector_instructions += 1
+            self.vector_instructions += times
             if is_mem:
-                self.vector_mem_instructions += 1
+                self.vector_mem_instructions += times
                 if is_gather_scatter:
-                    self.gather_scatter_instructions += 1
+                    self.gather_scatter_instructions += times
         else:
-            self.scalar_instructions += 1
+            self.scalar_instructions += times
             if is_mem:
-                self.scalar_mem_instructions += 1
+                self.scalar_mem_instructions += times
         if is_branch:
-            self.branch_instructions += 1
+            self.branch_instructions += times

@@ -4,7 +4,9 @@ Vector registers are modelled as 16 integer lanes (element-size agnostic,
 matching the paper's evaluation where the vector length is fixed at 16
 elements regardless of element size); values are wrapped to the element
 size of each writing instruction.  Predicate registers are per-lane
-booleans.  Scalar registers are 64-bit two's complement.
+booleans.  Scalar registers are 64-bit two's complement, held
+sign-wrapped: each is a Python int in ``[S64_MIN, S64_END)``, so a read
+is a list index and only a write wraps.
 """
 
 from __future__ import annotations
@@ -22,13 +24,21 @@ from repro.isa.registers import (
 )
 from repro.memory.image import to_signed, to_unsigned
 
-SCALAR_BYTES = 8
+#: the values a scalar register holds: ``S64_MIN <= value < S64_END``
+S64_MIN = -(1 << 63)
+S64_END = 1 << 63
+_U64 = (1 << 64) - 1
 
 #: ``(value mask, sign bit)`` of each element size
 _ELEM_BITS = {
     size: ((1 << 8 * size) - 1, 1 << (8 * size - 1))
     for size in VALID_ELEM_SIZES
 }
+
+
+def wrap_scalar(value: int) -> int:
+    """``value`` wrapped to a signed 64-bit register value."""
+    return ((value - S64_MIN) & _U64) + S64_MIN
 
 
 class ArchState:
@@ -55,10 +65,10 @@ class ArchState:
     # -- scalar ---------------------------------------------------------------
 
     def read_scalar(self, reg: ScalarReg) -> int:
-        return to_signed(self.scalar[reg.index], SCALAR_BYTES)
+        return self.scalar[reg.index]
 
     def write_scalar(self, reg: ScalarReg, value: int) -> None:
-        self.scalar[reg.index] = to_unsigned(value, SCALAR_BYTES)
+        self.scalar[reg.index] = wrap_scalar(value)
 
     def read_operand(self, operand: ScalarOperand) -> int:
         if isinstance(operand, Imm):
@@ -120,8 +130,9 @@ class ArchState:
     # -- snapshots ------------------------------------------------------------
 
     def registers_snapshot(self) -> tuple:
+        """Every register as plain tuples, scalars as unsigned 64-bit."""
         return (
-            tuple(self.scalar),
+            tuple(value & _U64 for value in self.scalar),
             tuple(tuple(row) for row in self.vector),
             tuple(tuple(row) for row in self.pred),
         )

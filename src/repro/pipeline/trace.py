@@ -140,15 +140,17 @@ class TraceLog:
     op class and registers of an op come from ``program`` by pc, and
     :attr:`records` holds their decode records.
 
-    The emulator records through :meth:`record`, :meth:`access`,
-    :meth:`accesses` and the ``region_*`` hooks.  Each hook annotates
+    The emulator logs an op's accesses (:meth:`access`,
+    :meth:`accesses`), then records the op (:meth:`record`), and calls
+    the ``region_*`` hooks; its loops inline ``record``, and a scalar
+    op its ``access``, as appends to the columns.  Each hook annotates
     the most recently recorded op and completes before the next op is
     recorded, so an op is final once a later one exists.
     """
 
     __slots__ = ("program", "pc", "bits", "bounds", "addr", "size", "store",
                  "lane", "replay", "pass_at", "pass_no", "pass_active",
-                 "_decode", "_records", "_state", "_active", "_lane_sets")
+                 "_decode", "_records", "op_flags", "_active", "_lane_sets")
 
     def __init__(self, program, decode=None) -> None:
         self.program = program
@@ -166,8 +168,9 @@ class TraceLog:
         self._decode = decode
         self._records: tuple | None = None
         #: flags every newly recorded op starts from (region, fallback,
-        #: direction), and the active lane count of the current pass
-        self._state = 0
+        #: direction); the recorder ORs in its branch outcome bits
+        self.op_flags = 0
+        #: the active lane count of the current pass
         self._active = 0
         self._lane_sets: dict[frozenset[int], frozenset[int]] = {}
 
@@ -204,7 +207,7 @@ class TraceLog:
         """Close one dynamic op at ``pc`` over the accesses logged since
         the previous op."""
         self.pc.append(pc)
-        self.bits.append(self._state | _BRANCH_BITS[branch_taken])
+        self.bits.append(self.op_flags | _BRANCH_BITS[branch_taken])
         self.bounds.append(len(self.addr))
 
     def access(self, addr: int, size: int, is_store: bool, lane: int) -> None:
@@ -229,7 +232,7 @@ class TraceLog:
             bits[-1] = bits[-1] & ~clear | set_bits
 
     def region_start(self, direction: SrvDirection) -> None:
-        self._state = self._state & ~DOWN | IN_REGION | (
+        self.op_flags = self.op_flags & ~DOWN | IN_REGION | (
             DOWN if direction is SrvDirection.DOWN else 0
         )
         self.region_pass(0, self._active)
@@ -253,12 +256,12 @@ class TraceLog:
                 lanes = self._lane_sets.setdefault(replay_lanes, replay_lanes)
                 self.replay[len(self.pc) - 1] = lanes
         if committed:
-            self._state &= ~IN_REGION
+            self.op_flags &= ~IN_REGION
 
     def region_fallback(self) -> None:
         """Mark the final ``srv_end`` of a sequential-fallback region."""
         self._annotate(EVENT_MASK, EV_FALLBACK)
-        self._state &= ~IN_FALLBACK
+        self.op_flags &= ~IN_FALLBACK
 
     def region_fallback_begin(self) -> None:
         """The emulator chose the section III-D7 sequential fallback.
@@ -268,7 +271,7 @@ class TraceLog:
         region carry the fallback flag, so the timing models know the
         region is not hardware-speculated without scanning ahead.
         """
-        self._state |= IN_FALLBACK
+        self.op_flags |= IN_FALLBACK
         self._annotate(0, IN_FALLBACK)
 
     def mark_region_event(self, event: RegionEvent) -> None:

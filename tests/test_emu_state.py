@@ -87,21 +87,16 @@ class TestPredicates:
             state.write_pred(p(1), [True] * 8)
 
     def test_effective_mask_none_is_all(self):
-        # an op's lane mask is the interpreter's: no predicate and no
-        # region mask means every lane, spelled None
-        from repro.emu.interpreter import Interpreter
-        from repro.isa import ProgramBuilder
-        from repro.memory import MemoryImage
+        # an op's lane mask is its predicate ANDed with the region's: no
+        # predicate and no region mask means every lane, spelled None
+        from repro.emu.interpreter import _lane_mask
 
-        b = ProgramBuilder()
-        b.halt()
-        interp = Interpreter(b.build(), MemoryImage())
-        assert interp._mask(None, None) is None
-        assert interp._active(None) == list(range(16))
-        interp.state.write_pred(p(1), [i < 5 for i in range(16)])
-        assert interp._mask(p(1), None) == [i < 5 for i in range(16)]
+        assert _lane_mask(None, None) is None
+        row = [i < 5 for i in range(16)]
+        assert _lane_mask(row, None) == row
         region = [i % 2 == 0 for i in range(16)]
-        assert interp._mask(p(1), region) == [
+        assert _lane_mask(None, region) == region
+        assert _lane_mask(row, region) == [
             i < 5 and i % 2 == 0 for i in range(16)
         ]
 
