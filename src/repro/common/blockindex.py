@@ -1,11 +1,11 @@
 """Rows keyed by id and also filed by the address blocks they touch.
 
-The LSU queues and the speculative buffer both answer "which rows can
-overlap this access?" by looking only at the blocks the access touches:
-a row filed under no such block cannot share a byte with it.  The caller
-chooses the blocks — address-alignment bases for the LSU, block numbers
-for the buffer — through the ``blocks_of`` function it builds the index
-with.
+The LSU queues answer "which rows can overlap this access?" by looking
+only at the blocks the access touches: a row filed under no such block
+cannot share a byte with it.  The caller chooses the blocks through the
+``blocks_of`` function it builds the index with; the LQ and SAQ pass an
+entry's address-alignment bases.  (The speculative buffer files its
+tuple records by block number inline, in ``repro.emu.speculative``.)
 """
 
 from __future__ import annotations

@@ -26,6 +26,8 @@ and between provable and statically-unknown dependences.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -302,8 +304,132 @@ class Loop:
         return n
 
 
+def _trunc_div(a: int, b: int) -> int:
+    """``a / b`` rounded toward zero, and 0 for ``b == 0``."""
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _trunc_mod(a: int, b: int) -> int:
+    """The remainder that goes with :func:`_trunc_div` (0 for ``b == 0``)."""
+    if b == 0:
+        return 0
+    return a - b * _trunc_div(a, b)
+
+
+_U64 = (1 << 64) - 1
+
+#: the oracle's binary operators; shifts take the count modulo 64 and
+#: ``>>`` is logical over the 64-bit pattern
+_BINOP_FNS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _trunc_div, "%": _trunc_mod,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "<<": lambda a, b: a << (b & 63),
+    ">>": lambda a, b: (a & _U64) >> (b & 63),
+    "min": min, "max": max,
+}
+_CMP_FNS = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq,
+    "!=": operator.ne, ">": operator.gt, ">=": operator.ge,
+}
+_REDUCE_FNS = {"+": operator.add, "min": min, "max": max}
+
+
+def _compile_index(
+    index: IndexExpr, data: dict[str, list[int]]
+) -> Callable[[int], int]:
+    if isinstance(index, Affine):
+        scale, offset = index.scale, index.offset
+        return lambda i: scale * i + offset
+    name = index.array
+    scale, offset = index.inner.scale, index.inner.offset
+    table = data.get(name)
+    if table is None:
+        return lambda i: data[name][scale * i + offset]
+    return lambda i: table[scale * i + offset]
+
+
+def _compile_expr(
+    expr: Expr, data: dict[str, list[int]], params: dict[str, int]
+) -> Callable[[int], int]:
+    """One closure ``i -> value`` per node of ``expr``."""
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda i: value
+    if isinstance(expr, LoopIndex):
+        return lambda i: i
+    if isinstance(expr, Param):
+        name = expr.name
+        if name not in params:
+            return lambda i: params[name]
+        value = params[name]
+        return lambda i: value
+    if isinstance(expr, Read):
+        index = _compile_index(expr.index, data)
+        name = expr.array
+        values = data.get(name)
+        if values is None:
+            return lambda i: data[name][index(i)]
+        return lambda i: values[index(i)]
+    if isinstance(expr, BinOp):
+        fn = _BINOP_FNS[expr.op]
+        lhs = _compile_expr(expr.lhs, data, params)
+        rhs = _compile_expr(expr.rhs, data, params)
+        return lambda i: fn(lhs(i), rhs(i))
+    if isinstance(expr, Select):
+        cmp = _CMP_FNS[expr.cmp]
+        a = _compile_expr(expr.cmp_lhs, data, params)
+        b = _compile_expr(expr.cmp_rhs, data, params)
+        then = _compile_expr(expr.then_value, data, params)
+        other = _compile_expr(expr.else_value, data, params)
+        return lambda i: then(i) if cmp(a(i), b(i)) else other(i)
+    raise CompilerError(f"unhandled expr {expr!r}")
+
+
+def _compile_statement(
+    stmt: Statement, loop: Loop, data: dict[str, list[int]],
+    params: dict[str, int],
+) -> Callable[[int], None]:
+    """One closure ``i -> None`` running ``stmt`` for iteration ``i``,
+    wrapping the stored value to the array's element size."""
+    name = stmt.array
+    elem = loop.arrays[name]
+    mask = (1 << (elem * 8)) - 1
+    sign = 1 << (elem * 8 - 1)
+    value = _compile_expr(stmt.value, data, params)
+    if isinstance(stmt, Reduce):
+        combine = _REDUCE_FNS[stmt.op]
+        offset = stmt.offset
+
+        def reduce(i: int) -> None:
+            new = value(i)
+            values = data[name]
+            values[offset] = (
+                (combine(values[offset], new) & mask) ^ sign
+            ) - sign
+
+        return reduce
+    index = _compile_index(stmt.index, data)
+
+    def store(i: int) -> None:
+        new = ((value(i) & mask) ^ sign) - sign
+        data[name][index(i)] = new
+
+    return store
+
+
 def scalar_reference(loop: Loop, arrays: dict[str, list[int]], n: int, params: dict[str, int] | None = None) -> dict[str, list[int]]:
-    """Execute the loop sequentially in pure Python (the semantic oracle)."""
+    """Execute the loop sequentially in pure Python (the semantic oracle).
+
+    The loop body is compiled once into one closure per expression node
+    (``operator`` callables for the arithmetic), then run for each
+    iteration.  A read of an array missing from ``arrays``, or of a
+    parameter missing from ``params``, raises ``KeyError`` only when an
+    iteration evaluates it.
+    """
     from repro.memory.image import to_signed, to_unsigned
 
     params = params or {}
@@ -314,81 +440,9 @@ def scalar_reference(loop: Loop, arrays: dict[str, list[int]], n: int, params: d
                for v in values]
         for name, values in arrays.items()
     }
-
-    def index_of(index: IndexExpr, i: int) -> int:
-        if isinstance(index, Affine):
-            return index.at(i)
-        return data[index.array][index.inner.at(i)]
-
-    def evaluate(expr: Expr, i: int) -> int:
-        if isinstance(expr, Const):
-            return expr.value
-        if isinstance(expr, LoopIndex):
-            return i
-        if isinstance(expr, Param):
-            return params[expr.name]
-        if isinstance(expr, Read):
-            return data[expr.array][index_of(expr.index, i)]
-        if isinstance(expr, BinOp):
-            a, b = evaluate(expr.lhs, i), evaluate(expr.rhs, i)
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                if b == 0:
-                    return 0
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
-            if expr.op == "%":
-                if b == 0:
-                    return 0
-                return a - b * evaluate(BinOp("/", Const(a), Const(b)), i)
-            if expr.op == "&":
-                return a & b
-            if expr.op == "|":
-                return a | b
-            if expr.op == "^":
-                return a ^ b
-            if expr.op == "<<":
-                return a << (b & 63)
-            if expr.op == ">>":
-                return (a & (1 << 64) - 1) >> (b & 63)
-            if expr.op == "min":
-                return min(a, b)
-            if expr.op == "max":
-                return max(a, b)
-            raise CompilerError(f"unhandled op {expr.op}")
-        if isinstance(expr, Select):
-            a = evaluate(expr.cmp_lhs, i)
-            b = evaluate(expr.cmp_rhs, i)
-            taken = {
-                "<": a < b, "<=": a <= b, "==": a == b,
-                "!=": a != b, ">": a > b, ">=": a >= b,
-            }[expr.cmp]
-            return evaluate(expr.then_value if taken else expr.else_value, i)
-        raise CompilerError(f"unhandled expr {expr!r}")
-
+    body = [_compile_statement(stmt, loop, data, params) for stmt in loop.body]
     iterations = range(n) if loop.step == 1 else range(n - 1, -1, -1)
     for i in iterations:
-        for stmt in loop.body:
-            elem = loop.arrays[stmt.array]
-            value = evaluate(stmt.value, i)
-            if isinstance(stmt, Reduce):
-                current = data[stmt.array][stmt.offset]
-                if stmt.op == "+":
-                    combined = current + value
-                elif stmt.op == "min":
-                    combined = min(current, value)
-                else:
-                    combined = max(current, value)
-                data[stmt.array][stmt.offset] = to_signed(
-                    to_unsigned(combined, elem), elem
-                )
-            else:
-                data[stmt.array][index_of(stmt.index, i)] = to_signed(
-                    to_unsigned(value, elem), elem
-                )
+        for run in body:
+            run(i)
     return data

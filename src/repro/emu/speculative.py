@@ -24,46 +24,66 @@ ones (section III-C).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from operator import itemgetter
 
-from repro.common.blockindex import BlockIndex
 from repro.common.errors import MemoryAccessError
 from repro.emu.metrics import SrvMetrics
 from repro.memory.image import MemoryImage
 
-
-@dataclass(slots=True)
-class _StoreRecord:
-    addr: int
-    size: int
-    data: bytes
-    lane: int
-    instr: int
-
-    def overlaps(self, addr: int, size: int) -> bool:
-        return self.addr < addr + size and addr < self.addr + self.size
+#: sequential position ``(lane, instr)`` of a record: commit order
+_SEQUENTIAL = itemgetter(2, 3)
 
 
-@dataclass(slots=True)
-class _LoadRecord:
-    addr: int
-    size: int
-    lane: int
-    instr: int
-    tick: int
+def _file(records: dict, by_block: dict, shift: int, rows) -> None:
+    """Put each ``(key, record)`` of ``rows`` in ``records`` and file the
+    record under each ``1 << shift``-byte block its bytes ``[record[0],
+    record[1])`` touch.
+
+    A replay re-executes an access under the same key; a record that
+    moved to other blocks first leaves its old ones.
+    """
+    for key, record in rows:
+        old = records.get(key)
+        records[key] = record
+        first = record[0] >> shift
+        last = (record[1] - 1) >> shift
+        if old is not None:
+            old_first = old[0] >> shift
+            old_last = (old[1] - 1) >> shift
+            if old_first != first or old_last != last:
+                for block in range(old_first, old_last + 1):
+                    bucket = by_block[block]
+                    del bucket[key]
+                    if not bucket:
+                        del by_block[block]
+        for block in range(first, last + 1):
+            bucket = by_block.get(block)
+            if bucket is None:
+                by_block[block] = {key: record}
+            else:
+                bucket[key] = record
 
 
-def _record_blocks(
-    shift: int, record: _StoreRecord | _LoadRecord
-) -> tuple[int, ...]:
-    """Numbers of the ``1 << shift``-byte blocks ``record``'s bytes touch."""
-    first = record.addr >> shift
-    last = (record.addr + record.size - 1) >> shift
+def _within(by_block: dict, first: int, last: int):
+    """Records filed under any of the blocks ``first..last``, each once."""
     if first == last:
-        return (first,)
-    return tuple(range(first, last + 1))
+        bucket = by_block.get(first)
+        return bucket.values() if bucket else ()
+    rows: dict = {}
+    for block in range(first, last + 1):
+        bucket = by_block.get(block)
+        if bucket:
+            rows.update(bucket)
+    return rows.values()
+
+
+def _holds_any(by_block: dict, lo: int, hi: int, shift: int) -> bool:
+    """Whether any record is filed under a block the span ``[lo, hi)``
+    touches (one C-level scan of the span's block numbers)."""
+    return not by_block.keys().isdisjoint(
+        range(lo >> shift, ((hi - 1) >> shift) + 1)
+    )
 
 
 @dataclass
@@ -75,19 +95,21 @@ class SpeculativeBuffer:
     because a *later* lane already wrote the bytes) must also re-execute
     the writing lane, not just suppress forwarding.
 
+    Records are plain tuples keyed by SRV-id ``(instr, lane)``: a store
+    is ``(addr, end, lane, instr, data)``, a load ``(addr, end, lane,
+    instr, tick)``, where ``end`` is one past the last byte and ``tick``
+    the machine-order stamp of the load.  Each record is also filed under
+    every block number ``addr >> shift`` its bytes touch, in blocks of
     ``block_bytes`` (the machine's address-alignment region, a power of
-    two) sizes the blocks records are filed by: the forwarding, WAW and
-    RAW walks visit only records in the blocks an access touches, since a
-    record in any other block cannot overlap it.
+    two): the forwarding, WAW and RAW walks visit only records in the
+    blocks an access touches, since a record in any other block cannot
+    overlap it.
     """
 
     memory: MemoryImage
     metrics: SrvMetrics
     tm_mode: bool = False
     block_bytes: int = 64
-    _blocks: Callable[[object], tuple[int, ...]] = field(init=False)
-    _stores: BlockIndex = field(init=False)
-    _loads: BlockIndex = field(init=False)
     needs_replay: set[int] = field(default_factory=set)
     _tick: int = 0
     # Conservative address bounds over all buffered stores / recorded loads.
@@ -99,14 +121,14 @@ class SpeculativeBuffer:
     _smax: int = -(1 << 62)
     _lmin: int = 1 << 62
     _lmax: int = -(1 << 62)
+    _shift: int = field(init=False)
+    _stores: dict = field(init=False, default_factory=dict)
+    _loads: dict = field(init=False, default_factory=dict)
+    _store_blocks: dict = field(init=False, default_factory=dict)
+    _load_blocks: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        # a partial, not a bound method: the buffer must not sit in a
-        # reference cycle with its own indexes, or each region's records
-        # outlive it until the cycle collector runs
-        self._blocks = partial(_record_blocks, self.block_bytes.bit_length() - 1)
-        self._stores = BlockIndex(self._blocks)
-        self._loads = BlockIndex(self._blocks)
+        self._shift = self.block_bytes.bit_length() - 1
 
     # -- helpers -------------------------------------------------------------
 
@@ -125,8 +147,9 @@ class SpeculativeBuffer:
         """
         self._tick += 1
         end = addr + size
-        mine = _LoadRecord(addr, size, lane, instr, self._tick)
-        self._loads.put((instr, lane), mine)
+        shift = self._shift
+        _file(self._loads, self._load_blocks, shift,
+              (((instr, lane), (addr, end, lane, instr, self._tick)),))
         if addr < self._lmin:
             self._lmin = addr
         if end > self._lmax:
@@ -137,11 +160,11 @@ class SpeculativeBuffer:
 
         my_pos = (lane, instr)
         war_seen = False
-        overlapping: list[_StoreRecord] | None = None
-        for record in self._stores.within(self._blocks(mine)):
-            if record.addr >= end or addr >= record.addr + record.size:
+        overlapping: list[tuple] | None = None
+        for record in _within(self._store_blocks, addr >> shift, (end - 1) >> shift):
+            if record[0] >= end or addr >= record[1]:
                 continue
-            if (record.lane, record.instr) < my_pos:
+            if (record[2], record[3]) < my_pos:
                 if overlapping is None:
                     overlapping = [record]
                 else:
@@ -150,10 +173,10 @@ class SpeculativeBuffer:
                 # A sequentially *later* store already wrote these bytes:
                 # WAR — forwarding suppressed, bytes must come from elsewhere.
                 war_seen = True
-                if self.tm_mode and record.lane > lane:
+                if self.tm_mode and record[2] > lane:
                     # TM without line versions: the writing (younger)
                     # lane's transaction aborts and re-executes.
-                    self.needs_replay.add(record.lane)
+                    self.needs_replay.add(record[2])
                     self.metrics.tm_war_replays += 1
         if war_seen:
             self.metrics.war_events += 1
@@ -165,15 +188,13 @@ class SpeculativeBuffer:
         result = bytearray(self.memory.read_bytes(addr, size))
         forwarded = False
         best_pos: list[tuple[int, int] | None] = [None] * size
-        for record in overlapping:
-            rec_pos = (record.lane, record.instr)
-            lo = max(addr, record.addr)
-            hi = min(end, record.addr + record.size)
-            for byte_addr in range(lo, hi):
+        for r_addr, r_end, r_lane, r_instr, data in overlapping:
+            rec_pos = (r_lane, r_instr)
+            for byte_addr in range(max(addr, r_addr), min(end, r_end)):
                 idx = byte_addr - addr
                 if best_pos[idx] is None or best_pos[idx] < rec_pos:
                     best_pos[idx] = rec_pos
-                    result[idx] = record.data[byte_addr - record.addr]
+                    result[idx] = data[byte_addr - r_addr]
                     forwarded = True
         return int.from_bytes(result, "little"), forwarded
 
@@ -184,13 +205,17 @@ class SpeculativeBuffer:
 
         ``lanes`` are the instruction's active lanes in ascending order.
         Returns the lane values and whether any byte was forwarded.  When
-        the whole span lies outside every buffered store, no lane can
+        no buffered store can overlap the span — it lies outside their
+        bounds, or no block it touches holds a store record — no lane can
         forward or see a WAR, so each lane is recorded and read straight
         from memory; otherwise each lane runs :meth:`load` in lane order.
         """
         lo = min(addrs)
         hi = max(addrs) + size
-        if lo < self._smax and hi > self._smin:
+        shift = self._shift
+        if lo < self._smax and hi > self._smin and _holds_any(
+            self._store_blocks, lo, hi, shift
+        ):
             return self._load_each(addrs, size, lanes, instr)
         read_int = self.memory.read_int
         try:
@@ -199,11 +224,12 @@ class SpeculativeBuffer:
             # re-run lane by lane: records the lanes before the bad one
             # and raises its exact error
             return self._load_each(addrs, size, lanes, instr)
-        put = self._loads.put
         tick = self._tick
+        rows = []
         for addr, lane in zip(addrs, lanes):
             tick += 1
-            put((instr, lane), _LoadRecord(addr, size, lane, instr, tick))
+            rows.append(((instr, lane), (addr, addr + size, lane, instr, tick)))
+        _file(self._loads, self._load_blocks, shift, rows)
         self._tick = tick
         if lo < self._lmin:
             self._lmin = lo
@@ -224,15 +250,15 @@ class SpeculativeBuffer:
 
     def store(self, addr: int, size: int, value: int, lane: int, instr: int) -> None:
         self._tick += 1
-        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
         end = addr + size
-        mine = _StoreRecord(addr, size, data, lane, instr)
+        shift = self._shift
+        first, last = addr >> shift, (end - 1) >> shift
 
         # WAW: an overlapping buffered store in a *later* lane already
         # executed; ordered commit will keep the latest program-order data.
         if addr < self._smax and end > self._smin:
-            for record in self._stores.within(self._blocks(mine)):
-                if record.lane > lane and record.overlaps(addr, size):
+            for record in _within(self._store_blocks, first, last):
+                if record[2] > lane and record[0] < end and addr < record[1]:
                     self.metrics.waw_events += 1
                     break
 
@@ -240,16 +266,16 @@ class SpeculativeBuffer:
         # already executed (machine time) read stale bytes — flag its lane.
         if addr < self._lmax and end > self._lmin:
             tick = self._tick
-            for load in self._loads.within(self._blocks(mine)):
-                if load.lane <= lane:
-                    continue
-                if load.tick >= tick:
-                    continue
-                if load.addr < end and addr < load.addr + load.size:
-                    self.needs_replay.add(load.lane)
+            for l_addr, l_end, l_lane, _, l_tick in _within(
+                self._load_blocks, first, last
+            ):
+                if l_lane > lane and l_tick < tick and l_addr < end and addr < l_end:
+                    self.needs_replay.add(l_lane)
                     self.metrics.raw_violations += 1
 
-        self._stores.put((instr, lane), mine)
+        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        _file(self._stores, self._store_blocks, shift,
+              (((instr, lane), (addr, end, lane, instr, data)),))
         if addr < self._smin:
             self._smin = addr
         if end > self._smax:
@@ -265,24 +291,32 @@ class SpeculativeBuffer:
     ) -> None:
         """One vector store: :meth:`store` for each lane, in lane order.
 
-        When the whole span lies outside every buffered store and every
-        recorded load, no lane can meet a WAW or a RAW (lanes of one store
+        When no buffered store and no recorded load can overlap the span
+        (it lies outside their bounds, or no block it touches holds such
+        a record), no lane can meet a WAW or a RAW (lanes of one store
         never conflict with each other: each is older than the next), so
         the lanes are simply buffered.
         """
         lo = min(addrs)
         hi = max(addrs) + size
-        if (lo < self._smax and hi > self._smin) or (
+        shift = self._shift
+        if (
+            lo < self._smax and hi > self._smin
+            and _holds_any(self._store_blocks, lo, hi, shift)
+        ) or (
             lo < self._lmax and hi > self._lmin
+            and _holds_any(self._load_blocks, lo, hi, shift)
         ):
             for addr, value, lane in zip(addrs, values, lanes):
                 self.store(addr, size, value, lane, instr)
             return
-        put = self._stores.put
         mask = (1 << (size * 8)) - 1
-        for addr, value, lane in zip(addrs, values, lanes):
-            data = (value & mask).to_bytes(size, "little")
-            put((instr, lane), _StoreRecord(addr, size, data, lane, instr))
+        rows = [
+            ((instr, lane),
+             (addr, addr + size, lane, instr, (value & mask).to_bytes(size, "little")))
+            for addr, value, lane in zip(addrs, values, lanes)
+        ]
+        _file(self._stores, self._store_blocks, shift, rows)
         self._tick += len(addrs)
         if lo < self._smin:
             self._smin = lo
@@ -297,10 +331,8 @@ class SpeculativeBuffer:
         Sorting by ``(lane, instruction_offset)`` makes the program-order
         last writer win — the paper's selective memory update for WAW.
         """
-        for record in sorted(
-            self._stores.values(), key=lambda r: (r.lane, r.instr)
-        ):
-            self.memory.write_bytes(record.addr, record.data)
+        for record in sorted(self._stores.values(), key=_SEQUENTIAL):
+            self.memory.write_bytes(record[0], record[4])
 
     def _reset_bounds(self) -> None:
         self._smin = self._lmin = 1 << 62
@@ -309,6 +341,8 @@ class SpeculativeBuffer:
     def discard(self) -> None:
         self._stores.clear()
         self._loads.clear()
+        self._store_blocks.clear()
+        self._load_blocks.clear()
         self.needs_replay.clear()
         self._reset_bounds()
 
@@ -324,9 +358,9 @@ class SpeculativeBuffer:
         keep_committed = [
             record
             for record in self._stores.values()
-            if record.lane < oldest_lane
-            or (record.lane == oldest_lane and record.instr <= offset)
+            if record[2] < oldest_lane
+            or (record[2] == oldest_lane and record[3] <= offset)
         ]
-        for record in sorted(keep_committed, key=lambda r: (r.lane, r.instr)):
-            self.memory.write_bytes(record.addr, record.data)
+        for record in sorted(keep_committed, key=_SEQUENTIAL):
+            self.memory.write_bytes(record[0], record[4])
         self.discard()

@@ -7,6 +7,7 @@ from repro.lsu.horizontal import (
     hob_and_forwardable,
     hob_for_pair,
     horizontal_violation_vector,
+    may_violate,
     overall_hob,
     replay_lanes_from_hob,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "hob_and_forwardable",
     "hob_for_pair",
     "horizontal_violation_vector",
+    "may_violate",
     "overall_hob",
     "replay_lanes_from_hob",
     "LoadIssueResult",

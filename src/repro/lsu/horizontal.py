@@ -208,6 +208,39 @@ def hob_for_pair(
     return result
 
 
+def may_violate(issuing: LsuEntry, prior: LsuEntry) -> bool:
+    """False only if :func:`hob_for_pair` is surely empty, decided on ints.
+
+    A single-lane issuer (a gather/scatter micro-op, a scalar or a
+    broadcast access) compares every byte against its own lane field, so
+    HOB = VOB AND (prior-lane(byte) > issuing.lane) is non-empty exactly
+    when the prior's largest lane over the overlapped bytes exceeds that
+    lane.  A contiguous prior's lane moves monotonically with the address
+    (up, or down for the DOWN direction), so that largest lane sits at
+    one end of the overlap.  A contiguous issuer's lane varies per byte:
+    for it the answer is always True and the bit vectors decide.
+    """
+    if issuing.access is AccessType.CONTIGUOUS:
+        return True
+    lo = max(issuing.addr, prior.addr)
+    hi = min(issuing.addr + issuing.size, prior.addr + prior.size)
+    if lo >= hi:
+        return False
+    access = prior.access
+    if access is AccessType.CONTIGUOUS:
+        if prior.direction is SrvDirection.DOWN:
+            top = prior.lane + prior.lanes_covered - 1 - (
+                (lo - prior.addr) // prior.elem
+            )
+        else:
+            top = prior.lane + (hi - 1 - prior.addr) // prior.elem
+    elif access is AccessType.BROADCAST:
+        top = prior.lane + prior.lanes_covered - 1
+    else:
+        top = prior.lane
+    return top > issuing.lane
+
+
 def hob_and_forwardable(
     issuing: LsuEntry, prior: LsuEntry, region_bytes: int
 ) -> tuple[dict[int, BitVector], dict[int, BitVector]]:

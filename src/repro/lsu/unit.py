@@ -29,6 +29,7 @@ from repro.lsu.entries import LsuEntry
 from repro.lsu.horizontal import (
     hob_and_forwardable,
     hob_for_pair,
+    may_violate,
     overall_hob,
     replay_lanes_from_hob,
 )
@@ -293,7 +294,11 @@ class LoadStoreUnit:
             )
 
             # Horizontal RAW: prior loads in later lanes read stale bytes.
-            prior_loads = [e for e in loads if e.seq < entry.seq]
+            # Only loads that may violate can add a HOB byte or a replay
+            # lane, and for a single-lane store that is an integer test.
+            prior_loads = [
+                e for e in loads if e.seq < entry.seq and may_violate(entry, e)
+            ]
             hob = overall_hob(entry, prior_loads, self.region_bytes)
             if hob:
                 lanes = replay_lanes_from_hob(

@@ -144,7 +144,12 @@ class MemoryImage:
         return to_signed(raw, size) if signed else raw
 
     def write_int(self, addr: int, value: int, size: int) -> None:
-        self.write_bytes(addr, to_unsigned(value, size).to_bytes(size, "little"))
+        off = addr - self._base
+        if off < 0 or off + size > len(self._data):
+            self._span(addr, size)  # raises the out-of-range error
+        self._data[off:off + size] = (
+            value & ((1 << (size * 8)) - 1)
+        ).to_bytes(size, "little")
 
     # -- lane-batched access --------------------------------------------------
     #

@@ -16,6 +16,10 @@ from repro.compiler import (
     Store,
     scalar_reference,
 )
+from repro.gen.campaign import FuzzConfig
+from repro.gen.emitter import generate_kernel
+from tests.reference_oracle import walk_reference
+from tests.test_lane_engine import KERNEL_CASES
 
 
 def listing1():
@@ -152,3 +156,88 @@ class TestScalarReference:
         )
         out = scalar_reference(loop, {"a": [127, 255 - 256]}, 2)
         assert out["a"][0] == -128  # 127 + 1 wraps in int8
+
+    @pytest.mark.parametrize("op,expect", [
+        ("%", [1, -1, 0, 1]), ("<<", [28, -28, 0, 36]),
+        (">>", [1, (2**64 - 7) >> 2, 0, 2]), ("min", [2, -7, 0, 2]),
+        ("max", [7, 2, 2, 9]), ("^", [5, -5, 2, 11]),
+    ])
+    def test_binop_semantics(self, op, expect):
+        loop = Loop(
+            "ops", {"a": 8},
+            [Store("a", Affine(), BinOp(op, Read("a", Affine()), Const(2)))],
+        )
+        out = scalar_reference(loop, {"a": [7, -7, 0, 9]}, 4)
+        assert out["a"] == expect
+
+
+class TestLazyErrors:
+    """The oracle is compiled before the first iteration; a missing array
+    or parameter must still fail only when an iteration evaluates it."""
+
+    def _guarded(self, untaken):
+        # a[i] = 0 if a[i] < 100 else <untaken>; every a[i] is < 100
+        return Loop(
+            "guarded", {"a": 4, "b": 4},
+            [Store("a", Affine(),
+                   Select("<", Read("a", Affine()), Const(100), Const(0),
+                          untaken))],
+        )
+
+    def test_missing_param_in_untaken_branch_is_never_read(self):
+        out = scalar_reference(self._guarded(Param("k")), {"a": [1, 2]}, 2)
+        assert out["a"] == [0, 0]
+
+    def test_missing_array_in_untaken_branch_is_never_read(self):
+        out = scalar_reference(self._guarded(Read("b", Affine())), {"a": [1]}, 1)
+        assert out["a"] == [0]
+
+    def test_missing_param_raises_when_evaluated(self):
+        loop = Loop("p", {"a": 4}, [Store("a", Affine(), Param("k"))])
+        assert scalar_reference(loop, {"a": [5]}, 0) == {"a": [5]}
+        with pytest.raises(KeyError, match="k"):
+            scalar_reference(loop, {"a": [5]}, 1)
+
+    @pytest.mark.parametrize("index", [Affine(), Indirect("x")])
+    def test_missing_array_raises_when_evaluated(self, index):
+        loop = Loop("r", {"a": 4, "b": 4, "x": 4},
+                    [Store("a", Affine(), Read("b", index))])
+        assert scalar_reference(loop, {"a": [5]}, 0) == {"a": [5]}
+        with pytest.raises(KeyError, match="b"):
+            scalar_reference(loop, {"a": [5], "x": [0]}, 1)
+
+    def test_missing_store_target_raises_when_evaluated(self):
+        loop = Loop("s", {"a": 4, "b": 4},
+                    [Store("b", Affine(), Read("a", Affine()))])
+        assert scalar_reference(loop, {"a": [5]}, 0) == {"a": [5]}
+        with pytest.raises(KeyError, match="b"):
+            scalar_reference(loop, {"a": [5]}, 1)
+
+
+# ---------------------------------------------------------------------------
+# the compiled oracle against the tree walker it replaced
+# ---------------------------------------------------------------------------
+
+
+def _suite_cases():
+    from repro.workloads import all_loops
+
+    return [
+        pytest.param(spec, id=f"{workload.name}/{spec.name}")
+        for workload, spec in all_loops()
+    ]
+
+
+@pytest.mark.parametrize("spec", _suite_cases())
+def test_compiled_oracle_matches_tree_walker_on_suite_loop(spec):
+    arrays = spec.arrays(0)
+    assert scalar_reference(spec.loop, arrays, spec.n, params=spec.params) \
+        == walk_reference(spec.loop, arrays, spec.n, params=spec.params)
+
+
+@pytest.mark.parametrize("seed,knobs", KERNEL_CASES)
+def test_compiled_oracle_matches_tree_walker_on_generated_kernel(seed, knobs):
+    spec = generate_kernel(seed, knobs).spec
+    arrays = spec.arrays(FuzzConfig().seed)
+    assert scalar_reference(spec.loop, arrays, spec.n, params=spec.params) \
+        == walk_reference(spec.loop, arrays, spec.n, params=spec.params)

@@ -27,6 +27,7 @@ from repro.lsu import (
     hob_and_forwardable,
     hob_for_pair,
     horizontal_violation_vector,
+    may_violate,
     overall_hob,
     replay_lanes_from_hob,
     vob_for_pair,
@@ -722,6 +723,60 @@ class TestLazyGeometry:
     def test_nonpositive_size_is_rejected_at_make(self):
         with pytest.raises(ValueError):
             make_entry(addr=0x40, size=0)
+
+
+def _grid_entries(access, elem, direction, addr, lane, is_store):
+    """One entry per lane count (1..8) an access of this type can cover."""
+    counts = range(1, 9) if access in (
+        AccessType.CONTIGUOUS, AccessType.BROADCAST) else (1,)
+    for lanes in counts:
+        size = elem * lanes if access is AccessType.CONTIGUOUS else elem
+        yield make_entry(
+            is_store=is_store, access=access, addr=addr, size=size,
+            elem=elem, lane=lane, lanes_covered=lanes, direction=direction,
+        )
+
+
+class TestMayViolateGrid:
+    """``may_violate`` against the HOB bit vectors, over every access type
+    pair, both directions, every element size, 1-8 lanes and offsets
+    straddling a 64-byte base.  For a single-lane issuer it must be exact
+    (so where it says "cannot violate" the HOB is empty); a contiguous
+    issuer always goes to the bit vectors."""
+
+    BASE = 0x1040
+
+    @pytest.mark.parametrize("prior_access", list(AccessType))
+    @pytest.mark.parametrize("issuer_access", list(AccessType))
+    def test_cannot_violate_means_empty_hob(self, issuer_access, prior_access):
+        single_lane = issuer_access is not AccessType.CONTIGUOUS
+        checked = violating = 0
+        for direction in SrvDirection:
+            for p_elem in (1, 2, 4, 8):
+                # the prior straddles the base whenever it is wider than 6
+                # bytes; its lane field is 1, so issuer lanes 0..8 take in
+                # one lane below it and every lane it can cover
+                priors = list(_grid_entries(
+                    prior_access, p_elem, direction, self.BASE - 6, 1, False))
+                for i_elem in (1, 2, 4, 8):
+                    for i_off in range(-14, 66, 5):
+                        for i_lane in range(9):
+                            issuers = _grid_entries(
+                                issuer_access, i_elem, direction,
+                                self.BASE + i_off, i_lane, True)
+                            for issuer in issuers:
+                                for prior in priors:
+                                    verdict = may_violate(issuer, prior)
+                                    if not single_lane:
+                                        # contiguous: the bit vectors decide
+                                        assert verdict
+                                        continue
+                                    hob = hob_for_pair(issuer, prior, REGION)
+                                    assert verdict == bool(hob), (issuer, prior)
+                                    checked += 1
+                                    violating += verdict
+        # the grid reaches both answers
+        assert not single_lane or checked > violating > 0
 
 
 class BruteForceLsu(LoadStoreUnit):

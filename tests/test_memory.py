@@ -56,6 +56,25 @@ class TestMemoryImage:
         assert mem.read_int(0x100 + 60, 4) == 0x84030201
         assert mem.read_int(0x100 + 60, 4, signed=True) == 0x84030201 - (1 << 32)
 
+    @pytest.mark.parametrize("addr", [0x90, 0xFE, 0x100 + 62, 0x100 + 64])
+    def test_write_int_out_of_range_message(self, addr):
+        mem = MemoryImage(size=64, base=0x100)
+        before = mem.snapshot()
+        with pytest.raises(MemoryAccessError) as info:
+            mem.write_int(addr, -1, 4)
+        assert str(info.value) == (
+            f"access [{addr:#x}, {addr + 4:#x}) outside memory [0x100, 0x140)"
+        )
+        assert mem.snapshot() == before  # nothing written
+
+    def test_write_int_wraps_and_fills_the_last_bytes(self):
+        mem = MemoryImage(size=64, base=0x100)
+        mem.write_int(0x100 + 60, -(1 << 33) + 0x84030201, 4)
+        assert mem.read_bytes(0x100 + 60, 4) == b"\x01\x02\x03\x84"
+        mem.write_int(0x100, 1 << 64, 8)
+        assert mem.read_int(0x100, 8) == 0
+        assert mem.read_int(0x100 + 60, 4) == 0x84030201
+
     def test_alloc_and_arrays(self):
         mem = MemoryImage()
         a = mem.alloc("a", 10, 4, init=range(10))

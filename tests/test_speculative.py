@@ -1,12 +1,14 @@
 """Direct unit tests for the SRV speculative buffer."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.common.errors import MemoryAccessError
 from repro.emu.metrics import SrvMetrics
-from repro.emu.speculative import SpeculativeBuffer, _LoadRecord, _StoreRecord
+from repro.emu.speculative import SpeculativeBuffer
 from repro.memory import MemoryImage
 
 
@@ -134,55 +136,112 @@ class TestTmMode:
         assert buffer.needs_replay == set()
 
 
-class ScanAllBuffer(SpeculativeBuffer):
-    """Reference buffer: every walk scans every record, no index or bounds."""
+def _view(buffer: SpeculativeBuffer) -> tuple[dict, dict]:
+    """The buffer's records, independent of how it stores them:
+    ``(addr, size, lane, instr, tick)`` per load SRV-id and
+    ``(addr, data, lane, instr)`` per store SRV-id."""
+    loads = {
+        key: (addr, end - addr, lane, instr, tick)
+        for key, (addr, end, lane, instr, tick) in buffer._loads.items()
+    }
+    stores = {
+        key: (addr, data, lane, instr)
+        for key, (addr, _, lane, instr, data) in buffer._stores.items()
+    }
+    return loads, stores
+
+
+def _filed(buffer: SpeculativeBuffer) -> bool:
+    """Whether each record is filed under exactly the blocks it touches."""
+    shift = buffer.block_bytes.bit_length() - 1
+    for records, by_block in ((buffer._loads, buffer._load_blocks),
+                              (buffer._stores, buffer._store_blocks)):
+        want = {
+            (block, key)
+            for key, record in records.items()
+            for block in range(record[0] >> shift, ((record[1] - 1) >> shift) + 1)
+        }
+        got = {(block, key) for block, bucket in by_block.items() for key in bucket}
+        if got != want or not all(bucket for bucket in by_block.values()):
+            return False
+        if any(bucket[key] is not records[key]
+               for bucket in by_block.values() for key in bucket):
+            return False
+    return True
+
+
+class ScanAllBuffer:
+    """Reference buffer: every walk scans every record, no index or bounds.
+
+    Its records are the representation-neutral view itself: ``loads``
+    maps an SRV-id to ``(addr, size, lane, instr, tick)`` and ``stores``
+    to ``(addr, data, lane, instr)``.
+    """
+
+    def __init__(self, memory, metrics, tm_mode=False):
+        self.memory = memory
+        self.metrics = metrics
+        self.tm_mode = tm_mode
+        self.needs_replay = set()
+        self.loads = {}
+        self.stores = {}
+        self._tick = 0
+
+    def view(self):
+        return self.loads, self.stores
 
     def load(self, addr, size, lane, instr):
         self._tick += 1
-        self._loads[(instr, lane)] = _LoadRecord(addr, size, lane, instr, self._tick)
+        self.loads[(instr, lane)] = (addr, size, lane, instr, self._tick)
         end = addr + size
         war_seen = False
         overlapping = []
-        for record in self._stores.values():
-            if record.addr >= end or addr >= record.addr + record.size:
+        for s_addr, data, s_lane, s_instr in self.stores.values():
+            if s_addr >= end or addr >= s_addr + len(data):
                 continue
-            if (record.lane, record.instr) < (lane, instr):
-                overlapping.append(record)
+            if (s_lane, s_instr) < (lane, instr):
+                overlapping.append((s_addr, data, s_lane, s_instr))
             else:
                 war_seen = True
-                if self.tm_mode and record.lane > lane:
-                    self.needs_replay.add(record.lane)
+                if self.tm_mode and s_lane > lane:
+                    self.needs_replay.add(s_lane)
                     self.metrics.tm_war_replays += 1
         if war_seen:
             self.metrics.war_events += 1
         result = bytearray(self.memory.read_bytes(addr, size))
         best = [None] * size
         forwarded = False
-        for record in overlapping:
-            pos = (record.lane, record.instr)
-            for byte_addr in range(max(addr, record.addr),
-                                   min(end, record.addr + record.size)):
+        for s_addr, data, s_lane, s_instr in overlapping:
+            pos = (s_lane, s_instr)
+            for byte_addr in range(max(addr, s_addr),
+                                   min(end, s_addr + len(data))):
                 idx = byte_addr - addr
                 if best[idx] is None or best[idx] < pos:
                     best[idx] = pos
-                    result[idx] = record.data[byte_addr - record.addr]
+                    result[idx] = data[byte_addr - s_addr]
                     forwarded = True
         return int.from_bytes(result, "little"), forwarded
 
     def store(self, addr, size, value, lane, instr):
         self._tick += 1
-        for record in self._stores.values():
-            if record.lane > lane and record.overlaps(addr, size):
+        for s_addr, data, s_lane, _ in self.stores.values():
+            if s_lane > lane and s_addr < addr + size and addr < s_addr + len(data):
                 self.metrics.waw_events += 1
                 break
-        for load in self._loads.values():
-            if load.lane > lane and load.tick < self._tick and (
-                load.addr < addr + size and addr < load.addr + load.size
+        for l_addr, l_size, l_lane, _, l_tick in self.loads.values():
+            if l_lane > lane and l_tick < self._tick and (
+                l_addr < addr + size and addr < l_addr + l_size
             ):
-                self.needs_replay.add(load.lane)
+                self.needs_replay.add(l_lane)
                 self.metrics.raw_violations += 1
         data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-        self._stores[(instr, lane)] = _StoreRecord(addr, size, data, lane, instr)
+        self.stores[(instr, lane)] = (addr, data, lane, instr)
+
+    def commit(self):
+        for addr, data, _, _ in sorted(
+            self.stores.values(), key=lambda r: (r[2], r[3])
+        ):
+            self.memory.write_bytes(addr, data)
 
 
 def _random_image(rng: random.Random) -> MemoryImage:
@@ -251,8 +310,8 @@ class TestBatchedLanes:
                 for buf in (per_lane, reference):
                     assert batched.needs_replay == buf.needs_replay
                     assert batched.metrics == buf.metrics
-                assert batched._stores.keys() == reference._stores.keys()
-                assert batched._loads == reference._loads
+                assert _view(batched) == _view(per_lane) == reference.view()
+                assert _filed(batched) and _filed(per_lane)
             active = sorted(batched.needs_replay) or active
             for buf in (batched, per_lane, reference):
                 buf.needs_replay.clear()
@@ -279,8 +338,14 @@ class TestBatchedLanes:
 
     def test_moved_record_leaves_its_old_block(self, buffer):
         buffer.store(0x1000, 4, 7, lane=0, instr=0)
-        buffer.store(0x1100, 4, 7, lane=0, instr=0)  # replay, moved
-        assert list(buffer._stores.by_block) == [0x1100 // 64]
+        buffer.store(0x103E, 4, 7, lane=0, instr=0)  # replay, now straddling
+        assert sorted(buffer._store_blocks) == [0x1000 // 64, 0x1040 // 64]
+        buffer.store(0x1100, 4, 7, lane=0, instr=0)  # replay, moved away
+        assert list(buffer._store_blocks) == [0x1100 // 64]
+        assert buffer._store_blocks[0x1100 // 64] == {
+            (0, 0): buffer._stores[(0, 0)]
+        }
+        assert _filed(buffer)
         value, forwarded = buffer.load(0x1000, 4, lane=5, instr=1)
         assert (value, forwarded) == (1000, False)
 
@@ -299,6 +364,42 @@ class TestBatchedLanes:
         values, forwarded = buffer.load_lanes(addrs, 4, list(range(16)), 2)
         assert len(calls) == 16 and forwarded and values[2] == 5
 
+    def test_vector_in_empty_blocks_skips_the_per_lane_walk(
+        self, buffer, monkeypatch
+    ):
+        calls = []
+        for name in ("load", "store"):
+            real = getattr(SpeculativeBuffer, name)
+            monkeypatch.setattr(
+                SpeculativeBuffer, name,
+                lambda self, *args, real=real: calls.append(args) or real(self, *args),
+            )
+        buffer.store(0x1000, 4, 5, 3, 0)
+        buffer.store(0x1100, 4, 5, 3, 1)
+        buffer.load(0x1000, 4, 9, 2)
+        buffer.load(0x1100, 4, 9, 3)
+        calls.clear()
+        # inside both bounds [0x1000, 0x1104), but blocks 0x1080 // 64 and
+        # 0x10C0 // 64 hold no record
+        loaded = [0x1080 + 4 * lane for lane in range(16)]
+        values, forwarded = buffer.load_lanes(loaded, 4, list(range(16)), 4)
+        assert values == [1032 + lane for lane in range(16)] and not forwarded
+        stored = [0x10C0 + 4 * lane for lane in range(16)]
+        buffer.store_lanes(stored, 4, [7] * 16, list(range(16)), 5)
+        assert calls == [] and buffer.lsu_entries_used() == 36
+        assert buffer.needs_replay == set() and _filed(buffer)
+        # the loads' block now holds records: lanes 0 and 1 storing over
+        # the bytes lanes 2 and 3 loaded meet a RAW, lane by lane
+        buffer.store_lanes(loaded[2:4], 4, [1, 1], [0, 1], 6)
+        assert len(calls) == 2 and buffer.needs_replay == {2, 3}
+        assert buffer.metrics.raw_violations == 2
+
+    def test_store_vector_blocked_by_a_load_record_alone(self, buffer):
+        buffer.load(0x1000, 4, lane=7, instr=0)
+        buffer.store_lanes([0x1000, 0x1004], 4, [1, 2], [0, 1], 1)
+        assert buffer.needs_replay == {7}
+        assert buffer.metrics.raw_violations == 1
+
     @pytest.mark.parametrize("with_store", [False, True])
     def test_out_of_image_lane_raises_the_per_lane_error(self, mem, with_store):
         lanes = list(range(6))
@@ -314,5 +415,27 @@ class TestBatchedLanes:
                 else:
                     for addr, lane in zip(addrs, lanes):
                         buf.load(addr, 4, lane, 1)
-            outcomes.append((str(info.value), dict(buf._loads), buf._tick))
+            outcomes.append((str(info.value), _view(buf), buf._tick))
         assert outcomes[0] == outcomes[1]
+
+
+class TestLifetime:
+    def test_buffer_with_records_is_freed_by_reference_counting(self, mem):
+        """A region's buffer must not sit in a reference cycle: its
+        records would outlive the region until the cycle collector ran."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            buffer = SpeculativeBuffer(mem, SrvMetrics())
+            buffer.store(0x1000, 4, 1, lane=3, instr=0)
+            buffer.store(0x103E, 4, 2, lane=1, instr=1)  # two blocks
+            buffer.load_lanes([0x1000 + 4 * lane for lane in range(8)], 4,
+                              list(range(8)), 2)
+            buffer.store_lanes([0x1200, 0x1204], 4, [5, 6], [0, 1], 3)
+            assert buffer.lsu_entries_used() == 12
+            alive = weakref.ref(buffer)
+            del buffer
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
