@@ -45,8 +45,15 @@ class BlockIndex(dict):
 
     def drop(self, key: Hashable) -> None:
         row = self.pop(key, None)
-        if row is not None:
-            self._unfile(key, self.blocks_of(row))
+        if row is None:
+            return
+        # _unfile inline: the LSU drops one row per drained access
+        by_block = self.by_block
+        for block in self.blocks_of(row):
+            bucket = by_block[block]
+            del bucket[key]
+            if not bucket:
+                del by_block[block]
 
     def _unfile(self, key: Hashable, blocks: Sequence[Hashable]) -> None:
         by_block = self.by_block

@@ -19,6 +19,7 @@ Counter conventions follow the paper's McPAT methodology (section VI-C):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop
 from operator import attrgetter
 
 from repro.common.blockindex import BlockIndex
@@ -77,12 +78,29 @@ class StoreIssueResult:
     vertical_squash: bool = False
 
 
+# Most issues find nothing to forward, suppress, replay or squash; they
+# all return these shared results, whose sets are frozen.
+#: a load that reads every byte from memory and suppresses nothing
+_FROM_MEMORY = LoadIssueResult(frozenset())
+#: a store that flags no replay lane, WAW or squash
+_NO_CONFLICT = StoreIssueResult(frozenset())
+
+
 class LoadStoreUnit:
     """LQ / SAQ / SDQ with SRV horizontal disambiguation."""
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self.region_bytes = config.alignment_region_bytes
+        self.capacity = config.lsu_entries
+        # Address disambiguations (bit-vector generations) of one lookup:
+        # one per CAM activation plus one per row whose address-alignment
+        # base matches (each match produces a VOB/HOB pair, figure 2),
+        # capped at the SDQ read-port count: the hardware generates at
+        # most that many pairs per lookup (Table I provides 5 SDQ read
+        # ports; further matches share the same activation).  A first
+        # match always counts.
+        self._pair_cap = max(config.ports.sdq_reads, 1)
         self.counters = LsuCounters()
         # rows keyed by (srv_id, lane), filed by address-alignment base:
         # the CAM's match key (figure 2)
@@ -133,18 +151,34 @@ class LoadStoreUnit:
         if key in self.saq:
             self.saq.drop(key)
 
+    def drain_committed(self, due: list, now: int) -> None:
+        """Retire every access of ``due`` that drains by cycle ``now``.
+
+        ``due`` is a min-heap of ``(drain cycle, key)``; the retired items
+        are popped from it, and each key leaves its queue as
+        :meth:`drain_entry` would.
+        """
+        lq = self.lq
+        saq = self.saq
+        while due and due[0][0] <= now:
+            key = heappop(due)[1]
+            if key in lq:
+                lq.drop(key)
+            if key in saq:
+                saq.drop(key)
+
     # -- capacity ---------------------------------------------------------------
 
     def entries_used(self) -> int:
         return len(self.lq) + len(self.saq)
 
     def has_capacity_for(self, demand: int) -> bool:
-        return demand <= self.config.lsu_entries
+        return demand <= self.capacity
 
     def _check_allocate(self, key: tuple[int, int], table: dict) -> None:
         if key in table:
             return  # replay updates the SRV-id's entry in place
-        if self.entries_used() + 1 <= self.config.lsu_entries:
+        if self.entries_used() < self.capacity:
             return
         if not self.in_region:
             # Outside a region the oldest entries belong to committed
@@ -153,7 +187,7 @@ class LoadStoreUnit:
             return
         raise LsuOverflowError(
             f"LSU overflow: {self.entries_used()} entries in use, "
-            f"capacity {self.config.lsu_entries}"
+            f"capacity {self.capacity}"
         )
 
     def _evict_oldest(self) -> None:
@@ -174,63 +208,67 @@ class LoadStoreUnit:
 
     # -- issue -------------------------------------------------------------------
 
-    def _stamp(self, entry: LsuEntry) -> None:
-        self._seq += 1
-        entry.seq = self._seq
-
-    def _match_work(self, rows: list[LsuEntry]) -> int:
-        """Address disambiguations (bit-vector generations) of one lookup.
-
-        One per CAM activation plus one per row whose address-alignment
-        base matches (each match produces a VOB/HOB pair, figure 2),
-        capped at the SDQ read-port count: the hardware generates at most
-        that many pairs per lookup (Table I provides 5 SDQ read ports;
-        further matches share the same activation).  A first match always
-        counts.
-        """
-        return 1 + min(len(rows), max(self.config.ports.sdq_reads, 1))
-
     def issue_load(self, entry: LsuEntry) -> LoadIssueResult:
         """Issue a load (or one gather micro-op) against the SAQ."""
         if entry.is_store:
             raise ValueError("issue_load called with a store entry")
         key = (entry.srv_id, entry.lane)
-        self._check_allocate(key, self.lq)
-        self._stamp(entry)
-        self.lq.put(key, entry)
+        lq = self.lq
+        if len(lq) + len(self.saq) >= self.capacity and key not in lq:
+            self._check_allocate(key, lq)
+        self._seq = seq = self._seq + 1
+        entry.seq = seq
+        lq.put(key, entry)
         if _faults.ACTIVE is not None and _faults.ACTIVE.drop_lsu_entry("lq"):
-            self.lq.drop(key)
+            lq.drop(key)
 
-        self.counters.cam_lookups_saq += 1
-        self.counters.cam_lookups_lq += 1  # load-ordering check
+        counters = self.counters
+        counters.cam_lookups_saq += 1
+        counters.cam_lookups_lq += 1  # load-ordering check
+        # the SAQ rows that share an address-alignment base with the load
+        bases = entry.bases
+        if len(bases) == 1:
+            bucket = self.saq.by_block.get(bases[0])
+            rows = bucket.values() if bucket else ()
+        else:
+            rows = self.saq.within(bases)
+        matches = len(rows)
+        cap = self._pair_cap
+        work = 1 + (matches if matches < cap else cap)
         # Horizontal replaces vertical for loads inside SRV-regions
         # (section VI-B).
-        rows = self.saq.within(entry.bases)
-        work = self._match_work(rows)
-        if self.in_region:
-            self.counters.horizontal_disambiguations += work
+        in_region = self.in_region
+        if in_region:
+            counters.horizontal_disambiguations += work
         else:
-            self.counters.vertical_disambiguations += work
-        # of the matching rows, only those with a byte in common can yield
-        # a non-empty VOB, HOB or forwardable mask
-        priors = [prior for prior in rows if entry.overlaps(prior)]
+            counters.vertical_disambiguations += work
+        if not matches:
+            counters.loads_from_memory += 1
+            return _FROM_MEMORY
 
-        result = LoadIssueResult()
+        forwarded: set[tuple[int, int]] = set()
+        war_suppressed = False
         # Coverage as an int mask relative to entry.addr: forwardable
         # bytes always fall inside the load's own span, so bit i covers
         # byte entry.addr + i.
         covered = 0
         addr = entry.addr
-        for prior in priors:
-            if self.in_region:
-                hob, ok = hob_and_forwardable(entry, prior, self.region_bytes)
+        end = addr + entry.size
+        region_bytes = self.region_bytes
+        for prior in rows:
+            # only rows with a byte in common can yield a non-empty VOB,
+            # HOB or forwardable mask
+            if prior.addr >= end or addr >= prior.addr + prior.size:
+                continue
+            if in_region:
+                hob, ok = hob_and_forwardable(entry, prior, region_bytes)
                 if hob:
-                    result.war_suppressed = True
-                    self.counters.war_suppressions += 1
+                    war_suppressed = True
+                    counters.war_suppressions += 1
             else:
                 ok = vob_for_pair(entry, prior)
             if ok:
-                result.forwarded_from.add((prior.srv_id, prior.lane))
+                forwarded.add((prior.srv_id, prior.lane))
                 for base, bv in ok.items():
                     offset = base - addr
                     if offset >= 0:
@@ -238,29 +276,33 @@ class LoadStoreUnit:
                     else:
                         covered |= bv.bits >> -offset
         need = (1 << entry.size) - 1
-        result.any_memory_bytes = (covered & need) != need
-        result.sdq_entries_combined = len(result.forwarded_from)
-        if result.forwarded_from:
-            self.counters.loads_forwarded += 1
-            if result.sdq_entries_combined > 1:
-                self.counters.multi_entry_forwards += 1
-        if result.any_memory_bytes:
-            self.counters.loads_from_memory += 1
+        any_memory_bytes = (covered & need) != need
+        if forwarded:
+            counters.loads_forwarded += 1
+            if len(forwarded) > 1:
+                counters.multi_entry_forwards += 1
+        if any_memory_bytes:
+            counters.loads_from_memory += 1
+        if not forwarded and not war_suppressed:
+            return _FROM_MEMORY
+        result = LoadIssueResult(
+            forwarded, any_memory_bytes, war_suppressed, len(forwarded)
+        )
         obs = _obs.ACTIVE
         if obs is not None:
             # op/cycle context was set by the timing model's _execute_mem
-            if result.war_suppressed:
+            if war_suppressed:
                 obs.emit_lsu(
                     _obs.EventKind.WAR_SUPPRESS, entry.lane,
                     (("srv_id", entry.srv_id),),
                 )
-            if result.forwarded_from:
+            if forwarded:
                 obs.emit_lsu(
                     _obs.EventKind.STL_FORWARD, entry.lane,
                     (
                         ("srv_id", entry.srv_id),
-                        ("sources", result.sdq_entries_combined),
-                        ("full", not result.any_memory_bytes),
+                        ("sources", len(forwarded)),
+                        ("full", not any_memory_bytes),
                     ),
                 )
         return result
@@ -270,81 +312,119 @@ class LoadStoreUnit:
         if not entry.is_store:
             raise ValueError("issue_store called with a load entry")
         key = (entry.srv_id, entry.lane)
-        self._check_allocate(key, self.saq)
-        self._stamp(entry)
-        entry.speculative = self.in_region
+        saq = self.saq
+        if len(self.lq) + len(saq) >= self.capacity and key not in saq:
+            self._check_allocate(key, saq)
+        self._seq = seq = self._seq + 1
+        entry.seq = seq
+        in_region = self.in_region
+        entry.speculative = in_region
 
-        result = StoreIssueResult()
-        load_rows = self.lq.within(entry.bases)
-        self.counters.cam_lookups_lq += 1
-        lq_work = self._match_work(load_rows)
-        self.counters.vertical_disambiguations += lq_work
-        # only matching rows with a byte in common can yield a bit vector
-        loads = [prior for prior in load_rows if entry.overlaps(prior)]
-        if self.in_region:
-            store_rows = self.saq.within(entry.bases)
+        counters = self.counters
+        counters.cam_lookups_lq += 1
+        # the LQ (and, in a region, SAQ) rows that share an
+        # address-alignment base with the store
+        bases = entry.bases
+        single = len(bases) == 1
+        if single:
+            bucket = self.lq.by_block.get(bases[0])
+            load_rows = bucket.values() if bucket else ()
+        else:
+            load_rows = self.lq.within(bases)
+        matches = len(load_rows)
+        cap = self._pair_cap
+        lq_work = 1 + (matches if matches < cap else cap)
+        counters.vertical_disambiguations += lq_work
+        addr = entry.addr
+        end = addr + entry.size
+        region_bytes = self.region_bytes
+        replay_lanes: set[int] | None = None
+        waw = vertical_squash = False
+        if in_region:
+            if single:
+                bucket = saq.by_block.get(bases[0])
+                store_rows = bucket.values() if bucket else ()
+            else:
+                store_rows = saq.within(bases)
             # Doubled lookups plus the extra store-buffer CAM (section
             # VI-C): horizontal RAW search of the LQ plus WAW search of
             # the SAQ — "both horizontal and vertical disambiguations
             # occur when executing store instructions".
-            self.counters.cam_lookups_lq += 1
-            self.counters.cam_lookups_saq += 1
-            self.counters.horizontal_disambiguations += lq_work + (
-                self._match_work(store_rows)
+            counters.cam_lookups_lq += 1
+            counters.cam_lookups_saq += 1
+            matches = len(store_rows)
+            counters.horizontal_disambiguations += lq_work + 1 + (
+                matches if matches < cap else cap
             )
 
             # Horizontal RAW: prior loads in later lanes read stale bytes.
-            # Only loads that may violate can add a HOB byte or a replay
-            # lane, and for a single-lane store that is an integer test.
+            # Only loads with a byte in common that may violate can add a
+            # HOB byte or a replay lane, and for a single-lane store that
+            # is an integer test.
             prior_loads = [
-                e for e in loads if e.seq < entry.seq and may_violate(entry, e)
-            ]
-            hob = overall_hob(entry, prior_loads, self.region_bytes)
-            if hob:
-                lanes = replay_lanes_from_hob(
-                    entry, hob, prior_loads, self.region_bytes
-                )
-                if lanes:
-                    result.replay_lanes = lanes
-                    self.needs_replay.update(lanes)
-                    self.counters.raw_flags += len(lanes)
+                prior for prior in load_rows
+                if prior.addr < end and addr < prior.addr + prior.size
+                and prior.seq < seq and may_violate(entry, prior)
+            ] if load_rows else ()
+            if prior_loads:
+                hob = overall_hob(entry, prior_loads, region_bytes)
+                if hob:
+                    lanes = replay_lanes_from_hob(
+                        entry, hob, prior_loads, region_bytes
+                    )
+                    if lanes:
+                        replay_lanes = lanes
+                        self.needs_replay.update(lanes)
+                        counters.raw_flags += len(lanes)
 
             # WAW: an older store in a later lane wrote the same bytes.
-            stores = [prior for prior in store_rows if entry.overlaps(prior)]
-            for prior in stores:
+            # may_violate rules a pair out exactly for a single-lane
+            # store, without building its bit vectors.
+            for prior in store_rows:
+                if prior.addr >= end or addr >= prior.addr + prior.size:
+                    continue
                 if (prior.srv_id, prior.lane) == key:
                     continue
-                if hob_for_pair(entry, prior, self.region_bytes):
-                    result.waw = True
-                    self.counters.waw_resolutions += 1
+                if may_violate(entry, prior) and hob_for_pair(
+                    entry, prior, region_bytes
+                ):
+                    waw = True
+                    counters.waw_resolutions += 1
                     break
         else:
             # Baseline vertical check: younger (program-order) loads that
             # already issued must squash.
-            for prior in loads:
-                if prior.srv_id > entry.srv_id and vob_for_pair(entry, prior):
-                    result.vertical_squash = True
+            for prior in load_rows:
+                if (
+                    prior.addr < end and addr < prior.addr + prior.size
+                    and prior.srv_id > entry.srv_id
+                    and vob_for_pair(entry, prior)
+                ):
+                    vertical_squash = True
                     break
 
-        self.saq.put(key, entry)
+        saq.put(key, entry)
         if _faults.ACTIVE is not None and _faults.ACTIVE.drop_lsu_entry("saq"):
-            self.saq.drop(key)
+            saq.drop(key)
+        if not (replay_lanes or waw or vertical_squash):
+            return _NO_CONFLICT
+        result = StoreIssueResult(replay_lanes or set(), waw, vertical_squash)
         obs = _obs.ACTIVE
         if obs is not None:
-            if result.replay_lanes:
+            if replay_lanes:
                 obs.emit_lsu(
                     _obs.EventKind.H_VIOLATION, entry.lane,
                     (
                         ("srv_id", entry.srv_id),
-                        ("lanes", tuple(sorted(result.replay_lanes))),
+                        ("lanes", tuple(sorted(replay_lanes))),
                     ),
                 )
-            if result.waw:
+            if waw:
                 obs.emit_lsu(
                     _obs.EventKind.WAW_RESOLVE, entry.lane,
                     (("srv_id", entry.srv_id),),
                 )
-            if result.vertical_squash:
+            if vertical_squash:
                 obs.emit_lsu(
                     _obs.EventKind.V_VIOLATION, entry.lane,
                     (("srv_id", entry.srv_id),),

@@ -88,14 +88,16 @@ class CacheHierarchy:
                 worst = latency
         return worst
 
-    def access_lanes(self, addrs, sizes, is_write: bool) -> int:
+    def access_lanes(self, addrs, sizes, lo: int, hi: int,
+                     is_write: bool) -> int:
         """Worst latency of one op's lane accesses, in lane order.
 
-        ``addrs`` and ``sizes`` give the lanes' addresses and sizes.
-        Exactly ``max(access(a, s, is_write) for a, s in zip(addrs,
-        sizes))`` (0 for no lanes), with the same stats, LRU order and
-        dirty bits.  A lane that lies inside the L1's MRU line (the line
-        the previous lane ended on) is counted as that hit here, without a
+        The op's lanes are ``addrs[lo:hi]`` and ``sizes[lo:hi]``, read in
+        place: the columns of a whole trace log pass as they are.  Exactly
+        ``max(access(addrs[a], sizes[a], is_write) for a in range(lo,
+        hi))`` (0 for no lanes), with the same stats, LRU order and dirty
+        bits.  A lane that lies inside the L1's MRU line (the line the
+        previous lane ended on) is counted as that hit here, without a
         call.  The lanes of one trace op all load or all store.
         """
         line = self.config.l1.line_bytes
@@ -104,7 +106,9 @@ class CacheHierarchy:
         mru = l1.mru
         worst = 0
         repeats = 0
-        for addr, size in zip(addrs, sizes):
+        for a in range(lo, hi):
+            addr = addrs[a]
+            size = sizes[a]
             if (
                 mru is not None
                 and size > 0

@@ -134,7 +134,11 @@ class MemoryImage:
         return bytes(self._data[self._span(addr, size)])
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._data[self._span(addr, len(data))] = data
+        off = addr - self._base
+        end = off + len(data)
+        if off < 0 or end > len(self._data):
+            self._span(addr, len(data))  # raises the out-of-range error
+        self._data[off:end] = data
 
     def read_int(self, addr: int, size: int, signed: bool = False) -> int:
         off = addr - self._base

@@ -30,8 +30,9 @@ a primed coroutine that accepts the index of one op of a
 :class:`~repro.pipeline.trace.TraceLog` per ``send`` (with a single op of
 internal lookahead) and reads the op's fields from the log's columns.  It
 retains only O(machine-state) memory — a completion-time ring sized by
-the ROB, the 64-entry recent store window, in-flight LSU entries, and
-periodically pruned issue-port occupancy maps.  :meth:`PipelineModel.run`
+the ROB, the 64-entry recent store window, a min-heap of the in-flight
+baseline LSU entries by drain cycle, and periodically pruned issue-port
+occupancy maps.  :meth:`PipelineModel.run`
 drives the same coroutine over a whole log.  Per-static-instruction facts
 (op class, port kind, access kind, latency) come from the decode table
 (:mod:`repro.pipeline.decode`) instead of per-dynamic-op ``getattr``
@@ -77,11 +78,13 @@ FORWARD_LATENCY = 1
 #: Ops between issue-port occupancy prunes (amortises the dict rebuilds).
 PRUNE_INTERVAL = 2048
 
-#: A cycle later than any the model reaches.
-_NEVER = float("inf")
-
 #: direction bit of a log op's flags -> region direction
 _DIRECTION = {0: SrvDirection.UP, DOWN: SrvDirection.DOWN}
+
+#: access kinds of a single-lane entry, bound once for _execute_mem
+_GATHER_SCATTER = AccessType.GATHER_SCATTER
+_BROADCAST = AccessType.BROADCAST
+_CONTIGUOUS = AccessType.CONTIGUOUS
 
 
 class PipelineModel:
@@ -130,14 +133,14 @@ class PipelineModel:
         #: cycles (stats.cycles is only final at end-of-stream)
         self.last_commit = 0
         # bounded-window state, exposed for the memory-bound tests; the
-        # lists are created (and mutated) by the consumer coroutine
+        # containers are created (and mutated) by the consumer coroutine
         self._recent_stores: deque = deque(maxlen=64)
+        #: min-heap of ``(drain cycle, key)`` of the baseline LSU entries
+        #: still in flight (region entries drain at ``srv_end`` instead)
         self._lsu_live: list = []
         self._complete_ring: list[int] = []
-        # bounds that let _execute_mem skip scans that cannot match: no
-        # baseline entry of _lsu_live drains before _drain_at, and no store
-        # in _recent_stores completes after _stores_done_by
-        self._drain_at = 0
+        # a bound that lets _execute_mem skip a scan that cannot match: no
+        # store in _recent_stores completes after _stores_done_by
         self._stores_done_by = 0
 
     # ------------------------------------------------------------------ run
@@ -174,7 +177,10 @@ class PipelineModel:
     def _pump(self):
         # Hot loop: every per-op quantity lives in generator locals, read
         # straight from the log's columns, and all per-static facts come
-        # from the decode record of the op's pc.
+        # from the decode record of the op's pc.  The per-op stats
+        # counters are locals too, written back at end-of-stream; only
+        # region_cycles and last_commit, which the sampling layer reads
+        # mid-stream, are kept live.
         config = self.config
         stats = self.stats
         ports = self.ports
@@ -188,6 +194,14 @@ class PipelineModel:
         taken_bubble = config.branch.taken_branch_bubble
         validate_lsu = self.validate_lsu
         execute_mem = self._execute_mem
+
+        # Issue and commit slots are reserved on the port pool's per-kind
+        # maps in place, with PortPool.reserve's probe loop.  A prune
+        # rebuilds the maps, so the commit map is re-read after one.
+        port_limits = ports.limits
+        port_used = ports.used
+        commit_limit = port_limits["commit"]
+        commit_used = port_used["commit"]
 
         log = self.log
         pcs = log.pc
@@ -237,8 +251,8 @@ class PipelineModel:
         reg_ready: dict[tuple[str, int], int] = {}
         # recent stores for vertical (store-set) conflict detection
         recent_stores: deque = deque(maxlen=64)
-        # entries to drop from the baseline LSU once committed
-        lsu_live: list[tuple[tuple[int, int], bool, int]] = []
+        # baseline entries to drop from the LSU once committed
+        lsu_live: list[tuple[int, tuple[int, int]]] = []
         # completion times of the last ROB-size ops: anything older has
         # committed before the current op could dispatch, so its
         # completion time can never lift a wakeup above `ready`
@@ -260,6 +274,16 @@ class PipelineModel:
         region_start_fetch = 0
         pending_region_end: int | None = None
         i = 0
+        # per-op stats counters (instructions is i)
+        micro_ops = 0
+        vector_instructions = 0
+        mem_lane_accesses = 0
+        loads = 0
+        stores = 0
+        barrier_cycles = 0
+        frontend_stall_cycles = 0
+        srv_regions = 0
+        srv_replay_passes = 0
 
         k = yield
         while k is not None:
@@ -335,7 +359,7 @@ class PipelineModel:
                         ready if ready > last_issue else last_issue
                     )
                     if barrier_until > stalled_from:
-                        stats.barrier_cycles += barrier_until - stalled_from
+                        barrier_cycles += barrier_until - stalled_from
                         if obs is not None:
                             obs.emit(
                                 _obs.EventKind.BARRIER_STALL, "pipe", i,
@@ -356,20 +380,30 @@ class PipelineModel:
                         ready = t
 
             # ---- issue ----------------------------------------------------
+            kind = rec.port_kind
+            used = port_used[kind]
+            limit = port_limits[kind]
+            issue_at = ready
+            while used[issue_at] >= limit:
+                issue_at += 1
+            used[issue_at] += 1
+            last_slot = issue_at
             # Gather/scatter micro-ops occupy LSU bandwidth once per lane:
             # "we break these into multiple micro-ops, and each accesses
             # the LSU independently over a number of cycles".  Micro-op
             # throughput is bounded by the cache read ports (gathers) and
             # the SAQ write ports (scatters), both 2/cycle in Table I.
-            issue_at = ports.reserve(rec.port_kind, ready)
-            last_slot = issue_at
             if rec.is_gather_scatter and mem_lanes > 1:
-                micro_kind = (
+                kind = (
                     "gather_micro" if rec.access_kind == "gather"
                     else "scatter_micro"
                 )
+                used = port_used[kind]
+                limit = port_limits[kind]
                 for _ in range(mem_lanes - 1):
-                    last_slot = ports.reserve(micro_kind, last_slot)
+                    while used[last_slot] >= limit:
+                        last_slot += 1
+                    used[last_slot] += 1
             if iq_full:
                 heapreplace(iq, issue_at)
             else:
@@ -385,7 +419,7 @@ class PipelineModel:
             if is_mem:
                 complete = execute_mem(
                     pc, rec, lo, hi, bits, i, issue_at, last_slot,
-                    in_hw_region, recent_stores, lsu_live, stats,
+                    in_hw_region, recent_stores, lsu_live,
                 )
             else:
                 complete = issue_at + rec.latency
@@ -409,19 +443,19 @@ class PipelineModel:
                 mispredict = bpred.update(pc, taken, 1 if taken else None)
                 if mispredict:
                     redirect_at = complete + mispredict_penalty
-                    stats.frontend_stall_cycles += mispredict_penalty
+                    frontend_stall_cycles += mispredict_penalty
                 elif taken:
                     # predicted-taken redirect: the front end still loses a
                     # couple of cycles restarting fetch at the target
                     t = fetch + 1 + taken_bubble
                     if t > redirect_at:
                         redirect_at = t
-                    stats.frontend_stall_cycles += taken_bubble
+                    frontend_stall_cycles += taken_bubble
 
             # ---- SRV region bookkeeping ------------------------------------
             event = bits & EVENT_MASK
             if event == EV_START:
-                stats.srv_regions += 1
+                srv_regions += 1
                 region_start_fetch = fetch
                 if obs is not None:
                     region_idx += 1
@@ -464,7 +498,7 @@ class PipelineModel:
                                 (("region", region_idx),),
                             )
                 if event == EV_END_REPLAY:
-                    stats.srv_replay_passes += 1
+                    srv_replay_passes += 1
                 if in_hw_region:
                     lanes = lsu.end_region()
                     if validate_lsu:
@@ -481,24 +515,28 @@ class PipelineModel:
                     # op of lookahead — is outside the region)
                     if nxt is None or not flags[nxt] & IN_REGION:
                         pending_region_end = complete
-                        # region entries drained with the hardware commit
-                        lsu_live[:] = [e for e in lsu_live if not e[1]]
 
             # ---- commit -----------------------------------------------------
-            commit = ports.reserve(
-                "commit", complete if complete > prev_commit else prev_commit
-            )
+            commit = complete if complete > prev_commit else prev_commit
+            while commit_used[commit] >= commit_limit:
+                commit += 1
+            commit_used[commit] += 1
             self.last_commit = prev_commit = commit
             rob.append(commit)
             if is_mem:
                 for _ in range(lsu_demand):
                     lsu_slots.append(commit)
-                if rec.is_store and mem_lanes:
-                    # The LFST entry is left in place: a later load waiting
-                    # on an already-completed store is a no-op, and eager
-                    # retirement would erase the dependence before younger
-                    # loads (processed later in trace order) consult it.
-                    caches.access_lanes(addrs[lo:hi], sizes[lo:hi], True)
+                if rec.is_store:
+                    stores += 1
+                    if mem_lanes:
+                        # The LFST entry is left in place: a later load
+                        # waiting on an already-completed store is a no-op,
+                        # and eager retirement would erase the dependence
+                        # before younger loads (processed later in trace
+                        # order) consult it.
+                        caches.access_lanes(addrs, sizes, lo, hi, True)
+                else:
+                    loads += 1
             if obs is not None:
                 emit(kind_commit, "pipe", i, commit, 0, pc)
             if pending_region_end is not None:
@@ -515,13 +553,10 @@ class PipelineModel:
                     )
                 pending_region_end = None
 
-            stats.instructions += 1
-            stats.micro_ops += mem_lanes if mem_lanes > 1 else 1
+            micro_ops += mem_lanes if mem_lanes > 1 else 1
             if rec.is_vector:
-                stats.vector_instructions += 1
-            else:
-                stats.scalar_instructions += 1
-            stats.mem_lane_accesses += mem_lanes
+                vector_instructions += 1
+            mem_lane_accesses += mem_lanes
 
             i += 1
             if not i % PRUNE_INTERVAL and i >= window:
@@ -529,9 +564,21 @@ class PipelineModel:
                 # the commit of op i-window, which is itself >= the oldest
                 # completion still in the ring
                 ports.prune_before(complete_ring[i % window])
+                commit_used = port_used["commit"]
             k = nxt
 
         stats.cycles = max(prev_commit, 1)
+        stats.instructions += i
+        stats.micro_ops += micro_ops
+        stats.vector_instructions += vector_instructions
+        stats.scalar_instructions += i - vector_instructions
+        stats.mem_lane_accesses += mem_lane_accesses
+        stats.loads += loads
+        stats.stores += stores
+        stats.barrier_cycles += barrier_cycles
+        stats.frontend_stall_cycles += frontend_stall_cycles
+        stats.srv_regions += srv_regions
+        stats.srv_replay_passes += srv_replay_passes
         stats.lsu = lsu.counters
         stats.branch = bpred.stats
         stats.store_sets = store_sets.stats
@@ -543,10 +590,8 @@ class PipelineModel:
     def _entries_for(
         self, pc: int, rec: DecodeRecord, lo: int, hi: int, bits: int,
     ) -> list[LsuEntry]:
-        """Build LSU entries from the accesses ``lo:hi`` of the log
-        (micro-op cracking)."""
-        if lo == hi:
-            return []
+        """Build the LSU entries of the two or more accesses ``lo:hi`` of
+        the log (micro-op cracking)."""
         log = self.log
         addrs = log.addr
         sizes = log.size
@@ -598,7 +643,7 @@ class PipelineModel:
                     direction=direction,
                 )
             ]
-        # contiguous (or scalar: a single-lane contiguous access)
+        # contiguous
         return [
             LsuEntry.make(
                 srv_id=pc,
@@ -627,10 +672,10 @@ class PipelineModel:
         in_region: bool,
         recent_stores,
         lsu_live: list,
-        stats: PipelineStats,
     ) -> int:
         is_store = rec.is_store
-        entries = self._entries_for(pc, rec, lo, hi, bits)
+        lsu = self.lsu
+        log = self.log
         obs = _obs.ACTIVE
         if obs is not None:
             # context for the clock-less LSU: its emit_lsu events are
@@ -640,37 +685,58 @@ class PipelineModel:
 
         # Drop committed baseline entries so the hardware LSU tracks only
         # in-flight accesses (speculative region entries drain at srv_end).
-        self._drain_baseline(issue_at, lsu_live)
+        if lsu_live and lsu_live[0][0] <= issue_at:
+            lsu.drain_committed(lsu_live, issue_at)
 
-        fully_forwarded = False
-        if entries:
-            if is_store:
-                for entry in entries:
-                    self.lsu.issue_store(entry)
-            else:
-                for entry in entries:
-                    result = self.lsu.issue_load(entry)
-                    if not result.any_memory_bytes:
-                        fully_forwarded = True
+        if hi - lo == 1:
+            # A single-lane access (every scalar one) is one entry whatever
+            # its kind, covering its one lane: built here directly, with
+            # the bases LsuEntry.make would file it under.
+            addr = log.addr[lo]
+            size = log.size[lo]
+            if size <= 0:
+                raise ValueError(f"access size must be positive, got {size}")
+            region_bytes = self.config.alignment_region_bytes
+            first = addr & -region_bytes
+            last = (addr + size - 1) & -region_bytes
+            entries = (LsuEntry(
+                pc, is_store,
+                _GATHER_SCATTER if rec.is_gather_scatter
+                else _BROADCAST if rec.is_broadcast else _CONTIGUOUS,
+                addr, size, size, log.lane[lo], 1, region_bytes,
+                _DIRECTION[bits & DOWN], False, None,
+                (first,) if first == last
+                else tuple(range(first, last + 1, region_bytes)),
+            ),)
+        elif hi > lo:
+            entries = self._entries_for(pc, rec, lo, hi, bits)
+        else:
+            entries = ()
 
         if is_store:
+            for entry in entries:
+                lsu.issue_store(entry)
             complete = last_slot + 1
-            self._track_live(entries, in_region, complete, lsu_live)
+            if not in_region:
+                # a baseline entry drains once its access has committed
+                for entry in entries:
+                    heappush(lsu_live, (complete + 1, (pc, entry.lane)))
             if hi > lo:
                 self.store_sets.store_fetched(pc, index)
                 recent_stores.append((index, pc, lo, hi, issue_at, complete))
                 if complete > self._stores_done_by:
                     self._stores_done_by = complete
-            stats.stores += 1
             return complete
 
-        stats.loads += 1
+        fully_forwarded = False
+        for entry in entries:
+            if not lsu.issue_load(entry).any_memory_bytes:
+                fully_forwarded = True
         if fully_forwarded:
             latency = FORWARD_LATENCY
         elif hi > lo:
-            log = self.log
             latency = self.caches.access_lanes(
-                log.addr[lo:hi], log.size[lo:hi], False
+                log.addr, log.size, lo, hi, False
             )
         else:
             latency = FORWARD_LATENCY  # fully predicated-off access
@@ -701,6 +767,7 @@ class PipelineModel:
                 if s_complete <= issue_at:
                     continue
                 if self._overlaps(lo, hi, s_lo, s_hi):
+                    stats = self.stats
                     stats.store_set_squashes += 1
                     stats.squash_penalty_cycles += SQUASH_PENALTY
                     self.store_sets.record_violation(pc, s_pc)
@@ -713,36 +780,10 @@ class PipelineModel:
                             (("store_pc", s_pc),),
                         )
                     break
-        self._track_live(entries, in_region, complete, lsu_live)
+        if not in_region:
+            for entry in entries:
+                heappush(lsu_live, (complete + 1, (pc, entry.lane)))
         return complete
-
-    def _track_live(
-        self, entries: list[LsuEntry], in_region: bool, complete: int,
-        lsu_live: list,
-    ) -> None:
-        for entry in entries:
-            lsu_live.append(((entry.srv_id, entry.lane), in_region, complete))
-        if entries and not in_region and complete + 1 < self._drain_at:
-            self._drain_at = complete + 1
-
-    def _drain_baseline(self, now: int, lsu_live: list) -> None:
-        if now < self._drain_at:
-            return  # no baseline entry has committed yet
-        keep = []
-        drain_at = _NEVER
-        for item in lsu_live:
-            key, was_region, complete = item
-            if was_region:
-                keep.append(item)
-                continue  # region entries drain at srv_end
-            if complete + 1 <= now:
-                self.lsu.drain_entry(key)
-            else:
-                keep.append(item)
-                if complete + 1 < drain_at:
-                    drain_at = complete + 1
-        lsu_live[:] = keep
-        self._drain_at = drain_at
 
     def _overlaps(self, lo: int, hi: int, s_lo: int, s_hi: int) -> bool:
         """Do the log's accesses ``lo:hi`` and ``s_lo:s_hi`` overlap?"""

@@ -123,6 +123,7 @@ class InOrderModel:
         pass_begin = 0
 
         reg_ready: dict[tuple[str, int], int] = {}
+        # min-heap of the in-flight baseline LSU entries by drain cycle
         lsu_live: list = []
         # (is_store, complete) for the last STORE_WINDOW ops — all the
         # in-order memory-ordering rule ever consults
@@ -136,8 +137,12 @@ class InOrderModel:
         helper = PipelineModel(self.config)
         helper.lsu = lsu        # share the LSU and its counters
         helper.caches = self.caches
+        helper.stats = stats
         helper.log = log
         execute_mem = helper._execute_mem
+        # in-order loads never bypass, so the vertical-squash machinery
+        # must see no recent stores: a window that keeps none
+        no_stores: deque = deque(maxlen=0)
         i = 0
 
         k = yield
@@ -187,12 +192,14 @@ class InOrderModel:
                 last_slot += mem_lanes - 1
 
             if is_mem:
-                # fresh scratch store list: in-order loads never bypass, so
-                # the vertical-squash machinery must see no recent stores
                 complete = execute_mem(
                     pc, rec, lo, hi, bits, i, issue_at, last_slot,
-                    in_hw_region, [], lsu_live, stats,
+                    in_hw_region, no_stores, lsu_live,
                 )
+                if rec.is_store:
+                    stats.stores += 1
+                else:
+                    stats.loads += 1
             else:
                 complete = issue_at + rec.latency
             store_window.append((rec.is_store, complete))
@@ -274,10 +281,6 @@ class InOrderModel:
                     stats.srv_replay_passes += 1
                 if in_hw_region:
                     lsu.end_region()
-                    # region entries drained with the region commit;
-                    # _drain_baseline never pops them, so dropping them
-                    # here only bounds memory (no timing effect)
-                    lsu_live[:] = [e for e in lsu_live if not e[1]]
                 # serialisation: the next instruction issues after srv_end
                 if complete > issue_cursor:
                     issue_cursor = complete

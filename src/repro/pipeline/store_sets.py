@@ -45,13 +45,13 @@ class StoreSetPredictor:
 
     def store_fetched(self, pc: int, op_index: int) -> None:
         """Record an in-flight store; returns nothing (loads query LFST)."""
-        ss = self._ssit[self._index(pc)]
+        ss = self._ssit[pc % self.entries]  # _index, inline: once per store
         if ss != self.INVALID:
             self._lfst[ss] = op_index
 
     def load_depends_on(self, pc: int) -> int | None:
         """Trace index of the store this load must wait for, if any."""
-        ss = self._ssit[self._index(pc)]
+        ss = self._ssit[pc % self.entries]  # _index, inline: once per load
         if ss == self.INVALID:
             return None
         dep = self._lfst.get(ss)

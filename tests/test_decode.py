@@ -141,7 +141,7 @@ class TestMicroOpPortCharges:
         model = PipelineModel(TABLE_I)
         model.run(log)
         for kind, want in expected.items():
-            got = sum(model.ports._used[kind].values())
+            got = sum(model.ports.used[kind].values())
             assert got == want, (kind, got, want)
 
     @pytest.mark.parametrize("n", [N])
@@ -158,7 +158,7 @@ class TestMicroOpPortCharges:
         )
         model = PipelineModel(TABLE_I)
         model.run(log)
-        got = sum(model.ports._used["gather_micro"].values()) + sum(
-            model.ports._used["scatter_micro"].values()
+        got = sum(model.ports.used["gather_micro"].values()) + sum(
+            model.ports.used["scatter_micro"].values()
         )
         assert got == expected_micro

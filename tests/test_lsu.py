@@ -5,6 +5,7 @@ figure 3 (vertical), figure 4 (horizontal WAR), and figure 5 / section
 IV-D (horizontal RAW producing replay lanes 3, 7, 11, 15).
 """
 
+import heapq
 import random
 
 import pytest
@@ -800,7 +801,8 @@ class BruteForceLsu(LoadStoreUnit):
     def issue_load(self, entry):
         key = (entry.srv_id, entry.lane)
         self._check_allocate(key, self.lq)
-        self._stamp(entry)
+        self._seq += 1
+        entry.seq = self._seq
         self.lq.put(key, entry)
         self.counters.cam_lookups_saq += 1
         self.counters.cam_lookups_lq += 1
@@ -840,7 +842,8 @@ class BruteForceLsu(LoadStoreUnit):
     def issue_store(self, entry):
         key = (entry.srv_id, entry.lane)
         self._check_allocate(key, self.saq)
-        self._stamp(entry)
+        self._seq += 1
+        entry.seq = self._seq
         entry.speculative = self.in_region
         result = StoreIssueResult()
         self.counters.cam_lookups_lq += 1
@@ -983,3 +986,35 @@ class TestIndexedLsuEquivalence:
         lsu.drain_entry((5, 0))  # absent: a no-op
         assert lsu.entries_used() == 0
         assert lsu.lq.by_block == {} and lsu.saq.by_block == {}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_drain_committed_retires_what_drain_entry_would(self, seed):
+        """Draining a heap of ``(cycle, key)`` by ``now`` leaves the
+        queues as ``drain_entry`` over each due key does, and pops exactly
+        the due items."""
+        rng = random.Random(seed)
+        fast, ref = LoadStoreUnit(TABLE_I), LoadStoreUnit(TABLE_I)
+        due: list = []
+        for _ in range(40):
+            params = _random_entry_params(rng)
+            params["srv_id"] = rng.randrange(16)
+            issue = "issue_store" if params["is_store"] else "issue_load"
+            for lsu in (fast, ref):
+                getattr(lsu, issue)(make_entry(**params))
+            # some keys are due twice, some never issued
+            key = (params["srv_id"], params["lane"])
+            heapq.heappush(due, (rng.randrange(20), key))
+            if rng.random() < 0.2:
+                heapq.heappush(due, (rng.randrange(20), (99, 0)))
+        for now in (-1, 5, 5, 12, 30):
+            before = list(due)
+            for cycle, key in before:
+                if cycle <= now:
+                    ref.drain_entry(key)
+            fast.drain_committed(due, now)
+            assert sorted(due) == sorted(
+                item for item in before if item[0] > now
+            )
+            assert list(fast.lq) == list(ref.lq)
+            assert list(fast.saq) == list(ref.saq)
+            assert _index_matches_tables(fast)

@@ -67,6 +67,17 @@ class TestMemoryImage:
         )
         assert mem.snapshot() == before  # nothing written
 
+    @pytest.mark.parametrize("addr", [0x90, 0xFE, 0x100 + 62, 0x100 + 64])
+    def test_write_bytes_out_of_range_message(self, addr):
+        mem = MemoryImage(size=64, base=0x100)
+        with pytest.raises(MemoryAccessError) as info:
+            mem.write_bytes(addr, b"\xff" * 4)
+        assert str(info.value) == (
+            f"access [{addr:#x}, {addr + 4:#x}) outside memory [0x100, 0x140)"
+        )
+        assert mem.snapshot() == bytes(64)  # nothing written
+        mem.write_bytes(0x100 + 64, b"")  # an empty write at the end fits
+
     def test_write_int_wraps_and_fills_the_last_bytes(self):
         mem = MemoryImage(size=64, base=0x100)
         mem.write_int(0x100 + 60, -(1 << 33) + 0x84030201, 4)
@@ -553,14 +564,25 @@ def _full_state(h: CacheHierarchy):
     return _cache_state(h), _mru_line_no(h.l1), _mru_line_no(h.l2)
 
 
+def _columns(mem, front: int = 0):
+    """``(addrs, sizes, lo, hi)`` of one op's lanes, at ``lo:hi`` of
+    columns padded with ``front`` lanes before and two after.  A padding
+    lane has size 0, which ``access`` rejects: reading one raises."""
+    addrs = [0x40] * front + [a.addr for a in mem] + [0x40] * 2
+    sizes = [0] * front + [a.size for a in mem] + [0] * 2
+    return addrs, sizes, front, front + len(mem)
+
+
 class TestAccessLanes:
     """``access_lanes`` against the per-lane ``access`` loop it replaces."""
 
     @settings(max_examples=400, deadline=None)
     @given(_STEPS)
     def test_matches_the_per_lane_loop(self, steps):
-        fast, ref = CacheHierarchy(_TINY), CacheHierarchy(_TINY)
-        for kind, arg in steps:
+        # ``fast`` reads an op's lanes as whole columns, ``inplace`` at
+        # lo:hi of a longer column, as the timing model reads the log
+        fast, inplace, ref = (CacheHierarchy(_TINY) for _ in range(3))
+        for step, (kind, arg) in enumerate(steps):
             if kind == "lanes":
                 mem, is_write = arg
                 expected = max(
@@ -568,14 +590,20 @@ class TestAccessLanes:
                     default=0,
                 )
                 assert fast.access_lanes(
-                    [a.addr for a in mem], [a.size for a in mem], is_write
+                    *_columns(mem), is_write
+                ) == expected
+                assert inplace.access_lanes(
+                    *_columns(mem, 1 + step % 3), is_write
                 ) == expected
             elif kind == "access":
-                assert fast.access(*arg) == ref.access(*arg)
+                want = ref.access(*arg)
+                assert fast.access(*arg) == want
+                assert inplace.access(*arg) == want
             else:
-                getattr(fast, arg).invalidate_all()
-                getattr(ref, arg).invalidate_all()
+                for h in (fast, inplace, ref):
+                    getattr(h, arg).invalidate_all()
             assert _full_state(fast) == _full_state(ref)
+            assert _full_state(inplace) == _full_state(ref)
 
     def test_repeat_lanes_skip_the_call(self):
         h = CacheHierarchy()
@@ -584,12 +612,12 @@ class TestAccessLanes:
         h.access = lambda *args: calls.append(args) or access(*args)
         addrs = [0x1000 + 4 * i for i in range(16)]
         sizes = [4] * 16
-        assert h.access_lanes(addrs, sizes, False) == 2 + 7 + 80
+        assert h.access_lanes(addrs, sizes, 0, 16, False) == 2 + 7 + 80
         # the first lane misses through access; 15 lanes are MRU hits
         assert calls == [(0x1000, 4, False)]
         assert (h.stats.l1_misses, h.stats.l1_hits) == (1, 15)
         assert (h.l1.stats.misses, h.l1.stats.hits) == (1, 15)
-        assert h.access_lanes(addrs, sizes, True) == 2
+        assert h.access_lanes(addrs, sizes, 0, 16, True) == 2
         assert calls == [(0x1000, 4, False)]
         assert h.l1.mru[1].dirty
 
@@ -597,7 +625,7 @@ class TestAccessLanes:
         h = CacheHierarchy(_TINY)
         h.access(0x41, 4, False)
         with pytest.raises(ValueError):
-            h.access_lanes([0x42], [0], False)
+            h.access_lanes([0x42], [0], 0, 1, False)
 
 
 class TestTraceLogWarm:
@@ -633,10 +661,14 @@ class TestTraceLogWarm:
             log.record(0, None)
         start = data.draw(st.integers(0, len(ops)))
         stop = data.draw(st.integers(start, len(ops)))
-        fast, ref = CacheHierarchy(_TINY), CacheHierarchy(_TINY)
+        fast, ref, inplace = (CacheHierarchy(_TINY) for _ in range(3))
         log.play(fast, start, stop)
-        for mem, is_store in ops[start:stop]:
-            ref.access_lanes([a.addr for a in mem], [a.size for a in mem],
-                             is_store)
+        for k, (mem, is_store) in enumerate(ops[start:stop], start):
+            ref.access_lanes(*_columns(mem), is_store)
+            # the op's lanes in place, at lo:hi of the log's whole columns
+            inplace.access_lanes(log.addr, log.size, log.bounds[k],
+                                 log.bounds[k + 1], is_store)
         assert _full_state(fast) == _full_state(ref)
         assert fast.stats == ref.stats
+        assert _full_state(inplace) == _full_state(ref)
+        assert inplace.stats == ref.stats
