@@ -12,9 +12,9 @@ in-process LRU keyed on the *value* of the frozen
 :class:`~repro.common.config.MachineConfig` (never its ``id``, which can
 alias after garbage collection), backed by an optional content-addressed
 on-disk store (:func:`enable_disk_cache`) shared with the parallel sweep
-engine — shard workers warm it, and a disk entry only matches while the
-simulator-core sources are unchanged (the key embeds a code-version
-hash).
+engine — shard workers warm it, and a disk entry only matches while no
+source of the ``repro`` package has changed, this runner included (the
+key embeds a code-version hash).
 
 Hardening features:
 

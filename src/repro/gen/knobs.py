@@ -13,9 +13,9 @@ default and the paper section it exercises; the declarations drive
 byte-identical IR loop, program listing and input arrays, on any host.
 ``GENERATOR_VERSION`` is baked into every generated loop's *name*, and
 the loop name is part of the result-cache key, so bumping the version
-(or editing any module under ``repro.gen`` — the package is in the
-cache's ``CORE_MODULES``) implicitly invalidates every cached run of a
-generated kernel.
+(or editing any module of the ``repro`` package, whose sources the
+cache's code-version hash covers) implicitly invalidates every cached
+run of a generated kernel.
 """
 
 from __future__ import annotations

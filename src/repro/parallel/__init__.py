@@ -11,9 +11,8 @@ Three modules:
 * :mod:`repro.parallel.cache` — a content-addressed result cache: an
   in-process LRU backed by an optional on-disk store keyed by the frozen
   :class:`~repro.common.config.MachineConfig` value, the workload/loop
-  id, the strategy, the run shape, and a hash of the simulator-core
-  sources (so editing the simulator invalidates results, while editing
-  an experiment harness does not);
+  id, the strategy, the run shape, and a hash of every source in the
+  ``repro`` package (so editing any module invalidates results);
 * :mod:`repro.parallel.plan` — enumerates the sweep matrix
   (loop x strategy x config x core x timing) each experiment needs as
   picklable :class:`~repro.parallel.plan.SweepCell` records;

@@ -13,11 +13,12 @@ One cache, two layers:
 Entries are *content addressed*: the digest covers the loop name, the
 strategy, the seed, the run shape (timing / trip count / core model), the
 frozen :class:`~repro.common.config.MachineConfig` **value**, and a hash
-of the simulator-core sources (:func:`code_version_hash`).  Invalidation
-is therefore implicit — editing any core simulator module changes the
-code hash and every old entry simply stops matching, while editing an
-experiment harness (``repro.experiments``) or this engine leaves cached
-cells valid, so a re-run only recomputes what the edit actually affects.
+of every ``.py`` file in the ``repro`` package (:func:`code_version_hash`).
+Invalidation is therefore implicit and has one rule: editing any module
+of the package changes the code hash and every old entry simply stops
+matching.  The two cached entry points (``run_loop`` and ``sample_loop``)
+import nearly the whole package anyway, so a finer per-entry-point
+closure would spare only CLI edits.
 """
 
 from __future__ import annotations
@@ -28,55 +29,28 @@ import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-#: Simulator-core packages whose sources determine run results.  The
-#: ``experiments``, ``parallel`` and CLI layers are deliberately absent:
-#: they orchestrate runs but cannot change a run's outcome.
-CORE_MODULES: tuple[str, ...] = (
-    "__init__.py",
-    "analyze",
-    "common",
-    "compiler",
-    "emu",
-    "gen",
-    "isa",
-    "lsu",
-    "memory",
-    "observe",
-    "pipeline",
-    "power",
-    "srv",
-    "verify",
-    "workloads",
-)
-
 _CODE_VERSION: str | None = None
 
-
-#: The ``repro`` package directory that :data:`CORE_MODULES` is relative to.
+#: The ``repro`` package directory whose sources :func:`code_version_hash`
+#: covers.
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def core_sources() -> list[str]:
-    """Absolute paths of the source files :func:`code_version_hash` covers."""
-    files: list[str] = []
-    for name in CORE_MODULES:
-        path = os.path.join(_PACKAGE_DIR, name)
-        if os.path.isfile(path):
-            files.append(path)
-        else:
-            files.extend(sorted(
-                os.path.join(dirpath, fname)
-                for dirpath, _, fnames in os.walk(path)
-                for fname in fnames
-                if fname.endswith(".py")
-            ))
-    return files
+    """Absolute paths of every ``.py`` file under the ``repro`` package,
+    in a stable order: the sources :func:`code_version_hash` covers."""
+    return sorted(
+        os.path.join(dirpath, fname)
+        for dirpath, _, fnames in os.walk(_PACKAGE_DIR)
+        for fname in fnames
+        if fname.endswith(".py")
+    )
 
 
-def code_version_hash(refresh: bool = False) -> str:
-    """SHA-256 over the simulator-core sources (cached per process)."""
+def code_version_hash() -> str:
+    """SHA-256 over the ``repro`` package's sources (cached per process)."""
     global _CODE_VERSION
-    if _CODE_VERSION is not None and not refresh:
+    if _CODE_VERSION is not None:
         return _CODE_VERSION
     hasher = hashlib.sha256()
     for fpath in core_sources():
@@ -121,15 +95,19 @@ class CacheStats:
         }
 
 
-#: Keys every persisted run payload must carry
+#: Keys every persisted payload must carry, by producer: a key led by
+#: ``"sample"`` holds a sampled projection
+#: (:func:`repro.sample.project.sample_loop`), any other key a run
 #: (:func:`repro.experiments.runner.run_payload`).  A payload that
-#: unpickles but lacks these is damage — a partially-flipped file, a
-#: foreign pickle dropped into the cache directory — and is evicted.
-REQUIRED_PAYLOAD_KEYS = frozenset({"emu", "pipe", "correct"})
+#: unpickles but lacks its producer's keys is damage — a partially-flipped
+#: file, a foreign pickle dropped into the cache directory — and is evicted.
+SAMPLE_PAYLOAD_KEYS = frozenset({"report"})
+RUN_PAYLOAD_KEYS = frozenset({"emu", "pipe", "correct"})
 
 
-def _valid_payload(payload) -> bool:
-    return isinstance(payload, dict) and REQUIRED_PAYLOAD_KEYS <= payload.keys()
+def _valid_payload(key: tuple, payload) -> bool:
+    required = SAMPLE_PAYLOAD_KEYS if key[0] == "sample" else RUN_PAYLOAD_KEYS
+    return isinstance(payload, dict) and required <= payload.keys()
 
 
 @dataclass
@@ -186,7 +164,7 @@ class ResultCache:
                 # arbitrary bytes can raise nearly anything
                 payload = None
                 self._evict(path)
-            if _valid_payload(payload):
+            if _valid_payload(key, payload):
                 self._store_memory(key, payload)
                 self.stats.disk_hits += 1
                 return payload

@@ -27,7 +27,6 @@ from repro.sample.intervals import (
 )
 from repro.sample.project import (
     DEFAULT_ERROR_BOUND_PCT,
-    SAMPLE_VERSION,
     SAMPLES_PER_CLUSTER,
     ClusterStat,
     SampleReport,
@@ -50,7 +49,6 @@ __all__ = [
     "fingerprint_pass",
     "safe_cut",
     "DEFAULT_ERROR_BOUND_PCT",
-    "SAMPLE_VERSION",
     "SAMPLES_PER_CLUSTER",
     "ClusterStat",
     "SampleReport",

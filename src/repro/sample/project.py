@@ -29,11 +29,10 @@
    measured directly and never extrapolated.
 
 Reports are cached through the shared result cache under a
-``("sample", SAMPLE_VERSION, ...)`` key.  Like ``run_loop``, the trace
-mode is excluded from the key (the sampler is streaming by construction).
-``repro.sample`` is deliberately *not* in the cache's ``CORE_MODULES``
-(editing the sampler must not invalidate exact-run entries), so
-SAMPLE_VERSION must be bumped whenever projection semantics change.
+``("sample", ...)`` key.  Like ``run_loop``, the trace mode is excluded
+from the key (the sampler is streaming by construction).  The cache's
+code-version hash covers the whole ``repro`` package, this module
+included, so editing the sampler invalidates its cached reports.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ from repro.sample.intervals import (
 
 if TYPE_CHECKING:
     from repro.workloads.base import LoopSpec, Workload
-
-#: Bumped whenever the sampling algorithm changes meaning: the sample
-#: package is outside the cache's CORE_MODULES hash, so this constant is
-#: the only thing separating old cached projections from new semantics.
-SAMPLE_VERSION = 1
 
 #: Error bound (percent) the validation suite and CI smoke assert.
 DEFAULT_ERROR_BOUND_PCT = 5.0
@@ -485,8 +479,8 @@ def sample_loop(
         raise ValueError(f"samples per cluster must be >= 1, got {samples}")
     n = spec.n if n_override is None else min(n_override, spec.n)
     key = (
-        "sample", SAMPLE_VERSION, spec.loop.name, strategy, seed, config,
-        core, interval_size, warmup, clusters, max_clusters, samples, n,
+        "sample", spec.loop.name, strategy, seed, config, core,
+        interval_size, warmup, clusters, max_clusters, samples, n,
     )
     cache = result_cache()
     if use_cache:

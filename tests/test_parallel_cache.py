@@ -1,15 +1,17 @@
 """Content-addressed result cache (repro.parallel.cache).
 
 Covers digest stability, the in-memory LRU bound, cross-process disk
-hits (modelled with two cache instances), implicit invalidation via the
-code-version hash (and that the hash covers every module a simulation
-imports), and corrupt-entry recovery.
+hits (modelled with two cache instances) for run and sample payloads,
+implicit invalidation via the code-version hash (and that an edit to
+any module of the package, every one a cached entry point imports
+among them, moves the hash), and corrupt-entry recovery.
 """
 
 import ast
 import importlib.util
 import os
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
@@ -21,14 +23,30 @@ from repro.parallel.cache import (
     code_version_hash,
     core_sources,
 )
+from repro.sample import SampleReport
 
 KEY_A = ("loop_a", "srv", 0, "cfg", True, 64, "ooo")
 KEY_B = ("loop_b", "srv", 0, "cfg", True, 64, "ooo")
+#: ``sample_loop``'s key shape: the ``"sample"`` tag, then the loop,
+#: strategy, seed, config, core and sampling geometry.
+SAMPLE_KEY = ("sample", "loop_a", "srv", 0, "cfg", "ooo", 512, 1536,
+              None, 8, 3, 64)
 
 
 def payload(**extra) -> dict:
     """A structurally valid run payload (disk reads validate the shape)."""
     return {"emu": None, "pipe": None, "correct": True, **extra}
+
+
+def sample_report() -> SampleReport:
+    """A small sampled projection, as ``sample_loop`` caches it."""
+    return SampleReport(
+        workload="wl", loop="loop_a", strategy="srv", core="ooo", seed=0,
+        n=64, interval_size=512, warmup=1536, requested_clusters=None,
+        k=1, total_ops=4096, intervals=8, head_intervals=3, head_ops=1536,
+        head_cycles=900, detailed_ops=2048, projected_cycles=2400,
+        projected_region_cycles=1200, clusters=(),
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +201,32 @@ class TestDiskLayer:
         assert not os.path.exists(path)
         assert cache.stats.evictions == 1
 
+    def test_sample_report_round_trip(self, tmp_path):
+        # sample_loop persists {"report": ...}, not a run payload; a
+        # fresh process must read it back instead of evicting it
+        cache = ResultCache()
+        cache.enable_disk(str(tmp_path))
+        cache.put(SAMPLE_KEY, {"report": sample_report()})
+        cache.clear_memory()
+        assert cache.get(SAMPLE_KEY) == {"report": sample_report()}
+        assert cache.stats.disk_hits == 1
+        assert cache.stats.evictions == 0
+        cache.clear_memory()
+        assert cache.contains(SAMPLE_KEY)
+
+    def test_run_payload_under_sample_key_rejected(self, tmp_path):
+        # each producer's shape is accepted only under its own keys
+        cache = ResultCache()
+        cache.enable_disk(str(tmp_path))
+        cache.put(SAMPLE_KEY, payload())
+        cache.put(KEY_A, {"report": sample_report()})
+        cache.clear_memory()
+        assert cache.get(SAMPLE_KEY) is None
+        assert cache.get(KEY_A) is None
+        assert cache.stats.evictions == 2
+        assert not cache.contains(SAMPLE_KEY)
+        assert not cache.contains(KEY_A)
+
     def test_disable_disk(self, tmp_path):
         cache = ResultCache()
         cache.enable_disk(str(tmp_path))
@@ -193,8 +237,14 @@ class TestDiskLayer:
 
 
 #: Entry points of every timed and sampled run: the streaming timing path
-#: and the functional emulator.
-SIMULATION_ROOTS = ("repro.pipeline.stream", "repro.emu.interpreter")
+#: and the functional emulator, and the two producers of cached payloads,
+#: ``run_loop`` and ``sample_loop``.
+SIMULATION_ROOTS = (
+    "repro.pipeline.stream",
+    "repro.emu.interpreter",
+    "repro.experiments.runner",
+    "repro.sample.project",
+)
 
 
 def _static_import_closure(roots) -> set[str]:
@@ -247,3 +297,36 @@ class TestCodeVersionCoverage:
             not in hashed
         )
         assert not unhashed, unhashed
+
+    def test_planted_edit_in_each_package_moves_the_hash(
+            self, tmp_path, monkeypatch):
+        """Appending a comment to any module of the package, in each
+        top-level subpackage and at the top level, changes the code
+        version."""
+        package = tmp_path / "repro"
+        shutil.copytree(
+            cache_mod._PACKAGE_DIR, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(cache_mod, "_PACKAGE_DIR", str(package))
+        assert sorted(core_sources()) == sorted(
+            str(path) for path in package.rglob("*.py")
+        )
+        subpackages = sorted(
+            path for path in package.iterdir()
+            if (path / "__init__.py").is_file()
+        )
+        assert len(subpackages) >= 10
+        # one module deep in each subpackage, plus every top-level module
+        planted = [sorted(sub.rglob("*.py"))[-1] for sub in subpackages]
+        planted += sorted(package.glob("*.py"))
+
+        seen = set()
+        for path in [None, *planted]:
+            if path is not None:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write("\n# planted edit\n")
+            monkeypatch.setattr(cache_mod, "_CODE_VERSION", None)
+            digest = code_version_hash()
+            assert digest not in seen, path
+            seen.add(digest)
