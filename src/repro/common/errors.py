@@ -80,6 +80,18 @@ class RunTimeoutError(ReproError):
     """A single experiment run exceeded its wall-clock budget."""
 
 
+class CellFailedError(ReproError):
+    """A run that already failed earlier in the running sweep.
+
+    Raised in place of running it again; ``failure`` is the cell's
+    ``RunFailure`` record from that first attempt.
+    """
+
+    def __init__(self, failure) -> None:
+        self.failure = failure
+        super().__init__(str(failure))
+
+
 class ObserveError(ReproError):
     """Misuse of the observability layer (:mod:`repro.observe`)."""
 

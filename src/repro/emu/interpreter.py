@@ -439,7 +439,8 @@ class _Run:
     def read_lanes(self, addrs, size, lanes, buffer, region_offset):
         """The active ``lanes`` of one vector load, in lane order.
 
-        Outside a region the lanes read memory directly.  Inside one with
+        Outside a region the lanes read memory in one span read
+        (:meth:`~repro.memory.image.MemoryImage.read_span`).  Inside one with
         no fault plan armed, the speculative buffer takes the whole
         instruction in one call; otherwise each lane goes through
         :meth:`load`.  An op that forwarded any byte counts once in
@@ -447,7 +448,7 @@ class _Run:
         """
         log = self.log
         if buffer is None:
-            values = list(map(self.memory.read_int, addrs, repeat(size)))
+            values = self.memory.read_span(addrs, size)
             if log is not None:
                 log.accesses(addrs, size, False, lanes)
             return values

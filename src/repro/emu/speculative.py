@@ -33,6 +33,8 @@ from repro.memory.image import MemoryImage
 
 #: sequential position ``(lane, instr)`` of a record: commit order
 _SEQUENTIAL = itemgetter(2, 3)
+#: the lane of a record
+_LANE = itemgetter(2)
 
 
 def _file(records: dict, by_block: dict, shift: int, rows) -> None:
@@ -44,10 +46,10 @@ def _file(records: dict, by_block: dict, shift: int, rows) -> None:
     moved to other blocks first leaves its old ones.
     """
     for key, record in rows:
-        old = records.get(key)
-        records[key] = record
         first = record[0] >> shift
         last = (record[1] - 1) >> shift
+        old = records.get(key)
+        records[key] = record
         if old is not None:
             old_first = old[0] >> shift
             old_last = (old[1] - 1) >> shift
@@ -57,6 +59,13 @@ def _file(records: dict, by_block: dict, shift: int, rows) -> None:
                     del bucket[key]
                     if not bucket:
                         del by_block[block]
+        if first == last:
+            bucket = by_block.get(first)
+            if bucket is None:
+                by_block[first] = {key: record}
+            else:
+                bucket[key] = record
+            continue
         for block in range(first, last + 1):
             bucket = by_block.get(block)
             if bucket is None:
@@ -76,14 +85,6 @@ def _within(by_block: dict, first: int, last: int):
         if bucket:
             rows.update(bucket)
     return rows.values()
-
-
-def _holds_any(by_block: dict, lo: int, hi: int, shift: int) -> bool:
-    """Whether any record is filed under a block the span ``[lo, hi)``
-    touches (one C-level scan of the span's block numbers)."""
-    return not by_block.keys().isdisjoint(
-        range(lo >> shift, ((hi - 1) >> shift) + 1)
-    )
 
 
 @dataclass
@@ -138,92 +139,53 @@ class SpeculativeBuffer:
     # -- load ----------------------------------------------------------------
 
     def load(self, addr: int, size: int, lane: int, instr: int) -> tuple[int, bool]:
-        """Read ``size`` bytes at ``addr`` for region access ``(instr, lane)``.
-
-        Bytes come from the sequentially-latest older buffered store that
-        wrote them, falling back to memory — the paper's partial
-        store-to-load forwarding combined with WAR suppression.  Returns
-        ``(value, any_byte_forwarded)``.
-        """
-        self._tick += 1
-        end = addr + size
-        shift = self._shift
-        _file(self._loads, self._load_blocks, shift,
-              (((instr, lane), (addr, end, lane, instr, self._tick)),))
-        if addr < self._lmin:
-            self._lmin = addr
-        if end > self._lmax:
-            self._lmax = end
-        if addr >= self._smax or end <= self._smin:
-            # no buffered store can overlap: plain memory read
-            return self.memory.read_int(addr, size), False
-
-        my_pos = (lane, instr)
-        war_seen = False
-        overlapping: list[tuple] | None = None
-        for record in _within(self._store_blocks, addr >> shift, (end - 1) >> shift):
-            if record[0] >= end or addr >= record[1]:
-                continue
-            if (record[2], record[3]) < my_pos:
-                if overlapping is None:
-                    overlapping = [record]
-                else:
-                    overlapping.append(record)
-            else:
-                # A sequentially *later* store already wrote these bytes:
-                # WAR — forwarding suppressed, bytes must come from elsewhere.
-                war_seen = True
-                if self.tm_mode and record[2] > lane:
-                    # TM without line versions: the writing (younger)
-                    # lane's transaction aborts and re-executes.
-                    self.needs_replay.add(record[2])
-                    self.metrics.tm_war_replays += 1
-        if war_seen:
-            self.metrics.war_events += 1
-        if overlapping is None:
-            return self.memory.read_int(addr, size), False
-
-        # Per-byte: pick the store with the greatest sequential position that
-        # is still older than this load.
-        result = bytearray(self.memory.read_bytes(addr, size))
-        forwarded = False
-        best_pos: list[tuple[int, int] | None] = [None] * size
-        for r_addr, r_end, r_lane, r_instr, data in overlapping:
-            rec_pos = (r_lane, r_instr)
-            for byte_addr in range(max(addr, r_addr), min(end, r_end)):
-                idx = byte_addr - addr
-                if best_pos[idx] is None or best_pos[idx] < rec_pos:
-                    best_pos[idx] = rec_pos
-                    result[idx] = data[byte_addr - r_addr]
-                    forwarded = True
-        return int.from_bytes(result, "little"), forwarded
+        """Read ``size`` bytes at ``addr`` for region access ``(instr, lane)``:
+        :meth:`load_lanes` for one lane.  Returns ``(value,
+        any_byte_forwarded)``."""
+        values, forwarded = self.load_lanes([addr], size, [lane], instr)
+        return values[0], forwarded
 
     def load_lanes(
         self, addrs: list[int], size: int, lanes: list[int], instr: int
     ) -> tuple[list[int], bool]:
-        """One vector load: :meth:`load` for each ``(addrs[i], lanes[i])``.
+        """One vector load: read ``size`` bytes at each ``addrs[i]`` for
+        region access ``(instr, lanes[i])``.
 
         ``lanes`` are the instruction's active lanes in ascending order.
-        Returns the lane values and whether any byte was forwarded.  When
-        no buffered store can overlap the span — it lies outside their
-        bounds, or no block it touches holds a store record — no lane can
-        forward or see a WAR, so each lane is recorded and read straight
-        from memory; otherwise each lane runs :meth:`load` in lane order.
+        Each lane's bytes come from the sequentially-latest older buffered
+        store that wrote them, falling back to memory — the paper's
+        partial store-to-load forwarding combined with WAR suppression.
+        Returns the lane values and whether any byte was forwarded.
+
+        The span is read from memory in one call, and the store records
+        overlapping it are collected once: a load files no store record,
+        so every lane sees the same candidates, and each is decided with
+        integer tests in lane order, ticking as one :meth:`load` per lane
+        would.  A lane outside memory raises its own error after the
+        lanes before it (and its own record) are filed.
         """
         lo = min(addrs)
         hi = max(addrs) + size
         shift = self._shift
-        if lo < self._smax and hi > self._smin and _holds_any(
-            self._store_blocks, lo, hi, shift
-        ):
-            return self._load_each(addrs, size, lanes, instr)
-        read_int = self.memory.read_int
+        stores = None
+        if lo < self._smax and hi > self._smin:
+            stores = [
+                record
+                for record in _within(self._store_blocks, lo >> shift,
+                                      (hi - 1) >> shift)
+                if record[0] < hi and lo < record[1]
+            ]
+        error = None
         try:
-            values = [read_int(a, size) for a in addrs]
-        except MemoryAccessError:
-            # re-run lane by lane: records the lanes before the bad one
-            # and raises its exact error
-            return self._load_each(addrs, size, lanes, instr)
+            values = self.memory.read_span(addrs, size)
+        except MemoryAccessError as exc:
+            if len(addrs) > 1:
+                # lane by lane: files the lanes up to the bad one and
+                # raises its error
+                for addr, lane in zip(addrs, lanes):
+                    self.load_lanes([addr], size, [lane], instr)
+            error = exc
+            values = None
         tick = self._tick
         rows = []
         for addr, lane in zip(addrs, lanes):
@@ -235,51 +197,60 @@ class SpeculativeBuffer:
             self._lmin = lo
         if hi > self._lmax:
             self._lmax = hi
-        return values, False
-
-    def _load_each(self, addrs, size, lanes, instr) -> tuple[list[int], bool]:
-        values = []
         forwarded = False
-        for addr, lane in zip(addrs, lanes):
-            value, hit = self.load(addr, size, lane, instr)
-            values.append(value)
-            forwarded = forwarded or hit
+        if stores:
+            metrics = self.metrics
+            tm_mode = self.tm_mode
+            for i, (addr, lane) in enumerate(zip(addrs, lanes)):
+                end = addr + size
+                war_seen = False
+                older = None
+                for record in stores:
+                    r_addr, r_end, r_lane, r_instr, _ = record
+                    if r_addr >= end or addr >= r_end:
+                        continue
+                    if r_lane < lane or (r_lane == lane and r_instr < instr):
+                        if older is None:
+                            older = [record]
+                        else:
+                            older.append(record)
+                    else:
+                        # A sequentially *later* store already wrote these
+                        # bytes: WAR — forwarding suppressed, bytes must
+                        # come from elsewhere.
+                        war_seen = True
+                        if tm_mode and r_lane > lane:
+                            # TM without line versions: the writing
+                            # (younger) lane's transaction aborts and
+                            # re-executes.
+                            self.needs_replay.add(r_lane)
+                            metrics.tm_war_replays += 1
+                if war_seen:
+                    metrics.war_events += 1
+                if older is not None and values is not None:
+                    # each byte from the latest older store that wrote it:
+                    # lay the stores over memory in sequential order
+                    result = bytearray(values[i].to_bytes(size, "little"))
+                    for r_addr, r_end, _, _, data in sorted(
+                        older, key=_SEQUENTIAL
+                    ):
+                        first = r_addr if r_addr > addr else addr
+                        stop = r_end if r_end < end else end
+                        result[first - addr:stop - addr] = (
+                            data[first - r_addr:stop - r_addr]
+                        )
+                    values[i] = int.from_bytes(result, "little")
+                    forwarded = True
+        if error is not None:
+            raise error
         return values, forwarded
 
     # -- store ----------------------------------------------------------------
 
     def store(self, addr: int, size: int, value: int, lane: int, instr: int) -> None:
-        self._tick += 1
-        end = addr + size
-        shift = self._shift
-        first, last = addr >> shift, (end - 1) >> shift
-
-        # WAW: an overlapping buffered store in a *later* lane already
-        # executed; ordered commit will keep the latest program-order data.
-        if addr < self._smax and end > self._smin:
-            for record in _within(self._store_blocks, first, last):
-                if record[2] > lane and record[0] < end and addr < record[1]:
-                    self.metrics.waw_events += 1
-                    break
-
-        # Horizontal RAW: any load in a sequentially later position that
-        # already executed (machine time) read stale bytes — flag its lane.
-        if addr < self._lmax and end > self._lmin:
-            tick = self._tick
-            for l_addr, l_end, l_lane, _, l_tick in _within(
-                self._load_blocks, first, last
-            ):
-                if l_lane > lane and l_tick < tick and l_addr < end and addr < l_end:
-                    self.needs_replay.add(l_lane)
-                    self.metrics.raw_violations += 1
-
-        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
-        _file(self._stores, self._store_blocks, shift,
-              (((instr, lane), (addr, end, lane, instr, data)),))
-        if addr < self._smin:
-            self._smin = addr
-        if end > self._smax:
-            self._smax = end
+        """Buffer ``value`` for region access ``(instr, lane)``:
+        :meth:`store_lanes` for one lane."""
+        self.store_lanes([addr], size, [value], [lane], instr)
 
     def store_lanes(
         self,
@@ -289,27 +260,62 @@ class SpeculativeBuffer:
         lanes: list[int],
         instr: int,
     ) -> None:
-        """One vector store: :meth:`store` for each lane, in lane order.
+        """One vector store: buffer ``values[i]`` at ``addrs[i]`` for
+        region access ``(instr, lanes[i])``, in lane order.
 
-        When no buffered store and no recorded load can overlap the span
-        (it lies outside their bounds, or no block it touches holds such
-        a record), no lane can meet a WAW or a RAW (lanes of one store
-        never conflict with each other: each is older than the next), so
-        the lanes are simply buffered.
+        * **WAW** — an overlapping buffered store in a *later* lane
+          already executed; ordered commit will keep the latest
+          program-order data.  Counted once per lane.
+        * **Horizontal RAW** — a load in a sequentially later position
+          that already executed read stale bytes: flag its lane.  Every
+          recorded load executed before this store, so any such load in
+          a later lane that overlaps the lane violates.
+
+        Only records in a lane above the first can conflict with any
+        lane, and they are collected once from the span's blocks.  That
+        is exact: the lanes of one store never conflict with each other
+        (each is older than the next), and the records this instruction
+        files replace only its own SRV-ids, which no later lane of it
+        counts.
         """
         lo = min(addrs)
         hi = max(addrs) + size
         shift = self._shift
-        if (
-            lo < self._smax and hi > self._smin
-            and _holds_any(self._store_blocks, lo, hi, shift)
-        ) or (
-            lo < self._lmax and hi > self._lmin
-            and _holds_any(self._load_blocks, lo, hi, shift)
-        ):
-            for addr, value, lane in zip(addrs, values, lanes):
-                self.store(addr, size, value, lane, instr)
-            return
+        first, last = lo >> shift, (hi - 1) >> shift
+        oldest = lanes[0]
+        later_stores: list = []
+        later_loads: list = []
+        if lo < self._smax and hi > self._smin:
+            later_stores = [
+                record for record in _within(self._store_blocks, first, last)
+                if record[2] > oldest and record[0] < hi and lo < record[1]
+            ]
+        if lo < self._lmax and hi > self._lmin:
+            later_loads = [
+                record for record in _within(self._load_blocks, first, last)
+                if record[2] > oldest and record[0] < hi and lo < record[1]
+            ]
+        if later_stores or later_loads:
+            # latest lane first: a lane stops at the first record in a
+            # lane not above its own
+            later_stores.sort(key=_LANE, reverse=True)
+            later_loads.sort(key=_LANE, reverse=True)
+            metrics = self.metrics
+            needs_replay = self.needs_replay
+            for addr, lane in zip(addrs, lanes):
+                end = addr + size
+                for r_addr, r_end, r_lane, _, _ in later_stores:
+                    if r_lane <= lane:
+                        break
+                    if r_addr < end and addr < r_end:
+                        metrics.waw_events += 1
+                        break
+                for l_addr, l_end, l_lane, _, _ in later_loads:
+                    if l_lane <= lane:
+                        break
+                    if l_addr < end and addr < l_end:
+                        needs_replay.add(l_lane)
+                        metrics.raw_violations += 1
         mask = (1 << (size * 8)) - 1
         rows = [
             ((instr, lane),

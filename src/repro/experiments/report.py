@@ -92,6 +92,8 @@ class ShardReport:
     pid: int = 0
     #: structured ``RunFailure``-compatible records for cells that failed
     failures: list = field(default_factory=list)
+    #: the ``SweepCell`` of each record in ``failures``, in its order
+    failed_cells: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from repro.common.config import TABLE_I, MachineConfig
 from repro.common.errors import (
+    CellFailedError,
     LsuOverflowError,
     OracleMismatchError,
     RunTimeoutError,
@@ -255,11 +256,13 @@ def run_loop(
 
     With ``use_cache`` (the default) the run is looked up in and stored
     to the result cache; with its disk layer enabled, that entry is what
-    lets a killed sweep resume.  ``use_cache=False`` bypasses lookup
-    *and* storage — required whenever the execution is deliberately
-    perturbed (an armed :mod:`repro.verify.faults` plan), since a
-    corrupted result must never be published under the clean run's
-    content address.
+    lets a killed sweep resume.  A run the running sweep already saw
+    fail (:meth:`~repro.parallel.cache.ResultCache.record_failure`)
+    raises :class:`CellFailedError` with that failure instead of running
+    again.  ``use_cache=False`` bypasses lookup *and* storage —
+    required whenever the execution is deliberately perturbed (an armed
+    :mod:`repro.verify.faults` plan), since a corrupted result must
+    never be published under the clean run's content address.
     """
     if core not in ("ooo", "inorder"):
         raise ValueError(f"unknown core model {core!r}")
@@ -270,6 +273,10 @@ def run_loop(
         payload = cache.get(key)
         if payload is not None:
             return payload_run(payload, spec, strategy)
+        failure = cache.failure(key)
+        if failure is not None:
+            # failed earlier in the running sweep: report, do not re-run
+            raise CellFailedError(failure)
 
     failures: tuple[RunFailure, ...] = ()
     try:

@@ -11,7 +11,9 @@ last.  That line is the MRU way of its set (``Cache.mru``), so a repeat
 touch is an L1 hit that leaves the LRU order unchanged: the hierarchy
 counts it and marks the line dirty on a write without a set lookup.
 :meth:`CacheHierarchy.access_lanes` plays all lanes of one trace op and
-skips even the per-lane call for a lane that stays inside that line.
+skips even the per-lane call for a lane that stays inside that line; a
+lane that hits another single line in the L1 calls ``Cache.access``
+directly.
 """
 
 from __future__ import annotations
@@ -96,12 +98,22 @@ class CacheHierarchy:
         place: the columns of a whole trace log pass as they are.  Exactly
         ``max(access(addrs[a], sizes[a], is_write) for a in range(lo,
         hi))`` (0 for no lanes), with the same stats, LRU order and dirty
-        bits.  A lane that lies inside the L1's MRU line (the line the
-        previous lane ended on) is counted as that hit here, without a
-        call.  The lanes of one trace op all load or all store.
+        bits.  A lane that lies inside one line is settled here when it
+        hits in the L1: inside the MRU line (the line the previous lane
+        ended on) it is counted as that hit without a call, and inside
+        another line present in its set (probed in place) it goes
+        straight to ``Cache.access``.  Only an L1 miss or a lane that
+        straddles lines goes through :meth:`access`.  The lanes of one
+        trace op all load or all store.
         """
         line = self.config.l1.line_bytes
         l1 = self.l1
+        l1_access = l1.access
+        sets = l1._sets
+        index_mask = l1._index_mask
+        tag_shift = index_mask.bit_length()
+        hit_latency = self.config.l1.hit_latency
+        stats = self.stats
         access = self.access
         mru = l1.mru
         worst = 0
@@ -109,20 +121,26 @@ class CacheHierarchy:
         for a in range(lo, hi):
             addr = addrs[a]
             size = sizes[a]
-            if (
-                mru is not None
-                and size > 0
-                and addr // line == mru[0] == (addr + size - 1) // line
-            ):
-                repeats += 1
-                if is_write:
-                    mru[1].dirty = True
-                continue
+            line_no = addr // line
+            if size > 0 and line_no == (addr + size - 1) // line:
+                if mru is not None and line_no == mru[0]:
+                    repeats += 1
+                    if is_write:
+                        mru[1].dirty = True
+                    continue
+                if line_no >> tag_shift in sets[line_no & index_mask]:
+                    # an L1 hit off the MRU line: _access_line's hit path
+                    l1_access(line_no * line, is_write)
+                    stats.l1_hits += 1
+                    if hit_latency > worst:
+                        worst = hit_latency
+                    mru = l1.mru
+                    continue
             if repeats:
                 # settle the skipped hits first, as the per-lane loop
                 # would have, in case this access raises
                 l1.stats.hits += repeats
-                self.stats.l1_hits += repeats
+                stats.l1_hits += repeats
                 repeats = 0
             latency = access(addr, size, is_write)
             if latency > worst:
@@ -130,8 +148,7 @@ class CacheHierarchy:
             mru = l1.mru
         if repeats:
             l1.stats.hits += repeats
-            self.stats.l1_hits += repeats
-            hit_latency = self.config.l1.hit_latency
+            stats.l1_hits += repeats
             if hit_latency > worst:
                 worst = hit_latency
         return worst

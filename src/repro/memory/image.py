@@ -14,6 +14,7 @@ span.  Private, so a forked worker's writes stay its own.
 from __future__ import annotations
 
 import mmap
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +36,11 @@ def to_signed(value: int, size: int) -> int:
         value -= 1 << bits
     return value
 
+
+#: ``struct`` format of an unsigned little-endian element of each size
+_SPAN_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+#: ``unpack_from`` of ``n`` such elements, per ``(n, size)``
+_SPAN_READERS: dict = {}
 
 #: element sizes the vectorised helpers handle (dtype-representable)
 _NP_ELEMS = (1, 2, 4, 8)
@@ -154,6 +160,41 @@ class MemoryImage:
         self._data[off:off + size] = (
             value & ((1 << (size * 8)) - 1)
         ).to_bytes(size, "little")
+
+    def read_span(self, addrs: Sequence[int], size: int) -> list[int]:
+        """The unsigned ``size``-byte values at ``addrs``, in order: one
+        vector load's lanes, read in one call.
+
+        The span ``[min(addrs), max(addrs) + size)`` is bounds-checked
+        once.  Lanes that tile it in address order (a contiguous load)
+        are unpacked with one ``struct`` call; any other lanes (masked,
+        gathered, broadcast) are sliced from it.  A lane outside memory
+        raises the error :meth:`read_int` raises for the first such lane.
+        """
+        first = addrs[0]
+        n = len(addrs)
+        lo = min(addrs)
+        hi = max(addrs) + size
+        data = self._data
+        off = lo - self._base
+        if off < 0 or hi - self._base > len(data):
+            for addr in addrs:
+                self._span(addr, size)  # raises for the first bad lane
+        if (
+            lo == first and hi - lo == n * size and size in _SPAN_FORMATS
+            and (n <= 2 or addrs == list(range(first, hi, size)))
+        ):
+            unpack = _SPAN_READERS.get((n, size))
+            if unpack is None:
+                unpack = _SPAN_READERS[(n, size)] = struct.Struct(
+                    f"<{n}{_SPAN_FORMATS[size]}"
+                ).unpack_from
+            return list(unpack(data, off))
+        base = self._base
+        from_bytes = int.from_bytes
+        return [
+            from_bytes(data[a - base:a - base + size], "little") for a in addrs
+        ]
 
     # -- lane-batched access --------------------------------------------------
     #

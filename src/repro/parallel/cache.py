@@ -123,6 +123,9 @@ class ResultCache:
     disk_dir: str | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     _memory: OrderedDict = field(default_factory=OrderedDict)
+    #: ``RunFailure`` records of the runs that failed in the running
+    #: sweep, by key: kept in this process only, never on disk
+    _failures: dict = field(default_factory=dict)
 
     # -- configuration -----------------------------------------------------
 
@@ -135,6 +138,20 @@ class ResultCache:
 
     def clear_memory(self) -> None:
         self._memory.clear()
+        self._failures.clear()
+
+    # -- failed runs -------------------------------------------------------
+
+    def record_failure(self, key: tuple, failure) -> None:
+        """Remember that the run under ``key`` failed with ``failure``."""
+        self._failures[key] = failure
+
+    def failure(self, key: tuple):
+        """The recorded failure of the run under ``key``, or ``None``."""
+        return self._failures.get(key)
+
+    def clear_failures(self) -> None:
+        self._failures.clear()
 
     def __len__(self) -> int:
         return len(self._memory)

@@ -28,7 +28,10 @@ raises inside a worker degrades to a structured failure record on the
 shard report, a shard whose worker died (``BrokenProcessPool``) is
 re-run once inline in the parent, and a pool that cannot be created at
 all runs every shard inline — the sweep continues, and the replay phase
-recomputes whatever the warm phase could not provide.
+recomputes whatever the warm phase could not provide.  A cell that
+failed in the warm phase is not run again: the replay raises its failure
+record (:class:`~repro.common.errors.CellFailedError`), which the
+experiment reports under the cell's loop, strategy and seed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
-from repro.common.errors import ReproError
+from repro.common.errors import CellFailedError, ReproError
 from repro.experiments.report import ExperimentResult, ShardReport, SweepReport
 from repro.parallel.cache import result_cache
 from repro.parallel.plan import SweepCell, cells_for_experiments
@@ -97,6 +100,7 @@ def _run_shard(
             report.failures.append(_cell_failure(
                 cell, "shard", type(exc).__name__, str(exc),
             ))
+            report.failed_cells.append(cell)
     report.elapsed_s = time.perf_counter() - start
     return report
 
@@ -272,25 +276,45 @@ def _sweep(
     )
     report.warm_elapsed_s = time.perf_counter() - start
 
-    # replay (sequential harnesses over the warmed cache)
+    # A cell that failed in the warm phase fails the replay with the same
+    # record instead of running again (with no deadline, under the
+    # experiment's name).  The records live in this process's memo for
+    # this sweep only: a later sweep retries the cell.
+    for shard in report.shards:
+        for cell, failure in zip(shard.failed_cells, shard.failures):
+            try:
+                spec, strategy, config = cell.resolve()
+            except KeyError:
+                continue
+            cache.record_failure(runner.cache_key_for(
+                spec, strategy, cell.seed, config, cell.timing,
+                cell.n_override, cell.core,
+            ), failure)
     start = time.perf_counter()
-    for name in experiments:
-        t0 = time.perf_counter()
-        try:
-            result = ALL_EXPERIMENTS[name](
-                seed=seed, n_override=n_override
-            )
-        except ReproError as exc:
-            result = ExperimentResult(
-                name=name,
-                title=f"{name}: FAILED ({type(exc).__name__})",
-                columns=("error",),
-            )
-            result.failures.append(runner.RunFailure(
-                loop="-", strategy="-", seed=seed, stage="experiment",
-                error=type(exc).__name__, message=str(exc),
-            ))
-        outcome.results[name] = result
-        report.experiment_timings.append((name, time.perf_counter() - t0))
+    try:
+        for name in experiments:
+            t0 = time.perf_counter()
+            try:
+                result = ALL_EXPERIMENTS[name](
+                    seed=seed, n_override=n_override
+                )
+            except ReproError as exc:
+                if isinstance(exc, CellFailedError):
+                    failure = exc.failure
+                else:
+                    failure = runner.RunFailure(
+                        loop="-", strategy="-", seed=seed, stage="experiment",
+                        error=type(exc).__name__, message=str(exc),
+                    )
+                result = ExperimentResult(
+                    name=name,
+                    title=f"{name}: FAILED ({failure.error})",
+                    columns=("error",),
+                )
+                result.failures.append(failure)
+            outcome.results[name] = result
+            report.experiment_timings.append((name, time.perf_counter() - t0))
+    finally:
+        cache.clear_failures()
     report.replay_elapsed_s = time.perf_counter() - start
     return outcome

@@ -591,7 +591,8 @@ class PipelineModel:
         self, pc: int, rec: DecodeRecord, lo: int, hi: int, bits: int,
     ) -> list[LsuEntry]:
         """Build the LSU entries of the two or more accesses ``lo:hi`` of
-        the log (micro-op cracking)."""
+        the log (micro-op cracking), positionally and filed under the
+        bases :meth:`LsuEntry.make` would give them."""
         log = self.log
         addrs = log.addr
         sizes = log.size
@@ -600,21 +601,23 @@ class PipelineModel:
         region_bytes = self.config.alignment_region_bytes
         direction = _DIRECTION[bits & DOWN]
         if rec.is_gather_scatter:
-            return [
-                LsuEntry.make(
-                    srv_id=pc,
-                    is_store=is_store,
-                    access=AccessType.GATHER_SCATTER,
-                    addr=addrs[a],
-                    size=sizes[a],
-                    elem=sizes[a],
-                    lane=lanes[a],
-                    lanes_covered=1,
-                    region_bytes=region_bytes,
-                    direction=direction,
-                )
-                for a in range(lo, hi)
-            ]
+            entries = []
+            for a in range(lo, hi):
+                addr = addrs[a]
+                size = sizes[a]
+                if size <= 0:
+                    raise ValueError(
+                        f"access size must be positive, got {size}"
+                    )
+                first = addr & -region_bytes
+                last = (addr + size - 1) & -region_bytes
+                entries.append(LsuEntry(
+                    pc, is_store, _GATHER_SCATTER, addr, size, size,
+                    lanes[a], 1, region_bytes, direction, False, None,
+                    (first,) if first == last
+                    else tuple(range(first, last + 1, region_bytes)),
+                ))
+            return entries
         first = addrs[lo]
         size = sizes[lo]
         low = first

@@ -72,6 +72,16 @@ class TestWorkCount:
         assert ops == 220
         assert calls <= 3000, f"{calls} calls for {ops} ops"
 
+    def test_srv_vector_access_is_one_buffer_call(self):
+        # is/is_key_rank under SRV at its suite size: 169,374 calls
+        # (CPython 3.11) when a vector over the speculative buffer's
+        # records fell back to per-lane calls (12,348 loads and 10,270
+        # stores) and every load lane made a read_int call; 63,350 with
+        # one buffer call and one span read per vector access.
+        calls, ops = _calls_per_op("is", "is_key_rank", Strategy.SRV, 2048)
+        assert ops == 6362
+        assert calls <= 66000, f"{calls} calls for {ops} ops"
+
 
 # ---------------------------------------------------------------------------
 # edge semantics

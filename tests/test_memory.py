@@ -205,6 +205,52 @@ class TestMemoryImage:
         assert mem.snapshot()[:2] == b"\xff\x02"
 
 
+class TestReadSpan:
+    """``read_span`` against one ``read_int`` per lane."""
+
+    @staticmethod
+    def _image():
+        image = MemoryImage(size=4096, base=0x1000)
+        rng = random.Random(7)
+        image.write_bytes(0x1000, bytes(rng.randrange(256) for _ in range(4096)))
+        return image
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_lanes_match_read_int(self, size):
+        image = self._image()
+        rng = random.Random(size)
+        start = 0x1000 + 3 * size
+        lanes = list(range(16))
+        masked = [lane for lane in lanes if rng.random() < 0.6]
+        shapes = {
+            "contiguous": [start + lane * size for lane in lanes],
+            "masked": [start + lane * size for lane in masked],
+            "gathered": [0x1000 + rng.randrange(0, 4096 - size) for _ in lanes],
+            "broadcast": [start] * 16,
+            "one lane": [start],
+            "overlapping": [start, start + 1, start + 2],
+            "descending": [start + (15 - lane) * size for lane in lanes],
+        }
+        for name, addrs in shapes.items():
+            want = [image.read_int(addr, size) for addr in addrs]
+            assert image.read_span(addrs, size) == want, name
+
+    @pytest.mark.parametrize("addrs", [
+        [0x1FF8, 0x1FFC, 0x2000, 0x2004],   # contiguous, runs off the end
+        [0x1004, 0x1FFE, 0x0FFF, 0x2000],   # gathered: first bad lane wins
+        [0x0FFC] * 3,                        # broadcast below the base
+        [0x1000, 0x1FFD],                   # the last lane straddles the end
+    ])
+    def test_lane_outside_memory_raises_the_per_lane_error(self, addrs):
+        image = self._image()
+        with pytest.raises(MemoryAccessError) as per_lane:
+            for addr in addrs:
+                image.read_int(addr, 4)
+        with pytest.raises(MemoryAccessError) as span:
+            image.read_span(addrs, 4)
+        assert str(span.value) == str(per_lane.value)
+
+
 class TestCache:
     def cfg(self, **kw):
         defaults = dict(size_bytes=1024, associativity=2, hit_latency=1, line_bytes=64)

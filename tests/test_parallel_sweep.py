@@ -8,6 +8,7 @@ resuming a killed sweep through the disk cache and running every cell
 exactly once when there is no disk cache.
 """
 
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -321,3 +322,63 @@ class TestFailingCell:
                                        bad.timing, bad.n_override, bad.core)
             assert not result_cache().contains(key)
         assert len(_entries(tmp_path / "cache")) == len(cells) - 1
+
+    @staticmethod
+    def _plant(monkeypatch, bad, fail) -> list:
+        """Make ``bad``'s cell fail through ``fail``; returns the seeds of
+        its attempts."""
+        original = runner._execute
+        attempts = []
+
+        def planted(spec, strategy, seed, *args, **kwargs):
+            if spec.name == bad.loop and strategy.value == bad.strategy:
+                attempts.append(seed)
+                fail()
+            return original(spec, strategy, seed, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "_execute", planted)
+        return attempts
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_cell_runs_once_per_sweep(self, tmp_path, monkeypatch,
+                                              jobs):
+        """The replay reports a warm-phase failure under the cell's loop
+        and strategy without running the cell again; a later sweep
+        retries it."""
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _IsolatedPool)
+        cells = cells_for_experiments(["figure9"], n_override=16)
+        bad = cells[0]
+
+        def fail():
+            raise SrvError("planted cell failure")
+
+        attempts = self._plant(monkeypatch, bad, fail)
+        for sweep in (1, 2):
+            outcome = run_sweep(["figure9"], jobs=jobs, n_override=16,
+                                cache_dir=str(tmp_path / "cache"))
+            assert attempts == [bad.seed] * sweep
+            failed = [(f.loop, f.strategy, f.seed, f.error)
+                      for f in outcome.report.failures]
+            assert failed == [(bad.loop, bad.strategy, bad.seed, "SrvError")]
+            figure = outcome.results["figure9"]
+            assert [(f.loop, f.strategy, f.seed, f.error)
+                    for f in figure.failures] == failed
+            assert figure.title == "figure9: FAILED (SrvError)"
+            spec, strategy, config = bad.resolve()
+            key = runner.cache_key_for(spec, strategy, bad.seed, config,
+                                       bad.timing, bad.n_override, bad.core)
+            assert result_cache().failure(key) is None
+
+    def test_timed_out_cell_does_not_hang_the_replay(self, tmp_path,
+                                                     monkeypatch):
+        cells = cells_for_experiments(["figure9"], n_override=16)
+        bad = cells[0]
+        attempts = self._plant(monkeypatch, bad, lambda: time.sleep(60))
+        start = time.perf_counter()
+        outcome = run_sweep(["figure9"], jobs=1, n_override=16,
+                            cache_dir=str(tmp_path / "cache"), timeout_s=1.0)
+        assert time.perf_counter() - start < 30
+        assert attempts == [bad.seed]
+        failed = [(f.loop, f.strategy, f.error)
+                  for f in outcome.results["figure9"].failures]
+        assert failed == [(bad.loop, bad.strategy, "RunTimeoutError")]

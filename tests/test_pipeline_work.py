@@ -12,9 +12,13 @@ warm are built first and are not counted, as in the timed path
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
+
+import pytest
 
 from repro.compiler import Strategy
-from repro.pipeline.core import PipelineModel
+from repro.lsu.entries import AccessType, LsuEntry
+from repro.pipeline.core import _DIRECTION, DOWN, PipelineModel
 from repro.pipeline.trace import TraceLog
 from repro.sample import project as project_mod
 from repro.sample.project import _build, resolve_spec
@@ -64,3 +68,64 @@ class TestWorkCount:
         calls, ops = _calls_per_op("hmmer", "viterbi", Strategy.SRV, 128)
         assert ops == 220
         assert calls <= 3000, f"{calls} calls for {ops} ops"
+
+    def test_srv_gathers_crack_without_per_lane_calls(self):
+        # is/is_key_rank under SRV at its suite size: 105,763 calls
+        # (CPython 3.11) with a keyword LsuEntry.make per gather or
+        # scatter lane (6,016 make calls) and an L1 hit off the MRU line
+        # going through access, _access_line and Cache.access; 92,429
+        # with gather entries built positionally and such a hit found
+        # by probing the L1 set, then settled by Cache.access alone.
+        calls, ops = _calls_per_op("is", "is_key_rank", Strategy.SRV, 2048)
+        assert ops == 6362
+        assert calls <= 95000, f"{calls} calls for {ops} ops"
+
+
+class TestGatherEntries:
+    """``_entries_for``'s positional gather/scatter micro-ops against
+    ``LsuEntry.make``."""
+
+    @staticmethod
+    def _model(addrs, sizes):
+        model = PipelineModel(project_mod.TABLE_I)
+        model.log = SimpleNamespace(
+            addr=[0] + addrs, size=[4] + sizes, lane=[0] + list(range(len(addrs))),
+        )
+        return model
+
+    @pytest.mark.parametrize("is_store", [False, True])
+    @pytest.mark.parametrize("bits", [0, DOWN])
+    def test_entries_equal_make(self, is_store, bits):
+        addrs = [0x1000, 0x103E, 0x1100, 0x10FC, 0x2000, 0x1000]
+        sizes = [4, 4, 8, 8, 1, 2]
+        rec = SimpleNamespace(is_store=is_store, is_gather_scatter=True,
+                              is_broadcast=False)
+        model = self._model(addrs, sizes)
+        got = model._entries_for(0x40, rec, 1, 1 + len(addrs), bits)
+        region_bytes = project_mod.TABLE_I.alignment_region_bytes
+        want = [
+            LsuEntry.make(
+                srv_id=0x40, is_store=is_store,
+                access=AccessType.GATHER_SCATTER, addr=addr, size=size,
+                elem=size, lane=lane, lanes_covered=1,
+                region_bytes=region_bytes, direction=_DIRECTION[bits],
+            )
+            for lane, (addr, size) in enumerate(zip(addrs, sizes))
+        ]
+        assert got == want
+        assert [entry.bases for entry in got] == [entry.bases for entry in want]
+        assert any(len(entry.bases) > 1 for entry in got)
+
+    def test_lane_of_size_zero_raises_like_make(self):
+        rec = SimpleNamespace(is_store=False, is_gather_scatter=True,
+                              is_broadcast=False)
+        model = self._model([0x1000, 0x1004], [4, 0])
+        with pytest.raises(ValueError) as got:
+            model._entries_for(0x40, rec, 1, 3, 0)
+        with pytest.raises(ValueError) as want:
+            LsuEntry.make(
+                srv_id=0x40, is_store=False,
+                access=AccessType.GATHER_SCATTER, addr=0x1004, size=0,
+                elem=0, lane=1, lanes_covered=1, region_bytes=64,
+            )
+        assert str(got.value) == str(want.value)

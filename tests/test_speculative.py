@@ -1,5 +1,6 @@
 """Direct unit tests for the SRV speculative buffer."""
 
+import collections
 import gc
 import random
 import weakref
@@ -170,6 +171,18 @@ def _filed(buffer: SpeculativeBuffer) -> bool:
     return True
 
 
+def _bounds(buffer: SpeculativeBuffer) -> tuple[int, int, int, int]:
+    return buffer._smin, buffer._smax, buffer._lmin, buffer._lmax
+
+
+def _outcome(load):
+    """What ``load()`` returned, or the text of the memory error it raised."""
+    try:
+        return load()
+    except MemoryAccessError as exc:
+        return f"MemoryAccessError: {exc}"
+
+
 class ScanAllBuffer:
     """Reference buffer: every walk scans every record, no index or bounds.
 
@@ -250,8 +263,16 @@ def _random_image(rng: random.Random) -> MemoryImage:
     return image
 
 
-def _random_instruction(rng: random.Random, lanes: int) -> dict:
-    """Geometry of one vector memory instruction over a few 64-byte blocks."""
+def _random_instruction(rng: random.Random, lanes: int,
+                        earlier: list | None = None) -> dict:
+    """Geometry of one vector memory instruction over a few 64-byte blocks.
+
+    With ``earlier`` instructions given, it may instead access the same
+    bytes as one of them (``a[i] = f(a[i])``: a store over load records,
+    or a load over buffered stores).
+    """
+    if earlier and rng.random() < 0.3:
+        return {**rng.choice(earlier), "is_store": rng.random() < 0.45}
     elem = rng.choice([1, 2, 4, 8])
     kind = rng.choice(["contiguous", "broadcast", "gather"])
     base = 0x1000 + rng.randrange(0, 384)
@@ -271,13 +292,18 @@ class TestBatchedLanes:
     LANES = 16
 
     def _run_region(self, rng, tm_mode):
+        """Drive one region's passes through the three buffers; returns
+        the batched buffer and a count of the shapes the stream met."""
         image = _random_image(rng)
         images = [image, image.clone(), image.clone()]
         metrics = [SrvMetrics() for _ in range(3)]
         batched = SpeculativeBuffer(images[0], metrics[0], tm_mode=tm_mode)
         per_lane = SpeculativeBuffer(images[1], metrics[1], tm_mode=tm_mode)
         reference = ScanAllBuffer(images[2], metrics[2], tm_mode=tm_mode)
-        body = [_random_instruction(rng, self.LANES) for _ in range(rng.randint(2, 6))]
+        seen = collections.Counter()
+        body = []
+        for _ in range(rng.randint(2, 6)):
+            body.append(_random_instruction(rng, self.LANES, body))
         active = list(range(self.LANES))
         for _ in range(rng.randint(1, 4)):  # first pass plus replays
             for instr, inst in enumerate(body):
@@ -292,24 +318,43 @@ class TestBatchedLanes:
                     continue
                 elem = inst["elem"]
                 addrs = [inst["addrs"][lane] for lane in lanes]
+                lo, hi = min(addrs), max(addrs) + elem
                 if inst["is_store"]:
+                    if any(r[0] < hi and lo < r[1]
+                           for r in batched._loads.values()):
+                        seen["store over loads"] += 1
                     values = [rng.getrandbits(64) for _ in lanes]
                     batched.store_lanes(addrs, elem, values, lanes, instr)
                     for buf in (per_lane, reference):
                         for addr, value, lane in zip(addrs, values, lanes):
                             buf.store(addr, elem, value, lane, instr)
                 else:
-                    got = batched.load_lanes(addrs, elem, lanes, instr)
+                    if len(lanes) > 2 and rng.random() < 0.1:
+                        # a lane in the middle reads past the image
+                        seen["lane outside memory"] += 1
+                        addrs[rng.randrange(1, len(lanes) - 1)] = (
+                            0x2000 - rng.randrange(0, elem)
+                        )
+                    if any(r[0] < hi and lo < r[1]
+                           for r in batched._stores.values()):
+                        seen["load over stores"] += 1
+                    got = _outcome(
+                        lambda: batched.load_lanes(addrs, elem, lanes, instr)
+                    )
                     for buf in (per_lane, reference):
-                        pairs = [
-                            buf.load(addr, elem, lane, instr)
-                            for addr, lane in zip(addrs, lanes)
-                        ]
-                        want = ([v for v, _ in pairs], any(f for _, f in pairs))
-                        assert got == want
+                        def each(buf=buf):
+                            pairs = [
+                                buf.load(addr, elem, lane, instr)
+                                for addr, lane in zip(addrs, lanes)
+                            ]
+                            return ([v for v, _ in pairs],
+                                    any(f for _, f in pairs))
+                        assert got == _outcome(each)
                 for buf in (per_lane, reference):
                     assert batched.needs_replay == buf.needs_replay
                     assert batched.metrics == buf.metrics
+                    assert batched._tick == buf._tick
+                assert _bounds(batched) == _bounds(per_lane)
                 assert _view(batched) == _view(per_lane) == reference.view()
                 assert _filed(batched) and _filed(per_lane)
             active = sorted(batched.needs_replay) or active
@@ -318,7 +363,7 @@ class TestBatchedLanes:
         for buf in (batched, per_lane, reference):
             buf.commit()
         assert images[0].snapshot() == images[1].snapshot() == images[2].snapshot()
-        return batched
+        return batched, seen
 
     @pytest.mark.parametrize("tm_mode", [False, True])
     @pytest.mark.parametrize("seed", range(25))
@@ -327,14 +372,19 @@ class TestBatchedLanes:
 
     def test_streams_exercise_conflicts(self):
         totals = SrvMetrics()
+        seen = collections.Counter()
         for seed in range(25):
-            metrics = self._run_region(random.Random(seed), True).metrics
+            buffer, shapes = self._run_region(random.Random(seed), True)
+            metrics = buffer.metrics
             totals.raw_violations += metrics.raw_violations
             totals.war_events += metrics.war_events
             totals.waw_events += metrics.waw_events
             totals.tm_war_replays += metrics.tm_war_replays
+            seen += shapes
         assert totals.raw_violations and totals.war_events
         assert totals.waw_events and totals.tm_war_replays
+        assert seen["store over loads"] and seen["load over stores"]
+        assert seen["lane outside memory"]
 
     def test_moved_record_leaves_its_old_block(self, buffer):
         buffer.store(0x1000, 4, 7, lane=0, instr=0)
@@ -349,24 +399,9 @@ class TestBatchedLanes:
         value, forwarded = buffer.load(0x1000, 4, lane=5, instr=1)
         assert (value, forwarded) == (1000, False)
 
-    def test_disjoint_vector_skips_the_per_lane_walk(self, buffer, monkeypatch):
-        calls = []
-        real = SpeculativeBuffer.load
-        monkeypatch.setattr(
-            SpeculativeBuffer, "load",
-            lambda self, *args: calls.append(args) or real(self, *args),
-        )
-        addrs = [0x1000 + 4 * lane for lane in range(16)]
-        values, forwarded = buffer.load_lanes(addrs, 4, list(range(16)), 0)
-        assert values == [1000 + lane for lane in range(16)] and not forwarded
-        assert calls == [] and buffer.lsu_entries_used() == 16
-        buffer.store(0x1008, 4, 5, lane=0, instr=1)
-        values, forwarded = buffer.load_lanes(addrs, 4, list(range(16)), 2)
-        assert len(calls) == 16 and forwarded and values[2] == 5
-
-    def test_vector_in_empty_blocks_skips_the_per_lane_walk(
-        self, buffer, monkeypatch
-    ):
+    @staticmethod
+    def _spy_per_lane(monkeypatch) -> list:
+        """Record every per-lane ``load``/``store`` call on the buffer."""
         calls = []
         for name in ("load", "store"):
             real = getattr(SpeculativeBuffer, name)
@@ -374,25 +409,70 @@ class TestBatchedLanes:
                 SpeculativeBuffer, name,
                 lambda self, *args, real=real: calls.append(args) or real(self, *args),
             )
-        buffer.store(0x1000, 4, 5, 3, 0)
-        buffer.store(0x1100, 4, 5, 3, 1)
-        buffer.load(0x1000, 4, 9, 2)
-        buffer.load(0x1100, 4, 9, 3)
-        calls.clear()
+        return calls
+
+    def test_disjoint_vector_skips_the_per_lane_walk(self, mem, monkeypatch):
+        """A vector that overlaps buffered stores is still one call, and
+        it loads what the per-lane reference loads."""
+        buffer = SpeculativeBuffer(mem, SrvMetrics())
+        reference = ScanAllBuffer(mem.clone(), SrvMetrics())
+        calls = self._spy_per_lane(monkeypatch)
+        addrs = [0x1000 + 4 * lane for lane in range(16)]
+        lanes = list(range(16))
+        values, forwarded = buffer.load_lanes(addrs, 4, lanes, 0)
+        assert values == [1000 + lane for lane in range(16)] and not forwarded
+        buffer.store_lanes([0x1008, 0x1022], 4, [5, 0xBEEF], [0, 9], 1)
+        values, forwarded = buffer.load_lanes(addrs, 4, lanes, 2)
+        assert calls == [] and buffer.lsu_entries_used() == 34
+        assert forwarded and values[2] == 5
+        for addr, lane in zip(addrs, lanes):
+            reference.load(addr, 4, lane, 0)
+        reference.store(0x1008, 4, 5, 0, 1)
+        reference.store(0x1022, 4, 0xBEEF, 9, 1)
+        want = [reference.load(addr, 4, lane, 2)
+                for addr, lane in zip(addrs, lanes)]
+        assert (values, forwarded) == ([v for v, _ in want], True)
+        assert _view(buffer) == reference.view()
+        assert buffer.metrics == reference.metrics
+        assert buffer.needs_replay == reference.needs_replay
+
+    def test_vector_in_empty_blocks_skips_the_per_lane_walk(
+        self, mem, monkeypatch
+    ):
+        """Vectors in empty blocks and vectors over records are each one
+        call; a store over load records flags the RAWs the per-lane
+        reference flags."""
+        buffer = SpeculativeBuffer(mem, SrvMetrics())
+        reference = ScanAllBuffer(mem.clone(), SrvMetrics())
+        for buf in (buffer, reference):
+            buf.store(0x1000, 4, 5, 3, 0)
+            buf.store(0x1100, 4, 5, 3, 1)
+            buf.load(0x1000, 4, 9, 2)
+            buf.load(0x1100, 4, 9, 3)
+        calls = self._spy_per_lane(monkeypatch)
         # inside both bounds [0x1000, 0x1104), but blocks 0x1080 // 64 and
         # 0x10C0 // 64 hold no record
         loaded = [0x1080 + 4 * lane for lane in range(16)]
-        values, forwarded = buffer.load_lanes(loaded, 4, list(range(16)), 4)
+        lanes = list(range(16))
+        values, forwarded = buffer.load_lanes(loaded, 4, lanes, 4)
         assert values == [1032 + lane for lane in range(16)] and not forwarded
         stored = [0x10C0 + 4 * lane for lane in range(16)]
-        buffer.store_lanes(stored, 4, [7] * 16, list(range(16)), 5)
-        assert calls == [] and buffer.lsu_entries_used() == 36
-        assert buffer.needs_replay == set() and _filed(buffer)
+        buffer.store_lanes(stored, 4, [7] * 16, lanes, 5)
         # the loads' block now holds records: lanes 0 and 1 storing over
-        # the bytes lanes 2 and 3 loaded meet a RAW, lane by lane
+        # the bytes lanes 2 and 3 loaded meet a RAW each
         buffer.store_lanes(loaded[2:4], 4, [1, 1], [0, 1], 6)
-        assert len(calls) == 2 and buffer.needs_replay == {2, 3}
+        assert calls == [] and buffer.lsu_entries_used() == 38
+        assert buffer.needs_replay == {2, 3} and _filed(buffer)
         assert buffer.metrics.raw_violations == 2
+        for addr, lane in zip(loaded, lanes):
+            reference.load(addr, 4, lane, 4)
+        for addr, lane in zip(stored, lanes):
+            reference.store(addr, 4, 7, lane, 5)
+        for addr, lane in zip(loaded[2:4], [0, 1]):
+            reference.store(addr, 4, 1, lane, 6)
+        assert _view(buffer) == reference.view()
+        assert buffer.metrics == reference.metrics
+        assert buffer.needs_replay == reference.needs_replay
 
     def test_store_vector_blocked_by_a_load_record_alone(self, buffer):
         buffer.load(0x1000, 4, lane=7, instr=0)
