@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import numpy as _np
-
 
 class BitVector:
     """An immutable-width, mutable-content bit vector.
@@ -88,25 +86,6 @@ class BitVector:
                 raise ValueError(f"bit index {i} out of range for width {width}")
             bits |= 1 << i
         return cls(width, bits)
-
-    # -- numpy bridge --------------------------------------------------------
-    #
-    # The lane-batched LSU paths evaluate byte-granular predicates over a
-    # whole alignment region at once as numpy bool arrays; these two
-    # converters bridge the array world and the int-mask representation
-    # without changing the public API (callers still hold BitVectors).
-
-    @classmethod
-    def from_bool_array(cls, flags: "_np.ndarray") -> "BitVector":
-        """Vector with bit ``i`` set where ``flags[i]`` is true."""
-        packed = _np.packbits(flags, bitorder="little")
-        return cls._new(len(flags), int.from_bytes(packed.tobytes(), "little"))
-
-    def to_bool_array(self) -> "_np.ndarray":
-        """The bits as a numpy bool array (index 0 = lowest-addressed byte)."""
-        raw = self._bits.to_bytes((self.width + 7) // 8, "little")
-        flags = _np.unpackbits(_np.frombuffer(raw, _np.uint8), bitorder="little")
-        return flags[: self.width].astype(_np.bool_)
 
     # -- queries -----------------------------------------------------------
 

@@ -191,9 +191,41 @@ def uniform_indices(n: int, table_size: int, *, seed: int = 0) -> list[int]:
 
 
 def values(n: int, lo: int = 0, hi: int = 255, *, seed: int = 0) -> list[int]:
-    """Uniform random data values."""
+    """Uniform random data values: ``rng.randint(lo, hi)`` drawn ``n`` times.
+
+    The draws are inlined: ``randint`` takes ``getrandbits(k)`` for ``k``
+    the bit length of the range's width until the draw falls inside it,
+    and so does this loop, so the values are ``randint``'s exactly.
+    """
     rng = make_rng(seed, "values")
-    return [rng.randint(lo, hi) for _ in range(n)]
+    width = hi - lo + 1
+    if width <= 0 and n > 0:
+        rng.randint(lo, hi)  # raises randint's own empty-range error
+    getrandbits = rng.getrandbits
+    k = width.bit_length()
+    out: list[int] = []
+    append = out.append
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        append(lo + r)
+    return out
+
+
+def arithmetic_mean(xs: Sequence[float]) -> float:
+    """Arithmetic mean, summed left to right in plain float additions.
+
+    Python 3.12's ``sum()`` compensates float rounding, so ``sum(xs)``
+    can differ in the last bits between interpreters; this sum is the
+    same on every version.
+    """
+    if not xs:
+        raise ValueError("arithmetic mean of empty sequence")
+    total = 0.0
+    for x in xs:
+        total += x
+    return total / len(xs)
 
 
 def geometric_mean(xs: Sequence[float]) -> float:

@@ -11,6 +11,7 @@ younger instructions' issue, letting consecutive regions overlap.
 from __future__ import annotations
 
 from repro.common.config import TABLE_I, MachineConfig
+from repro.common.rng import arithmetic_mean
 from repro.compiler import Strategy
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import run_loop
@@ -51,6 +52,6 @@ def run(
             )
         )
     gains = result.column("gain")
-    result.summary["mean_gain"] = sum(gains) / len(gains)
+    result.summary["mean_gain"] = arithmetic_mean(gains)
     result.summary["max_gain"] = max(gains)
     return result

@@ -12,6 +12,7 @@ the Table I out-of-order core.
 from __future__ import annotations
 
 from repro.common.config import TABLE_I, MachineConfig
+from repro.common.rng import arithmetic_mean
 from repro.compiler import Strategy
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import run_loop
@@ -51,7 +52,7 @@ def run(
             )
         result.rows.append((workload.name, ooo, inorder, inorder / ooo))
     ratios = result.column("ratio")
-    result.summary["mean_inorder_advantage"] = sum(ratios) / len(ratios)
+    result.summary["mean_inorder_advantage"] = arithmetic_mean(ratios)
     result.summary["paper_claim"] = (
         "SRV is akin to adding limited OoO execution to an in-order CPU"
     )

@@ -14,6 +14,7 @@ outliers omnetpp 1.49x, soplex 1.29x, xalancbmk 1.78x; coverage astar
 from __future__ import annotations
 
 from repro.common.config import TABLE_I, MachineConfig
+from repro.common.rng import arithmetic_mean
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import workload_loop_speedup
 from repro.workloads import ALL_WORKLOADS
@@ -37,7 +38,7 @@ def run(
             (workload.name, workload.suite, speedup, workload.coverage)
         )
     speedups = result.column("loop_speedup")
-    result.summary["average_loop_speedup"] = sum(speedups) / len(speedups)
+    result.summary["average_loop_speedup"] = arithmetic_mean(speedups)
     result.summary["max_loop_speedup"] = max(speedups)
     result.summary["min_loop_speedup"] = min(speedups)
     result.summary["paper_average"] = 2.9

@@ -23,6 +23,7 @@ method.
 from __future__ import annotations
 
 from repro.common.config import TABLE_I, MachineConfig
+from repro.common.rng import arithmetic_mean
 from repro.compiler import Strategy
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import run_loop, whole_program_speedup
@@ -100,8 +101,8 @@ def run(
 
     potentials = result.column("potential_speedup")
     withouts = result.column("without_unknown_dep_loops")
-    result.summary["average_potential"] = sum(potentials) / len(potentials)
-    result.summary["average_without_unknown"] = sum(withouts) / len(withouts)
+    result.summary["average_potential"] = arithmetic_mean(potentials)
+    result.summary["average_without_unknown"] = arithmetic_mean(withouts)
     result.summary["unknown_dep_loop_count_share"] = UNKNOWN_DEP_LOOP_COUNT_SHARE
     result.summary["paper_potential"] = 2.1
     result.summary["paper_without_unknown"] = 1.02

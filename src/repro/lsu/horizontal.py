@@ -33,20 +33,10 @@ section III-A); broadcast entries are expanded per lane.
 
 from __future__ import annotations
 
-import numpy as _np
-
 from repro.common.bitvec import BitVector
 from repro.isa.instructions import SrvDirection
 from repro.lsu.entries import AccessType, LsuEntry
 from repro.lsu.vertical import vob_for_pair
-
-#: Cached ``arange(region_bytes)`` per region size for the batched path.
-_BYTE_INDEX: dict[int, "_np.ndarray"] = {}
-
-#: Offsets beyond this magnitude fall back to the per-byte Python loop so
-#: the int64 address arithmetic below provably cannot wrap.
-_ADDR_GUARD = 1 << 60
-
 
 #: Memo for :func:`horizontal_violation_vector`.  The vector is a pure
 #: function of the two entries' lane geometry *relative to the region
@@ -90,80 +80,57 @@ def horizontal_violation_vector(
     cached = _VIOLATION_MEMO.get(memo_key)
     if cached is not None:
         return cached
-    # Inlined lane geometry (LsuEntry.lane_span_of_byte and
-    # _issuing_lane_for_byte) with the per-entry attributes hoisted out of
-    # the per-byte evaluation: this function dominates LSU issue time.
-    p_lane = prior.lane
-    if prior.access is AccessType.BROADCAST:
-        p_base_lane, p_contig = p_lane + prior.lanes_covered - 1, False
-    elif prior.access is AccessType.CONTIGUOUS:
-        p_base_lane, p_contig = p_lane, True
-        p_addr, p_elem = prior.addr, prior.elem
-        p_mirror = (
-            prior.lanes_covered - 1
-            if prior.direction is SrvDirection.DOWN
-            else None
-        )
-    else:
-        p_base_lane, p_contig = p_lane, False
-    i_lane = issuing.lane
-    i_contig = issuing.access is AccessType.CONTIGUOUS
-    if i_contig:
-        i_addr, i_end, i_elem = issuing.addr, issuing.addr + issuing.size, issuing.elem
-        i_mirror = (
-            issuing.lanes_covered - 1
-            if issuing.direction is SrvDirection.DOWN
-            else None
-        )
+    # The predicate prior-lane(byte) > issuing-lane(byte) is constant on
+    # each run of bytes between consecutive element boundaries of the two
+    # entries and the ends of the issuer's span, so it is evaluated once
+    # per run over the prior's bytes, each true run ORed in as a mask.
+    # Byte ``b`` of the region is address ``base + b``; the lane geometry
+    # is that of LsuEntry.lane_span_of_byte and _issuing_lane_for_byte.
     p_mask = prior_chunk.bytes_accessed.bits
-    p_off = base - p_addr if p_contig else 0
-    i_off = base - i_addr if i_contig else 0
-    if not p_contig and not i_contig:
-        # Both lanes are position-independent: one scalar comparison.
-        bits = p_mask if p_base_lane > i_lane else 0
-    elif (
-        -_ADDR_GUARD < p_off < _ADDR_GUARD
-        and -_ADDR_GUARD < i_off < _ADDR_GUARD
-    ):
-        # Lane-batched construction: evaluate the per-byte predicate
-        # prior-lane(byte) > issuing-lane(byte) over the whole alignment
-        # region at once, then mask to the prior's bytes-accessed vector.
-        # The offset guard keeps every int64 intermediate exact.
-        idx = _BYTE_INDEX.get(region_bytes)
-        if idx is None:
-            idx = _np.arange(region_bytes, dtype=_np.int64)
-            _BYTE_INDEX[region_bytes] = idx
+    bits = 0
+    if p_mask:
+        lo = (p_mask & -p_mask).bit_length() - 1
+        hi = p_mask.bit_length()
+        runs = {lo}
+        p_lane = prior.lane
+        p_contig = prior.access is AccessType.CONTIGUOUS
         if p_contig:
-            pindex = (p_off + idx) // p_elem
-            prior_max = p_base_lane + (
-                p_mirror - pindex if p_mirror is not None else pindex
+            p_off, p_elem = base - prior.addr, prior.elem
+            p_mirror = (
+                prior.lanes_covered - 1
+                if prior.direction is SrvDirection.DOWN
+                else None
             )
-        else:
-            prior_max = p_base_lane
+            runs.update(range(lo + -(lo + p_off) % p_elem, hi, p_elem))
+        elif prior.access is AccessType.BROADCAST:
+            p_lane += prior.lanes_covered - 1
+        i_lane = issuing.lane
+        i_contig = issuing.access is AccessType.CONTIGUOUS
         if i_contig:
-            off = i_off + idx
-            iindex = off // i_elem
-            delta = i_mirror - iindex if i_mirror is not None else iindex
-            in_span = (off >= 0) & (off < issuing.size)
-            issuing_lane = i_lane + _np.where(in_span, delta, 0)
-        else:
-            issuing_lane = i_lane
-        packed = _np.packbits(prior_max > issuing_lane, bitorder="little")
-        bits = int.from_bytes(packed.tobytes(), "little") & p_mask
-    else:
-        bits = 0
-        for bit in prior_chunk.bytes_accessed.set_indices():
-            byte_addr = base + bit
-            prior_max = p_base_lane
+            i_off, i_size, i_elem = base - issuing.addr, issuing.size, issuing.elem
+            i_mirror = (
+                issuing.lanes_covered - 1
+                if issuing.direction is SrvDirection.DOWN
+                else None
+            )
+            # the issuer's span is region bytes [-i_off, i_size - i_off)
+            first = -i_off if -i_off >= lo else lo + -(lo + i_off) % i_elem
+            runs.update(range(first, min(i_size - i_off, hi), i_elem))
+            if lo < i_size - i_off < hi:
+                runs.add(i_size - i_off)
+        starts = sorted(runs)
+        for start, stop in zip(starts, starts[1:] + [hi]):
+            prior_max = p_lane
             if p_contig:
-                index = (byte_addr - p_addr) // p_elem
+                index = (start + p_off) // p_elem
                 prior_max += p_mirror - index if p_mirror is not None else index
             issuing_lane = i_lane
-            if i_contig and i_addr <= byte_addr < i_end:
-                index = (byte_addr - i_addr) // i_elem
+            if i_contig and 0 <= start + i_off < i_size:
+                index = (start + i_off) // i_elem
                 issuing_lane += i_mirror - index if i_mirror is not None else index
             if prior_max > issuing_lane:
-                bits |= 1 << bit
+                bits |= ((1 << (stop - start)) - 1) << start
+        bits &= p_mask
     result = BitVector._new(region_bytes, bits)
     if len(_VIOLATION_MEMO) >= _VIOLATION_MEMO_MAX:
         _VIOLATION_MEMO.clear()

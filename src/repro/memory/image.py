@@ -18,8 +18,6 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as _np
-
 from repro.common.errors import MemoryAccessError
 
 
@@ -42,42 +40,14 @@ _SPAN_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 #: ``unpack_from`` of ``n`` such elements, per ``(n, size)``
 _SPAN_READERS: dict = {}
 
-#: element sizes the vectorised helpers handle (dtype-representable)
-_NP_ELEMS = (1, 2, 4, 8)
-
-_NP_MASKS = {s: _np.uint64((1 << (8 * s)) - 1) for s in _NP_ELEMS}
-_NP_SIGNS = {s: _np.uint64(1 << (8 * s - 1)) for s in (1, 2, 4)}
-_NP_DTYPES = {s: _np.dtype(f"<u{s}") for s in _NP_ELEMS}
-_NP_BYTE_SHIFTS = {
-    s: _np.arange(s, dtype=_np.uint64) * _np.uint64(8) for s in _NP_ELEMS
-}
+#: ``struct`` format of a signed little-endian element of each size
+_SIGNED_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
-def to_unsigned_array(values: "_np.ndarray", size: int) -> "_np.ndarray":
-    """Vectorised :func:`to_unsigned`: lanes → ``size``-byte storage.
-
-    Accepts int64/uint64/bool lanes; returns uint64 lanes holding the
-    wrapped (element-size-masked) unsigned value of each input lane.
-    """
-    if values.dtype == _np.bool_:
-        values = values.astype(_np.uint64)
-    elif values.dtype != _np.uint64:
-        values = values.view(_np.uint64)
-    if size == 8:
-        return values
-    return values & _NP_MASKS[size]
-
-
-def to_signed_array(values: "_np.ndarray", size: int) -> "_np.ndarray":
-    """Vectorised :func:`to_signed`: uint64 storage lanes → int64.
-
-    Sign extension is the usual xor/subtract trick on the unsigned
-    values, exact for every stored pattern.
-    """
-    if size == 8:
-        return values.view(_np.int64)
-    sign = _NP_SIGNS[size]
-    return ((values ^ sign) - sign).view(_np.int64)
+def _packed_format(count: int, size: int, signed: bool) -> str:
+    """``struct`` format of ``count`` little-endian ``size``-byte values."""
+    formats = _SIGNED_FORMATS if signed else _SPAN_FORMATS
+    return f"<{count}{formats[size]}"
 
 
 @dataclass(frozen=True)
@@ -212,33 +182,36 @@ class MemoryImage:
                 self._span(addr + lane * elem, elem)
         return off
 
-    def read_lanes(self, addr: int, elem: int, lanes: int) -> "_np.ndarray":
-        """All lanes of a contiguous unit-stride load, as a uint64 array."""
+    def read_lanes(self, addr: int, elem: int, lanes: int) -> list[int]:
+        """All lanes of a contiguous unit-stride load, unsigned."""
         off = self._check_lane_spans(addr, elem, lanes)
-        view = _np.frombuffer(self._data, _NP_DTYPES[elem], count=lanes, offset=off)
-        return view.astype(_np.uint64)
+        return list(
+            struct.unpack_from(_packed_format(lanes, elem, False), self._data, off)
+        )
 
-    def write_lanes(self, addr: int, elem: int, values: "_np.ndarray") -> None:
-        """Contiguous unit-stride store of elem-wrapped uint64 lanes."""
-        lanes = len(values)
-        off = self._check_lane_spans(addr, elem, lanes)
-        view = _np.frombuffer(self._data, _NP_DTYPES[elem], count=lanes, offset=off)
-        view[:] = values
+    def write_lanes(self, addr: int, elem: int, values: Sequence[int]) -> None:
+        """Contiguous unit-stride store of elem-wrapped unsigned lanes."""
+        off = self._check_lane_spans(addr, elem, len(values))
+        struct.pack_into(
+            _packed_format(len(values), elem, False), self._data, off, *values
+        )
 
-    def gather_lanes(self, addrs: "_np.ndarray", elem: int) -> "_np.ndarray":
-        """Gathered loads from per-lane int64 addresses, as a uint64 array.
+    def gather_lanes(self, addrs: Sequence[int], elem: int) -> list[int]:
+        """Gathered unsigned loads from per-lane addresses.
 
         Bounds are validated for every lane up front; on failure the error
         is raised for the first offending lane in lane order, exactly as
         the sequential path would.
         """
-        off = addrs - self._base
-        bad = (off < 0) | (off + elem > len(self._data))
-        if bad.any():
-            self._span(int(addrs[int(_np.flatnonzero(bad)[0])]), elem)
-        flat = _np.frombuffer(self._data, _np.uint8)
-        chunk = flat[off[:, None] + _np.arange(elem)].astype(_np.uint64)
-        return _np.bitwise_or.reduce(chunk << _NP_BYTE_SHIFTS[elem], axis=1)
+        base, size = self._base, len(self._data)
+        for addr in addrs:
+            if addr - base < 0 or addr - base + elem > size:
+                self._span(addr, elem)
+        data = self._data
+        return [
+            int.from_bytes(data[a - base:a - base + elem], "little")
+            for a in addrs
+        ]
 
     # -- allocator -------------------------------------------------------------
 
@@ -284,42 +257,66 @@ class MemoryImage:
 
     def store_array(self, alloc: Allocation, values: Sequence[int],
                     start: int = 0) -> None:
-        if start < 0 or start + len(values) > alloc.count:
+        """Write ``values`` from element ``start`` on, each wrapped to the
+        element size: the bytes :meth:`write_int` would write.
+
+        More than four values of a size ``struct`` has a format for are
+        packed in one call.  Fewer go through :meth:`write_int` one by
+        one: the benchmark's tracer counts the calls made on this class,
+        and its recorded counts rest on that split.  So does a non-integer
+        value, which raises :meth:`write_int`'s error after the same
+        writes.
+        """
+        count = len(values)
+        if start < 0 or start + count > alloc.count:
             raise MemoryAccessError(
-                f"writing {len(values)} values at {start} overflows {alloc.name!r}"
+                f"writing {count} values at {start} overflows {alloc.name!r}"
             )
-        if alloc.elem in _NP_ELEMS and len(values) > 4:
+        elem = alloc.elem
+        off = alloc.base + start * elem - self._base
+        if (
+            elem in _SIGNED_FORMATS
+            and count > 4
+            and off >= 0
+            and off + count * elem <= len(self._data)
+        ):
+            # packed apart from the image, so a failed pack writes nothing
             try:
-                arr = _np.asarray(values, dtype=_np.int64)
-            except (OverflowError, TypeError, ValueError):
-                arr = None  # values outside int64 (or odd types): scalar path
-            if arr is not None:
-                off = alloc.addr(start) - self._base
-                view = _np.frombuffer(
-                    self._data, _NP_DTYPES[alloc.elem],
-                    count=len(values), offset=off,
-                )
-                view[:] = to_unsigned_array(arr, alloc.elem)
+                packed = struct.pack(_packed_format(count, elem, True), *values)
+            except struct.error:
+                # a value outside the signed range: wrap every value
+                mask = (1 << (8 * elem)) - 1
+                try:
+                    masked = [value & mask for value in values]
+                except TypeError:
+                    packed = None
+                else:
+                    packed = struct.pack(
+                        _packed_format(count, elem, False), *masked
+                    )
+            if packed is not None:
+                self._data[off:off + count * elem] = packed
                 return
         for i, value in enumerate(values):
             self.write_int(alloc.addr(start + i), value, alloc.elem)
 
     def load_array(self, alloc: Allocation, count: int | None = None,
                    start: int = 0, signed: bool = True) -> list[int]:
+        """``count`` values from element ``start`` on, as :meth:`read_int`
+        reads them; batched as :meth:`store_array` is."""
         count = alloc.count - start if count is None else count
+        off = alloc.base + start * alloc.elem - self._base
         if (
-            alloc.elem in _NP_ELEMS
+            alloc.elem in _SIGNED_FORMATS
             and count > 4
             and 0 <= start
             and start + count <= alloc.count
+            and off >= 0
+            and off + count * alloc.elem <= len(self._data)
         ):
-            off = alloc.addr(start) - self._base
-            view = _np.frombuffer(
-                self._data, _NP_DTYPES[alloc.elem], count=count, offset=off
-            )
-            if signed:
-                return to_signed_array(view.astype(_np.uint64), alloc.elem).tolist()
-            return view.tolist()
+            return list(struct.unpack_from(
+                _packed_format(count, alloc.elem, signed), self._data, off
+            ))
         return [
             self.read_int(alloc.addr(start + i), alloc.elem, signed=signed)
             for i in range(count)

@@ -73,6 +73,12 @@ def test_benchmark_entry_points_import():
     """The benchmark reads private runner state and wraps named layer
     entry points; both must survive any refactor of ``src/repro``."""
     script = (
+        # worker.environment() records numpy's version; the package
+        # itself needs no numpy, so stand one in where none is installed
+        "import importlib.util, sys, types\n"
+        "if importlib.util.find_spec('numpy') is None:\n"
+        "    sys.modules['numpy'] = types.ModuleType('numpy')\n"
+        "    sys.modules['numpy'].__version__ = 'none'\n"
         "import tracing, worker\n"
         "worker.environment()\n"
         "tracing.instrument(tracing.Tracer())\n"
@@ -84,5 +90,28 @@ def test_benchmark_entry_points_import():
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_runs_without_numpy():
+    """The package imports no third-party module: importing its entry
+    points and timing one SRV loop leaves numpy unloaded."""
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.experiments, repro.gen, repro.sample\n"
+        "from repro.compiler import Strategy\n"
+        "from repro.experiments.runner import run_loop\n"
+        "from repro.workloads import ALL_WORKLOADS\n"
+        "spec = ALL_WORKLOADS[0].loops[0]\n"
+        "run = run_loop(spec, Strategy.SRV, n_override=16, use_cache=False)\n"
+        "assert run.correct and run.pipe is not None, run\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

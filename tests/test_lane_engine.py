@@ -23,10 +23,8 @@ so the one engine is still checked against it:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.common.bitvec import BitVector
 from repro.common.errors import ReproError
 from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu.interpreter import Interpreter
@@ -279,27 +277,3 @@ def test_numpy_fallback_error_matches_reference():
     outcome = _program_outcome(_out_of_range_gather)
     assert outcome[0] == "error"
     assert outcome == LANE_PINS["programs"]["gather-out-of-range"]
-
-
-# ---------------------------------------------------------------------------
-# BitVector numpy bridge (used by the vectorised LSU paths)
-# ---------------------------------------------------------------------------
-
-
-def test_bitvector_bool_array_roundtrip():
-    for width in (1, 7, 8, 63, 64, 65, 128):
-        mask = (1 << width) - 1
-        patterns = (0, mask, 0x5A5A_5A5A_5A5A_5A5A_5A5A & mask,
-                    (1 << (width - 1)) | 1)
-        for bits in patterns:
-            bv = BitVector(width, bits & mask)
-            flags = bv.to_bool_array()
-            assert len(flags) == width
-            assert BitVector.from_bool_array(flags) == bv
-
-
-def test_bitvector_from_bool_array_matches_from_indices():
-    flags = np.zeros(64, dtype=np.bool_)
-    flags[[0, 3, 17, 63]] = True
-    assert (BitVector.from_bool_array(flags)
-            == BitVector.from_indices(64, [0, 3, 17, 63]))

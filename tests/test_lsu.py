@@ -780,6 +780,88 @@ class TestMayViolateGrid:
         assert not single_lane or checked > violating > 0
 
 
+def _violation_by_byte(issuing, prior, base, region_bytes):
+    """The horizontal-violation bits built one byte at a time: for each
+    byte the prior accesses in region ``base``, prior-lane(byte) >
+    issuing-lane(byte), with the lanes read off the entries' geometry."""
+    chunk = prior.chunk_for_base(base)
+    if chunk is None:
+        return 0
+    bits = 0
+    for bit in chunk.bytes_accessed.set_indices():
+        byte_addr = base + bit
+        prior_max = prior.lane_span_of_byte(byte_addr)[1]
+        issuing_lane = issuing.lane
+        if (
+            issuing.access is AccessType.CONTIGUOUS
+            and issuing.addr <= byte_addr < issuing.addr + issuing.size
+        ):
+            issuing_lane = issuing.lane_of_byte(byte_addr)
+        if prior_max > issuing_lane:
+            bits |= 1 << bit
+    return bits
+
+
+class TestViolationVectorGrid:
+    """``horizontal_violation_vector`` equals the per-byte construction
+    over contiguous, broadcast and gather priors and issuers, both
+    directions, every element size, issuers on either side of a prior
+    that straddles a base, issuers more than 2**60 bytes away and
+    regions beyond 2**62."""
+
+    ACCESSES = (
+        AccessType.CONTIGUOUS, AccessType.BROADCAST, AccessType.GATHER_SCATTER,
+    )
+    OFFSETS = (-14, -9, -4, 1, 6, 11, 21, 36, 61,
+               1 << 61, (1 << 61) + 3, -(1 << 61), -(1 << 61) - 5)
+
+    @staticmethod
+    def _entries(access, elem, direction, addr, lane, lane_counts, is_store):
+        counts = lane_counts if access is not AccessType.GATHER_SCATTER else (1,)
+        for lanes in counts:
+            size = elem * lanes if access is AccessType.CONTIGUOUS else elem
+            yield make_entry(
+                is_store=is_store, access=access, addr=addr, size=size,
+                elem=elem, lane=lane, lanes_covered=lanes, direction=direction,
+            )
+
+    @pytest.mark.parametrize("base", [0x1040, 0x1040 + (1 << 62)])
+    @pytest.mark.parametrize("prior_access", ACCESSES)
+    @pytest.mark.parametrize("issuer_access", ACCESSES)
+    def test_matches_the_per_byte_construction(
+        self, issuer_access, prior_access, base
+    ):
+        from repro.lsu import horizontal
+
+        checked = violating = 0
+        for direction in SrvDirection:
+            for p_elem in (1, 2, 4, 8):
+                priors = list(self._entries(
+                    prior_access, p_elem, direction, base - 6, 1, (1, 3, 8),
+                    False))
+                for i_elem in (1, 2, 4, 8):
+                    for i_off in self.OFFSETS:
+                        for i_lane in (0, 5):
+                            for issuer in self._entries(
+                                issuer_access, i_elem, direction,
+                                base + i_off, i_lane, (1, 8), True,
+                            ):
+                                for prior in priors:
+                                    for chunk_base in prior.bases:
+                                        # every call builds its vector
+                                        horizontal._VIOLATION_MEMO.clear()
+                                        got = horizontal_violation_vector(
+                                            issuer, prior, chunk_base, REGION)
+                                        want = _violation_by_byte(
+                                            issuer, prior, chunk_base, REGION)
+                                        assert got.bits == want, (
+                                            issuer, prior, chunk_base)
+                                        checked += 1
+                                        violating += bool(want)
+        # the grid reaches empty, partial and non-empty vectors alike
+        assert checked > violating > 0
+
+
 class BruteForceLsu(LoadStoreUnit):
     """The unindexed LSU: every issue pairs with every prior row.
 

@@ -155,8 +155,7 @@ class TestMemoryImage:
         assert str(err.value) == (
             "access [0x11fe, 0x1202) outside memory [0x1000, 0x1200)"
         )
-        lanes = mem.read_lanes(b.base, 4, 4)
-        assert lanes.tolist() == [100, 101, 102, 103]
+        assert mem.read_lanes(b.base, 4, 4) == [100, 101, 102, 103]
 
     def test_clone_shares_no_bytes_in_either_direction(self):
         mem = MemoryImage(size=256)
@@ -249,6 +248,95 @@ class TestReadSpan:
         with pytest.raises(MemoryAccessError) as span:
             image.read_span(addrs, 4)
         assert str(span.value) == str(per_lane.value)
+
+    def test_lane_helpers_match_read_int(self):
+        image = self._image()
+        addrs = [0x1010, 0x1FFC, 0x1000, 0x1010]
+        assert image.gather_lanes(addrs, 4) == [
+            image.read_int(addr, 4) for addr in addrs]
+        image.write_lanes(0x1020, 2, [1, 0xFFFF, 7])
+        assert image.read_lanes(0x1020, 2, 3) == [1, 0xFFFF, 7]
+        assert image.read_int(0x1022, 2) == 0xFFFF
+        with pytest.raises(MemoryAccessError) as per_lane:
+            image.read_int(0x0FFE, 4)
+        with pytest.raises(MemoryAccessError) as gathered:
+            image.gather_lanes([0x1000, 0x0FFE, 0x2000], 4)
+        assert str(gathered.value) == str(per_lane.value)
+
+
+class TestArrayIO:
+    """``store_array``/``load_array`` against one ``write_int``/``read_int``
+    per element: the same bytes, the same values, the same errors."""
+
+    @staticmethod
+    def _values(size):
+        bits = 8 * size
+        return [
+            0, 1, -1, 5, -7,
+            (1 << (bits - 1)) - 1, -(1 << (bits - 1)),   # the signed range
+            1 << (bits - 1), (1 << bits) - 1,             # unsigned, above it
+            1 << bits, -(1 << bits) - 3,                  # wrapped
+            (1 << 70) + 9, -(1 << 70) - 11, 1 << 64,      # beyond int64
+            True, False,
+        ]
+
+    @staticmethod
+    def _pair(elem, count):
+        images = [MemoryImage(size=512, base=0x1000) for _ in range(2)]
+        return images, [image.alloc("a", count, elem) for image in images]
+
+    @pytest.mark.parametrize("elem", [1, 2, 4, 8, 3])
+    def test_store_matches_write_int(self, elem):
+        values = self._values(elem)
+        for chosen in (values, values[:5], values[:1], [], values[7:9],
+                       [(1 << (8 * elem - 1)) - 1] * 6):
+            (fast, slow), (a, b) = self._pair(elem, len(values) + 2)
+            fast.store_array(a, chosen, start=1)
+            for i, value in enumerate(chosen):
+                slow.write_int(b.addr(1 + i), value, elem)
+            assert fast.snapshot() == slow.snapshot(), chosen
+
+    @pytest.mark.parametrize("elem", [1, 2, 4, 8, 3])
+    def test_load_matches_read_int(self, elem):
+        (image, _), (a, _) = self._pair(elem, 20)
+        rng = random.Random(elem)
+        image.write_bytes(a.base, bytes(rng.randrange(256) for _ in range(20 * elem)))
+        for signed in (True, False):
+            for start, count in ((0, None), (3, 9), (19, 1), (20, 0), (5, 0)):
+                want = [
+                    image.read_int(a.addr(start + i), elem, signed=signed)
+                    for i in range(20 - start if count is None else count)
+                ]
+                got = image.load_array(a, count, start, signed=signed)
+                assert got == want, (signed, start, count)
+
+    @pytest.mark.parametrize("elem", [1, 2, 4, 8])
+    def test_errors_match_the_per_element_path(self, elem):
+        (image, _), (a, _) = self._pair(elem, 4)
+        with pytest.raises(MemoryAccessError) as err:
+            image.store_array(a, [1, 2, 3], start=2)
+        assert str(err.value) == "writing 3 values at 2 overflows 'a'"
+        for start, count in ((2, 3), (-1, 2), (4, 1)):
+            with pytest.raises(MemoryAccessError) as per_element:
+                [image.read_int(a.addr(start + i), elem) for i in range(count)]
+            with pytest.raises(MemoryAccessError) as batched:
+                image.load_array(a, count, start)
+            assert str(batched.value) == str(per_element.value)
+        for bad in ([1, 2.5], [1, "2"], [None]):
+            with pytest.raises(TypeError):
+                image.write_int(a.addr(0), bad[-1], elem)
+            with pytest.raises(TypeError):
+                image.store_array(a, bad)
+        # a batched store raises the same error after the same writes
+        for bad in ([1, 2, 2.5, 3, 4, 5], [-1, 1 << 70, None, 3, 4, 5]):
+            (fast, slow), (a, b) = self._pair(elem, 8)
+            with pytest.raises(TypeError) as batched:
+                fast.store_array(a, bad)
+            with pytest.raises(TypeError) as per_element:
+                for i, value in enumerate(bad):
+                    slow.write_int(b.addr(i), value, elem)
+            assert str(batched.value) == str(per_element.value)
+            assert fast.snapshot() == slow.snapshot()
 
 
 class TestCache:
