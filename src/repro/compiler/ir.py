@@ -434,12 +434,19 @@ def scalar_reference(loop: Loop, arrays: dict[str, list[int]], n: int, params: d
 
     params = params or {}
     # normalise initial values through the arrays' element storage, exactly
-    # as MemoryImage.store_array would
-    data = {
-        name: [to_signed(to_unsigned(v, loop.arrays[name]), loop.arrays[name])
-               for v in values]
-        for name, values in arrays.items()
-    }
+    # as MemoryImage.store_array would: to_signed(to_unsigned(v)) is v
+    # itself inside the element's signed range, so only an array with a
+    # value outside it is wrapped value by value
+    data = {}
+    for name, values in arrays.items():
+        values = list(values)
+        if values:
+            size = loop.arrays[name]
+            half = 1 << (size * 8 - 1)
+            if min(values) < -half or max(values) >= half:
+                values = [to_signed(to_unsigned(v, size), size)
+                          for v in values]
+        data[name] = values
     body = [_compile_statement(stmt, loop, data, params) for stmt in loop.body]
     iterations = range(n) if loop.step == 1 else range(n - 1, -1, -1)
     for i in iterations:

@@ -578,10 +578,7 @@ class _Run:
         srv = self.metrics.srv
         config, lanes, log = self.config, self.lanes, self.log
         end_pc = region.end_pc
-        buffer = SpeculativeBuffer(
-            self.memory, srv, tm_mode=config.srv_tm_mode,
-            block_bytes=config.alignment_region_bytes,
-        )
+        buffer = SpeculativeBuffer(self.memory, srv, tm_mode=config.srv_tm_mode)
         active = [True] * lanes
         rollbacks = 0
         resume_replay: set[int] = set()

@@ -17,13 +17,14 @@ Sequential order of a region access is the lexicographic order of
 ``(lane, instruction_offset)``: the original scalar loop runs iteration
 (=lane) 0 to completion before iteration 1 starts.
 
-Buffered stores are keyed by ``(instruction_offset, lane)`` — the paper's
-*SRV-id* — so replays update entries in place instead of allocating new
-ones (section III-C).
+Buffered accesses are filed by instruction offset, then by lane: the pair
+``(instruction_offset, lane)`` is the paper's *SRV-id*, so replays update
+entries in place instead of allocating new ones (section III-C).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -31,60 +32,15 @@ from repro.common.errors import MemoryAccessError
 from repro.emu.metrics import SrvMetrics
 from repro.memory.image import MemoryImage
 
-#: sequential position ``(lane, instr)`` of a record: commit order
+#: sequential position ``(lane, instr)`` of a forwarding candidate
 _SEQUENTIAL = itemgetter(2, 3)
-#: the lane of a record
-_LANE = itemgetter(2)
 
 
-def _file(records: dict, by_block: dict, shift: int, rows) -> None:
-    """Put each ``(key, record)`` of ``rows`` in ``records`` and file the
-    record under each ``1 << shift``-byte block its bytes ``[record[0],
-    record[1])`` touch.
-
-    A replay re-executes an access under the same key; a record that
-    moved to other blocks first leaves its old ones.
-    """
-    for key, record in rows:
-        first = record[0] >> shift
-        last = (record[1] - 1) >> shift
-        old = records.get(key)
-        records[key] = record
-        if old is not None:
-            old_first = old[0] >> shift
-            old_last = (old[1] - 1) >> shift
-            if old_first != first or old_last != last:
-                for block in range(old_first, old_last + 1):
-                    bucket = by_block[block]
-                    del bucket[key]
-                    if not bucket:
-                        del by_block[block]
-        if first == last:
-            bucket = by_block.get(first)
-            if bucket is None:
-                by_block[first] = {key: record}
-            else:
-                bucket[key] = record
-            continue
-        for block in range(first, last + 1):
-            bucket = by_block.get(block)
-            if bucket is None:
-                by_block[block] = {key: record}
-            else:
-                bucket[key] = record
-
-
-def _within(by_block: dict, first: int, last: int):
-    """Records filed under any of the blocks ``first..last``, each once."""
-    if first == last:
-        bucket = by_block.get(first)
-        return bucket.values() if bucket else ()
-    rows: dict = {}
-    for block in range(first, last + 1):
-        bucket = by_block.get(block)
-        if bucket:
-            rows.update(bucket)
-    return rows.values()
+def _size_error(instr: int, size: int, recorded: int) -> ValueError:
+    """An instruction accesses memory with one size."""
+    return ValueError(
+        f"instruction {instr} accessed {size} bytes, recorded {recorded}"
+    )
 
 
 @dataclass
@@ -96,45 +52,37 @@ class SpeculativeBuffer:
     because a *later* lane already wrote the bytes) must also re-execute
     the writing lane, not just suppress forwarding.
 
-    Records are plain tuples keyed by SRV-id ``(instr, lane)``: a store
-    is ``(addr, end, lane, instr, data)``, a load ``(addr, end, lane,
-    instr, tick)``, where ``end`` is one past the last byte and ``tick``
-    the machine-order stamp of the load.  Each record is also filed under
-    every block number ``addr >> shift`` its bytes touch, in blocks of
-    ``block_bytes`` (the machine's address-alignment region, a power of
-    two): the forwarding, WAW and RAW walks visit only records in the
-    blocks an access touches, since a record in any other block cannot
-    overlap it.
+    There is one record per region instruction, ``[size, lo, hi, lanes]``:
+    ``lanes`` maps each lane the instruction executed to its address
+    (a load) or to ``(addr, data)`` (a store), so the SRV-id ``(instr,
+    lane)`` names one entry and a replay overwrites it in place.  ``lo``
+    and ``hi`` bound every byte the record's lanes have touched; like the
+    buffer-wide bounds they only widen within a region instance (a
+    replay that moves a lane leaves a stale, safe, span).  The
+    forwarding, WAW and RAW walks visit only the records whose span
+    overlaps an access, and then decide each lane on integers.
     """
 
     memory: MemoryImage
     metrics: SrvMetrics
     tm_mode: bool = False
-    block_bytes: int = 64
     needs_replay: set[int] = field(default_factory=set)
-    _tick: int = 0
-    # Conservative address bounds over all buffered stores / recorded loads.
-    # They only ever grow within a region instance (replay passes replace
-    # records in place, so a shrunk record leaves stale — safe — bounds);
+    # Conservative address bounds over all buffered stores / recorded loads:
     # an access wholly outside them provably overlaps nothing, which is the
-    # overwhelmingly common case and skips the record scans entirely.
+    # overwhelmingly common case and skips the record walks entirely.
     _smin: int = 1 << 62
     _smax: int = -(1 << 62)
     _lmin: int = 1 << 62
     _lmax: int = -(1 << 62)
-    _shift: int = field(init=False)
     _stores: dict = field(init=False, default_factory=dict)
     _loads: dict = field(init=False, default_factory=dict)
-    _store_blocks: dict = field(init=False, default_factory=dict)
-    _load_blocks: dict = field(init=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._shift = self.block_bytes.bit_length() - 1
 
     # -- helpers -------------------------------------------------------------
 
     def lsu_entries_used(self) -> int:
-        return len(self._stores) + len(self._loads)
+        return sum(len(record[3]) for record in self._stores.values()) + sum(
+            len(record[3]) for record in self._loads.values()
+        )
 
     # -- load ----------------------------------------------------------------
 
@@ -157,24 +105,27 @@ class SpeculativeBuffer:
         partial store-to-load forwarding combined with WAR suppression.
         Returns the lane values and whether any byte was forwarded.
 
-        The span is read from memory in one call, and the store records
-        overlapping it are collected once: a load files no store record,
-        so every lane sees the same candidates, and each is decided with
-        integer tests in lane order, ticking as one :meth:`load` per lane
-        would.  A lane outside memory raises its own error after the
-        lanes before it (and its own record) are filed.
+        The span is read from memory in one call, and the store lanes
+        overlapping it are collected once: a load buffers no store, so
+        every lane sees the same candidates, and each is decided with
+        integer tests in lane order, as one :meth:`load` per lane would.
+        A lane outside memory raises its own error after the lanes before
+        it (and its own record) are filed.
         """
         lo = min(addrs)
         hi = max(addrs) + size
-        shift = self._shift
+        record = self._loads.get(instr)
+        if record is not None and record[0] != size:
+            raise _size_error(instr, size, record[0])
         stores = None
         if lo < self._smax and hi > self._smin:
-            stores = [
-                record
-                for record in _within(self._store_blocks, lo >> shift,
-                                      (hi - 1) >> shift)
-                if record[0] < hi and lo < record[1]
-            ]
+            stores = []
+            for r_instr, (r_size, r_lo, r_hi, r_lanes) in self._stores.items():
+                if r_lo < hi and lo < r_hi:
+                    for r_lane, (r_addr, data) in r_lanes.items():
+                        if r_addr < hi and lo < r_addr + r_size:
+                            stores.append((r_addr, r_addr + r_size, r_lane,
+                                           r_instr, data))
         error = None
         try:
             values = self.memory.read_span(addrs, size)
@@ -186,13 +137,14 @@ class SpeculativeBuffer:
                     self.load_lanes([addr], size, [lane], instr)
             error = exc
             values = None
-        tick = self._tick
-        rows = []
-        for addr, lane in zip(addrs, lanes):
-            tick += 1
-            rows.append(((instr, lane), (addr, addr + size, lane, instr, tick)))
-        _file(self._loads, self._load_blocks, shift, rows)
-        self._tick = tick
+        if record is None:
+            self._loads[instr] = [size, lo, hi, dict(zip(lanes, addrs))]
+        else:
+            if lo < record[1]:
+                record[1] = lo
+            if hi > record[2]:
+                record[2] = hi
+            record[3].update(zip(lanes, addrs))
         if lo < self._lmin:
             self._lmin = lo
         if hi > self._lmax:
@@ -205,15 +157,15 @@ class SpeculativeBuffer:
                 end = addr + size
                 war_seen = False
                 older = None
-                for record in stores:
-                    r_addr, r_end, r_lane, r_instr, _ = record
+                for candidate in stores:
+                    r_addr, r_end, r_lane, r_instr, _ = candidate
                     if r_addr >= end or addr >= r_end:
                         continue
                     if r_lane < lane or (r_lane == lane and r_instr < instr):
                         if older is None:
-                            older = [record]
+                            older = [candidate]
                         else:
-                            older.append(record)
+                            older.append(candidate)
                     else:
                         # A sequentially *later* store already wrote these
                         # bytes: WAR — forwarding suppressed, bytes must
@@ -271,59 +223,84 @@ class SpeculativeBuffer:
           recorded load executed before this store, so any such load in
           a later lane that overlaps the lane violates.
 
-        Only records in a lane above the first can conflict with any
-        lane, and they are collected once from the span's blocks.  That
+        Only lanes above the first can conflict with any lane, and they
+        are collected once from the records whose span overlaps.  That
         is exact: the lanes of one store never conflict with each other
-        (each is older than the next), and the records this instruction
+        (each is older than the next), and the lanes this instruction
         files replace only its own SRV-ids, which no later lane of it
-        counts.
+        counts.  The candidates are sorted by address, so each lane
+        tests only those that start less than the widest candidate's
+        size before its bytes and before their end: no other can
+        overlap it.
         """
         lo = min(addrs)
         hi = max(addrs) + size
-        shift = self._shift
-        first, last = lo >> shift, (hi - 1) >> shift
+        record = self._stores.get(instr)
+        if record is not None and record[0] != size:
+            raise _size_error(instr, size, record[0])
         oldest = lanes[0]
+        # (addr, end, lane) of the lanes above the first that overlap
+        # the span, and the widest access size among them
         later_stores: list = []
         later_loads: list = []
+        store_reach = load_reach = 0
         if lo < self._smax and hi > self._smin:
-            later_stores = [
-                record for record in _within(self._store_blocks, first, last)
-                if record[2] > oldest and record[0] < hi and lo < record[1]
-            ]
+            for r_size, r_lo, r_hi, r_lanes in self._stores.values():
+                if r_lo < hi and lo < r_hi:
+                    if r_size > store_reach:
+                        store_reach = r_size
+                    for r_lane, (r_addr, _) in r_lanes.items():
+                        if (r_lane > oldest and r_addr < hi
+                                and lo < r_addr + r_size):
+                            later_stores.append(
+                                (r_addr, r_addr + r_size, r_lane))
         if lo < self._lmax and hi > self._lmin:
-            later_loads = [
-                record for record in _within(self._load_blocks, first, last)
-                if record[2] > oldest and record[0] < hi and lo < record[1]
-            ]
+            for r_size, r_lo, r_hi, r_lanes in self._loads.values():
+                if r_lo < hi and lo < r_hi:
+                    if r_size > load_reach:
+                        load_reach = r_size
+                    for r_lane, r_addr in r_lanes.items():
+                        if (r_lane > oldest and r_addr < hi
+                                and lo < r_addr + r_size):
+                            later_loads.append(
+                                (r_addr, r_addr + r_size, r_lane))
         if later_stores or later_loads:
-            # latest lane first: a lane stops at the first record in a
-            # lane not above its own
-            later_stores.sort(key=_LANE, reverse=True)
-            later_loads.sort(key=_LANE, reverse=True)
+            later_stores.sort()
+            later_loads.sort()
             metrics = self.metrics
             needs_replay = self.needs_replay
             for addr, lane in zip(addrs, lanes):
                 end = addr + size
-                for r_addr, r_end, r_lane, _, _ in later_stores:
-                    if r_lane <= lane:
-                        break
-                    if r_addr < end and addr < r_end:
-                        metrics.waw_events += 1
-                        break
-                for l_addr, l_end, l_lane, _, _ in later_loads:
-                    if l_lane <= lane:
-                        break
-                    if l_addr < end and addr < l_end:
-                        needs_replay.add(l_lane)
-                        metrics.raw_violations += 1
+                # (a,) sorts before every entry starting at a
+                if later_stores:
+                    for _, r_end, r_lane in later_stores[
+                        bisect_left(later_stores, (addr - store_reach + 1,)):
+                        bisect_left(later_stores, (end,))
+                    ]:
+                        if r_lane > lane and addr < r_end:
+                            metrics.waw_events += 1
+                            break
+                if later_loads:
+                    for _, l_end, l_lane in later_loads[
+                        bisect_left(later_loads, (addr - load_reach + 1,)):
+                        bisect_left(later_loads, (end,))
+                    ]:
+                        if l_lane > lane and addr < l_end:
+                            needs_replay.add(l_lane)
+                            metrics.raw_violations += 1
         mask = (1 << (size * 8)) - 1
-        rows = [
-            ((instr, lane),
-             (addr, addr + size, lane, instr, (value & mask).to_bytes(size, "little")))
+        entries = {
+            lane: (addr, (value & mask).to_bytes(size, "little"))
             for addr, value, lane in zip(addrs, values, lanes)
-        ]
-        _file(self._stores, self._store_blocks, shift, rows)
-        self._tick += len(addrs)
+        }
+        if record is None:
+            self._stores[instr] = [size, lo, hi, entries]
+        else:
+            if lo < record[1]:
+                record[1] = lo
+            if hi > record[2]:
+                record[2] = hi
+            record[3].update(entries)
         if lo < self._smin:
             self._smin = lo
         if hi > self._smax:
@@ -331,14 +308,25 @@ class SpeculativeBuffer:
 
     # -- commit -----------------------------------------------------------------
 
-    def commit(self) -> None:
-        """Write buffered stores to memory in sequential order.
+    def _writeback(self, keep=None) -> None:
+        """Write the buffered stores (those ``keep(lane, instr)`` accepts)
+        to memory in sequential order.
 
         Sorting by ``(lane, instruction_offset)`` makes the program-order
         last writer win — the paper's selective memory update for WAW.
         """
-        for record in sorted(self._stores.values(), key=_SEQUENTIAL):
-            self.memory.write_bytes(record[0], record[4])
+        rows = [
+            (lane, instr, addr, data)
+            for instr, record in self._stores.items()
+            for lane, (addr, data) in record[3].items()
+            if keep is None or keep(lane, instr)
+        ]
+        rows.sort()
+        self.memory.write_many([row[2:] for row in rows])
+
+    def commit(self) -> None:
+        """Write buffered stores to memory in sequential order."""
+        self._writeback()
 
     def _reset_bounds(self) -> None:
         self._smin = self._lmin = 1 << 62
@@ -347,8 +335,6 @@ class SpeculativeBuffer:
     def discard(self) -> None:
         self._stores.clear()
         self._loads.clear()
-        self._store_blocks.clear()
-        self._load_blocks.clear()
         self.needs_replay.clear()
         self._reset_bounds()
 
@@ -361,12 +347,8 @@ class SpeculativeBuffer:
         speculative content.  Load records are dropped; younger lanes will
         re-execute the entire region on resumption.
         """
-        keep_committed = [
-            record
-            for record in self._stores.values()
-            if record[2] < oldest_lane
-            or (record[2] == oldest_lane and record[3] <= offset)
-        ]
-        for record in sorted(keep_committed, key=_SEQUENTIAL):
-            self.memory.write_bytes(record[0], record[4])
+        self._writeback(
+            lambda lane, instr: lane < oldest_lane
+            or (lane == oldest_lane and instr <= offset)
+        )
         self.discard()

@@ -176,36 +176,77 @@ def hob_for_pair(
 
 
 def may_violate(issuing: LsuEntry, prior: LsuEntry) -> bool:
-    """False only if :func:`hob_for_pair` is surely empty, decided on ints.
+    """Whether :func:`hob_for_pair` is non-empty, decided on ints.
 
-    A single-lane issuer (a gather/scatter micro-op, a scalar or a
-    broadcast access) compares every byte against its own lane field, so
-    HOB = VOB AND (prior-lane(byte) > issuing.lane) is non-empty exactly
-    when the prior's largest lane over the overlapped bytes exceeds that
-    lane.  A contiguous prior's lane moves monotonically with the address
-    (up, or down for the DOWN direction), so that largest lane sits at
-    one end of the overlap.  A contiguous issuer's lane varies per byte:
-    for it the answer is always True and the bit vectors decide.
+    The HOB is the overlapped bytes where prior-lane(byte) >
+    issuing-lane(byte).  The issuing lane is the issuer's lane field,
+    or, for a contiguous issuer, the lane at the byte; the prior lane is
+    the latest one at the byte.  Both are step functions of the address
+    that change only at an element start of a contiguous entry, so the
+    difference is tested at the overlap's first byte and at the first
+    and last element start of each contiguous entry inside it:
+
+    * between two prior element starts the prior lane is constant and
+      an UP issuer's lane does not fall, and from one prior start to the
+      next the prior lane gains 1 while the issuer's gains at least 1
+      (prior elements no narrower) or at most 1 (no wider): the largest
+      difference of an UP pair is at the first byte or at the first or
+      last prior start;
+    * a DOWN pair is the mirror image, with the issuer's starts;
+    * in a mixed pair, or against a prior of one lane, the difference
+      is monotone, so it peaks at one end of the overlap; the last byte
+      lies in the same steps as the last element start inside it.
+
+    A single-lane issuer meets the prior's latest lane at one end of the
+    overlap.  The lanes are computed inline: this runs for every pair
+    of rows a store's issue matches.
     """
-    if issuing.access is AccessType.CONTIGUOUS:
-        return True
     lo = max(issuing.addr, prior.addr)
     hi = min(issuing.addr + issuing.size, prior.addr + prior.size)
     if lo >= hi:
         return False
+    last = hi - 1
+    p_addr = prior.addr
+    p_elem = prior.elem
     access = prior.access
-    if access is AccessType.CONTIGUOUS:
-        if prior.direction is SrvDirection.DOWN:
-            top = prior.lane + prior.lanes_covered - 1 - (
-                (lo - prior.addr) // prior.elem
-            )
-        else:
-            top = prior.lane + (hi - 1 - prior.addr) // prior.elem
-    elif access is AccessType.BROADCAST:
-        top = prior.lane + prior.lanes_covered - 1
-    else:
-        top = prior.lane
-    return top > issuing.lane
+    p_contig = access is AccessType.CONTIGUOUS
+    # a contiguous prior's lane at byte b is p_lane -/+ the element index
+    p_down = p_contig and prior.direction is SrvDirection.DOWN
+    p_lane = prior.lane
+    if p_down or access is AccessType.BROADCAST:
+        p_lane += prior.lanes_covered - 1
+    if issuing.access is not AccessType.CONTIGUOUS:
+        lane = issuing.lane
+        if not p_contig:
+            return p_lane > lane
+        if p_down:
+            return p_lane - (lo - p_addr) // p_elem > lane
+        return p_lane + (last - p_addr) // p_elem > lane
+    i_addr = issuing.addr
+    i_elem = issuing.elem
+    i_down = issuing.direction is SrvDirection.DOWN
+    i_lane = issuing.lane
+    if i_down:
+        i_lane += issuing.lanes_covered - 1
+    points = [lo]
+    first = lo + (i_addr - lo) % i_elem
+    if first < hi:
+        points.append(first)
+        points.append(last - (last - i_addr) % i_elem)
+    if p_contig:
+        first = lo + (p_addr - lo) % p_elem
+        if first < hi:
+            points.append(first)
+            points.append(last - (last - p_addr) % p_elem)
+    for byte_addr in points:
+        prior_lane = p_lane
+        if p_contig:
+            index = (byte_addr - p_addr) // p_elem
+            prior_lane = p_lane - index if p_down else p_lane + index
+        index = (byte_addr - i_addr) // i_elem
+        if prior_lane > (i_lane - index if i_down else i_lane + index):
+            return True
+    return False
 
 
 def hob_and_forwardable(

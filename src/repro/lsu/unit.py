@@ -29,7 +29,6 @@ from repro.isa.instructions import SrvDirection
 from repro.lsu.entries import LsuEntry
 from repro.lsu.horizontal import (
     hob_and_forwardable,
-    hob_for_pair,
     may_violate,
     overall_hob,
     replay_lanes_from_hob,
@@ -358,9 +357,8 @@ class LoadStoreUnit:
             )
 
             # Horizontal RAW: prior loads in later lanes read stale bytes.
-            # Only loads with a byte in common that may violate can add a
-            # HOB byte or a replay lane, and for a single-lane store that
-            # is an integer test.
+            # Only loads whose HOB is non-empty can add a replay lane, and
+            # may_violate decides that on integers.
             prior_loads = [
                 prior for prior in load_rows
                 if prior.addr < end and addr < prior.addr + prior.size
@@ -377,17 +375,15 @@ class LoadStoreUnit:
                         self.needs_replay.update(lanes)
                         counters.raw_flags += len(lanes)
 
-            # WAW: an older store in a later lane wrote the same bytes.
-            # may_violate rules a pair out exactly for a single-lane
-            # store, without building its bit vectors.
+            # WAW: an older store in a later lane wrote the same bytes,
+            # a non-empty HOB, which may_violate decides without building
+            # the bit vectors.
             for prior in store_rows:
                 if prior.addr >= end or addr >= prior.addr + prior.size:
                     continue
                 if (prior.srv_id, prior.lane) == key:
                     continue
-                if may_violate(entry, prior) and hob_for_pair(
-                    entry, prior, region_bytes
-                ):
+                if may_violate(entry, prior):
                     waw = True
                     counters.waw_resolutions += 1
                     break

@@ -101,6 +101,10 @@ class Cache:
         self.mru = (line_addr, line)
         return hit, evict_dirty
 
+    def resident_lines(self) -> int:
+        """How many lines the cache holds."""
+        return sum(map(len, self._sets))
+
     def clone(self) -> "Cache":
         """An independent copy: fresh sets of fresh lines, stats by value,
         and ``mru`` pointing at the copy's own line."""

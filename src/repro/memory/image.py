@@ -116,6 +116,20 @@ class MemoryImage:
             self._span(addr, len(data))  # raises the out-of-range error
         self._data[off:end] = data
 
+    def write_many(self, writes: Iterable[tuple[int, bytes]]) -> None:
+        """:meth:`write_bytes` of each ``(addr, data)`` in order, in one
+        call: a write outside memory raises its error after the writes
+        before it."""
+        image = self._data
+        base = self._base
+        limit = len(image)
+        for addr, data in writes:
+            off = addr - base
+            end = off + len(data)
+            if off < 0 or end > limit:
+                self._span(addr, len(data))  # raises the out-of-range error
+            image[off:end] = data
+
     def read_int(self, addr: int, size: int, signed: bool = False) -> int:
         off = addr - self._base
         if off < 0 or off + size > len(self._data):

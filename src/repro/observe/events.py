@@ -270,15 +270,18 @@ class EventBus:
     ``emit_lsu``.
     """
 
-    __slots__ = ("sink", "op", "cycle", "emit", "emit_lsu")
+    __slots__ = ("sink", "op", "cycle", "emit", "emit_lsu", "discards")
 
     def __init__(self, sink) -> None:
         self.sink = sink
         self.op = -1
         self.cycle = -1
+        #: whether the sink drops every event: a per-op site may then
+        #: skip the bus altogether, as the timing models do
+        self.discards = isinstance(sink, NullSink)
         # a null bus never allocates an Event: both emit entry points
         # degrade to no-ops
-        if isinstance(sink, NullSink):
+        if self.discards:
             self.emit = _swallow
             self.emit_lsu = _swallow_lsu
         else:

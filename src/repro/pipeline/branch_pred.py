@@ -14,12 +14,6 @@ from dataclasses import dataclass
 from repro.common.config import BranchPredictorConfig
 
 
-def _saturate(counter: int, taken: bool, max_value: int = 3) -> int:
-    if taken:
-        return min(counter + 1, max_value)
-    return max(counter - 1, 0)
-
-
 @dataclass
 class BranchStats:
     lookups: int = 0
@@ -65,29 +59,16 @@ class TournamentPredictor:
         self.ras = ReturnAddressStack(cfg.ras_entries)
         self.stats = BranchStats()
 
-    # -- helpers ------------------------------------------------------------
-
-    def _local_index(self, pc: int) -> int:
-        return pc % self.config.local_entries
-
-    def _local_pattern(self, pc: int) -> int:
-        return self._local_history[self._local_index(pc)] & (
-            (1 << self.config.local_history_bits) - 1
-        )
-
-    def _global_index(self, pc: int) -> int:
-        return (self._ghr ^ pc) % self.config.global_entries
-
-    def _chooser_index(self, pc: int) -> int:
-        return (self._ghr ^ (pc >> 2)) % self.config.chooser_entries
-
     # -- predict / update -------------------------------------------------------
 
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at ``pc``."""
-        local = self._local_pht[self._local_pattern(pc)] >= 2
-        global_ = self._global_pht[self._global_index(pc)] >= 2
-        use_global = self._chooser[self._chooser_index(pc)] >= 2
+        cfg = self.config
+        ghr = self._ghr
+        history = self._local_history[pc % cfg.local_entries]
+        local = self._local_pht[history & ((1 << cfg.local_history_bits) - 1)] >= 2
+        global_ = self._global_pht[(ghr ^ pc) % cfg.global_entries] >= 2
+        use_global = self._chooser[(ghr ^ (pc >> 2)) % cfg.chooser_entries] >= 2
         return global_ if use_global else local
 
     def predict_target(self, pc: int) -> int | None:
@@ -97,51 +78,67 @@ class TournamentPredictor:
         """Record the outcome; returns True when this was a mispredict.
 
         A taken branch whose target misses in the BTB also counts as a
-        mispredict (the frontend cannot redirect without a target).
+        mispredict (the frontend cannot redirect without a target).  The
+        BTB replaces its oldest entry first.  Every counter is a two-bit
+        saturating counter, updated in place without a helper call: this
+        runs once per conditional branch of every timed trace.
         """
-        self.stats.lookups += 1
-        local_pattern = self._local_pattern(pc)
-        local_pred = self._local_pht[local_pattern] >= 2
-        global_index = self._global_index(pc)
-        global_pred = self._global_pht[global_index] >= 2
-        chooser_index = self._chooser_index(pc)
-        use_global = self._chooser[chooser_index] >= 2
-        prediction = global_pred if use_global else local_pred
+        cfg = self.config
+        stats = self.stats
+        stats.lookups += 1
+        local_history = self._local_history
+        local_index = pc % cfg.local_entries
+        history_mask = (1 << cfg.local_history_bits) - 1
+        history = local_history[local_index]
+        local_pattern = history & history_mask
+        local_pht = self._local_pht
+        local_counter = local_pht[local_pattern]
+        local_pred = local_counter >= 2
+        ghr = self._ghr
+        global_index = (ghr ^ pc) % cfg.global_entries
+        global_pht = self._global_pht
+        global_counter = global_pht[global_index]
+        global_pred = global_counter >= 2
+        chooser = self._chooser
+        chooser_index = (ghr ^ (pc >> 2)) % cfg.chooser_entries
+        choice = chooser[chooser_index]
+        prediction = global_pred if choice >= 2 else local_pred
 
         mispredict = prediction != taken
         if taken:
-            if self._btb.get(pc) != target:
-                self.stats.btb_misses += 1
+            btb = self._btb
+            if btb.get(pc) != target:
+                stats.btb_misses += 1
                 mispredict = True
-            self._btb_insert(pc, target)
+            if target is not None:
+                if pc not in btb:
+                    if len(btb) >= cfg.btb_entries:
+                        del btb[self._btb_order.pop(0)]
+                    self._btb_order.append(pc)
+                btb[pc] = target
+            # counters move up, saturating at 3
+            if local_counter < 3:
+                local_pht[local_pattern] = local_counter + 1
+            if global_counter < 3:
+                global_pht[global_index] = global_counter + 1
+        else:
+            # counters move down, saturating at 0
+            if local_counter:
+                local_pht[local_pattern] = local_counter - 1
+            if global_counter:
+                global_pht[global_index] = global_counter - 1
 
-        # Train chooser only when the two components disagree.
+        # Train the chooser only when the two components disagree: toward
+        # global when it was right, toward local when it was wrong.
         if local_pred != global_pred:
-            self._chooser[chooser_index] = _saturate(
-                self._chooser[chooser_index], global_pred == taken
-            )
-        self._local_pht[local_pattern] = _saturate(
-            self._local_pht[local_pattern], taken
-        )
-        self._global_pht[global_index] = _saturate(
-            self._global_pht[global_index], taken
-        )
-        mask = (1 << self.config.local_history_bits) - 1
-        idx = self._local_index(pc)
-        self._local_history[idx] = ((self._local_history[idx] << 1) | taken) & mask
-        ghr_mask = (1 << self.config.global_history_bits) - 1
-        self._ghr = ((self._ghr << 1) | taken) & ghr_mask
+            if global_pred == taken:
+                if choice < 3:
+                    chooser[chooser_index] = choice + 1
+            elif choice:
+                chooser[chooser_index] = choice - 1
+        local_history[local_index] = ((history << 1) | taken) & history_mask
+        self._ghr = ((ghr << 1) | taken) & ((1 << cfg.global_history_bits) - 1)
 
         if mispredict:
-            self.stats.mispredicts += 1
+            stats.mispredicts += 1
         return mispredict
-
-    def _btb_insert(self, pc: int, target: int | None) -> None:
-        if target is None:
-            return
-        if pc not in self._btb and len(self._btb) >= self.config.btb_entries:
-            evict = self._btb_order.pop(0)
-            del self._btb[evict]
-        if pc not in self._btb:
-            self._btb_order.append(pc)
-        self._btb[pc] = target

@@ -52,7 +52,7 @@ from repro.lsu.unit import LoadStoreUnit
 from repro.memory.hierarchy import CacheHierarchy
 from repro.observe import events as _obs
 from repro.pipeline.branch_pred import TournamentPredictor
-from repro.pipeline.decode import DecodeRecord
+from repro.pipeline.decode import DecodeRecord, pump_table
 from repro.pipeline.resources import PortPool
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.store_sets import StoreSetPredictor
@@ -142,6 +142,9 @@ class PipelineModel:
         # a bound that lets _execute_mem skip a scan that cannot match: no
         # store in _recent_stores completes after _stores_done_by
         self._stores_done_by = 0
+        #: set by :meth:`warm` when every line the timed accesses touch
+        #: is resident in the L1: each access is then an L1 hit
+        self._l1_resident = False
 
     # ------------------------------------------------------------------ run
 
@@ -149,7 +152,9 @@ class PipelineModel:
         """Time every op of ``log``, after warming the caches from its
         accesses when ``warm`` (drives the streaming consumer)."""
         if warm:
-            log.warm(self.caches)
+            self.warm(log)
+        else:
+            self._l1_resident = False
         self.log = log
         pump = self.stream()
         send = pump.send
@@ -160,6 +165,20 @@ class PipelineModel:
         except StopIteration:
             pass
         return self.stats
+
+    def warm(self, log: TraceLog, start: int = 0,
+             stop: int | None = None) -> None:
+        """Warm the caches from the accesses of ops ``start:stop`` of
+        ``log``, the ops the model then times.
+
+        When :meth:`~repro.pipeline.trace.TraceLog.warm` finds that every
+        one of those accesses is now an L1 hit, the pump charges a load
+        ``l1.hit_latency`` without playing it and skips the commit-time
+        store touch: the same stats (no L1 or L2 miss) and events as the
+        full play.  The hierarchy's replacement order after such a run
+        is the warm play's.
+        """
+        self._l1_resident = log.warm(self.caches, start, stop)
 
     def stream(self):
         """A primed coroutine timing the ops of ``self.log``.
@@ -177,7 +196,7 @@ class PipelineModel:
     def _pump(self):
         # Hot loop: every per-op quantity lives in generator locals, read
         # straight from the log's columns, and all per-static facts come
-        # from the decode record of the op's pc.  The per-op stats
+        # from the pump table's tuple for the op's pc.  The per-op stats
         # counters are locals too, written back at end-of-stream; only
         # region_cycles and last_commit, which the sampling layer reads
         # mid-stream, are kept live.
@@ -194,6 +213,8 @@ class PipelineModel:
         taken_bubble = config.branch.taken_branch_bubble
         validate_lsu = self.validate_lsu
         execute_mem = self._execute_mem
+        # every access an L1 hit: stores need no commit-time touch
+        l1_resident = self._l1_resident
 
         # Issue and commit slots are reserved on the port pool's per-kind
         # maps in place, with PortPool.reserve's probe loop.  A prune
@@ -211,6 +232,7 @@ class PipelineModel:
         sizes = log.size
         records = log.records
         replay = log.replay
+        table, register_count = pump_table(records)
 
         srv_end_cls = OpClass.SRV_END
         branch_cls = OpClass.BRANCH
@@ -218,8 +240,11 @@ class PipelineModel:
         # observability: one bus reference for the pump's lifetime (the
         # bus is installed before stream() by the observe harness); all
         # event work is inside `obs is not None` guards so the disabled
-        # path costs one dead branch per site
+        # path costs one dead branch per site, and a null bus, which
+        # drops every event, is timed as no bus
         obs = _obs.ACTIVE
+        if obs is not None and obs.discards:
+            obs = None
         # per-op event kinds, the bus's emit and each pc's issue-event
         # payload, bound once: the per-op sites then do no enum or
         # attribute lookup (``OpClass.value`` is a Python-level property)
@@ -248,7 +273,8 @@ class PipelineModel:
         lsu_slots: deque[int] = deque()
         lsu_entries = config.lsu_entries
 
-        reg_ready: dict[tuple[str, int], int] = {}
+        # ready cycle of each register, by its dense id in the pump table
+        reg_ready = [0] * register_count
         # recent stores for vertical (store-set) conflict detection
         recent_stores: deque = deque(maxlen=64)
         # baseline entries to drop from the LSU once committed
@@ -290,8 +316,9 @@ class PipelineModel:
             nxt = yield
             pc = pcs[k]
             bits = flags[k]
-            rec: DecodeRecord = records[pc]
-            op_class = rec.op_class
+            (rec, op_class, is_mem, is_load, is_store, gather_scatter,
+             micro_kind, src_regs, dst_regs, kind, latency,
+             is_vector) = table[pc]
             in_region = bits & IN_REGION
             in_hw_region = in_region and not bits & IN_FALLBACK
 
@@ -321,12 +348,11 @@ class PipelineModel:
             lo = bounds[k]
             hi = bounds[k + 1]
             mem_lanes = hi - lo
-            is_mem = rec.is_mem
             lsu_demand = 0
             if is_mem:
                 # gathers/scatters occupy one LSU entry per lane
                 lsu_demand = 1
-                if rec.is_gather_scatter and mem_lanes > 1:
+                if gather_scatter and mem_lanes > 1:
                     lsu_demand = mem_lanes
                 for _ in range(lsu_demand):
                     if len(lsu_slots) >= lsu_entries:
@@ -336,8 +362,8 @@ class PipelineModel:
 
             # ---- ready (operand wakeup) ----------------------------------
             ready = dispatch + 1
-            for reg in rec.src_regs:
-                t = reg_ready.get(reg, 0)
+            for reg in src_regs:
+                t = reg_ready[reg]
                 if t > ready:
                     ready = t
 
@@ -370,7 +396,7 @@ class PipelineModel:
                 ready = barrier_until
 
             # ---- store-set wait (baseline vertical speculation) ----------
-            if rec.is_load and not in_hw_region:
+            if is_load and not in_hw_region:
                 dep = store_sets.load_depends_on(pc)
                 # deps older than the ROB window have committed before this
                 # op dispatched: their completion can never exceed `ready`
@@ -380,7 +406,6 @@ class PipelineModel:
                         ready = t
 
             # ---- issue ----------------------------------------------------
-            kind = rec.port_kind
             used = port_used[kind]
             limit = port_limits[kind]
             issue_at = ready
@@ -393,13 +418,9 @@ class PipelineModel:
             # the LSU independently over a number of cycles".  Micro-op
             # throughput is bounded by the cache read ports (gathers) and
             # the SAQ write ports (scatters), both 2/cycle in Table I.
-            if rec.is_gather_scatter and mem_lanes > 1:
-                kind = (
-                    "gather_micro" if rec.access_kind == "gather"
-                    else "scatter_micro"
-                )
-                used = port_used[kind]
-                limit = port_limits[kind]
+            if gather_scatter and mem_lanes > 1:
+                used = port_used[micro_kind]
+                limit = port_limits[micro_kind]
                 for _ in range(mem_lanes - 1):
                     while used[last_slot] >= limit:
                         last_slot += 1
@@ -422,7 +443,7 @@ class PipelineModel:
                     in_hw_region, recent_stores, lsu_live,
                 )
             else:
-                complete = issue_at + rec.latency
+                complete = issue_at + latency
             complete_ring[i % window] = complete
             if obs is not None:
                 emit(
@@ -434,7 +455,7 @@ class PipelineModel:
             if is_mem and in_region and complete > region_mem_complete:
                 region_mem_complete = complete
 
-            for reg in rec.dst_regs:
+            for reg in dst_regs:
                 reg_ready[reg] = complete
 
             # ---- branch resolution ----------------------------------------
@@ -526,9 +547,9 @@ class PipelineModel:
             if is_mem:
                 for _ in range(lsu_demand):
                     lsu_slots.append(commit)
-                if rec.is_store:
+                if is_store:
                     stores += 1
-                    if mem_lanes:
+                    if mem_lanes and not l1_resident:
                         # The LFST entry is left in place: a later load
                         # waiting on an already-completed store is a no-op,
                         # and eager retirement would erase the dependence
@@ -554,7 +575,7 @@ class PipelineModel:
                 pending_region_end = None
 
             micro_ops += mem_lanes if mem_lanes > 1 else 1
-            if rec.is_vector:
+            if is_vector:
                 vector_instructions += 1
             mem_lane_accesses += mem_lanes
 
@@ -681,10 +702,13 @@ class PipelineModel:
         log = self.log
         obs = _obs.ACTIVE
         if obs is not None:
-            # context for the clock-less LSU: its emit_lsu events are
-            # stamped with this op index and issue cycle
-            obs.op = index
-            obs.cycle = issue_at
+            if obs.discards:
+                obs = None
+            else:
+                # context for the clock-less LSU: its emit_lsu events are
+                # stamped with this op index and issue cycle
+                obs.op = index
+                obs.cycle = issue_at
 
         # Drop committed baseline entries so the hardware LSU tracks only
         # in-flight accesses (speculative region entries drain at srv_end).
@@ -738,9 +762,12 @@ class PipelineModel:
         if fully_forwarded:
             latency = FORWARD_LATENCY
         elif hi > lo:
-            latency = self.caches.access_lanes(
-                log.addr, log.size, lo, hi, False
-            )
+            if self._l1_resident:
+                latency = self.config.memory.l1.hit_latency
+            else:
+                latency = self.caches.access_lanes(
+                    log.addr, log.size, lo, hi, False
+                )
         else:
             latency = FORWARD_LATENCY  # fully predicated-off access
         complete = last_slot + latency

@@ -133,3 +133,37 @@ class DecodeTable:
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def pump_table(records) -> tuple[list[tuple], int]:
+    """The timing models' per-pc view of ``records``, built once per timed
+    log, and the number of distinct registers it names.
+
+    Each pc maps to ``(record, op_class, is_mem, is_load, is_store,
+    is_gather_scatter, micro_kind, src_ids, dst_ids, port_kind, latency,
+    is_vector)``, which a pump unpacks in one statement per op.
+    ``micro_kind`` is the port of a gather's or scatter's cracked
+    micro-ops (``None`` for other accesses), and the register ids are
+    dense ints, so a pump keeps register ready times in a list.
+    """
+    ids: dict[tuple[str, int], int] = {}
+    table = []
+    for rec in records:
+        src_ids = []
+        for reg in rec.src_regs:
+            src_ids.append(ids.setdefault(reg, len(ids)))
+        dst_ids = []
+        for reg in rec.dst_regs:
+            dst_ids.append(ids.setdefault(reg, len(ids)))
+        micro_kind = None
+        if rec.is_gather_scatter:
+            micro_kind = (
+                "gather_micro" if rec.access_kind == "gather"
+                else "scatter_micro"
+            )
+        table.append((
+            rec, rec.op_class, rec.is_mem, rec.is_load, rec.is_store,
+            rec.is_gather_scatter, micro_kind, tuple(src_ids), tuple(dst_ids),
+            rec.port_kind, rec.latency, rec.is_vector,
+        ))
+    return table, len(ids)

@@ -35,6 +35,7 @@ from repro.lsu.unit import LoadStoreUnit
 from repro.memory.hierarchy import CacheHierarchy
 from repro.observe import events as _obs
 from repro.pipeline.branch_pred import TournamentPredictor
+from repro.pipeline.decode import pump_table
 from repro.pipeline.stats import PipelineStats
 from repro.pipeline.trace import (
     BRANCH_MASK,
@@ -74,11 +75,15 @@ class InOrderModel:
         self.last_commit = 0
         self._lsu_live: list = []
         self._store_window: deque = deque(maxlen=STORE_WINDOW)
+        #: see PipelineModel.warm
+        self._l1_resident = False
 
     def run(self, log: TraceLog, warm: bool = False) -> PipelineStats:
         """Time every op of ``log`` (see :meth:`PipelineModel.run`)."""
         if warm:
-            log.warm(self.caches)
+            self.warm(log)
+        else:
+            self._l1_resident = False
         self.log = log
         pump = self.stream()
         send = pump.send
@@ -89,6 +94,12 @@ class InOrderModel:
         except StopIteration:
             pass
         return self.stats
+
+    def warm(self, log: TraceLog, start: int = 0,
+             stop: int | None = None) -> None:
+        """Warm the caches from ops ``start:stop`` of ``log`` (see
+        :meth:`PipelineModel.warm`)."""
+        self._l1_resident = log.warm(self.caches, start, stop)
 
     def stream(self):
         """A primed coroutine timing ops of ``self.log`` by index (send
@@ -111,18 +122,22 @@ class InOrderModel:
         pcs = log.pc
         flags = log.bits
         bounds = log.bounds
-        records = log.records
         replay = log.replay
+        table, register_count = pump_table(log.records)
 
         # observability (same contract as the OoO pump): all event work
-        # sits behind `obs is not None`, so timing is unchanged when off
+        # sits behind `obs is not None`, so timing is unchanged when off,
+        # and a null bus is timed as no bus
         obs = _obs.ACTIVE
+        if obs is not None and obs.discards:
+            obs = None
         region_idx = -1
         region_fallback = False
         region_start = 0
         pass_begin = 0
 
-        reg_ready: dict[tuple[str, int], int] = {}
+        # ready cycle of each register, by its dense id in the pump table
+        reg_ready = [0] * register_count
         # min-heap of the in-flight baseline LSU entries by drain cycle
         lsu_live: list = []
         # (is_store, complete) for the last STORE_WINDOW ops — all the
@@ -137,6 +152,7 @@ class InOrderModel:
         helper = PipelineModel(self.config)
         helper.lsu = lsu        # share the LSU and its counters
         helper.caches = self.caches
+        helper._l1_resident = self._l1_resident
         helper.stats = stats
         helper.log = log
         execute_mem = helper._execute_mem
@@ -150,17 +166,17 @@ class InOrderModel:
             nxt = yield
             pc = pcs[k]
             bits = flags[k]
-            rec = records[pc]
-            op_class = rec.op_class
+            (rec, op_class, is_mem, _, is_store, gather_scatter, _,
+             src_regs, dst_regs, _, latency, is_vector) = table[pc]
             in_hw_region = bits & IN_REGION and not bits & IN_FALLBACK
             lo = bounds[k]
             hi = bounds[k + 1]
             mem_lanes = hi - lo
-            is_mem = rec.is_mem or mem_lanes > 0
+            is_mem = is_mem or mem_lanes > 0
 
             ready = issue_cursor
-            for reg in rec.src_regs:
-                t = reg_ready.get(reg, 0)
+            for reg in src_regs:
+                t = reg_ready[reg]
                 if t > ready:
                     ready = t
 
@@ -188,7 +204,7 @@ class InOrderModel:
             issued_this_cycle += 1
 
             last_slot = issue_at
-            if rec.is_gather_scatter and mem_lanes > 1:
+            if gather_scatter and mem_lanes > 1:
                 last_slot += mem_lanes - 1
 
             if is_mem:
@@ -196,13 +212,13 @@ class InOrderModel:
                     pc, rec, lo, hi, bits, i, issue_at, last_slot,
                     in_hw_region, no_stores, lsu_live,
                 )
-                if rec.is_store:
+                if is_store:
                     stats.stores += 1
                 else:
                     stats.loads += 1
             else:
-                complete = issue_at + rec.latency
-            store_window.append((rec.is_store, complete))
+                complete = issue_at + latency
+            store_window.append((is_store, complete))
             if obs is not None:
                 obs.emit(
                     _obs.EventKind.ISSUE, "pipe", i, issue_at,
@@ -214,7 +230,7 @@ class InOrderModel:
                 )
             if complete > max_complete:
                 self.last_commit = max_complete = complete
-            for reg in rec.dst_regs:
+            for reg in dst_regs:
                 reg_ready[reg] = complete
 
             if op_class is branch_cls and bits & BRANCH_MASK:
@@ -287,7 +303,7 @@ class InOrderModel:
                 issued_this_cycle = 0
 
             stats.instructions += 1
-            if rec.is_vector:
+            if is_vector:
                 stats.vector_instructions += 1
             else:
                 stats.scalar_instructions += 1

@@ -135,8 +135,7 @@ def time_segment(
         model.caches = caches
         caches.reset_stats()
     else:
-        log.warm(model.caches, warm.start if warm else segment.start,
-                 segment.stop)
+        model.warm(log, warm.start if warm else segment.start, segment.stop)
 
     model.log = log
     pump = model.stream()

@@ -324,7 +324,9 @@ class TraceLog:
         The same cache state and stats as
         :meth:`~repro.memory.hierarchy.CacheHierarchy.access_lanes` over
         each op: an access inside the L1's MRU line is counted as that
-        hit without a call, and a store still dirties the line.
+        hit without a call, and a store still dirties the line; one
+        inside another line its L1 set holds goes straight to
+        ``Cache.access``, the one-line hit path of ``access``.
         """
         bounds = self.bounds
         lo = bounds[start]
@@ -333,27 +335,56 @@ class TraceLog:
         if lo or hi < len(self.addr):
             columns = tuple(islice(col, lo, hi) for col in columns)
         access = caches.access
+        stats = caches.stats
         l1 = caches.l1
+        l1_access = l1.access
+        sets = l1._sets
+        index_mask = l1._index_mask
+        tag_shift = index_mask.bit_length()
         line = caches.config.l1.line_bytes
         mru = l1.mru
         repeats = 0
         for addr, size, store in zip(*columns):
-            if (
-                mru is not None
-                and addr // line == mru[0] == (addr + size - 1) // line
-            ):
-                repeats += 1
-                if store:
-                    mru[1].dirty = True
-                continue
+            line_no = addr // line
+            if line_no == (addr + size - 1) // line:
+                if mru is not None and line_no == mru[0]:
+                    repeats += 1
+                    if store:
+                        mru[1].dirty = True
+                    continue
+                if size > 0 and line_no >> tag_shift in sets[
+                    line_no & index_mask
+                ]:
+                    l1_access(line_no * line, store == 1)
+                    stats.l1_hits += 1
+                    mru = l1.mru
+                    continue
             access(addr, size, store == 1)
             mru = l1.mru
         if repeats:
             l1.stats.hits += repeats
-            caches.stats.l1_hits += repeats
+            stats.l1_hits += repeats
 
-    def warm(self, caches, start: int = 0, stop: int | None = None) -> None:
+    def warm(self, caches, start: int = 0, stop: int | None = None) -> bool:
         """Play ops ``start:stop`` into ``caches``, then reset their
-        stats: the steady-state warming of a cache-resident working set."""
+        stats: the steady-state warming of a cache-resident working set.
+
+        Returns whether playing those accesses again would hit the L1 at
+        every one: the play evicted nothing from the L1 (the lines it
+        holds grew by exactly its misses, so every line the ops touch is
+        resident, and hits never evict), and no access has size 0 (which
+        the hierarchy rejects).
+        """
+        l1 = caches.l1
+        lines = l1.resident_lines()
+        misses = l1.stats.misses
         self.play(caches, start, stop)
+        resident = l1.resident_lines() - lines == l1.stats.misses - misses
         caches.reset_stats()
+        if resident:
+            bounds = self.bounds
+            sizes = memoryview(self.size)[
+                bounds[start]:bounds[len(self.pc) if stop is None else stop]
+            ]
+            resident = 0 not in sizes.tobytes()
+        return resident

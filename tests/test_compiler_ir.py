@@ -18,6 +18,7 @@ from repro.compiler import (
 )
 from repro.gen.campaign import FuzzConfig
 from repro.gen.emitter import generate_kernel
+from repro.memory.image import to_signed, to_unsigned
 from tests.reference_oracle import walk_reference
 from tests.test_lane_engine import KERNEL_CASES
 
@@ -169,6 +170,54 @@ class TestScalarReference:
         )
         out = scalar_reference(loop, {"a": [7, -7, 0, 9]}, 4)
         assert out["a"] == expect
+
+
+class TestInputNormalisation:
+    """The oracle's initial arrays equal ``to_signed(to_unsigned(v))`` of
+    each input value, however the arrays are copied."""
+
+    @staticmethod
+    def _wrapped(values, size):
+        return [to_signed(to_unsigned(v, size), size) for v in values]
+
+    @staticmethod
+    def _identity(size):
+        # a[i] = a[i]: an oracle run of n=0 returns the normalised inputs
+        return Loop("id", {"a": size}, [Store("a", Affine(), Read("a", Affine()))])
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_in_range_values_are_kept(self, size):
+        half = 1 << (size * 8 - 1)
+        values = [-half, -1, 0, 1, half - 1, 3]
+        out = scalar_reference(self._identity(size), {"a": values}, 0)
+        assert out["a"] == values == self._wrapped(values, size)
+        assert out["a"] is not values
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    @pytest.mark.parametrize("outlier", ["top", "bottom", "far"])
+    def test_out_of_range_values_wrap(self, size, outlier):
+        half = 1 << (size * 8 - 1)
+        bad = {"top": half, "bottom": -half - 1, "far": (1 << 70) + 5}[outlier]
+        values = [1, -2, bad, half - 1, -half]
+        out = scalar_reference(self._identity(size), {"a": values}, 0)
+        assert out["a"] == self._wrapped(values, size)
+        assert out["a"] != values
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_empty_array(self, size):
+        out = scalar_reference(self._identity(size), {"a": []}, 0)
+        assert out == {"a": []}
+
+    def test_undeclared_empty_array_is_copied_without_a_size(self):
+        out = scalar_reference(self._identity(4), {"a": [1], "z": []}, 1)
+        assert out == {"a": [1], "z": []}
+
+    def test_inputs_are_not_mutated(self):
+        loop = Loop("inc", {"a": 4},
+                    [Store("a", Affine(), BinOp("+", Read("a", Affine()), Const(1)))])
+        values = [1, 2, 3]
+        out = scalar_reference(loop, {"a": values}, 3)
+        assert out["a"] == [2, 3, 4] and values == [1, 2, 3]
 
 
 class TestLazyErrors:

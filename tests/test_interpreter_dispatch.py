@@ -67,20 +67,25 @@ class TestWorkCount:
         # went through the generic dispatch path (CPython 3.11), 4,466
         # through the table with one record object per buffered lane
         # access, 2,402 with the buffer's tuple records filed in one
-        # call per vector access.
+        # call per vector access, 1,559 with one buffer call and one span
+        # read per vector access, 1,394 with per-instruction lane maps
+        # and a commit of one image call.
         calls, ops = _calls_per_op("hmmer", "viterbi", Strategy.SRV, 128)
         assert ops == 220
-        assert calls <= 3000, f"{calls} calls for {ops} ops"
+        assert calls <= 1450, f"{calls} calls for {ops} ops"
 
     def test_srv_vector_access_is_one_buffer_call(self):
         # is/is_key_rank under SRV at its suite size: 169,374 calls
         # (CPython 3.11) when a vector over the speculative buffer's
         # records fell back to per-lane calls (12,348 loads and 10,270
         # stores) and every load lane made a read_int call; 63,350 with
-        # one buffer call and one span read per vector access.
+        # one buffer call and one span read per vector access; 47,904
+        # with per-instruction lane maps, whose commit writes every
+        # buffered lane in one image call (one write_bytes call each
+        # before).
         calls, ops = _calls_per_op("is", "is_key_rank", Strategy.SRV, 2048)
         assert ops == 6362
-        assert calls <= 66000, f"{calls} calls for {ops} ops"
+        assert calls <= 50000, f"{calls} calls for {ops} ops"
 
 
 # ---------------------------------------------------------------------------

@@ -738,46 +738,119 @@ def _grid_entries(access, elem, direction, addr, lane, is_store):
         )
 
 
-class TestMayViolateGrid:
-    """``may_violate`` against the HOB bit vectors, over every access type
-    pair, both directions, every element size, 1-8 lanes and offsets
-    straddling a 64-byte base.  For a single-lane issuer it must be exact
-    (so where it says "cannot violate" the HOB is empty); a contiguous
-    issuer always goes to the bit vectors."""
-
-    BASE = 0x1040
-
-    @pytest.mark.parametrize("prior_access", list(AccessType))
-    @pytest.mark.parametrize("issuer_access", list(AccessType))
-    def test_cannot_violate_means_empty_hob(self, issuer_access, prior_access):
-        single_lane = issuer_access is not AccessType.CONTIGUOUS
-        checked = violating = 0
-        for direction in SrvDirection:
+def _may_violate_grid(issuer_access, prior_access, base):
+    """``(issuer, prior)`` pairs over both directions of each entry, every
+    element size, 1-8 lanes and offsets straddling a 64-byte base."""
+    for p_dir in SrvDirection:
+        for i_dir in SrvDirection:
             for p_elem in (1, 2, 4, 8):
                 # the prior straddles the base whenever it is wider than 6
                 # bytes; its lane field is 1, so issuer lanes 0..8 take in
                 # one lane below it and every lane it can cover
                 priors = list(_grid_entries(
-                    prior_access, p_elem, direction, self.BASE - 6, 1, False))
+                    prior_access, p_elem, p_dir, base - 6, 1, False))
+                # mixed directions (a baseline entry left in the queue
+                # when a region starts) at every third issuer lane
+                lanes = range(9) if p_dir is i_dir else range(0, 9, 3)
                 for i_elem in (1, 2, 4, 8):
                     for i_off in range(-14, 66, 5):
-                        for i_lane in range(9):
-                            issuers = _grid_entries(
-                                issuer_access, i_elem, direction,
-                                self.BASE + i_off, i_lane, True)
-                            for issuer in issuers:
+                        for i_lane in lanes:
+                            for issuer in _grid_entries(
+                                    issuer_access, i_elem, i_dir,
+                                    base + i_off, i_lane, True):
                                 for prior in priors:
-                                    verdict = may_violate(issuer, prior)
-                                    if not single_lane:
-                                        # contiguous: the bit vectors decide
-                                        assert verdict
-                                        continue
-                                    hob = hob_for_pair(issuer, prior, REGION)
-                                    assert verdict == bool(hob), (issuer, prior)
-                                    checked += 1
-                                    violating += verdict
+                                    yield issuer, prior
+
+
+_CONTIG = AccessType.CONTIGUOUS
+_ONE_LANE = AccessType.GATHER_SCATTER
+
+#: textual mutants of ``may_violate``, each with the access types
+#: (issuer, prior) of the grid that must catch it: each drops a test
+#: point or bends a comparison
+_MAY_VIOLATE_MUTANTS = {
+    "no issuer element starts": (
+        "points.append(last - (last - i_addr) % i_elem)", "pass",
+        _CONTIG, _CONTIG),
+    "no first issuer element start": (
+        "        points.append(first)\n        points.append(last - (last - i_addr)",
+        "        points.append(last - (last - i_addr)", _CONTIG, _CONTIG),
+    "no last prior element start": (
+        "points.append(last - (last - p_addr) % p_elem)", "pass",
+        _CONTIG, _CONTIG),
+    "no first prior element start": (
+        "            points.append(first)\n            points.append(last - (last - p_addr)",
+        "            points.append(last - (last - p_addr)", _CONTIG, _CONTIG),
+    "no first byte": ("points = [lo]", "points = []", _CONTIG, _ONE_LANE),
+    "lane-or-equal": (
+        "if prior_lane > (i_lane", "if prior_lane >= (i_lane",
+        _CONTIG, _CONTIG),
+    "single lane, UP prior at the first byte": (
+        "return p_lane + (last - p_addr) // p_elem > lane",
+        "return p_lane + (lo - p_addr) // p_elem > lane", _ONE_LANE, _CONTIG),
+    "single lane, DOWN prior at the last byte": (
+        "return p_lane - (lo - p_addr) // p_elem > lane",
+        "return p_lane - (last - p_addr) // p_elem > lane",
+        _ONE_LANE, _CONTIG),
+    "no DOWN issuer": (
+        "i_down = issuing.direction is SrvDirection.DOWN", "i_down = False",
+        _CONTIG, _CONTIG),
+    "no DOWN prior": (
+        "p_down = p_contig and prior.direction is SrvDirection.DOWN",
+        "p_down = False", _ONE_LANE, _CONTIG),
+    "broadcast as one lane": (
+        "if p_down or access is AccessType.BROADCAST:", "if p_down:",
+        _ONE_LANE, AccessType.BROADCAST),
+}
+
+
+def _mutant(name):
+    """``may_violate`` rebuilt from its source with one mutation."""
+    import inspect
+
+    from repro.lsu import horizontal
+
+    source = inspect.getsource(horizontal.may_violate)
+    old, new, _, _ = _MAY_VIOLATE_MUTANTS[name]
+    assert source.count(old) == 1, name
+    namespace = dict(vars(horizontal))
+    exec(source.replace(old, new), namespace)
+    return namespace["may_violate"]
+
+
+class TestMayViolateGrid:
+    """``may_violate`` against the HOB bit vectors, over every access type
+    pair, both directions of each entry, every element size, 1-8 lanes
+    and offsets straddling a 64-byte base.  It must be exact for every
+    issuer, multi-lane contiguous ones included: where it says "cannot
+    violate" the HOB is empty, and where it says "may" it is not."""
+
+    BASE = 0x1040
+
+    @pytest.mark.parametrize("prior_access", list(AccessType))
+    @pytest.mark.parametrize("issuer_access", list(AccessType))
+    def test_exact_against_hob(self, issuer_access, prior_access):
+        checked = violating = 0
+        for issuer, prior in _may_violate_grid(
+                issuer_access, prior_access, self.BASE):
+            verdict = may_violate(issuer, prior)
+            assert verdict == bool(hob_for_pair(issuer, prior, REGION)), (
+                issuer, prior)
+            checked += 1
+            violating += verdict
         # the grid reaches both answers
-        assert not single_lane or checked > violating > 0
+        assert checked > violating > 0
+
+    @pytest.mark.parametrize("name", sorted(_MAY_VIOLATE_MUTANTS))
+    def test_grid_catches_mutant(self, name):
+        mutant = _mutant(name)
+        _, _, issuer_access, prior_access = _MAY_VIOLATE_MUTANTS[name]
+        for issuer, prior in _may_violate_grid(
+                issuer_access, prior_access, self.BASE):
+            if mutant(issuer, prior) != bool(
+                    hob_for_pair(issuer, prior, REGION)):
+                return
+        pytest.fail(f"the grid does not catch the mutant {name!r}")
 
 
 def _violation_by_byte(issuing, prior, base, region_bytes):

@@ -138,36 +138,30 @@ class TestTmMode:
 
 
 def _view(buffer: SpeculativeBuffer) -> tuple[dict, dict]:
-    """The buffer's records, independent of how it stores them:
-    ``(addr, size, lane, instr, tick)`` per load SRV-id and
-    ``(addr, data, lane, instr)`` per store SRV-id."""
+    """The buffer's entries, independent of how it stores them:
+    ``(addr, size, lane, instr)`` per load SRV-id and ``(addr, data,
+    lane, instr)`` per store SRV-id."""
     loads = {
-        key: (addr, end - addr, lane, instr, tick)
-        for key, (addr, end, lane, instr, tick) in buffer._loads.items()
+        (instr, lane): (addr, size, lane, instr)
+        for instr, (size, _, _, lanes) in buffer._loads.items()
+        for lane, addr in lanes.items()
     }
     stores = {
-        key: (addr, data, lane, instr)
-        for key, (addr, _, lane, instr, data) in buffer._stores.items()
+        (instr, lane): (addr, data, lane, instr)
+        for instr, (_, _, _, lanes) in buffer._stores.items()
+        for lane, (addr, data) in lanes.items()
     }
     return loads, stores
 
 
-def _filed(buffer: SpeculativeBuffer) -> bool:
-    """Whether each record is filed under exactly the blocks it touches."""
-    shift = buffer.block_bytes.bit_length() - 1
-    for records, by_block in ((buffer._loads, buffer._load_blocks),
-                              (buffer._stores, buffer._store_blocks)):
-        want = {
-            (block, key)
-            for key, record in records.items()
-            for block in range(record[0] >> shift, ((record[1] - 1) >> shift) + 1)
-        }
-        got = {(block, key) for block, bucket in by_block.items() for key in bucket}
-        if got != want or not all(bucket for bucket in by_block.values()):
-            return False
-        if any(bucket[key] is not records[key]
-               for bucket in by_block.values() for key in bucket):
-            return False
+def _spans_cover(buffer: SpeculativeBuffer) -> bool:
+    """Whether each instruction's span holds the bytes of all its lanes."""
+    for records in (buffer._loads, buffer._stores):
+        for size, lo, hi, lanes in records.values():
+            for entry in lanes.values():
+                addr = entry if isinstance(entry, int) else entry[0]
+                if not lo <= addr or addr + size > hi:
+                    return False
     return True
 
 
@@ -201,7 +195,8 @@ class ScanAllBuffer:
         self._tick = 0
 
     def view(self):
-        return self.loads, self.stores
+        loads = {key: record[:4] for key, record in self.loads.items()}
+        return loads, self.stores
 
     def load(self, addr, size, lane, instr):
         self._tick += 1
@@ -264,8 +259,10 @@ def _random_image(rng: random.Random) -> MemoryImage:
 
 
 def _random_instruction(rng: random.Random, lanes: int,
-                        earlier: list | None = None) -> dict:
-    """Geometry of one vector memory instruction over a few 64-byte blocks.
+                        earlier: list | None = None,
+                        elem: int | None = None) -> dict:
+    """Geometry of one vector memory instruction over a few 64-byte blocks,
+    of ``elem``-byte elements (a random size when not given).
 
     With ``earlier`` instructions given, it may instead access the same
     bytes as one of them (``a[i] = f(a[i])``: a store over load records,
@@ -273,7 +270,8 @@ def _random_instruction(rng: random.Random, lanes: int,
     """
     if earlier and rng.random() < 0.3:
         return {**rng.choice(earlier), "is_store": rng.random() < 0.45}
-    elem = rng.choice([1, 2, 4, 8])
+    if elem is None:
+        elem = rng.choice([1, 2, 4, 8])
     kind = rng.choice(["contiguous", "broadcast", "gather"])
     base = 0x1000 + rng.randrange(0, 384)
     if kind == "contiguous":
@@ -308,9 +306,12 @@ class TestBatchedLanes:
         for _ in range(rng.randint(1, 4)):  # first pass plus replays
             for instr, inst in enumerate(body):
                 if rng.random() < 0.3:
-                    # a replay re-executes the access at moved addresses
+                    # a replay re-executes the access at moved addresses,
+                    # with the instruction's own element size
                     inst = body[instr] = {
-                        **inst, **_random_instruction(rng, self.LANES),
+                        **inst,
+                        **_random_instruction(rng, self.LANES,
+                                              elem=inst["elem"]),
                         "is_store": inst["is_store"],
                     }
                 lanes = [lane for lane in active if rng.random() < 0.8]
@@ -319,9 +320,10 @@ class TestBatchedLanes:
                 elem = inst["elem"]
                 addrs = [inst["addrs"][lane] for lane in lanes]
                 lo, hi = min(addrs), max(addrs) + elem
+                loaded, stored = _view(batched)
                 if inst["is_store"]:
-                    if any(r[0] < hi and lo < r[1]
-                           for r in batched._loads.values()):
+                    if any(addr < hi and lo < addr + size
+                           for addr, size, _, _ in loaded.values()):
                         seen["store over loads"] += 1
                     values = [rng.getrandbits(64) for _ in lanes]
                     batched.store_lanes(addrs, elem, values, lanes, instr)
@@ -335,8 +337,8 @@ class TestBatchedLanes:
                         addrs[rng.randrange(1, len(lanes) - 1)] = (
                             0x2000 - rng.randrange(0, elem)
                         )
-                    if any(r[0] < hi and lo < r[1]
-                           for r in batched._stores.values()):
+                    if any(addr < hi and lo < addr + len(data)
+                           for addr, data, _, _ in stored.values()):
                         seen["load over stores"] += 1
                     got = _outcome(
                         lambda: batched.load_lanes(addrs, elem, lanes, instr)
@@ -353,10 +355,9 @@ class TestBatchedLanes:
                 for buf in (per_lane, reference):
                     assert batched.needs_replay == buf.needs_replay
                     assert batched.metrics == buf.metrics
-                    assert batched._tick == buf._tick
                 assert _bounds(batched) == _bounds(per_lane)
                 assert _view(batched) == _view(per_lane) == reference.view()
-                assert _filed(batched) and _filed(per_lane)
+                assert _spans_cover(batched) and _spans_cover(per_lane)
             active = sorted(batched.needs_replay) or active
             for buf in (batched, per_lane, reference):
                 buf.needs_replay.clear()
@@ -386,18 +387,29 @@ class TestBatchedLanes:
         assert seen["store over loads"] and seen["load over stores"]
         assert seen["lane outside memory"]
 
-    def test_moved_record_leaves_its_old_block(self, buffer):
+    def test_moved_lane_is_found_at_its_new_address_only(self, buffer):
         buffer.store(0x1000, 4, 7, lane=0, instr=0)
-        buffer.store(0x103E, 4, 7, lane=0, instr=0)  # replay, now straddling
-        assert sorted(buffer._store_blocks) == [0x1000 // 64, 0x1040 // 64]
-        buffer.store(0x1100, 4, 7, lane=0, instr=0)  # replay, moved away
-        assert list(buffer._store_blocks) == [0x1100 // 64]
-        assert buffer._store_blocks[0x1100 // 64] == {
-            (0, 0): buffer._stores[(0, 0)]
-        }
-        assert _filed(buffer)
+        buffer.store(0x103E, 4, 8, lane=0, instr=0)  # replay, now straddling
+        buffer.store(0x1100, 4, 9, lane=0, instr=0)  # replay, moved away
+        assert _view(buffer)[1] == {(0, 0): (0x1100, (9).to_bytes(4, "little"),
+                                             0, 0)}
+        assert buffer._stores[0][1:3] == [0x1000, 0x1104]  # the span widens
         value, forwarded = buffer.load(0x1000, 4, lane=5, instr=1)
         assert (value, forwarded) == (1000, False)
+        value, forwarded = buffer.load(0x1100, 4, lane=5, instr=2)
+        assert (value, forwarded) == (9, True)
+
+    @pytest.mark.parametrize("is_store", [False, True])
+    def test_an_instruction_keeps_its_access_size(self, buffer, is_store):
+        access = (
+            (lambda size: buffer.store(0x1000, size, 1, lane=0, instr=3))
+            if is_store else
+            (lambda size: buffer.load(0x1000, size, lane=0, instr=3))
+        )
+        access(4)
+        with pytest.raises(ValueError, match="instruction 3 accessed 2 bytes"):
+            access(2)
+        assert buffer.lsu_entries_used() == 1
 
     @staticmethod
     def _spy_per_lane(monkeypatch) -> list:
@@ -436,11 +448,11 @@ class TestBatchedLanes:
         assert buffer.metrics == reference.metrics
         assert buffer.needs_replay == reference.needs_replay
 
-    def test_vector_in_empty_blocks_skips_the_per_lane_walk(
+    def test_vector_over_no_recorded_byte_skips_the_per_lane_walk(
         self, mem, monkeypatch
     ):
-        """Vectors in empty blocks and vectors over records are each one
-        call; a store over load records flags the RAWs the per-lane
+        """Vectors over no recorded byte and vectors over records are each
+        one call; a store over load records flags the RAWs the per-lane
         reference flags."""
         buffer = SpeculativeBuffer(mem, SrvMetrics())
         reference = ScanAllBuffer(mem.clone(), SrvMetrics())
@@ -450,19 +462,18 @@ class TestBatchedLanes:
             buf.load(0x1000, 4, 9, 2)
             buf.load(0x1100, 4, 9, 3)
         calls = self._spy_per_lane(monkeypatch)
-        # inside both bounds [0x1000, 0x1104), but blocks 0x1080 // 64 and
-        # 0x10C0 // 64 hold no record
+        # inside both bounds [0x1000, 0x1104), but over no recorded byte
         loaded = [0x1080 + 4 * lane for lane in range(16)]
         lanes = list(range(16))
         values, forwarded = buffer.load_lanes(loaded, 4, lanes, 4)
         assert values == [1032 + lane for lane in range(16)] and not forwarded
         stored = [0x10C0 + 4 * lane for lane in range(16)]
         buffer.store_lanes(stored, 4, [7] * 16, lanes, 5)
-        # the loads' block now holds records: lanes 0 and 1 storing over
-        # the bytes lanes 2 and 3 loaded meet a RAW each
+        # lanes 0 and 1 storing over the bytes lanes 2 and 3 loaded meet
+        # a RAW each
         buffer.store_lanes(loaded[2:4], 4, [1, 1], [0, 1], 6)
         assert calls == [] and buffer.lsu_entries_used() == 38
-        assert buffer.needs_replay == {2, 3} and _filed(buffer)
+        assert buffer.needs_replay == {2, 3} and _spans_cover(buffer)
         assert buffer.metrics.raw_violations == 2
         for addr, lane in zip(loaded, lanes):
             reference.load(addr, 4, lane, 4)
@@ -495,7 +506,7 @@ class TestBatchedLanes:
                 else:
                     for addr, lane in zip(addrs, lanes):
                         buf.load(addr, 4, lane, 1)
-            outcomes.append((str(info.value), _view(buf), buf._tick))
+            outcomes.append((str(info.value), _view(buf), buf.metrics))
         assert outcomes[0] == outcomes[1]
 
 
@@ -508,7 +519,7 @@ class TestLifetime:
         try:
             buffer = SpeculativeBuffer(mem, SrvMetrics())
             buffer.store(0x1000, 4, 1, lane=3, instr=0)
-            buffer.store(0x103E, 4, 2, lane=1, instr=1)  # two blocks
+            buffer.store(0x103E, 4, 2, lane=1, instr=1)  # straddles a line
             buffer.load_lanes([0x1000 + 4 * lane for lane in range(8)], 4,
                               list(range(8)), 2)
             buffer.store_lanes([0x1200, 0x1204], 4, [5, 6], [0, 1], 3)
