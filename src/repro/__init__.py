@@ -4,9 +4,9 @@ Public API layers:
 
 * :mod:`repro.isa` — the SVE-like vector ISA with ``srv_start``/``srv_end``.
 * :mod:`repro.emu` — functional (instruction-accurate) emulator with SRV
-  semantics; the correctness reference.
-* :mod:`repro.lsu` / :mod:`repro.srv` — the memory-disambiguation
-  microarchitecture and SRV engine (section IV of the paper).
+  semantics, region control included; the correctness reference.
+* :mod:`repro.lsu` — the memory-disambiguation microarchitecture
+  (section IV of the paper).
 * :mod:`repro.pipeline` — cycle-approximate out-of-order core (Table I).
 * :mod:`repro.compiler` — loop DSL, dependence analysis, and scalar / SVE /
   SRV / FlexVec code generation.

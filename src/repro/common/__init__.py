@@ -1,11 +1,5 @@
-"""Shared substrate: bit vectors, machine configuration, errors, RNG."""
+"""Shared substrate: machine configuration, errors, RNG."""
 
-from repro.common.bitvec import (
-    BitVector,
-    lane_mask_below,
-    lane_mask_strictly_above,
-    lane_mask_up_from,
-)
 from repro.common.config import (
     TABLE_I,
     BranchPredictorConfig,
@@ -21,19 +15,13 @@ from repro.common.errors import (
     IsaError,
     LsuOverflowError,
     MemoryAccessError,
-    NestedSrvRegionError,
     PipelineError,
     ReplayBoundExceededError,
     ReproError,
     SrvError,
-    SrvRegionStateError,
 )
 
 __all__ = [
-    "BitVector",
-    "lane_mask_below",
-    "lane_mask_strictly_above",
-    "lane_mask_up_from",
     "TABLE_I",
     "BranchPredictorConfig",
     "CacheConfig",
@@ -46,10 +34,8 @@ __all__ = [
     "IsaError",
     "LsuOverflowError",
     "MemoryAccessError",
-    "NestedSrvRegionError",
     "PipelineError",
     "ReplayBoundExceededError",
     "ReproError",
     "SrvError",
-    "SrvRegionStateError",
 ]

@@ -106,7 +106,6 @@ class MachineConfig:
     store_set_entries: int = 256
     # SRV-specific knobs
     srv_enabled: bool = True
-    srv_max_replays_check: bool = True   # assert the N-1 replay bound
     #: Future-work optimisation (paper section VIII): let ``srv_end`` wait
     #: only for the region's memory operations and stop stalling younger
     #: instructions' issue.  Models the upside of "removing the

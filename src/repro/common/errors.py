@@ -19,17 +19,6 @@ class SrvError(ReproError):
     """Violation of SRV execution rules."""
 
 
-class NestedSrvRegionError(SrvError):
-    """An ``srv_start`` was executed before the previous region's ``srv_end``.
-
-    The paper (section III-A) forbids nested SRV-regions.
-    """
-
-
-class SrvRegionStateError(SrvError):
-    """SRV operation attempted outside / misaligned with a region."""
-
-
 class ReplayBoundExceededError(SrvError):
     """A region rolled back more than ``lanes - 1`` times.
 

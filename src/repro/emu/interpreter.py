@@ -345,10 +345,11 @@ class _Run:
     def decode_ops(self) -> list:
         """One op per static pc.
 
-        A program that cannot run still builds: an unhandled instruction,
-        a stray ``srv_end`` or an ill-formed region becomes an op that
-        raises when it executes, and a jump to an undefined label raises
-        when it is taken.
+        A program that cannot run still builds: an unhandled instruction
+        or a stray ``srv_end`` becomes an op that raises when it executes,
+        and a jump to an undefined label raises when it is taken.  Nested
+        and unterminated regions never get here: ``Program.validate()``
+        rejects them when the interpreter is built.
         """
         insts = self.program.instructions
         code = []
@@ -382,17 +383,12 @@ class _Run:
         return code
 
     def _region_op(self, start_pc: int, start: SrvStart, code: list):
+        # Program.validate() has rejected nested and unterminated regions
         insts = self.program.instructions
-        for end_pc in range(start_pc + 1, len(insts)):
-            inst = insts[end_pc]
-            if isinstance(inst, SrvEnd):
-                break
-            if isinstance(inst, SrvStart):
-                return _failing(SrvError, f"nested srv_start at {end_pc}")
-        else:
-            return _failing(
-                SrvError, f"srv_start at {start_pc} has no matching srv_end"
-            )
+        end_pc = next(
+            pc for pc in range(start_pc + 1, len(insts))
+            if isinstance(insts[pc], SrvEnd)
+        )
         body = insts[start_pc + 1:end_pc]
         # contiguous and broadcast accesses take one LSU entry; gathers
         # and scatters take one per lane
@@ -638,7 +634,7 @@ class _Run:
             rollbacks += 1
             srv.replays += 1
             srv.max_replays_in_region = max(srv.max_replays_in_region, rollbacks)
-            if config.srv_max_replays_check and rollbacks > lanes - 1:
+            if rollbacks > lanes - 1:
                 raise ReplayBoundExceededError(
                     f"region at pc {region.start_pc} rolled back {rollbacks} "
                     f"times (> lanes-1 = {lanes - 1})"

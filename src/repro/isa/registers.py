@@ -4,7 +4,8 @@ The ISA follows the paper's SVE-like baseline: 32 scalar registers
 (``x0``–``x31``), 32 vector registers (``v0``–``v31``) of 16 lanes each,
 and 16 predicate registers (``p0``–``p15``).  The two SRV predicate
 registers (*SRV-replay* and *SRV-needs-replay*) are architectural state of
-the SRV engine rather than named ISA registers, matching section III-D2.
+the region controller (the interpreter's lane mask and needs-replay set)
+rather than named ISA registers, matching section III-D2.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro.lsu.horizontal import (
     replay_lanes_from_hob,
 )
 from repro.lsu.unit import LoadIssueResult, LoadStoreUnit, LsuCounters, StoreIssueResult
-from repro.lsu.vertical import overall_vob, vob_for_pair
+from repro.lsu.vertical import vob_for_pair
 
 __all__ = [
     "RegionChunk",
@@ -32,6 +32,5 @@ __all__ = [
     "LoadStoreUnit",
     "LsuCounters",
     "StoreIssueResult",
-    "overall_vob",
     "vob_for_pair",
 ]

@@ -5,14 +5,14 @@ memory aligned to (and as long as) the machine's alignment-region size
 (64 bytes in Table I).  The start of each region is its
 *address-alignment base*.  A memory access is decomposed into one
 bytes-accessed bit vector per region it touches; an access of at most one
-vector length can span at most two consecutive regions.
+vector length can span at most two consecutive regions.  Every such
+vector is a plain ``int`` mask keyed by its base: bit ``i`` is byte
+``base + i``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.common.bitvec import BitVector
 
 
 def align_base(addr: int, region_bytes: int) -> int:
@@ -29,9 +29,9 @@ def align_offset(addr: int, region_bytes: int) -> int:
 class RegionChunk:
     """The portion of one access falling inside one alignment region."""
 
-    base: int                 # address-alignment base
-    bytes_accessed: BitVector  # byte-granular, relative to `base`
-    first_byte_addr: int       # lowest accessed address inside this region
+    base: int             # address-alignment base
+    bytes_accessed: int   # mask: bit i is byte ``base + i``
+    first_byte_addr: int  # lowest accessed address inside this region
 
     @property
     def offset(self) -> int:
@@ -39,7 +39,7 @@ class RegionChunk:
 
 
 def chunks_for_access(addr: int, size: int, region_bytes: int) -> list[RegionChunk]:
-    """Decompose ``[addr, addr+size)`` into per-region bytes-accessed vectors."""
+    """Decompose ``[addr, addr+size)`` into per-region bytes-accessed masks."""
     if size <= 0:
         raise ValueError(f"access size must be positive, got {size}")
     chunks: list[RegionChunk] = []
@@ -49,7 +49,7 @@ def chunks_for_access(addr: int, size: int, region_bytes: int) -> list[RegionChu
         base = align_base(cursor, region_bytes)
         region_end = base + region_bytes
         chunk_end = min(end, region_end)
-        bv = BitVector.from_range(region_bytes, cursor - base, chunk_end - cursor)
-        chunks.append(RegionChunk(base, bv, cursor))
+        mask = ((1 << (chunk_end - cursor)) - 1) << (cursor - base)
+        chunks.append(RegionChunk(base, mask, cursor))
         cursor = chunk_end
     return chunks

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.common.bitvec import BitVector
 from repro.isa.instructions import SrvDirection
 from repro.lsu.alignment import RegionChunk, chunks_for_access
 
@@ -84,7 +83,7 @@ class LsuEntry:
 
     @property
     def chunks(self) -> list[RegionChunk]:
-        """One bytes-accessed bit vector per region in :attr:`bases`.
+        """One bytes-accessed mask per region in :attr:`bases`.
 
         Built on first read: only the bit-vector checks of rows that share
         a base with another access read them.

@@ -33,7 +33,6 @@ section III-A); broadcast entries are expanded per lane.
 
 from __future__ import annotations
 
-from repro.common.bitvec import BitVector
 from repro.isa.instructions import SrvDirection
 from repro.lsu.entries import AccessType, LsuEntry
 from repro.lsu.vertical import vob_for_pair
@@ -43,15 +42,15 @@ from repro.lsu.vertical import vob_for_pair
 #: base* (every per-byte term below is of the form ``(base + bit) -
 #: entry.addr``), so identical geometry across loop iterations — the
 #: common case, since array strides typically advance whole alignment
-#: regions — hits the cache.  BitVectors are immutable, so sharing the
-#: result object is safe.
-_VIOLATION_MEMO: dict[tuple, BitVector] = {}
+#: regions — hits the cache.  The vectors are ``int`` masks, so every
+#: hit returns a value no caller can mutate.
+_VIOLATION_MEMO: dict[tuple, int] = {}
 _VIOLATION_MEMO_MAX = 1 << 16
 
 
 def horizontal_violation_vector(
     issuing: LsuEntry, prior: LsuEntry, base: int, region_bytes: int
-) -> BitVector:
+) -> int:
     """Bytes of region ``base`` where the prior entry is in a later lane.
 
     Built independently of the overlap (as in figure 5, where the full
@@ -59,9 +58,9 @@ def horizontal_violation_vector(
     """
     prior_chunk = prior.chunk_for_base(base)
     if prior_chunk is None:
-        return BitVector.zeros(region_bytes)
+        return 0
     memo_key = (
-        prior_chunk.bytes_accessed.bits,
+        prior_chunk.bytes_accessed,
         prior.access,
         prior.lane,
         prior.lanes_covered,
@@ -86,7 +85,7 @@ def horizontal_violation_vector(
     # per run over the prior's bytes, each true run ORed in as a mask.
     # Byte ``b`` of the region is address ``base + b``; the lane geometry
     # is that of LsuEntry.lane_span_of_byte and _issuing_lane_for_byte.
-    p_mask = prior_chunk.bytes_accessed.bits
+    p_mask = prior_chunk.bytes_accessed
     bits = 0
     if p_mask:
         lo = (p_mask & -p_mask).bit_length() - 1
@@ -131,11 +130,10 @@ def horizontal_violation_vector(
             if prior_max > issuing_lane:
                 bits |= ((1 << (stop - start)) - 1) << start
         bits &= p_mask
-    result = BitVector._new(region_bytes, bits)
     if len(_VIOLATION_MEMO) >= _VIOLATION_MEMO_MAX:
         _VIOLATION_MEMO.clear()
-    _VIOLATION_MEMO[memo_key] = result
-    return result
+    _VIOLATION_MEMO[memo_key] = bits
+    return bits
 
 
 def _issuing_lane_for_byte(issuing: LsuEntry, byte_addr: int) -> int:
@@ -156,22 +154,21 @@ def _issuing_lane_for_byte(issuing: LsuEntry, byte_addr: int) -> int:
 
 def hob_for_pair(
     issuing: LsuEntry, prior: LsuEntry, region_bytes: int
-) -> dict[int, BitVector]:
+) -> dict[int, int]:
     """Per-base HOB = VOB AND horizontal-violation (figure 4)."""
-    result: dict[int, BitVector] = {}
+    result: dict[int, int] = {}
     for chunk in issuing.chunks:
         other = prior.chunk_for_base(chunk.base)
         if other is None:
             continue
-        vob_bits = chunk.bytes_accessed.bits & other.bytes_accessed.bits
+        vob_bits = chunk.bytes_accessed & other.bytes_accessed
         if not vob_bits:
             continue
-        violation = horizontal_violation_vector(
+        hob_bits = vob_bits & horizontal_violation_vector(
             issuing, prior, chunk.base, region_bytes
         )
-        hob_bits = vob_bits & violation.bits
         if hob_bits:
-            result[chunk.base] = BitVector._new(region_bytes, hob_bits)
+            result[chunk.base] = hob_bits
     return result
 
 
@@ -251,52 +248,48 @@ def may_violate(issuing: LsuEntry, prior: LsuEntry) -> bool:
 
 def hob_and_forwardable(
     issuing: LsuEntry, prior: LsuEntry, region_bytes: int
-) -> tuple[dict[int, BitVector], dict[int, BitVector]]:
+) -> tuple[dict[int, int], dict[int, int]]:
     """One pass yielding (:func:`hob_for_pair`, :func:`forwardable_mask`).
 
     An issuing load needs both views of the same VOB/violation pair; the
     LSU calls this so the violation vector is built once per (pair, base)
-    instead of twice.  Masks are combined as plain ints and only wrapped
-    back into :class:`BitVector` when non-empty — this pairing runs once
-    per (load, SAQ entry) and dominates load-issue time.
+    instead of twice — this pairing runs once per (load, SAQ entry) and
+    dominates load-issue time.  Empty masks are left out of both dicts.
     """
-    hobs: dict[int, BitVector] = {}
-    forwardable: dict[int, BitVector] = {}
+    hobs: dict[int, int] = {}
+    forwardable: dict[int, int] = {}
     for chunk in issuing.chunks:
         other = prior.chunk_for_base(chunk.base)
         if other is None:
             continue
-        vob_bits = chunk.bytes_accessed.bits & other.bytes_accessed.bits
+        vob_bits = chunk.bytes_accessed & other.bytes_accessed
         if not vob_bits:
             continue
         base = chunk.base
         violation = horizontal_violation_vector(issuing, prior, base, region_bytes)
-        hob_bits = vob_bits & violation.bits
+        hob_bits = vob_bits & violation
         if hob_bits:
-            hobs[base] = BitVector._new(region_bytes, hob_bits)
-        ok_bits = vob_bits & ~violation.bits
+            hobs[base] = hob_bits
+        ok_bits = vob_bits & ~violation
         if ok_bits:
-            forwardable[base] = BitVector._new(region_bytes, ok_bits)
+            forwardable[base] = ok_bits
     return hobs, forwardable
 
 
 def overall_hob(
     issuing: LsuEntry, priors: list[LsuEntry], region_bytes: int
-) -> dict[int, BitVector]:
+) -> dict[int, int]:
     """OR of per-entry HOBs — "all HOB bit vectors are ORed together"."""
     combined: dict[int, int] = {}
     for prior in priors:
-        for base, bv in hob_for_pair(issuing, prior, region_bytes).items():
-            combined[base] = combined.get(base, 0) | bv.bits
-    return {
-        base: BitVector._new(region_bytes, bits)
-        for base, bits in combined.items()
-    }
+        for base, bits in hob_for_pair(issuing, prior, region_bytes).items():
+            combined[base] = combined.get(base, 0) | bits
+    return combined
 
 
 def replay_lanes_from_hob(
     issuing: LsuEntry,
-    hob_by_base: dict[int, BitVector],
+    hob_by_base: dict[int, int],
     priors: list[LsuEntry],
     region_bytes: int,
 ) -> set[int]:
@@ -311,8 +304,10 @@ def replay_lanes_from_hob(
     """
     lanes: set[int] = set()
     for base, hob in hob_by_base.items():
-        for bit in hob.set_indices():
-            byte_addr = base + bit
+        while hob:
+            low = hob & -hob
+            hob ^= low
+            byte_addr = base + low.bit_length() - 1
             issuing_lane = _issuing_lane_for_byte(issuing, byte_addr)
             for prior in priors:
                 if prior.is_store:
@@ -320,7 +315,7 @@ def replay_lanes_from_hob(
                 if not prior.addr <= byte_addr < prior.addr + prior.size:
                     continue
                 chunk = prior.chunk_for_base(base)
-                if chunk is None or not chunk.bytes_accessed.test(bit):
+                if chunk is None or not chunk.bytes_accessed & low:
                     continue
                 lo, hi = prior.lane_span_of_byte(byte_addr)
                 lanes.update(
@@ -331,7 +326,7 @@ def replay_lanes_from_hob(
 
 def forwardable_mask(
     issuing: LsuEntry, prior: LsuEntry, region_bytes: int
-) -> dict[int, BitVector]:
+) -> dict[int, int]:
     """Bytes of the prior store forwardable to the issuing load.
 
     Forwardable = VOB AND NOT horizontal-violation: the overlapped bytes
@@ -339,10 +334,11 @@ def forwardable_mask(
     load's lane is larger than or equal to a previous store's lane, the
     VOB bit vector indicates the forwardable bytes").
     """
-    result: dict[int, BitVector] = {}
+    result: dict[int, int] = {}
     for base, vob in vob_for_pair(issuing, prior).items():
-        violation = horizontal_violation_vector(issuing, prior, base, region_bytes)
-        ok_bits = vob.bits & ~violation.bits
+        ok_bits = vob & ~horizontal_violation_vector(
+            issuing, prior, base, region_bytes
+        )
         if ok_bits:
-            result[base] = BitVector._new(region_bytes, ok_bits)
+            result[base] = ok_bits
     return result

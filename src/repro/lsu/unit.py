@@ -268,12 +268,12 @@ class LoadStoreUnit:
                 ok = vob_for_pair(entry, prior)
             if ok:
                 forwarded.add((prior.srv_id, prior.lane))
-                for base, bv in ok.items():
+                for base, bits in ok.items():
                     offset = base - addr
                     if offset >= 0:
-                        covered |= bv.bits << offset
+                        covered |= bits << offset
                     else:
-                        covered |= bv.bits >> -offset
+                        covered |= bits >> -offset
         need = (1 << entry.size) - 1
         any_memory_bytes = (covered & need) != need
         if forwarded:

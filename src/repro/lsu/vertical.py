@@ -12,37 +12,21 @@ violation requiring a squash.
 
 from __future__ import annotations
 
-from repro.common.bitvec import BitVector
 from repro.lsu.entries import LsuEntry
 
 
-def vob_for_pair(issuing: LsuEntry, prior: LsuEntry) -> dict[int, BitVector]:
-    """Per-alignment-base VOB bit vectors between two entries.
+def vob_for_pair(issuing: LsuEntry, prior: LsuEntry) -> dict[int, int]:
+    """Per-alignment-base VOB masks between two entries.
 
-    Only regions present in *both* entries produce a vector ("a match
+    Only regions present in *both* entries produce a mask ("a match
     occurs … since they have the same address-alignment base").
     """
-    result: dict[int, BitVector] = {}
+    result: dict[int, int] = {}
     for chunk in issuing.chunks:
         other = prior.chunk_for_base(chunk.base)
         if other is None:
             continue
-        mine = chunk.bytes_accessed
-        bits = mine.bits & other.bytes_accessed.bits
+        bits = chunk.bytes_accessed & other.bytes_accessed
         if bits:
-            result[chunk.base] = BitVector._new(mine.width, bits)
+            result[chunk.base] = bits
     return result
-
-
-def overall_vob(
-    issuing: LsuEntry, priors: list[LsuEntry]
-) -> dict[int, BitVector]:
-    """OR of the per-entry VOBs, per alignment base."""
-    combined: dict[int, BitVector] = {}
-    for prior in priors:
-        for base, bv in vob_for_pair(issuing, prior).items():
-            if base in combined:
-                combined[base] = combined[base] | bv
-            else:
-                combined[base] = bv
-    return combined

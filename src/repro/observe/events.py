@@ -2,18 +2,17 @@
 
 Instrumentation *sites* throughout the emulator
 (:mod:`repro.emu.interpreter`), both timing models
-(:mod:`repro.pipeline.core`, :mod:`repro.pipeline.inorder`), the SRV LSU
-(:mod:`repro.lsu.unit`) and the region engine (:mod:`repro.srv.engine`)
-poll the module-level :data:`ACTIVE` bus — the same pattern as
-:data:`repro.verify.faults.ACTIVE` — so the disabled path costs a single
-``is not None`` check per site and the simulators stay bit-identical on
-cycles whether or not anyone is listening.
+(:mod:`repro.pipeline.core`, :mod:`repro.pipeline.inorder`) and the SRV
+LSU (:mod:`repro.lsu.unit`) poll the module-level :data:`ACTIVE` bus —
+the same pattern as :data:`repro.verify.faults.ACTIVE` — so the disabled
+path costs a single ``is not None`` check per site and the simulators
+stay bit-identical on cycles whether or not anyone is listening.
 
 Three layers:
 
 * :class:`Event` — one immutable record: kind, source domain, dynamic
   op index, timestamp (cycles for ``pipe``/``lsu`` events, emulator
-  steps for ``emu``/``srv`` events), optional duration/pc/lane and a
+  steps for ``emu`` events), optional duration/pc/lane and a
   small ``data`` tuple of key/value pairs;
 * sinks — :class:`ListSink` (materialise everything),
   :class:`RingBufferSink` (bounded, for streaming runs: keeps the last
@@ -73,10 +72,10 @@ class EventKind(enum.Enum):
     CACHE_MISS = "cache_miss"
 
 
-#: Source domains and their rank in the canonical order.  ``emu`` and
-#: ``srv`` timestamps are emulator steps; ``pipe`` and ``lsu``
-#: timestamps are simulated cycles.
-DOMAIN_RANK: dict[str, int] = {"emu": 0, "pipe": 1, "lsu": 2, "srv": 3}
+#: Source domains and their rank in the canonical order.  ``emu``
+#: timestamps are emulator steps; ``pipe`` and ``lsu`` timestamps are
+#: simulated cycles.
+DOMAIN_RANK: dict[str, int] = {"emu": 0, "pipe": 1, "lsu": 2}
 
 #: Domains whose ``t`` field is a pipeline cycle number.
 CYCLE_DOMAINS = frozenset(("pipe", "lsu"))
@@ -89,7 +88,7 @@ class Event:
     kind: EventKind
     domain: str
     op: int           # dynamic trace-op index (-1: not op-scoped)
-    t: int            # cycles (pipe/lsu) or emulator steps (emu/srv)
+    t: int            # cycles (pipe/lsu) or emulator steps (emu)
     dur: int = 0
     pc: int = -1
     lane: int = -1

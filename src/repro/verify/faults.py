@@ -8,8 +8,9 @@ test suite can prove those invariants (and the differential oracle)
 actually catch corruption — a sanitizer for the simulator itself.
 
 A :class:`FaultPlan` describes *what* to break and *when*.  Hook points in
-:mod:`repro.srv.engine`, :mod:`repro.lsu.unit`, and
-:mod:`repro.emu.interpreter` poll the module-level :data:`ACTIVE` plan;
+:mod:`repro.emu.interpreter` (the ``emu.*`` sites: ``srv_end``, the
+replay handoff, in-region loads and stores) and :mod:`repro.lsu.unit`
+(the ``lsu.*`` sites) poll the module-level :data:`ACTIVE` plan;
 when no plan is armed every hook is a single ``is not None`` check, so
 normal runs pay no observable overhead and behave bit-identically.
 
@@ -42,10 +43,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.common.bitvec import BitVector
+from typing import Iterable, Iterator
 
 
 class FaultClass(enum.Enum):
@@ -203,36 +201,6 @@ class FaultPlan:
             )
             return True
         return False
-
-    # -- hook: SRV engine srv_end pending bits -------------------------------
-
-    def perturb_engine_pending(
-        self, pending: "BitVector", lanes: int
-    ) -> "BitVector":
-        from repro.common.bitvec import BitVector
-
-        spec = self._match(FaultClass.FLIP_NEEDS_REPLAY)
-        if spec is not None and pending.any():
-            lane = (
-                spec.lane
-                if spec.lane is not None and pending.test(spec.lane)
-                else pending.lowest_set()
-            )
-            pending = pending.with_bit(lane, False)
-            self._record(
-                FaultClass.FLIP_NEEDS_REPLAY,
-                "srv.end_region",
-                f"cleared pending lane {lane}",
-            )
-        spec = self._match(FaultClass.FORCE_REPLAY)
-        if spec is not None:
-            pending = BitVector.ones(lanes)
-            self._record(
-                FaultClass.FORCE_REPLAY,
-                "srv.end_region",
-                f"forced all {lanes} pending lanes",
-            )
-        return pending
 
 
 #: The armed plan; ``None`` means fault injection is disabled and every

@@ -34,6 +34,16 @@ class TestModuleRefs:
     def test_bare_package_is_uninteresting(self, check_docs):
         assert check_docs.module_exists("repro")
 
+    def test_package_member_must_exist(self, check_docs):
+        """Under a package, the next component must be a submodule or a
+        name the ``__init__.py`` binds, not just any word."""
+        assert check_docs.module_exists("repro.lsu.LsuEntry")
+        assert check_docs.module_exists("repro.common.TABLE_I")
+        assert not check_docs.module_exists("repro.common.bitvec")
+        assert not check_docs.module_exists("repro.lsu.gone.Widget")
+        # planning documents name modules that do not exist yet
+        assert check_docs.module_exists("repro.common.bitvec", strict=False)
+
 
 class TestPathRefs:
     def test_real_paths_resolve(self, check_docs):
@@ -58,6 +68,13 @@ class TestCheckFile:
         assert len(problems) == 2
         assert any("repro.bogus.module" in p for p in problems)
         assert any("src/repro/gone.py" in p for p in problems)
+
+    def test_planning_docs_are_lenient(self, check_docs, tmp_path):
+        doc = tmp_path / "plan.md"
+        doc.write_text("Add `repro.verify.planned` next.\n")
+        assert len(check_docs.check_file(str(doc))) == 1
+        assert check_docs.check_file(str(doc), strict=False) == []
+        assert "ROADMAP.md" in check_docs.PLANNING_DOCS
 
     def test_repo_docs_are_clean(self, check_docs):
         problems = []

@@ -149,6 +149,16 @@ class TestReplayBookkeeping:
         assert a[16] == 32
         assert metrics.srv.max_replays_in_region == LANES - 1
 
+    def test_counters_accumulate_across_regions(self):
+        """Three regions of one replay each: the run's totals add up,
+        while ``max_replays_in_region`` is counted per region."""
+        n = 3 * LANES
+        _, metrics = run_indirect(list(range(n)), periodic_conflict_indices(n, 4))
+        assert metrics.srv.regions_entered == 3
+        assert metrics.srv.region_passes == 6
+        assert metrics.srv.replays == 3
+        assert metrics.srv.max_replays_in_region == 1
+
     def test_first_pass_and_replayed_lane_counts(self):
         n = 16
         x_vals = periodic_conflict_indices(n, 4)

@@ -11,17 +11,16 @@ from repro.common.config import TABLE_I
 from repro.common.errors import (
     IsaError,
     LsuOverflowError,
-    NestedSrvRegionError,
     ReplayBoundExceededError,
 )
 from repro.compiler import Strategy
-from repro.emu import run_program
+from repro.emu import Interpreter, run_program
 from repro.experiments import runner
-from repro.isa import ProgramBuilder, imm, v, x
+from repro.isa import Program, ProgramBuilder, imm, v, x
+from repro.isa.instructions import Halt, SrvEnd, SrvStart
 from repro.lsu.entries import AccessType, LsuEntry
 from repro.lsu.unit import LoadStoreUnit
 from repro.memory import MemoryImage
-from repro.srv.engine import SrvEngine
 from repro.workloads import by_name
 
 LANES = TABLE_I.vector_lanes
@@ -132,11 +131,15 @@ class TestLsuOverflow:
 
 
 class TestNestedRegion:
-    def test_engine_rejects_nested_start(self):
-        engine = SrvEngine(lanes=LANES)
-        engine.start_region(0x40)
-        with pytest.raises(NestedSrvRegionError):
-            engine.start_region(0x80)
+    def test_interpreter_rejects_hand_built_regions(self):
+        """Programs built without the builder's checks are rejected when
+        the interpreter is made, before any op runs."""
+        nested = Program([SrvStart(), SrvStart(), SrvEnd(), SrvEnd(), Halt()])
+        with pytest.raises(IsaError, match="nested srv_start at index 1"):
+            Interpreter(nested, MemoryImage())
+        unterminated = Program([SrvStart(), Halt()])
+        with pytest.raises(IsaError, match="program ends inside an SRV-region"):
+            Interpreter(unterminated, MemoryImage())
 
     def test_builder_rejects_nested_start(self):
         b = ProgramBuilder("nested")
@@ -159,22 +162,6 @@ class TestNestedRegion:
 
 
 class TestReplayBound:
-    def test_engine_enforces_lanes_minus_one(self):
-        engine = SrvEngine(lanes=4)
-        engine.start_region(0x40)
-        with pytest.raises(ReplayBoundExceededError):
-            for _ in range(4):
-                engine.record_violation({1, 2})
-                engine.end_region()
-
-    def test_engine_bound_can_be_waived(self):
-        engine = SrvEngine(lanes=4, enforce_bound=False)
-        engine.start_region(0x40)
-        for _ in range(8):
-            engine.record_violation({1})
-            engine.end_region()
-        assert engine.rollbacks_this_region == 8
-
     def test_emulator_bound_via_fault_injection(self):
         """End-to-end: a region forced to replay forever hits the bound."""
         from repro.verify import faults

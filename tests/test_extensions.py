@@ -8,6 +8,7 @@ from repro.common.rng import periodic_conflict_indices, sparse_conflict_indices
 from repro.compiler import Strategy, compile_loop, scalar_reference
 from repro.emu import Interpreter, run_program
 from repro.memory import MemoryImage
+from repro.observe import events as ev
 from repro.pipeline import TraceLog, simulate
 from repro.pipeline.inorder import simulate_in_order
 from repro.workloads.base import indirect_update
@@ -166,6 +167,35 @@ class TestInterruptInjection:
             step, periodic_conflict_indices(N, 4)
         )
         assert got == want
+
+    @pytest.mark.parametrize("step, x_vals, passes, replayed", [
+        # a switch in the first pass: lane 0 finishes it, lanes 1-15
+        # replay the whole region
+        (12, list(range(N)), [(0, 1), (1, 15)], list(range(1, 16))),
+        # a switch in the replay pass of lanes 3, 7, 11, 15: lane 3
+        # finishes it, and every lane above it replays, active or not
+        (16, periodic_conflict_indices(N, 4),
+         [(0, 16), (1, 1), (2, 12), (3, 3)],
+         [3, 7, 11, 15] + list(range(4, 16)) + [7, 11, 15]),
+    ], ids=["first_pass", "replay_pass"])
+    def test_resume_runs_only_the_oldest_lane(
+        self, step, x_vals, passes, replayed
+    ):
+        """Section III-D2: after a context switch inside a region only
+        the oldest active lane resumes; the younger lanes are marked
+        needs-replay and re-run the region after its ``srv_end``."""
+        with ev.capture() as sink:
+            metrics, got, want = self.run_with_interrupt(step, x_vals)
+        assert got == want
+        assert metrics.srv.interrupts_taken == 1
+        first = [e for e in sink.finalized() if dict(e.data)["region"] == 0]
+        assert [
+            (dict(e.data)["pass"], dict(e.data)["active"]) for e in first
+            if e.kind is ev.EventKind.REGION_PASS
+        ] == passes
+        assert [
+            e.lane for e in first if e.kind is ev.EventKind.LANE_REPLAY
+        ] == replayed
 
     def test_interrupt_costs_extra_passes(self):
         x_vals = list(range(N))

@@ -130,16 +130,34 @@ class TestCampaign:
         classes = {inj.spec.fault for inj in catalogue}
         assert len(classes) >= 5
 
-    def test_full_campaign_all_detected(self):
+    def test_full_campaign_all_detected(self, monkeypatch):
         """Every seeded injection fires and is caught by some checker."""
+        plans = []
+        arm = faults.inject
+
+        def inject(plan):
+            plans.append(plan)
+            return arm(plan)
+
+        monkeypatch.setattr(faults, "inject", inject)
         result = run_campaign(default_catalogue())
         undetected = result.undetected()
         assert result.all_detected, result.format_table()
         assert undetected == []
-        assert len(result.classes_covered()) >= 5
+        # every fault class is injected and caught
+        assert {r.injection.spec.fault for r in result.results if r.ok} \
+            == set(FaultClass)
         # each detection names the checker that caught it
         for r in result.results:
             assert r.detectors, r.injection
+        # the needs-replay faults have one hook site, the emulator's
+        # srv_end: a second, dead site would show up here
+        sites = {
+            fired.site for plan in plans for fired in plan.fired
+            if fired.fault in (FaultClass.FLIP_NEEDS_REPLAY,
+                               FaultClass.FORCE_REPLAY)
+        }
+        assert sites == {"emu.srv_end"}
 
     def test_world_is_clean_after_campaign(self):
         """The campaign must not leak an armed plan into later runs."""

@@ -34,7 +34,6 @@ from repro.observe.export import (
     write_chrome_trace,
 )
 from repro.observe.harness import observe_loop
-from repro.srv.engine import SrvEngine
 from repro.workloads import all_loops
 from tests.pinned import PINS, digest
 
@@ -195,18 +194,32 @@ class TestInstrumentation:
         # no bus installed: the harnessless simulation path emits nothing
         assert ev.ACTIVE is None
 
-    def test_srv_engine_emits(self):
-        engine = SrvEngine(lanes=4)
+    def test_emulator_region_events(self):
+        """One region replaying lanes 3, 7, 11, 15: the interpreter emits
+        its begin, both passes, the replayed lanes and the end, all in
+        the ``emu`` domain."""
+        from repro.common.rng import periodic_conflict_indices
+        from repro.compiler import compile_loop
+        from repro.emu import run_program
+        from repro.memory import MemoryImage
+        from repro.workloads.base import indirect_update
+
+        n = TABLE_I.vector_lanes
+        mem = MemoryImage()
+        mem.alloc("a", n, 4, init=list(range(n)))
+        mem.alloc("x", n, 4, init=periodic_conflict_indices(n, 4))
+        program = compile_loop(indirect_update(), mem, n, Strategy.SRV)
         with ev.capture() as sink:
-            engine.start_region(0x40)
-            engine.record_violation({2, 3})
-            decision = engine.end_region()
-            assert decision.restart
-            engine.end_region()
-        kinds = [e.kind for e in sink.finalized()]
+            run_program(program, mem)
+        events = sink.finalized()
+        assert {e.domain for e in events} == {"emu"}
+        kinds = [e.kind for e in events]
         assert kinds.count(ev.EventKind.REGION_BEGIN) == 1
-        assert kinds.count(ev.EventKind.LANE_REPLAY) == 2
+        assert kinds.count(ev.EventKind.REGION_PASS) == 2
         assert kinds.count(ev.EventKind.REGION_END) == 1
+        assert [
+            e.lane for e in events if e.kind is ev.EventKind.LANE_REPLAY
+        ] == [3, 7, 11, 15]
 
     def test_inorder_core_instrumented(self):
         run = observe_loop(

@@ -6,7 +6,10 @@ each against the working tree:
 
 * dotted module/attribute references such as ``repro.parallel.cache`` or
   ``repro.lsu.unit.LoadStoreUnit`` — some prefix of the dotted path must
-  resolve to a real module file or package under ``src/repro``;
+  resolve to a real module file or package under ``src/repro``, and when
+  the deepest such prefix is a package, the next component must be one
+  of its submodules or a name its ``__init__.py`` binds (``ROADMAP.md``
+  excepted — it names planned modules);
 * backticked repository paths such as ``docs/PERFORMANCE.md`` or
   ``src/repro/pipeline/core.py`` (an optional ``::test`` suffix is
   ignored) — the file or directory must exist.
@@ -41,6 +44,7 @@ non-zero listing every stale reference).
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import sys
@@ -65,9 +69,13 @@ PATH_REF = re.compile(
 )
 
 
+#: Documents that describe planned work: their module references need
+#: only a resolving prefix, and their ``repro <sub> --flag`` spans are
+#: not checked, since they name modules and flags that do not exist yet.
+PLANNING_DOCS = ("ROADMAP.md",)
+
 #: Documents whose ``repro <sub> --flag`` spans must name real flags.
-#: ROADMAP.md is left out: it describes flags that do not exist yet.
-FLAG_DOC_GLOBS = tuple(entry for entry in DOC_GLOBS if entry != "ROADMAP.md")
+FLAG_DOC_GLOBS = tuple(entry for entry in DOC_GLOBS if entry not in PLANNING_DOCS)
 
 
 def doc_files(globs: tuple[str, ...] = DOC_GLOBS) -> list[str]:
@@ -85,23 +93,59 @@ def doc_files(globs: tuple[str, ...] = DOC_GLOBS) -> list[str]:
     return files
 
 
-def module_exists(dotted: str) -> bool:
-    """True if some prefix of ``dotted`` is a module/package in src/.
+def package_names(package_dir: str) -> set[str]:
+    """Names the package's ``__init__.py`` binds at module level.
+
+    Parsed, not imported, like :func:`generator_knobs`: imported names,
+    functions, classes and assignment targets.
+    """
+    init = os.path.join(package_dir, "__init__.py")
+    if not os.path.isfile(init):
+        return set()
+    with open(init, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), init)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def module_exists(dotted: str, strict: bool = True) -> bool:
+    """True if ``dotted`` names a module, package or attribute in src/.
 
     ``repro.lsu.unit.LoadStoreUnit`` passes because ``repro/lsu/unit.py``
-    exists; the trailing components are assumed to be attributes.  The
-    bare package ``repro`` alone always exists and is not interesting,
-    so at least two components must be given.
+    exists; the components after a module file are assumed to be
+    attributes.  When the deepest prefix that resolves is a package, the
+    next component must be a submodule of it or a name its
+    ``__init__.py`` binds: ``repro.lsu.LsuEntry`` passes, and
+    ``repro.common.gone`` fails although ``repro.common`` exists.  With
+    ``strict`` false any resolving prefix is enough (planning documents
+    name modules that do not exist yet).  The bare package ``repro``
+    alone always exists and is not interesting, so at least two
+    components must be given.
     """
     parts = dotted.split(".")
     if len(parts) < 2:
         return True
     for end in range(len(parts), 1, -1):
-        rel = os.path.join(*parts[:end])
-        if os.path.isdir(os.path.join(SRC_ROOT, rel)):
+        path = os.path.join(SRC_ROOT, *parts[:end])
+        if os.path.isfile(path + ".py"):
             return True
-        if os.path.isfile(os.path.join(SRC_ROOT, rel + ".py")):
-            return True
+        if os.path.isdir(path):
+            return (
+                not strict
+                or end == len(parts)
+                or parts[end] in package_names(path)
+            )
     return False
 
 
@@ -113,13 +157,20 @@ def path_exists(rel: str) -> bool:
     return os.path.exists(os.path.join(REPO_ROOT, rel.rstrip("/")))
 
 
-def check_file(path: str) -> list[str]:
+def check_file(path: str, strict: bool | None = None) -> list[str]:
+    """Stale module and path references in one document.
+
+    ``strict`` is passed to :func:`module_exists`; by default it holds
+    for every document but the :data:`PLANNING_DOCS`.
+    """
     problems = []
     rel_doc = os.path.relpath(path, REPO_ROOT)
+    if strict is None:
+        strict = rel_doc not in PLANNING_DOCS
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             for match in MODULE_REF.finditer(line):
-                if not module_exists(match.group(0)):
+                if not module_exists(match.group(0), strict):
                     problems.append(
                         f"{rel_doc}:{lineno}: unresolved module reference "
                         f"{match.group(0)!r}"
